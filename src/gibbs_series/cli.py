@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import acceptance
-from .conjugate import NumericError, Regime, box_conjugate, conjugate, log_f_conjugate
+from .conjugate import NumericError, box_conjugate, conjugate, log_f_conjugate
 from .entropy import (
     FitStatus,
     GibbsFit,
@@ -47,7 +47,6 @@ EXIT_NUMERIC = 3
 class RunConfig:
     """Validated run parameters shared by the subcommands."""
 
-    sequence: Optional[str]
     tol: float
     max_terms: Optional[int]
     fmt: str
@@ -423,7 +422,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(
-            sequence=getattr(args, "sequence", None),
             tol=args.tol,
             max_terms=args.max_terms,
             fmt=args.fmt,

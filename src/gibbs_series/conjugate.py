@@ -22,14 +22,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
-from scipy.optimize import brentq
-
-from .sequences import Family, SigmaSequence, quadratic, sigma
+from .sequences import SigmaSequence, quadratic, sigma
 from .series import (
     BoundaryClass,
-    BudgetExceededError,
     DomainError,
-    DomainInfo,
+    _best_bracket,
     domain_info,
     eval_series,
     log_f,
@@ -132,16 +129,63 @@ def _expand_bracket(
     )
 
 
-def _mid_or_best(seq: SigmaSequence, y: float, p: int, tol: float, max_terms) -> float:
-    """Best-effort midpoint: on budget exhaustion, the widest bracket's.
+def _brent(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int,
+) -> float:
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
 
-    Used only while bracketing and iterating; the solvers re-certify the
-    final answer strictly.
+    Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4.  Steps, acceptance tests and operation order follow the
+    ``brentq`` C routine the tests compare against, so both return the
+    same root after the same calls of f.  Stops once half the bracket is
+    below (xtol + rtol |x|) / 2.  Raises NumericError when f(a), f(b) do
+    not bracket a root, f returns NaN, or maxiter steps do not converge.
     """
-    try:
-        return eval_series(seq, y, p, tol=tol, max_terms=max_terms).midpoint
-    except BudgetExceededError as exc:
-        return exc.best.midpoint
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"f({a!r})={fpre!r} and f({b!r})={fcur!r} do not bracket a root")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericError(f"f({xcur!r}) is NaN in the bracket ({a!r}, {b!r})")
+    raise NumericError(f"Brent iteration did not converge in {maxiter} steps on ({a!r}, {b!r})")
 
 
 def solve_fprime(
@@ -163,13 +207,13 @@ def solve_fprime(
     eta = 0.25 * tol * max(1.0, u)
 
     def fp(y: float) -> float:
-        return _mid_or_best(seq, y, 1, eta, max_terms)
+        return _best_bracket(seq, y, 1, eta, max_terms).midpoint
 
     open_edge = di.boundary_class is BoundaryClass.OPEN_BOUNDARY
     a, b, capped = _expand_bracket(fp, u, di.alpha, open_edge)
     if capped is not None:
         return b, abs(capped - u)
-    y = float(brentq(lambda yy: fp(yy) - u, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=300))
+    y = _brent(lambda yy: fp(yy) - u, a, b, 1e-15, 8.9e-16, 300)
     final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
     residual = abs(final.midpoint - u) + 0.5 * final.tail_bound
     if residual > tol * max(1.0, u):
@@ -191,21 +235,19 @@ def solve_phi(
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
 
     def ph_best(y: float) -> float:
-        f0 = _mid_or_best(seq, y, 0, 1.0, max_terms)
-        g0 = _mid_or_best(seq, y, 1, 1.0, max_terms)
+        f0 = _best_bracket(seq, y, 0, 1.0, max_terms).midpoint
+        g0 = _best_bracket(seq, y, 1, 1.0, max_terms).midpoint
         if f0 <= 0.0 or g0 <= 0.0:
             raise NumericError(f"series underflows at y={y!r} while bracketing")
-        num = _mid_or_best(seq, y, 1, 0.25 * rel * g0, max_terms)
-        den = _mid_or_best(seq, y, 0, 0.25 * rel * f0, max_terms)
+        num = _best_bracket(seq, y, 1, 0.25 * rel * g0, max_terms).midpoint
+        den = _best_bracket(seq, y, 0, 0.25 * rel * f0, max_terms).midpoint
         return num / den
 
     open_edge = di.boundary_class is not BoundaryClass.CLOSED_FINITE_SLOPE
     a, b, capped = _expand_bracket(ph_best, v, di.alpha, open_edge)
     if capped is not None:
         return b, abs(capped - v)
-    y = float(
-        brentq(lambda yy: ph_best(yy) - v, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=300)
-    )
+    y = _brent(lambda yy: ph_best(yy) - v, a, b, 1e-15, 8.9e-16, 300)
     residual = abs(phi(seq, y, tol=rel, max_terms=max_terms) - v) + 0.5 * rel * v
     if residual > tol * max(1.0, v):
         raise NumericError(
@@ -276,18 +318,18 @@ def log_f_conjugate(
     return v * y - log_f(seq, y, tol=0.25 * tol * max(1.0, v), max_terms=max_terms)
 
 
-def box_conjugate(u: float, v: float, tol: float = 1e-9) -> float:
-    """Conjugate of the box free energy h(x, y) = e^x (sum_k e^{y k^2})^3.
+def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> float:
+    """Conjugate of the box free energy h(x, y) = e^x (sum_k e^{kappa y k^2})^3.
 
-    Case table over (u, v): +inf when u < 0, v < 0, or 0 <= v < 3u;
-    0 when u = 0 <= v; and u(ln u - 1) + 3u (ln f)*(v/(3u)) on the cone
-    v >= 3u > 0, with f the unit quadratic series.
+    Case table over (u, v): +inf when u < 0, v < 0, or 0 <= v < 3 kappa u;
+    0 when u = 0 <= v; and u(ln u - 1) + 3u (ln f)*(v/(3 kappa u)) on the
+    cone v >= 3 kappa u > 0, with f the unit quadratic series.
     """
     if u < 0 or v < 0:
         return math.inf
     if u == 0:
         return 0.0
-    if v < 3.0 * u:
+    if v < 3.0 * kappa * u:
         return math.inf
-    lf = log_f_conjugate(quadratic(), v / (3.0 * u), tol=tol)
+    lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
     return u * (math.log(u) - 1.0) + 3.0 * u * lf

@@ -17,9 +17,8 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .conjugate import conjugate, solve_fprime, solve_phi
+from .conjugate import _brent, conjugate, solve_fprime, solve_phi
 from .sequences import (
     Family,
     SigmaSequence,
@@ -445,9 +444,7 @@ def plateau_witness(
             lo /= 2.0
             if lo < 1e-14:
                 raise WitnessBudgetError("window equation has no root above 1e-14", best)
-        lam = float(
-            brentq(lambda l: window_moment(l) - v_window, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        )
+        lam = _brent(lambda l: window_moment(l) - v_window, lo, hi, 1e-14, 8.9e-16, 100)
         w = np.exp(-s * lam)
         moment = prefix_moment + float(np.sum(s * w))
         w[-1] += (u - moment) / s[-1]  # exact moment, float-level

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .sequences import SigmaSequence, VarsigmaSequence, sigma_values
-from .series import eval_series
+from .series import _lower_bound, eval_series
 
 __all__ = [
     "VerificationReport",
@@ -128,57 +128,12 @@ def _truncated_sigmas(seq: SigmaSequence, n_levels: int) -> np.ndarray:
     return sigma_values(seq, ns)
 
 
-def _newton_log_moment(s: np.ndarray, target_log: float, tol: float) -> float:
-    """Solve ln(sum s_i exp(s_i y)) = target_log by damped Newton.
+def _damped_newton(value_and_slope, target_log: float, tol: float) -> float:
+    """Solve value(y) = target_log by damped Newton from y = 0.
 
-    The left side is increasing and smooth with derivative in
-    [min s, max s]; log-domain evaluation keeps large |y| safe.
+    ``value_and_slope(y)`` returns an increasing smooth value and its
+    derivative; each step is halved until the residual shrinks.
     """
-
-    def value_and_slope(y: float) -> tuple[float, float]:
-        a = s * y + np.log(s)
-        m = float(np.max(a))
-        w = np.exp(a - m)
-        tot = float(np.sum(w))
-        val = m + math.log(tot)
-        slope = float(np.dot(w, s) / tot)
-        return val, slope
-
-    y = 0.0
-    val, slope = value_and_slope(y)
-    for _ in range(200):
-        resid = val - target_log
-        if abs(resid) <= tol:
-            return y
-        step = -resid / slope
-        for _ in range(60):  # damping: halve until the residual shrinks
-            y_new = y + step
-            val_new, slope_new = value_and_slope(y_new)
-            if abs(val_new - target_log) < abs(resid):
-                y, val, slope = y_new, val_new, slope_new
-                break
-            step *= 0.5
-        else:
-            raise TruncationInfeasibleError(
-                f"Newton stalled at residual {resid:g}"
-            )
-    raise TruncationInfeasibleError("Newton did not converge in 200 iterations")
-
-
-def _newton_log_ratio(s: np.ndarray, target_log: float, tol: float) -> float:
-    """Solve ln(sum s e^{s y}) - ln(sum e^{s y}) = target_log by Newton."""
-
-    def value_and_slope(y: float) -> tuple[float, float]:
-        a = s * y
-        m = float(np.max(a))
-        w = np.exp(a - m)
-        tot0 = float(np.sum(w))
-        tot1 = float(np.dot(w, s))
-        tot2 = float(np.dot(w, s * s))
-        mean0 = tot1 / tot0
-        mean1 = tot2 / tot1
-        return math.log(tot1) - math.log(tot0), mean1 - mean0
-
     y = 0.0
     val, slope = value_and_slope(y)
     for _ in range(200):
@@ -196,6 +151,38 @@ def _newton_log_ratio(s: np.ndarray, target_log: float, tol: float) -> float:
         else:
             raise TruncationInfeasibleError(f"Newton stalled at residual {resid:g}")
     raise TruncationInfeasibleError("Newton did not converge in 200 iterations")
+
+
+def _log_moment(s: np.ndarray):
+    """y -> ln(sum s_i exp(s_i y)) and its slope, in log domain.
+
+    The slope lies in [min s, max s]; the log domain keeps large |y| safe.
+    """
+    log_s = np.log(s)
+
+    def value_and_slope(y: float) -> tuple[float, float]:
+        a = s * y + log_s
+        m = float(np.max(a))
+        w = np.exp(a - m)
+        tot = float(np.sum(w))
+        return m + math.log(tot), float(np.dot(w, s) / tot)
+
+    return value_and_slope
+
+
+def _log_ratio(s: np.ndarray):
+    """y -> ln(sum s e^{s y}) - ln(sum e^{s y}) and its slope."""
+
+    def value_and_slope(y: float) -> tuple[float, float]:
+        a = s * y
+        m = float(np.max(a))
+        w = np.exp(a - m)
+        tot0 = float(np.sum(w))
+        tot1 = float(np.dot(w, s))
+        tot2 = float(np.dot(w, s * s))
+        return math.log(tot1) - math.log(tot0), tot2 / tot1 - tot1 / tot0
+
+    return value_and_slope
 
 
 def primal_truncated(
@@ -221,7 +208,7 @@ def primal_truncated(
             f"targets (mass={mass!r}, moment={moment!r}) need mass > 0 and moment >= 0"
         )
     if mass is None:
-        y = _newton_log_moment(s, math.log(moment), tol)
+        y = _damped_newton(_log_moment(s), math.log(moment), tol)
         w = np.exp(s * y)
         value = y * moment - float(np.sum(w))
         resid = abs(float(np.dot(s, w)) - moment)
@@ -233,7 +220,7 @@ def primal_truncated(
             f"ratio moment/mass = {rho:g} outside the representable range "
             f"({lo:g}, {hi:g}) of the first {n_levels} levels"
         )
-    y = _newton_log_ratio(s, math.log(rho), tol)
+    y = _damped_newton(_log_ratio(s), math.log(rho), tol)
     a = s * y
     m = float(np.max(a))
     log_mass_y = m + math.log(float(np.sum(np.exp(a - m))))
@@ -250,6 +237,11 @@ def primal_truncated(
 # Derivative checks
 # ---------------------------------------------------------------------------
 
+def _tight_mid(seq: SigmaSequence, y: float, p: int = 0) -> float:
+    """f^(p)(y) to 1e-13 of its size (absolute below 1), sized by a cheap probe."""
+    return eval_series(seq, y, p, tol=1e-13 * max(1.0, _lower_bound(seq, y, p, None))).midpoint
+
+
 def check_gradient_sum(
     seq: SigmaSequence,
     y: float,
@@ -265,14 +257,9 @@ def check_gradient_sum(
     """
     if h is None:
         h = 1e-5 * max(1.0, abs(y))
-
-    def ev(yy: float, p: int = 0) -> float:
-        lb = eval_series(seq, yy, p, tol=1.0).value  # cheap scale probe
-        return eval_series(seq, yy, p, tol=1e-13 * max(1.0, lb)).midpoint
-
-    analytic = ev(y, 1)
+    analytic = _tight_mid(seq, y, 1)
     if mode == "central":
-        fd = (ev(y + h) - ev(y - h)) / (2.0 * h)
+        fd = (_tight_mid(seq, y + h) - _tight_mid(seq, y - h)) / (2.0 * h)
         return _report(
             "gradient-sum/central",
             {"seq": seq.spec_string(), "y": y, "h": h},
@@ -282,9 +269,9 @@ def check_gradient_sum(
             meta={"stencil": "central", "order": 2},
         )
     if mode == "directional":
-        f0 = ev(y)
-        d_plus = (ev(y + h) - f0) / h
-        d_minus = (ev(y - h) - f0) / h
+        f0 = _tight_mid(seq, y)
+        d_plus = (_tight_mid(seq, y + h) - f0) / h
+        d_minus = (_tight_mid(seq, y - h) - f0) / h
         return _report(
             "gradient-sum/directional",
             {"seq": seq.spec_string(), "y": y, "h": h},
@@ -346,12 +333,8 @@ def check_fenchel_young(
     """f(y) + f*(u) - y u >= 0, tight exactly when u = f'(y)."""
     from .conjugate import conjugate
 
-    def ev(p: int) -> float:
-        lb = eval_series(seq, y, p, tol=1.0).value
-        return eval_series(seq, y, p, tol=1e-13 * max(1.0, lb)).midpoint
-
-    f_here = ev(0)
-    fp_here = ev(1)
+    f_here = _tight_mid(seq, y)
+    fp_here = _tight_mid(seq, y, 1)
     fstar = conjugate(seq, u, tol=1e-12).value
     gap = f_here + fstar - y * u
     report = VerificationReport(

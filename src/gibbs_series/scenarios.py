@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .conjugate import log_f_conjugate
+from .conjugate import box_conjugate
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
@@ -27,7 +27,7 @@ from .sequences import (
     varsigma_expsq,
     varsigma_power,
 )
-from .series import BoundaryClass, domain_info, eval_series
+from .series import domain_info, eval_series
 
 __all__ = ["BoxModel", "BoxReport", "example1_table", "example2_table", "box_report"]
 
@@ -211,7 +211,6 @@ class BoxModel:
     """
 
     kappa: float = 1.0
-    level_budget: int = 512
 
     @property
     def sequence(self) -> SigmaSequence:
@@ -226,17 +225,6 @@ class BoxModel:
     def grad_h(self, x: float, y: float) -> tuple[float, float]:
         g0 = self.g(y)
         return math.exp(x) * g0 ** 3, 3.0 * math.exp(x) * g0 ** 2 * self.g(y, 1)
-
-    def h_conjugate(self, u: float, v: float, tol: float = 1e-9) -> float:
-        """Conjugate over the cone v >= 3 kappa u >= 0 (rescaled exponents)."""
-        if u < 0 or v < 0:
-            return math.inf
-        if u == 0:
-            return 0.0
-        if v < 3.0 * self.kappa * u:
-            return math.inf
-        lf = log_f_conjugate(quadratic(), v / (3.0 * self.kappa * u), tol=tol)
-        return u * (math.log(u) - 1.0) + 3.0 * u * lf
 
 
 @dataclass(frozen=True)
@@ -268,8 +256,7 @@ def box_report(
     reproduces it); u = 0 < v has conjugate value 0 with no
     representing weights.
     """
-    model = BoxModel(kappa=kappa)
-    h_star = model.h_conjugate(u, v, tol=tol)
+    h_star = box_conjugate(u, v, tol=tol, kappa=kappa)
     if u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u):
         return BoxReport(
             u, v, kappa, "infeasible", h_star, None, None, (None, None),
@@ -285,7 +272,7 @@ def box_report(
             u, v, kappa, "empty_feasible_set", 0.0, None, None, (0.0, None),
             notes="no weights reach positive energy at zero mass, yet the conjugate value is 0",
         )
-    fit = fit_gibbs(model.sequence, u, v, tol=tol)
+    fit = fit_gibbs(box(kappa), u, v, tol=tol)
     if fit.status is FitStatus.BOUNDARY_SINGLETON:
         return BoxReport(
             u, v, kappa, "ground_state", h_star, fit, None, fit.achieved,

@@ -9,6 +9,7 @@ the series module needs to certify truncation tails.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from math import isqrt
@@ -180,6 +181,8 @@ class _BoxTable:
 
     Triples (k, l, m), k,l,m >= 1, sorted by s = k^2+l^2+m^2 ascending with
     lexicographic tie-break; ``levels[i]`` is the integer s of triple i.
+    The cache only ever grows, under a lock, so a prefix a caller has
+    ensured stays valid while other threads extend it.
     """
 
     def __init__(self) -> None:
@@ -187,24 +190,21 @@ class _BoxTable:
         self.levels: list[int] = []
         self._levels_arr = np.empty(0, dtype=np.int64)
         self._next_s = 3
+        self._lock = threading.Lock()
 
     def ensure_count(self, n: int) -> None:
-        while len(self.triples) < n:
-            self._add_level(self._next_s)
-            self._next_s += 1
-        if len(self._levels_arr) < len(self.levels):
-            self._levels_arr = np.asarray(self.levels, dtype=np.int64)
+        self._grow(lambda: len(self.triples) >= n)
 
     def ensure_level(self, s_max: int) -> None:
-        while self._next_s <= s_max:
-            self._add_level(self._next_s)
-            self._next_s += 1
-        if len(self._levels_arr) < len(self.levels):
-            self._levels_arr = np.asarray(self.levels, dtype=np.int64)
+        self._grow(lambda: self._next_s > s_max)
 
-    def complete_upto(self) -> int:
-        """Largest s for which every triple with level <= s is cached."""
-        return self._next_s - 1
+    def _grow(self, done: Callable[[], bool]) -> None:
+        with self._lock:
+            while not done():
+                self._add_level(self._next_s)
+                self._next_s += 1
+            if len(self._levels_arr) < len(self.levels):
+                self._levels_arr = np.asarray(self.levels, dtype=np.int64)
 
     def levels_array(self) -> np.ndarray:
         return self._levels_arr

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -170,7 +170,7 @@ def domain_info(seq: SigmaSequence, tol: float = 1e-8) -> DomainInfo:
     theta = seq.theta
     if theta <= 1.0:
         return DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
-    fb = _eval_logfam_boundary(seq, 0, tol, max_terms_budget(None))
+    fb = _sum_blocks(seq, -1.0, 0, tol, max_terms_budget(None), 4096, _edge_tail, edge=True)
     if theta <= 2.0:
         return DomainInfo(
             1.0,
@@ -180,7 +180,7 @@ def domain_info(seq: SigmaSequence, tol: float = 1e-8) -> DomainInfo:
             0.0,
             0.5 * fb.tail_bound,
         )
-    gm = _eval_logfam_boundary(seq, 1, tol, max_terms_budget(None))
+    gm = _sum_blocks(seq, -1.0, 1, tol, max_terms_budget(None), 4096, _edge_tail, edge=True)
     return DomainInfo(
         1.0,
         BoundaryClass.CLOSED_FINITE_SLOPE,
@@ -369,47 +369,10 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
 # Evaluation engines
 # ---------------------------------------------------------------------------
 
-def _eval_blockwise(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
-    """Partial sums with a per-block tail certificate (gap/integral path)."""
-    start = seq.start_index
-    total = 0.0
-    n_done = start - 1
-    block = 256
-    last_tail = math.inf
-    while True:
-        n0 = n_done + 1
-        n1 = min(n_done + block, start + budget - 1)
-        if n1 >= n0:
-            ns = np.arange(n0, n1 + 1, dtype=np.int64)
-            s = sigma_values(seq, ns)
-            terms = np.exp(s * y) if p == 0 else s ** p * np.exp(s * y)
-            total += float(np.sum(terms))
-            n_done = n1
-        n_terms = n_done - start + 1
-        slack = _roundoff(total, n_terms)
-        tb = tail_bound_after(seq, y, p, n_done)
-        if tb is not None:
-            # the computed partial is accurate to +-slack, so the honest
-            # enclosure is [partial - slack, partial + tb + slack]
-            last_tail = tb + 2.0 * slack
-            if last_tail <= tol:
-                return SeriesEval(total - slack, p, n_done, last_tail, tol)
-            if 2.0 * slack > tol and tb <= slack:
-                # accumulation noise alone exceeds tol; growing N only
-                # raises the floor, so fail fast with the best bracket
-                raise BudgetExceededError(
-                    f"tolerance {tol:g} is below the float64 accumulation floor "
-                    f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                    SeriesEval(total - slack, p, n_done, last_tail, tol),
-                )
-        if n_done >= start + budget - 1:
-            best = SeriesEval(total - slack, p, n_done, last_tail, tol)
-            raise BudgetExceededError(
-                f"tolerance {tol:g} unreachable within {budget} terms "
-                f"(best tail bound {last_tail:g}) for {seq.spec_string()} at y={y!r}",
-                best,
-            )
-        block = min(block * 2, 1_000_000)
+def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
+    """Interior certificate: the omitted tail lies in [0, tail_bound_after]."""
+    tb = tail_bound_after(seq, y, p, N)
+    return 0.0, math.inf if tb is None else tb
 
 
 def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = False) -> float:
@@ -436,47 +399,68 @@ def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = Fals
     return acc * (1.0 - 2.0 * rel) if lower else _up(acc, rel)
 
 
-def _eval_logfam_boundary(seq: SigmaSequence, p: int, tol: float, budget: int) -> SeriesEval:
-    """Integral-corrected bracket at y = -1 (terms sigma^p / (n (ln n)^theta)).
+def _edge_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
+    """Edge certificate at y = -1 (terms sigma^p / (n (ln n)^theta)).
 
-    For decreasing terms t the omitted tail lies between the integrals
-    from N+1 and from N; the value includes the lower integral so the
-    bracket width is a single term, not the slowly-decaying raw tail.
+    For decreasing terms the omitted tail lies between the integrals from
+    N+1 and from N, so adding the lower one to the partial sum leaves a
+    bracket one term wide, not the slowly-decaying raw tail.
     """
-    theta = seq.theta
-    if theta <= p + 1:
-        raise DomainError(
-            f"boundary series diverges for order {p} (needs theta > {p + 1})",
-            DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf),
-            y=-1.0,
-        )
+    lower = _logfam_boundary_integral(seq.theta, p, N + 1.0, lower=True)
+    if sigma(seq, N) < p + 0.5:  # term envelope not yet decreasing
+        return lower, math.inf
+    return lower, _logfam_boundary_integral(seq.theta, p, float(N)) - lower
+
+
+def _sum_blocks(
+    seq: SigmaSequence,
+    y: float,
+    p: int,
+    tol: float,
+    budget: int,
+    block: int,
+    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]],
+    edge: bool = False,
+) -> SeriesEval:
+    """Partial sums in doubling blocks until the certified bracket meets tol.
+
+    After each block ``certificate(seq, y, p, N)`` returns ``(lower,
+    width)``: the terms after index N sum to between ``lower`` and
+    ``lower + width`` (width inf while no certificate applies).  The
+    computed partial is accurate to +-slack, so the bracket is
+    [partial + lower - slack, partial + lower + width + slack].  Off the
+    edge, a certified width already below the slack with 2 slack > tol
+    fails at once: more terms only raise the accumulation floor.
+    """
     start = seq.start_index
+    last = start + budget - 1
     total = 0.0
     n_done = start - 1
-    block = 4096
-    width = math.inf
     while True:
-        n0 = n_done + 1
-        n1 = min(n_done + block, start + budget - 1)
-        if n1 >= n0:
-            ns = np.arange(n0, n1 + 1, dtype=np.int64)
-            s = sigma_values(seq, ns)
-            terms = np.exp(-s) if p == 0 else s ** p * np.exp(-s)
+        n1 = min(n_done + block, last)
+        if n1 > n_done:
+            s = sigma_values(seq, np.arange(n_done + 1, n1 + 1, dtype=np.int64))
+            terms = np.exp(s * y) if p == 0 else s ** p * np.exp(s * y)
             total += float(np.sum(terms))
             n_done = n1
         slack = _roundoff(total, n_done - start + 1)
-        if sigma(seq, n_done) >= p + 0.5:  # term envelope decreasing from here
-            lower = _logfam_boundary_integral(theta, p, n_done + 1.0, lower=True)
-            upper = _logfam_boundary_integral(theta, p, float(n_done))
-            width = (upper - lower) + 2.0 * slack
-            if width <= tol:
-                return SeriesEval(total + lower - slack, p, n_done, width, tol)
-        if n_done >= start + budget - 1:
-            lower = _logfam_boundary_integral(theta, p, n_done + 1.0, lower=True)
-            best = SeriesEval(total + lower - slack, p, n_done, width, tol)
+        lower, width = certificate(seq, y, p, n_done)
+        best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack, tol)
+        if best.tail_bound <= tol:
+            return best
+        if not edge and 2.0 * slack > tol and width <= slack:
+            raise BudgetExceededError(
+                f"tolerance {tol:g} is below the float64 accumulation floor "
+                f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
+                best,
+            )
+        if n_done >= last:
             raise BudgetExceededError(
                 f"boundary tolerance {tol:g} unreachable within {budget} terms "
-                f"(best width {width:g})",
+                f"(best width {best.tail_bound:g})"
+                if edge
+                else f"tolerance {tol:g} unreachable within {budget} terms "
+                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
                 best,
             )
         block = min(block * 2, 1_000_000)
@@ -495,7 +479,8 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
 
     def brackets(abs_tols: list[float]) -> list[SeriesEval]:
         return [
-            _eval_blockwise(quad, z, j, abs_tols[j], budget) for j in range(p + 1)
+            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, _interior_tail)
+            for j in range(p + 1)
         ]
 
     # rough pass to scale component tolerances, then tighten until the
@@ -569,23 +554,27 @@ def eval_series(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", di, y
             )
-        return _eval_logfam_boundary(seq, p, tol, budget)
+        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, _edge_tail, edge=True)
     if seq.family is Family.BOX:
         return _eval_box(seq, y, p, tol, budget)
-    return _eval_blockwise(seq, y, p, tol, budget)
+    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
 
 
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
 
+def _best_bracket(seq: SigmaSequence, y: float, p: int, tol: float, budget) -> SeriesEval:
+    """eval_series, or on budget exhaustion the best bracket it reached."""
+    try:
+        return eval_series(seq, y, p, tol=tol, max_terms=budget)
+    except BudgetExceededError as exc:
+        return exc.best
+
+
 def _lower_bound(seq: SigmaSequence, y: float, p: int, budget: Optional[int]) -> float:
     """Cheap certified lower bound on f^(p)(y) (any bracket's value)."""
-    try:
-        e = eval_series(seq, y, p, tol=1.0, max_terms=budget)
-    except BudgetExceededError as exc:
-        e = exc.best
-    return e.value
+    return _best_bracket(seq, y, p, 1.0, budget).value
 
 
 def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[int] = None) -> float:

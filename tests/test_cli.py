@@ -244,3 +244,11 @@ class TestDeterminism:
         ]
         assert outs[0] == outs[1]
         assert outs[0].strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, gibbs_series.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import pytest
 
 from gibbs_series import (
     DomainError,
+    NumericError,
     Regime,
     box_conjugate,
     conjugate,
@@ -21,6 +22,7 @@ from gibbs_series import (
     power,
     quadratic,
 )
+from gibbs_series.conjugate import _brent
 from gibbs_series.scenarios import BoxModel
 
 
@@ -187,3 +189,64 @@ class TestBoxConjugate:
     def test_conjugate_convex_on_ray(self):
         vals = [box_conjugate(1.0, v, tol=1e-11) for v in (3.5, 4.0, 4.5)]
         assert vals[1] <= 0.5 * (vals[0] + vals[2]) + 1e-10
+
+
+def _recorded(f):
+    """f plus the list of points it was called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+class TestBrent:
+    SETTINGS = [(1e-15, 8.9e-16, 300), (1e-14, 8.9e-16, 100), (1e-6, 1e-10, 50)]
+
+    @staticmethod
+    def _brackets(n):
+        rng = np.random.default_rng(20260810)
+        shapes = [
+            lambda r, k: lambda x: math.tanh(k * (x - r)),
+            lambda r, k: lambda x: (x - r) ** 3 + 1e-3 * k * (x - r),
+            lambda r, k: lambda x: math.expm1(k * (x - r)),
+            lambda r, k: lambda x: math.atan(k * (x - r)) + (x - r) ** 5,
+        ]
+        for i in range(n):
+            a = float(rng.uniform(-10.0, 1.0))
+            b = a + float(10.0 ** rng.uniform(-6.0, 1.3))
+            r = float(rng.uniform(a, b))
+            k = float(10.0 ** rng.uniform(-1.0, 1.5))
+            f = shapes[i % len(shapes)](r, k)
+            sign = 1.0 if i % 3 else -1.0  # some decreasing brackets too
+            yield (lambda x, f=f, sign=sign: sign * f(x)), a, b
+
+    def test_same_root_and_calls_as_reference_brentq(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for f, a, b in self._brackets(400):
+            for xtol, rtol, maxiter in self.SETTINGS:
+                mine, my_calls = _recorded(f)
+                ref, ref_calls = _recorded(f)
+                root = _brent(mine, a, b, xtol, rtol, maxiter)
+                expected = optimize.brentq(ref, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+                assert root == expected
+                assert my_calls == ref_calls
+
+    def test_same_root_and_calls_on_exact_ends(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        for a, b in [(0.5, 2.0), (-1.0, 0.5)]:
+            mine, my_calls = _recorded(lambda x: x - 0.5)
+            ref, ref_calls = _recorded(lambda x: x - 0.5)
+            assert _brent(mine, a, b, 1e-15, 8.9e-16, 300) == 0.5
+            assert optimize.brentq(ref, a, b, xtol=1e-15, rtol=8.9e-16) == 0.5
+            assert my_calls == ref_calls
+
+    def test_too_few_iterations_raise(self):
+        with pytest.raises(NumericError, match="did not converge in 3 steps"):
+            _brent(lambda x: math.tanh(20.0 * (x - 0.3)), 0.0, 1.0, 1e-15, 8.9e-16, 3)
+
+    def test_same_sign_ends_raise(self):
+        with pytest.raises(NumericError, match="do not bracket a root"):
+            _brent(lambda x: x + 1.0, 0.0, 1.0, 1e-15, 8.9e-16, 300)

@@ -1,10 +1,14 @@
 """Exponent-sequence definitions, increment gaps, and box enumeration."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from gibbs_series import sequences
 from gibbs_series import (
     SequenceIndexError,
     box,
@@ -136,6 +140,37 @@ class TestEnumerateBox:
             enumerate_box(1.0, 0)
         with pytest.raises(ValueError):
             enumerate_box(-1.0, 5)
+
+    def test_cache_growth_is_thread_safe(self, monkeypatch):
+        # fresh caches: the shared one may already hold these levels
+        reference = sequences._BoxTable()
+        reference.ensure_count(8000)
+        table = sequences._BoxTable()
+        monkeypatch.setattr(sequences, "_BOX", table)
+        budgets = (500, 2000, 8000, 2000)
+        start = threading.Barrier(len(budgets))
+
+        def grow(n):
+            start.wait(timeout=60)
+            return enumerate_box(1.0, n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(budgets)) as pool:
+                futures = [pool.submit(grow, n) for n in budgets]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        n = len(table.triples)
+        assert n >= 8000 and len(table.levels) == n
+        assert table.triples == reference.triples[:n]
+        assert table.levels == reference.levels[:n]
+        for budget, got in zip(budgets, results):
+            assert got == [
+                (t, float(s))
+                for t, s in zip(reference.triples[:budget], reference.levels[:budget])
+            ]
 
 
 class TestParsing:
