@@ -182,7 +182,9 @@ class _BoxTable:
     Triples (k, l, m), k,l,m >= 1, sorted by s = k^2+l^2+m^2 ascending with
     lexicographic tie-break; ``levels[i]`` is the integer s of triple i.
     The cache only ever grows, under a lock, so a prefix a caller has
-    ensured stays valid while other threads extend it.
+    ensured stays valid while other threads extend it.  It grows by whole
+    slices of levels whose ends lie on the fixed grid of ``_slice_end``,
+    so what ``ensure_count(n)`` leaves does not depend on earlier requests.
     """
 
     def __init__(self) -> None:
@@ -193,43 +195,65 @@ class _BoxTable:
         self._lock = threading.Lock()
 
     def ensure_count(self, n: int) -> None:
-        self._grow(lambda: len(self.triples) >= n)
+        with self._lock:
+            while len(self.triples) < n:
+                self._add_levels(_slice_end(self._next_s))
 
     def ensure_level(self, s_max: int) -> None:
-        self._grow(lambda: self._next_s > s_max)
-
-    def _grow(self, done: Callable[[], bool]) -> None:
         with self._lock:
-            while not done():
-                self._add_level(self._next_s)
-                self._next_s += 1
-            if len(self._levels_arr) < len(self.levels):
-                self._levels_arr = np.asarray(self.levels, dtype=np.int64)
+            while self._next_s <= s_max:
+                self._add_levels(min(_slice_end(self._next_s), s_max + 1))
 
     def levels_array(self) -> np.ndarray:
         return self._levels_arr
 
-    def _add_level(self, s: int) -> None:
-        for triple in _triples_with_level(s):
-            self.triples.append(triple)
-            self.levels.append(s)
+    def _add_levels(self, stop: int) -> None:
+        k, l, m, s = _triples_in_levels(self._next_s, stop)
+        self.triples.extend(zip(k.tolist(), l.tolist(), m.tolist()))
+        self.levels.extend(s.tolist())
+        self._levels_arr = np.concatenate((self._levels_arr, s))
+        self._next_s = stop
 
 
-def _triples_with_level(s: int) -> list[tuple[int, int, int]]:
-    """All (k,l,m) with k^2+l^2+m^2 == s, in lexicographic order."""
-    out: list[tuple[int, int, int]] = []
-    k = 1
-    while k * k <= s - 2:
-        r1 = s - k * k
-        l = 1
-        while l * l <= r1 - 1:
-            r2 = r1 - l * l
-            m = isqrt(r2)
-            if m * m == r2:
-                out.append((k, l, m))
-            l += 1
-        k += 1
-    return out
+def _slice_end(s0: int) -> int:
+    """Exclusive end of the slice of levels that starts at ``s0``.
+
+    Ends are the multiples of max(64, 2^(b-3)), b the bit length of s0,
+    so a slice adds at most a quarter to the top level (about 40% to the
+    triple count) and its transient arrays stay a fraction of the table.
+    """
+    step = 1 << max(6, s0.bit_length() - 3)
+    return (s0 // step + 1) * step
+
+
+def _isqrt(a: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(a)) of a nonnegative int64 array."""
+    r = np.sqrt(a.astype(np.float64)).astype(np.int64)
+    r -= r * r > a
+    r += (r + 1) * (r + 1) <= a
+    return r
+
+
+def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """Arrays k, l, m, s of every triple with lo <= s = k^2+l^2+m^2 < hi.
+
+    Ordered by level, then lexicographically.  Each (k, l) pair with room
+    for m >= 1 contributes the run of m between two integer square roots,
+    so the work and memory follow the output, not a cube of the range.
+    """
+    sq = np.arange(1, isqrt(hi - 3) + 1, dtype=np.int64) ** 2
+    kl = sq[:, None] + sq[None, :]
+    k, l = np.nonzero(kl <= hi - 2)
+    r = kl[k, l]
+    m_lo = _isqrt(np.maximum(lo - r, 1) - 1) + 1  # least m >= 1, r + m^2 >= lo
+    count = np.maximum(_isqrt(hi - 1 - r) - m_lo + 1, 0)
+    starts = np.cumsum(count) - count
+    m = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(starts - m_lo, count)
+    k = np.repeat(k + 1, count)
+    l = np.repeat(l + 1, count)
+    s = k * k + l * l + m * m
+    order = np.lexsort((m, l, k, s))
+    return k[order], l[order], m[order], s[order]
 
 
 _BOX = _BoxTable()
@@ -287,7 +311,11 @@ def sigma(seq: SigmaSequence, n: int) -> float:
 
 
 def sigma_values(seq: SigmaSequence, ns: np.ndarray) -> np.ndarray:
-    """Vectorized sigma over an index array (all entries >= start_index)."""
+    """Vectorized sigma over an index array (all entries >= start_index).
+
+    The result is a new array, built in place on its own float copy of
+    ``ns``; the caller's ``ns`` is never modified.
+    """
     ns = np.asarray(ns)
     if ns.size and int(ns.min()) < seq.start_index:
         raise SequenceIndexError(
@@ -297,17 +325,25 @@ def sigma_values(seq: SigmaSequence, ns: np.ndarray) -> np.ndarray:
     if seq.family is Family.LINEAR:
         return x
     if seq.family is Family.POWER:
-        return x ** seq.theta
+        x **= seq.theta
+        return x
     if seq.family is Family.QUADRATIC:
-        return x * x
+        x *= x
+        return x
     if seq.family is Family.LOGFAM:
-        lx = np.log(x)
-        return lx + seq.theta * np.log(lx)
+        lx = np.log(x, out=x)
+        theta_llx = np.log(lx)
+        theta_llx *= seq.theta
+        lx += theta_llx
+        return lx
     if seq.family is Family.LOGLOG:
-        return np.log(np.log(x))
+        np.log(x, out=x)
+        return np.log(x, out=x)
     if seq.family is Family.BOX:
         _BOX.ensure_count(int(ns.max()))
-        return seq.kappa * _BOX.levels_array()[ns - 1].astype(np.float64)
+        x = _BOX.levels_array()[ns - 1].astype(np.float64)
+        x *= seq.kappa
+        return x
     return np.array([float(seq.generator(int(n))) for n in ns])
 
 

@@ -412,6 +412,35 @@ def _edge_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, flo
     return lower, _logfam_boundary_integral(seq.theta, p, float(N)) - lower
 
 
+_CHUNK = 1 << 15  # indices per pass of a long block: its arrays stay in L2
+
+
+def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> float:
+    """Sum of sigma_n^p exp(sigma_n y) over first <= n < stop.
+
+    A long block is computed chunk by chunk, in place, into one
+    block-sized array: the temporaries stay in cache, each term gets the
+    same elementwise operations as ``s ** p * np.exp(s * y)``, and
+    ``np.sum`` still adds the whole contiguous block in the same pairwise
+    order, so the sum is bit-identical to the one-pass expression.
+    """
+    if stop - first <= _CHUNK:
+        s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
+        return float(np.sum(np.exp(s * y) if p == 0 else s ** p * np.exp(s * y)))
+    block = np.empty(stop - first)
+    for lo in range(first, stop, _CHUNK):
+        hi = min(lo + _CHUNK, stop)
+        s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
+        terms = block[lo - first : hi - first]
+        np.multiply(s, y, out=terms)
+        np.exp(terms, out=terms)
+        if p:
+            if p > 1:  # s ** 1 == s; skipping it saves a pass
+                s **= p
+            terms *= s
+    return float(np.sum(block))
+
+
 def _sum_blocks(
     seq: SigmaSequence,
     y: float,
@@ -428,9 +457,10 @@ def _sum_blocks(
     width)``: the terms after index N sum to between ``lower`` and
     ``lower + width`` (width inf while no certificate applies).  The
     computed partial is accurate to +-slack, so the bracket is
-    [partial + lower - slack, partial + lower + width + slack].  Off the
-    edge, a certified width already below the slack with 2 slack > tol
-    fails at once: more terms only raise the accumulation floor.
+    [partial + lower - slack, partial + lower + width + slack].  A
+    certified width already below the slack with 2 slack > tol fails at
+    once: more terms only raise the accumulation floor.  ``edge`` selects
+    the wording of the budget-exhaustion message at y = -1.
     """
     start = seq.start_index
     last = start + budget - 1
@@ -439,16 +469,14 @@ def _sum_blocks(
     while True:
         n1 = min(n_done + block, last)
         if n1 > n_done:
-            s = sigma_values(seq, np.arange(n_done + 1, n1 + 1, dtype=np.int64))
-            terms = np.exp(s * y) if p == 0 else s ** p * np.exp(s * y)
-            total += float(np.sum(terms))
+            total += _block_sum(seq, y, p, n_done + 1, n1 + 1)
             n_done = n1
         slack = _roundoff(total, n_done - start + 1)
         lower, width = certificate(seq, y, p, n_done)
         best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack, tol)
         if best.tail_bound <= tol:
             return best
-        if not edge and 2.0 * slack > tol and width <= slack:
+        if 2.0 * slack > tol and width <= slack:
             raise BudgetExceededError(
                 f"tolerance {tol:g} is below the float64 accumulation floor "
                 f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",

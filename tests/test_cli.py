@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gibbs_series
 from gibbs_series import acceptance
 from gibbs_series.cli import EXIT_DOMAIN, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, dumps, main
 
@@ -19,6 +22,13 @@ def run_cli(capsys, *argv):
 
 def parse(out: str) -> dict:
     return json.loads(out)
+
+
+def child_env() -> dict:
+    """Environment for a child interpreter that imports this copy of the package."""
+    src = str(Path(gibbs_series.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 class TestDumps:
@@ -239,6 +249,7 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 check=False,
+                env=child_env(),
             ).stdout
             for _ in range(2)
         ]
@@ -249,6 +260,11 @@ class TestDeterminism:
 def test_cli_import_does_not_load_scipy():
     code = "import sys, gibbs_series.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=child_env(),
     )
     assert done.stdout.strip() == "False"

@@ -103,6 +103,20 @@ class TestIncrementGap:
             custom(lambda n: n, declared_alpha=0.0, declared_gap=0.0)
 
 
+def brute_box(s_max):
+    """Every (k, l, m) with level <= s_max by a triple loop, sorted by (s, k, l, m)."""
+    top = math.isqrt(s_max)
+    found = []
+    for k in range(1, top + 1):
+        for l in range(1, top + 1):
+            for m in range(1, top + 1):
+                s = k * k + l * l + m * m
+                if s <= s_max:
+                    found.append((s, k, l, m))
+    found.sort()
+    return [t[1:] for t in found], [t[0] for t in found]
+
+
 class TestEnumerateBox:
     def test_ground_state(self):
         assert enumerate_box(1.0, 1) == [((1, 1, 1), 3.0)]
@@ -140,6 +154,38 @@ class TestEnumerateBox:
             enumerate_box(1.0, 0)
         with pytest.raises(ValueError):
             enumerate_box(-1.0, 5)
+
+    def test_table_matches_brute_to_level_3000(self):
+        triples, levels = brute_box(3000)
+        table = sequences._BoxTable()
+        table.ensure_level(3000)
+        assert table.triples == triples
+        assert table.levels == levels
+        assert table.levels_array().tolist() == levels
+
+    def test_growth_steps_do_not_change_the_prefix(self):
+        triples, levels = brute_box(3000)
+        by_count, by_level, mixed = (sequences._BoxTable() for _ in range(3))
+        for n in (1, 7, 4, 950, 12_345, 60_000):
+            by_count.ensure_count(n)
+            assert len(by_count.triples) >= n
+        reached = 0
+        for s_max in (5, 100, 99, 101, 1777, 3000):
+            by_level.ensure_level(s_max)
+            reached = max(reached, s_max)
+            assert by_level.levels[-1] <= reached < by_level._next_s
+        for step, arg in (("count", 3), ("level", 40), ("count", 2_000), ("level", 1_023)):
+            getattr(mixed, f"ensure_{step}")(arg)
+        # after capped level requests, counts still stop on the fixed grid
+        mixed.ensure_count(30_000)
+        by_count_only = sequences._BoxTable()
+        by_count_only.ensure_count(30_000)
+        assert len(mixed.triples) == len(by_count_only.triples)
+        for table in (by_count, by_level, mixed):
+            n = min(len(table.triples), len(triples))
+            assert table.triples[:n] == triples[:n]
+            assert table.levels[:n] == levels[:n]
+            assert table.levels_array().tolist() == table.levels
 
     def test_cache_growth_is_thread_safe(self, monkeypatch):
         # fresh caches: the shared one may already hold these levels

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gibbs_series import sequences, series
 from gibbs_series import (
     BoundaryClass,
     BudgetExceededError,
     DomainError,
+    Family,
     box,
     custom,
     domain_info,
@@ -30,6 +32,22 @@ def brute_partial(seq, y, p, n_terms):
     ns = np.arange(seq.start_index, seq.start_index + n_terms, dtype=np.int64)
     s = sigma_values(seq, ns)
     return float(np.sum(s ** p * np.exp(s * y)))
+
+
+def plain_sigma(seq, ns):
+    """Exponents from out-of-place numpy expressions (the in-place build's reference)."""
+    x = ns.astype(np.float64)
+    if seq.family is Family.POWER:
+        return x ** seq.theta
+    if seq.family is Family.QUADRATIC:
+        return x * x
+    if seq.family is Family.LOGFAM:
+        lx = np.log(x)
+        return lx + seq.theta * np.log(lx)
+    if seq.family is Family.BOX:
+        return seq.kappa * sequences._BOX.levels_array()[ns - 1].astype(np.float64)
+    assert seq.family is Family.LINEAR
+    return x
 
 
 class TestClosedForms:
@@ -119,6 +137,84 @@ class TestBracketing:
         with pytest.raises(BudgetExceededError) as exc:
             eval_series(linear(), -0.3, 1, tol=1e-16)
         assert exc.value.best.tail_bound > 1e-16
+
+    def test_edge_roundoff_floor_fails_fast(self):
+        # the certified edge width is below the rounding slack after one block
+        with pytest.raises(BudgetExceededError, match="accumulation floor") as exc:
+            eval_series(logfam(50.0), -1.0, 0, tol=1e-18)
+        assert exc.value.best.truncation_index == 4098
+
+
+# y per family so that over 10^6 indices the terms neither all underflow
+# nor stay flat
+KERNEL_CASES = [
+    (linear(), -1e-5),
+    (power(0.7), -1e-3),
+    (power(1.6), -1e-9),
+    (quadratic(), -1e-11),
+    (logfam(3.0), -1.0),
+    (box(0.8), -1e-4),
+]
+
+
+class TestKernel:
+    """The chunked in-place kernel gives the plain expression's bits."""
+
+    @pytest.mark.parametrize("count", [1000, series._CHUNK, 1_000_037])
+    @pytest.mark.parametrize("seq,y", KERNEL_CASES, ids=str)
+    def test_block_sum_matches_plain_sum(self, seq, y, count, monkeypatch):
+        if seq.family is Family.BOX:
+            # a fresh table, so the million-triple one is dropped afterwards
+            monkeypatch.setattr(sequences, "_BOX", sequences._BoxTable())
+        first = seq.start_index + 5
+        stop = first + count
+        for p in (0, 1, 2):
+            got = series._block_sum(seq, y, p, first, stop)
+            s = plain_sigma(seq, np.arange(first, stop, dtype=np.int64))
+            assert got == float(np.sum(s ** p * np.exp(s * y)))
+
+    def test_sum_blocks_adds_block_sums_in_order(self):
+        seq, y, p, budget = logfam(3.0), -1.0, 1, 300_000
+
+        def no_certificate(seq, y, p, n):
+            return 0.0, math.inf
+
+        with pytest.raises(BudgetExceededError) as exc:
+            series._sum_blocks(seq, y, p, 1e-9, budget, 4096, no_certificate, edge=True)
+        total, first, block = 0.0, seq.start_index, 4096
+        stop = seq.start_index + budget
+        while first < stop:
+            s = plain_sigma(seq, np.arange(first, min(first + block, stop), dtype=np.int64))
+            total += float(np.sum(s ** p * np.exp(s * y)))
+            first += block
+            block *= 2
+        best = exc.value.best
+        assert best.truncation_index == stop - 1
+        assert best.value == total - series._roundoff(total, budget)
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            linear(),
+            power(0.7),
+            power(1.6),
+            quadratic(),
+            logfam(3.0),
+            loglog(),
+            box(0.8),
+            custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=2.0),
+        ],
+        ids=str,
+    )
+    def test_sigma_values_leave_indices_alone(self, seq):
+        # box levels are looked up by integer index only
+        dtypes = (np.int64,) if seq.family is Family.BOX else (np.int64, np.float64)
+        for dtype in dtypes:
+            ns = np.arange(seq.start_index, seq.start_index + 100, dtype=dtype)
+            kept = ns.copy()
+            out = sigma_values(seq, ns)
+            assert np.array_equal(ns, kept)
+            assert out.dtype == np.float64 and not np.shares_memory(out, ns)
 
 
 class TestShapeProperties:
