@@ -183,8 +183,9 @@ class _BoxTable:
     lexicographic tie-break; ``levels[i]`` is the integer s of triple i.
     The cache only ever grows, under a lock, so a prefix a caller has
     ensured stays valid while other threads extend it.  It grows by whole
-    slices of levels whose ends lie on the fixed grid of ``_slice_end``,
-    so what ``ensure_count(n)`` leaves does not depend on earlier requests.
+    slices of levels, each adding a quarter to the top level (at least
+    64), so ``ensure_count(n)`` may leave more than n triples;
+    ``ensure_level(s_max)`` stops at level s_max.
     """
 
     def __init__(self) -> None:
@@ -197,33 +198,26 @@ class _BoxTable:
     def ensure_count(self, n: int) -> None:
         with self._lock:
             while len(self.triples) < n:
-                self._add_levels(_slice_end(self._next_s))
+                self._add_levels(math.inf)
 
     def ensure_level(self, s_max: int) -> None:
         with self._lock:
             while self._next_s <= s_max:
-                self._add_levels(min(_slice_end(self._next_s), s_max + 1))
+                self._add_levels(s_max)
 
     def levels_array(self) -> np.ndarray:
         return self._levels_arr
 
-    def _add_levels(self, stop: int) -> None:
+    def _add_levels(self, s_max: float) -> None:
+        # a slice adds about 40% to the triple count, so its transient
+        # arrays stay a fraction of the table; stopping at s_max saves a
+        # cold box fit the ~40% of its enumeration time spent past its cut
+        stop = min(self._next_s + max(64, self._next_s >> 2), s_max + 1)
         k, l, m, s = _triples_in_levels(self._next_s, stop)
         self.triples.extend(zip(k.tolist(), l.tolist(), m.tolist()))
         self.levels.extend(s.tolist())
         self._levels_arr = np.concatenate((self._levels_arr, s))
         self._next_s = stop
-
-
-def _slice_end(s0: int) -> int:
-    """Exclusive end of the slice of levels that starts at ``s0``.
-
-    Ends are the multiples of max(64, 2^(b-3)), b the bit length of s0,
-    so a slice adds at most a quarter to the top level (about 40% to the
-    triple count) and its transient arrays stay a fraction of the table.
-    """
-    step = 1 << max(6, s0.bit_length() - 3)
-    return (s0 // step + 1) * step
 
 
 def _isqrt(a: np.ndarray) -> np.ndarray:

@@ -412,21 +412,18 @@ def _edge_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, flo
     return lower, _logfam_boundary_integral(seq.theta, p, float(N)) - lower
 
 
-_CHUNK = 1 << 15  # indices per pass of a long block: its arrays stay in L2
+_CHUNK = 1 << 15  # indices per pass of a block: its arrays stay in L2
 
 
 def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> float:
     """Sum of sigma_n^p exp(sigma_n y) over first <= n < stop.
 
-    A long block is computed chunk by chunk, in place, into one
-    block-sized array: the temporaries stay in cache, each term gets the
-    same elementwise operations as ``s ** p * np.exp(s * y)``, and
-    ``np.sum`` still adds the whole contiguous block in the same pairwise
-    order, so the sum is bit-identical to the one-pass expression.
+    The block is computed chunk by chunk, in place, into one block-sized
+    array: the temporaries stay in cache, each term gets the same
+    elementwise operations as ``s ** p * np.exp(s * y)``, and ``np.sum``
+    still adds the whole contiguous block in the same pairwise order, so
+    the sum is bit-identical to the one-pass expression.
     """
-    if stop - first <= _CHUNK:
-        s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
-        return float(np.sum(np.exp(s * y) if p == 0 else s ** p * np.exp(s * y)))
     block = np.empty(stop - first)
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
