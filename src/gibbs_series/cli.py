@@ -241,7 +241,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_domain(cfg: RunConfig, args) -> int:
     seq = parse_sequence(args.sequence)
-    di = domain_info(seq, tol=min(cfg.tol, 1e-8))
+    di = domain_info(seq, tol=min(cfg.tol, 1e-8), max_terms=cfg.max_terms)
     _emit(
         {
             "schema": SCHEMA,

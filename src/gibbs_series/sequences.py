@@ -334,7 +334,7 @@ def sigma_values(seq: SigmaSequence, ns: np.ndarray) -> np.ndarray:
         np.log(x, out=x)
         return np.log(x, out=x)
     if seq.family is Family.BOX:
-        _BOX.ensure_count(int(ns.max()))
+        _BOX.ensure_count(int(ns.max()) if ns.size else 0)
         x = _BOX.levels_array()[ns - 1].astype(np.float64)
         x *= seq.kappa
         return x

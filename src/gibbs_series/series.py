@@ -27,9 +27,12 @@ widened by a bound on the rounding of its exponent (which grows like
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -149,11 +152,14 @@ class BudgetExceededError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def domain_info(seq: SigmaSequence, tol: float = 1e-8) -> DomainInfo:
+def domain_info(
+    seq: SigmaSequence, tol: float = 1e-8, max_terms: Optional[int] = None
+) -> DomainInfo:
     """Classify the domain of f for a sequence.
 
     ``tol`` only affects the certified accuracy of the finite boundary
-    values (log family with fast-decaying boundary terms).
+    values (log family with fast-decaying boundary terms), which are
+    summed within ``max_terms`` (default: the global term budget).
     """
     fam = seq.family
     if fam in (Family.LINEAR, Family.POWER, Family.QUADRATIC, Family.BOX):
@@ -170,7 +176,8 @@ def domain_info(seq: SigmaSequence, tol: float = 1e-8) -> DomainInfo:
     theta = seq.theta
     if theta <= 1.0:
         return DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
-    fb = _sum_blocks(seq, -1.0, 0, tol, max_terms_budget(None), 4096, _edge_tail, edge=True)
+    budget = max_terms_budget(max_terms)
+    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, _edge_tail, edge=True)
     if theta <= 2.0:
         return DomainInfo(
             1.0,
@@ -180,7 +187,7 @@ def domain_info(seq: SigmaSequence, tol: float = 1e-8) -> DomainInfo:
             0.0,
             0.5 * fb.tail_bound,
         )
-    gm = _sum_blocks(seq, -1.0, 1, tol, max_terms_budget(None), 4096, _edge_tail, edge=True)
+    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, _edge_tail, edge=True)
     return DomainInfo(
         1.0,
         BoundaryClass.CLOSED_FINITE_SLOPE,
@@ -438,6 +445,32 @@ def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> f
     return float(np.sum(block))
 
 
+_MEMO_KEYS = 8  # block-state lists kept per thread; the least recently used goes
+
+
+class _Memo(threading.local):
+    """Each thread's block states, by key, least recently used first."""
+
+    def __init__(self) -> None:
+        self.lru: OrderedDict[tuple, list] = OrderedDict()
+
+
+_memo = _Memo()
+
+
+def _block_states(key: tuple) -> list:
+    """This thread's stored block states for ``key`` (a new empty list if none)."""
+    lru = _memo.lru
+    states = lru.get(key)
+    if states is None:
+        states = lru[key] = []
+        if len(lru) > _MEMO_KEYS:
+            lru.popitem(last=False)
+    else:
+        lru.move_to_end(key)
+    return states
+
+
 def _sum_blocks(
     seq: SigmaSequence,
     y: float,
@@ -458,18 +491,29 @@ def _sum_blocks(
     certified width already below the slack with 2 slack > tol fails at
     once: more terms only raise the accumulation floor.  ``edge`` selects
     the wording of the budget-exhaustion message at y = -1.
+
+    The states after each block do not depend on ``tol``, which only picks
+    where the walk stops.  They are kept per thread for the last few
+    (seq, y, p, budget, first block, certificate) keys, so a repeated or
+    tighter request replays them and sums only the blocks past the last
+    one stored, with the same bits as a walk from the start.
     """
+    states = _block_states((seq, seq.generator, y, p, budget, block, certificate))
     start = seq.start_index
     last = start + budget - 1
     total = 0.0
     n_done = start - 1
-    while True:
-        n1 = min(n_done + block, last)
-        if n1 > n_done:
-            total += _block_sum(seq, y, p, n_done + 1, n1 + 1)
-            n_done = n1
-        slack = _roundoff(total, n_done - start + 1)
-        lower, width = certificate(seq, y, p, n_done)
+    for i in itertools.count():
+        if i < len(states):  # a block an earlier call already summed
+            total, n_done, slack, lower, width = states[i]
+        else:
+            n1 = min(n_done + block, last)
+            if n1 > n_done:
+                total += _block_sum(seq, y, p, n_done + 1, n1 + 1)
+                n_done = n1
+            slack = _roundoff(total, n_done - start + 1)
+            lower, width = certificate(seq, y, p, n_done)
+            states.append((total, n_done, slack, lower, width))
         best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack, tol)
         if best.tail_bound <= tol:
             return best

@@ -226,6 +226,14 @@ class TestOtherFormatsAndErrors:
         assert doc["error"] == "BudgetExceeded"
         assert doc["best_tail_bound"] > 1e-10
 
+    def test_domain_honours_budget(self, capsys):
+        # the edge sums of logfam:3.5 need ~2e6 terms at the default tolerance
+        code, out = run_cli(capsys, "--max-terms", "1000", "domain", "logfam:3.5")
+        assert code == EXIT_NUMERIC
+        doc = parse(out)
+        assert doc["error"] == "BudgetExceeded"
+        assert "within 1000 terms" in doc["detail"]
+
     def test_table_example2(self, capsys):
         code, out = run_cli(capsys, "table", "example2")
         doc = parse(out)

@@ -70,6 +70,23 @@ class TestSigma:
         with pytest.raises(ValueError):
             logfam(-1.5)
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            linear(),
+            power(0.7),
+            quadratic(),
+            logfam(3.0),
+            loglog(),
+            box(0.8),
+            custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=2.0),
+        ],
+        ids=str,
+    )
+    def test_empty_index_array(self, seq):
+        out = sigma_values(seq, np.array([], dtype=np.int64))
+        assert out.dtype == np.float64 and out.shape == (0,)
+
 
 class TestIncrementGap:
     def test_linear(self):

@@ -1,6 +1,9 @@
 """Certified series evaluation: closed forms, brackets, domain rules."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,6 +299,12 @@ class TestDomainInfo:
         b = eval_series(logfam(3.0), -1.0, 1, tol=1e-9)
         assert max(a.value, b.value) <= min(a.upper, b.upper)
 
+    def test_edge_sums_within_budget(self):
+        with pytest.raises(BudgetExceededError, match="within 1000 terms"):
+            domain_info(logfam(3.5), 1e-9, 1000)
+        di = domain_info(logfam(3.5), 1e-9)
+        assert di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE
+
 
 class TestDomainRules:
     def test_empty_domain_eval(self):
@@ -343,3 +352,123 @@ class TestLogF:
         y = -0.8
         f = eval_series(linear(), y, 0, tol=1e-14).midpoint
         assert log_f(linear(), y, tol=1e-12) == pytest.approx(math.log(f), abs=1e-12)
+
+
+def clear_memo():
+    """Drop this thread's stored block walks."""
+    series._memo.lru.clear()
+
+
+def outcome(seq, y, p, tol, max_terms):
+    """A bracket as (None, value, tail_bound, truncation_index), or a budget
+    failure as (message, best value, best tail_bound, best truncation_index)."""
+    try:
+        ev, message = eval_series(seq, y, p, tol=tol, max_terms=max_terms), None
+    except BudgetExceededError as exc:
+        ev, message = exc.best, str(exc)
+    return message, ev.value, ev.tail_bound, ev.truncation_index
+
+
+def memo_cases():
+    """(seq, y, p) at an interior y and at (or near, for open edges) the edge."""
+    cases = []
+    for seq in (linear(), power(0.7), power(1.6), quadratic(), box(0.8), logfam(3.0), logfam(1.5)):
+        closed = seq.family is Family.LOGFAM
+        for y in (-1.3, -1.0 if closed else -0.05):
+            for p in range(3):
+                # the edge admits p = 0, and p = 1 where its slope is finite
+                if y == -1.0 and p > (1 if seq.theta > 2.0 else 0):
+                    continue
+                cases.append((seq, y, p))
+    return cases
+
+
+class TestEvaluationMemo:
+    """Replayed block walks give the bits of a walk from the start."""
+
+    @pytest.mark.parametrize("max_terms", [300_000, 2_000])
+    @pytest.mark.parametrize("seq,y,p", memo_cases(), ids=str)
+    def test_warm_memo_matches_cold(self, seq, y, p, max_terms):
+        tols = (1e-6, 1e-12)
+        cold = {}
+        for tol in tols:
+            clear_memo()
+            cold[tol] = outcome(seq, y, p, tol, max_terms)
+        for order in (tols, tols[::-1]):
+            clear_memo()
+            for tol in order + order:
+                assert outcome(seq, y, p, tol, max_terms) == cold[tol]
+
+    def test_generator_is_part_of_the_key(self):
+        unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        double = custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        assert unit == double  # the generator is not compared
+        clear_memo()
+        a = eval_series(unit, -0.5, 0, tol=1e-12)
+        b = eval_series(double, -0.5, 0, tol=1e-12)
+        assert a.midpoint == pytest.approx(1.0 / math.expm1(0.5), rel=1e-11)
+        assert b.midpoint == pytest.approx(1.0 / math.expm1(1.0), rel=1e-11)
+        clear_memo()
+        assert eval_series(double, -0.5, 0, tol=1e-12) == b
+
+    @pytest.mark.parametrize(
+        "seq,y,p,tol,budgets",
+        [
+            (logfam(3.0), -1.0, 1, 1e-9, (5_000, 400_000)),
+            (linear(), -0.01, 0, 1e-12, (1_000, 100_000)),
+        ],
+        ids=str,
+    )
+    def test_budgets_keep_their_own_walks(self, seq, y, p, tol, budgets):
+        cold = {}
+        for budget in budgets:
+            clear_memo()
+            cold[budget] = outcome(seq, y, p, tol, budget)
+        assert cold[budgets[0]] != cold[budgets[1]]
+        for order in (budgets, budgets[::-1]):
+            clear_memo()
+            for budget in order:
+                assert outcome(seq, y, p, tol, budget) == cold[budget]
+
+    def test_threads_keep_their_own_memo(self):
+        jobs = [
+            (seq, y, p, tol, 300_000)
+            for seq, y in ((linear(), -1e-3), (power(0.7), -1.3), (logfam(3.0), -1.0), (box(0.8), -1.3))
+            for p in (0, 1)
+            for tol in (1e-6, 1e-12)
+        ]
+        serial = []
+        for job in jobs:
+            clear_memo()
+            serial.append(outcome(*job))
+        start = threading.Barrier(4)
+
+        def run(shift):
+            # two threads walk the jobs in order, two from the next job on,
+            # so they ask for the same keys at the same time
+            order = jobs[shift:] + jobs[:shift]
+            start.wait(timeout=60)
+            got = [outcome(*job) for job in order]
+            return (got[-shift:] + got[:-shift] if shift else got), series._memo.lru
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, shift) for shift in (0, 1, 0, 1)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, _ in results:
+            assert got == serial
+        memos = [memo for _, memo in results] + [series._memo.lru]
+        assert len({id(memo) for memo in memos}) == len(memos)
+
+    def test_memo_holds_a_fixed_number_of_keys(self):
+        clear_memo()
+        ys = [-0.5 - 0.01 * k for k in range(3 * series._MEMO_KEYS)]
+        for y in ys:
+            eval_series(linear(), y, 0, tol=1e-9)
+            assert len(series._memo.lru) <= series._MEMO_KEYS
+        kept = [key[2] for key in series._memo.lru]
+        assert kept == ys[-series._MEMO_KEYS:]  # least recently used leave first
