@@ -77,6 +77,13 @@ class ConjugateValue:
     residual: Optional[float] = None
 
 
+def _require_numbers(**args: float) -> None:
+    """ValueError for a NaN argument, raised before any evaluation."""
+    for name, value in args.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def exp_conjugate(u: float) -> float:
     """Conjugate of exp: +inf for u < 0, u*(ln u - 1) for u >= 0 (0 ln 0 = 0)."""
     if u < 0:
@@ -268,6 +275,7 @@ def conjugate(
     max_terms: Optional[int] = None,
 ) -> ConjugateValue:
     """f*(u) with regime dispatch; see the module docstring for the cases."""
+    _require_numbers(u=u)
     di = domain_info(seq)
     if di.empty:
         raise DomainError("conjugate undefined for an empty domain", di)
@@ -302,6 +310,7 @@ def log_f_conjugate(
     (finite-slope closed edge), values beyond the range lie on the
     affine piece attained at the edge.
     """
+    _require_numbers(v=v)
     di = domain_info(seq)
     if di.empty:
         raise DomainError("conjugate undefined for an empty domain", di)
@@ -325,6 +334,7 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     0 when u = 0 <= v; and u(ln u - 1) + 3u (ln f)*(v/(3 kappa u)) on the
     cone v >= 3 kappa u > 0, with f the unit quadratic series.
     """
+    _require_numbers(u=u, v=v)
     if u < 0 or v < 0:
         return math.inf
     if u == 0:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugate import _brent, conjugate, solve_fprime, solve_phi
+from .conjugate import _brent, _require_numbers, conjugate, solve_fprime, solve_phi
 from .sequences import (
     Family,
     SigmaSequence,
@@ -179,6 +179,7 @@ def min_entropy_moment(
     zero at u = 0), and for u beyond a finite gamma the infimum is an
     affine plateau that no summable law attains.
     """
+    _require_numbers(u=u)
     di = domain_info(seq)
     if di.empty:
         raise DomainError("entropy problem undefined for an empty domain", di)
@@ -248,6 +249,7 @@ def fit_gibbs(
     infeasible.  For a finite-slope closed edge, ratios beyond the
     attainable range leave a finite but non-attained infimum.
     """
+    _require_numbers(u=u, v=v)
     di = domain_info(seq)
     if di.empty:
         raise DomainError("entropy problem undefined for an empty domain", di)

@@ -77,6 +77,32 @@ class SigmaSequence:
     declared_gap: Optional[float] = None
     label: str = ""
 
+    def __hash__(self) -> int:
+        # the generated hash over the compared fields, computed once: memo
+        # and cache keys hash their sequence on every lookup
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(
+                (
+                    self.family,
+                    self.theta,
+                    self.kappa,
+                    self.start_index,
+                    self.declared_alpha,
+                    self.declared_gap,
+                    self.label,
+                )
+            )
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # str hashes are salted per process, so the cached hash stays behind
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def spec_string(self) -> str:
         """Round-trippable form used by the CLI mini-grammar."""
         if self.family is Family.POWER:
@@ -93,8 +119,15 @@ class SigmaSequence:
         return self.spec_string()
 
 
+# the parameterless families are single instances, so keys holding them
+# compare by identity
+_LINEAR = SigmaSequence(Family.LINEAR)
+_LOGLOG = SigmaSequence(Family.LOGLOG, start_index=3)
+_QUADRATIC = SigmaSequence(Family.QUADRATIC)
+
+
 def linear() -> SigmaSequence:
-    return SigmaSequence(Family.LINEAR)
+    return _LINEAR
 
 
 def power(theta: float) -> SigmaSequence:
@@ -112,11 +145,11 @@ def logfam(theta: float) -> SigmaSequence:
 
 
 def loglog() -> SigmaSequence:
-    return SigmaSequence(Family.LOGLOG, start_index=3)
+    return _LOGLOG
 
 
 def quadratic() -> SigmaSequence:
-    return SigmaSequence(Family.QUADRATIC)
+    return _QUADRATIC
 
 
 def box(kappa: float = 1.0) -> SigmaSequence:

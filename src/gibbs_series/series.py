@@ -420,6 +420,9 @@ def _edge_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, flo
 
 
 _CHUNK = 1 << 15  # indices per pass of a block: its arrays stay in L2
+# exponents cached per sequence (see _sigma_prefix): the first blocks of an
+# interior walk (256 + 512 + 1024 + 2048 terms) and of an edge walk end inside
+_SIGMA_PREFIX = 4096
 
 
 def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> float:
@@ -427,48 +430,79 @@ def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> f
 
     The block is computed chunk by chunk, in place, into one block-sized
     array: the temporaries stay in cache, each term gets the same
-    elementwise operations as ``s ** p * np.exp(s * y)``, and ``np.sum``
-    still adds the whole contiguous block in the same pairwise order, so
-    the sum is bit-identical to the one-pass expression.
+    elementwise operations as ``s ** p * np.exp(s * y)``, and the whole
+    contiguous block is still added in numpy's pairwise order, so the sum
+    is bit-identical to the one-pass expression.  A chunk that ends inside
+    the first ``_SIGMA_PREFIX`` indices reads its exponents from this
+    thread's cached prefix instead of computing them again.
     """
     block = np.empty(stop - first)
+    start = seq.start_index
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
-        s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
+        if hi - start <= _SIGMA_PREFIX:
+            s = _sigma_prefix(seq, hi)[lo - start : hi - start]
+        else:
+            s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
         terms = block[lo - first : hi - first]
         np.multiply(s, y, out=terms)
         np.exp(terms, out=terms)
         if p:
-            if p > 1:  # s ** 1 == s; skipping it saves a pass
-                s **= p
-            terms *= s
-    return float(np.sum(block))
+            terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
+    return float(np.add.reduce(block))
 
 
-_MEMO_KEYS = 8  # block-state lists kept per thread; the least recently used goes
+_MEMO_KEYS = 8  # sequences and walks kept per thread; the least recently used go
 
 
 class _Memo(threading.local):
-    """Each thread's block states, by key, least recently used first."""
+    """Each thread's block states by walk key, and its exponent prefixes by
+    sequence, least recently used first."""
 
     def __init__(self) -> None:
         self.lru: OrderedDict[tuple, list] = OrderedDict()
+        self.sigma: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 _memo = _Memo()
 
 
-def _block_states(key: tuple) -> list:
-    """This thread's stored block states for ``key`` (a new empty list if none)."""
-    lru = _memo.lru
-    states = lru.get(key)
-    if states is None:
-        states = lru[key] = []
-        if len(lru) > _MEMO_KEYS:
-            lru.popitem(last=False)
+def _recent(cache: OrderedDict, key: tuple, new: Callable[[], object]):
+    """``cache[key]``, now the most recent entry; if absent a ``new()`` one,
+    the least recently used going once ``_MEMO_KEYS`` are held."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = new()
+        if len(cache) > _MEMO_KEYS:
+            cache.popitem(last=False)
     else:
-        lru.move_to_end(key)
-    return states
+        cache.move_to_end(key)
+    return value
+
+
+def _sigma_prefix(seq: SigmaSequence, stop: int) -> np.ndarray:
+    """Read-only sigma_n for start_index <= n < stop (at least), cached.
+
+    Walks at many y over one sequence need the same leading exponents, so
+    each thread keeps them for its last ``_MEMO_KEYS`` sequences, keyed
+    like the walks on the generator object too, and extends a prefix only
+    by the indices it lacks.  ``stop - start_index`` is at most
+    ``_SIGMA_PREFIX``: 32 KB a sequence.
+    """
+    key = (seq, seq.generator)
+    prefix = _recent(_memo.sigma, key, _no_sigma)
+    have = seq.start_index + prefix.size
+    if have < stop:
+        prefix = np.concatenate(
+            (prefix, sigma_values(seq, np.arange(have, stop, dtype=np.int64)))
+        )
+        prefix.flags.writeable = False
+        _memo.sigma[key] = prefix
+    return prefix
+
+
+def _no_sigma() -> np.ndarray:
+    return np.empty(0)
 
 
 def _sum_blocks(
@@ -498,7 +532,7 @@ def _sum_blocks(
     tighter request replays them and sums only the blocks past the last
     one stored, with the same bits as a walk from the start.
     """
-    states = _block_states((seq, seq.generator, y, p, budget, block, certificate))
+    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget, block, certificate), list)
     start = seq.start_index
     last = start + budget - 1
     total = 0.0
@@ -514,23 +548,23 @@ def _sum_blocks(
             slack = _roundoff(total, n_done - start + 1)
             lower, width = certificate(seq, y, p, n_done)
             states.append((total, n_done, slack, lower, width))
-        best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack, tol)
-        if best.tail_bound <= tol:
-            return best
+        tail_bound = width + 2.0 * slack
+        if tail_bound <= tol:
+            return SeriesEval(total + lower - slack, p, n_done, tail_bound, tol)
         if 2.0 * slack > tol and width <= slack:
             raise BudgetExceededError(
                 f"tolerance {tol:g} is below the float64 accumulation floor "
                 f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                best,
+                SeriesEval(total + lower - slack, p, n_done, tail_bound, tol),
             )
         if n_done >= last:
             raise BudgetExceededError(
                 f"boundary tolerance {tol:g} unreachable within {budget} terms "
-                f"(best width {best.tail_bound:g})"
+                f"(best width {tail_bound:g})"
                 if edge
                 else f"tolerance {tol:g} unreachable within {budget} terms "
-                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
-                best,
+                f"(best tail bound {tail_bound:g}) for {seq.spec_string()} at y={y!r}",
+                SeriesEval(total + lower - slack, p, n_done, tail_bound, tol),
             )
         block = min(block * 2, 1_000_000)
 
@@ -593,8 +627,11 @@ def eval_series(
     classification: open edges are excluded, closed edges admit p = 0,
     and only finite-slope closed edges admit p = 1; higher orders at the
     edge are refused).  Raises BudgetExceededError, carrying the best
-    bracket, when the tolerance needs more than the term budget.
+    bracket, when the tolerance needs more than the term budget, and
+    ValueError for a NaN or -inf ``y`` before any term is summed.
     """
+    if math.isnan(y) or y == -math.inf:
+        raise ValueError(f"y must be a number above -inf, got {y!r}")
     if p < 0 or p != int(p):
         raise ValueError("derivative order p must be a nonnegative integer")
     if not tol > 0:

@@ -208,6 +208,21 @@ class TestUsageErrors:
     def test_unknown_claim(self, capsys):
         assert main(["verify", "criterion-zero"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "linear", "--y", "nan"],
+            ["eval", "linear", "--y=-inf"],
+            ["logconj", "--v", "nan"],
+            ["fit", "linear", "--u", "1", "--v", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_input(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a number" in captured.err
+
 
 class TestOtherFormatsAndErrors:
     def test_pretty_format(self, capsys):

@@ -1,6 +1,9 @@
 """Exponent-sequence definitions, increment gaps, and box enumeration."""
 
 import math
+import os
+import pickle
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import gibbs_series
 from gibbs_series import sequences
 from gibbs_series import (
     SequenceIndexError,
@@ -228,6 +232,49 @@ class TestEnumerateBox:
                 (t, float(s))
                 for t, s in zip(reference.triples[:budget], reference.levels[:budget])
             ]
+
+
+class TestHashing:
+    def test_pickle_from_another_process_finds_the_same_key(self):
+        # str hashes are salted per process, so a hash cached in the child
+        # must not come along: the parent's dict lookup would miss
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gibbs_series.__file__)))
+        seed = os.environ.get("PYTHONHASHSEED", "")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            "PYTHONHASHSEED": "2" if seed == "1" else "1",
+        }
+        child = (
+            "import pickle, sys\n"
+            "from gibbs_series import power\n"
+            "seq = power(1.3)\n"
+            "hash(seq)\n"
+            "sys.stdout.write(pickle.dumps(seq).hex())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        theirs = pickle.loads(bytes.fromhex(out))
+        ours = power(1.3)
+        assert theirs == ours and hash(theirs) == hash(ours)
+        assert {ours: "found"}[theirs] == "found"
+
+    def test_parameterless_families_are_single_instances(self):
+        assert quadratic() is quadratic()
+        assert linear() is linear() and loglog() is loglog()
+        assert parse_sequence("quadratic") is quadratic()
+
+    def test_custom_generators_do_not_change_equality(self):
+        unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        double = custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        assert unit == double and hash(unit) == hash(double)
+        assert custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=2.0) != unit
 
 
 class TestParsing:

@@ -14,15 +14,21 @@ from gibbs_series import (
     BudgetExceededError,
     DomainError,
     Family,
+    Regime,
     box,
+    box_conjugate,
+    conjugate,
     custom,
     domain_info,
     enumerate_box,
     eval_series,
+    fit_gibbs,
     linear,
     log_f,
+    log_f_conjugate,
     logfam,
     loglog,
+    min_entropy_moment,
     phi,
     power,
     quadratic,
@@ -355,8 +361,9 @@ class TestLogF:
 
 
 def clear_memo():
-    """Drop this thread's stored block walks."""
+    """Drop this thread's stored block walks and exponent prefixes."""
     series._memo.lru.clear()
+    series._memo.sigma.clear()
 
 
 def outcome(seq, y, p, tol, max_terms):
@@ -449,7 +456,8 @@ class TestEvaluationMemo:
             order = jobs[shift:] + jobs[:shift]
             start.wait(timeout=60)
             got = [outcome(*job) for job in order]
-            return (got[-shift:] + got[:-shift] if shift else got), series._memo.lru
+            caches = (series._memo.lru, series._memo.sigma)
+            return (got[-shift:] + got[:-shift] if shift else got), caches
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -461,8 +469,11 @@ class TestEvaluationMemo:
             sys.setswitchinterval(interval)
         for got, _ in results:
             assert got == serial
-        memos = [memo for _, memo in results] + [series._memo.lru]
-        assert len({id(memo) for memo in memos}) == len(memos)
+        memos = [memo for _, memo in results] + [(series._memo.lru, series._memo.sigma)]
+        for held in zip(*memos):  # walks, then exponent prefixes
+            assert len({id(cache) for cache in held}) == len(held)
+        for _, (_, prefixes) in results:
+            assert len(prefixes) == 4  # each thread cached the exponents of its four sequences
 
     def test_memo_holds_a_fixed_number_of_keys(self):
         clear_memo()
@@ -472,3 +483,129 @@ class TestEvaluationMemo:
             assert len(series._memo.lru) <= series._MEMO_KEYS
         kept = [key[2] for key in series._memo.lru]
         assert kept == ys[-series._MEMO_KEYS:]  # least recently used leave first
+
+
+def families():
+    return [
+        linear(),
+        power(0.7),
+        power(1.6),
+        quadratic(),
+        logfam(3.0),
+        loglog(),
+        box(0.8),
+        custom(lambda n: 1.5 * n + 0.25, declared_alpha=0.0, declared_gap=1.5),
+    ]
+
+
+def plain_sum(seq, y, p, first, stop):
+    """The one-pass expression the kernel must match bit for bit."""
+    s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
+    return float(np.sum(s ** p * np.exp(s * y)))
+
+
+class TestSigmaPrefix:
+    """The cached leading exponents change no bit of any block sum."""
+
+    CAP = series._SIGMA_PREFIX
+
+    @pytest.mark.parametrize("seq", families(), ids=str)
+    def test_blocks_around_the_cap_match_the_plain_sum(self, seq):
+        start = seq.start_index
+        blocks = [(start, start + k) for k in (self.CAP - 1, self.CAP, self.CAP + 1)]
+        blocks += [(start + self.CAP - 300, start + self.CAP + 200), (start + 1000, start + self.CAP)]
+        y = -2.0 / sigma_values(seq, np.array([start + 100]))[0]
+        for warm in (False, True):
+            clear_memo()
+            if warm:  # a prefix already grown past some of the blocks
+                series._sigma_prefix(seq, start + 1500)
+            for first, stop in blocks:
+                for p in range(4):
+                    expected = plain_sum(seq, y, p, first, stop)
+                    assert series._block_sum(seq, y, p, first, stop) == expected, (first, stop, p)
+        assert series._memo.sigma[(seq, seq.generator)].size == self.CAP
+
+    @pytest.mark.parametrize("seq", families(), ids=str)
+    def test_prefix_grown_in_steps_equals_a_cold_one(self, seq):
+        start = seq.start_index
+        clear_memo()
+        cold = series._sigma_prefix(seq, start + self.CAP).copy()
+        clear_memo()
+        for k in (1, 7, 8, 300, 2049, 2050, self.CAP - 1, self.CAP):
+            grown = series._sigma_prefix(seq, start + k)
+            assert grown.size == k
+            assert grown.tobytes() == cold[:k].tobytes()
+        whole = sigma_values(seq, np.arange(start, start + self.CAP, dtype=np.int64))
+        assert cold.tobytes() == whole.tobytes()
+
+    def test_cached_prefixes_are_read_only_and_stay_unchanged(self):
+        clear_memo()
+        for seq in families():
+            start = seq.start_index
+            before = series._sigma_prefix(seq, start + 3000).copy()
+            for p in (2, 3):
+                series._block_sum(seq, -0.5, p, start, start + 3000)
+                series._block_sum(seq, -0.5, p, start + 10, start + 2000)
+            cached = series._memo.sigma[(seq, seq.generator)]
+            assert not cached.flags.writeable
+            assert cached.tobytes() == before.tobytes()
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
+    def test_custom_generators_get_their_own_exponents(self):
+        unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        double = custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=1.0)
+        clear_memo()
+        a = series._sigma_prefix(unit, 11)
+        b = series._sigma_prefix(double, 11)
+        assert a.tolist() == [float(n) for n in range(1, 11)]
+        assert b.tolist() == [2.0 * n for n in range(1, 11)]
+        assert len(series._memo.sigma) == 2
+
+    def test_cache_holds_a_fixed_number_of_sequences(self):
+        clear_memo()
+        seqs = [power(0.5 + 0.1 * k) for k in range(3 * series._MEMO_KEYS)]
+        for seq in seqs:
+            eval_series(seq, -1.0, 0, tol=1e-9)
+            assert len(series._memo.sigma) <= series._MEMO_KEYS
+        kept = [seq for seq, _ in series._memo.sigma]
+        assert kept == seqs[-series._MEMO_KEYS:]  # least recently used leave first
+
+
+class TestNonFiniteInputs:
+    """NaN and -inf arguments are usage errors, raised before any summing."""
+
+    CASES = {
+        "eval_series(linear, nan)": lambda: eval_series(linear(), math.nan),
+        "eval_series(linear, -inf)": lambda: eval_series(linear(), -math.inf),
+        "eval_series(logfam:3, nan)": lambda: eval_series(logfam(3.0), math.nan),
+        "phi(linear, nan)": lambda: phi(linear(), math.nan),
+        "phi(linear, -inf)": lambda: phi(linear(), -math.inf),
+        "log_f(quadratic, nan)": lambda: log_f(quadratic(), math.nan),
+        "conjugate(linear, nan)": lambda: conjugate(linear(), math.nan),
+        "log_f_conjugate(quadratic, nan)": lambda: log_f_conjugate(quadratic(), math.nan),
+        "box_conjugate(nan, 4)": lambda: box_conjugate(math.nan, 4.0),
+        "box_conjugate(1, nan)": lambda: box_conjugate(1.0, math.nan),
+        "min_entropy_moment(logfam:3.5, nan)": lambda: min_entropy_moment(logfam(3.5), math.nan),
+        "fit_gibbs(linear, 1, nan)": lambda: fit_gibbs(linear(), 1.0, math.nan),
+        "fit_gibbs(linear, nan, 1)": lambda: fit_gibbs(linear(), math.nan, 1.0),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_raises_value_error_without_summing(self, name, monkeypatch):
+        blocks = []
+        kernel = series._block_sum
+        monkeypatch.setattr(
+            series, "_block_sum", lambda *args: blocks.append(args) or kernel(*args)
+        )
+        domain_info.cache_clear()  # an edge classification would sum terms
+        with pytest.raises(ValueError) as err:
+            self.CASES[name]()
+        assert not isinstance(err.value, DomainError)
+        assert blocks == []
+
+    def test_infinite_edges_keep_their_meaning(self):
+        with pytest.raises(DomainError):
+            eval_series(linear(), math.inf)
+        assert conjugate(linear(), -math.inf).regime is Regime.NEGATIVE_U
+        assert conjugate(linear(), -math.inf).value == math.inf

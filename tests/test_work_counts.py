@@ -1,34 +1,47 @@
-"""Work-count gate: blocks and terms the reference calls sum from a cold memo.
+"""Work-count gate: blocks, terms and exponents the reference calls compute
+from a cold memo.
 
 The counts are deterministic, so a change that silently drops the reuse of
-partial sums (or sums more for any other reason) fails here on any machine.
+partial sums or of cached exponents (or computes more for any other reason)
+fails here on any machine.
 """
 
 import pytest
 
 from gibbs_series import box, conjugate, fit_gibbs, linear, log_f_conjugate, quadratic, series
 
-# (call, most _block_sum calls, most terms summed)
+# (call, most _block_sum calls, most terms summed, most exponents computed)
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 11, 2_816),
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 18, 4_608),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 18, 4_608),
-    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 24, 6_144),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 11, 2_816, 256),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 18, 4_608, 256),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 18, 4_608, 256),
+    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 24, 6_144, 256),
 }
 
 
 @pytest.mark.parametrize("name", REFERENCE_CALLS)
 def test_reference_call_work(name, monkeypatch):
-    call, max_blocks, max_terms = REFERENCE_CALLS[name]
-    work = {"blocks": 0, "terms": 0}
+    call, max_blocks, max_terms, max_sigmas = REFERENCE_CALLS[name]
+    work = {"blocks": 0, "terms": 0, "sigmas": 0}
     kernel = series._block_sum
+    sigma_values = series.sigma_values
 
     def counted(seq, y, p, first, stop):
         work["blocks"] += 1
         work["terms"] += stop - first
         return kernel(seq, y, p, first, stop)
 
+    def counted_sigmas(seq, ns):
+        work["sigmas"] += len(ns)
+        return sigma_values(seq, ns)
+
     monkeypatch.setattr(series, "_block_sum", counted)
+    monkeypatch.setattr(series, "sigma_values", counted_sigmas)
     series._memo.lru.clear()
+    series._memo.sigma.clear()
     call()
-    assert work["blocks"] <= max_blocks and work["terms"] <= max_terms, work
+    assert (
+        work["blocks"] <= max_blocks
+        and work["terms"] <= max_terms
+        and work["sigmas"] <= max_sigmas
+    ), work
