@@ -78,10 +78,11 @@ class ConjugateValue:
 
 
 def _require_numbers(**args: float) -> None:
-    """ValueError for a NaN argument, raised before any evaluation."""
+    """ValueError for a NaN or +inf moment, raised before any evaluation
+    (-inf stays meaningful: the +inf regime of a negative moment)."""
     for name, value in args.items():
-        if math.isnan(value):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        if math.isnan(value) or value == math.inf:
+            raise ValueError(f"{name} must be a number below +inf, got {value!r}")
 
 
 def exp_conjugate(u: float) -> float:

@@ -1,28 +1,37 @@
 """Certified evaluation of f^(p)(y) = sum_n sigma_n^p exp(sigma_n y).
 
 Every evaluation returns a bracket: ``value`` is a provable lower bound
-(a partial sum, plus an exact lower integral correction for the log
-families) and ``value + tail_bound`` is a provable upper bound.  The
+(a partial sum, plus a certified lower integral correction for the log
+family) and ``value + tail_bound`` is a provable upper bound.  The
 certificates used are:
 
 * geometric: when increments sigma_{n+1} - sigma_n >= delta > 0 and
   sigma_{N+1} > p/|y|, omitted terms are dominated by the decreasing
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
   whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1;
-* integral comparison: for monotone term envelopes, sums are sandwiched
-  between integrals with closed-form antiderivatives (incomplete-gamma
-  style bounds with integer exponents, and exact log-power integrals at
-  the domain edge of the log families);
+* integral comparison: for monotone term envelopes, tails are bounded
+  by integrals with closed-form antiderivatives (incomplete-gamma style
+  bounds with integer exponents for powers, and the log family's
+  derivatives p >= 1 inside the domain);
+* integral sandwich for the log family, at the edge y = -1 and in the
+  interior at p = 0: for decreasing terms convex from N + 1/2 on
+  (Hermite-Hadamard), int_{N+1} g + g(N+1)/2 <= tail <= int_{N+1/2} g,
+  a bracket about |g'(N)|/8 wide that is added to the partial sum; the
+  edge integrals are exact log-power integrals, the interior ones
+  b^-a Gamma(a, b ln c) with a certified upper incomplete gamma function
+  (the even and odd convergents of Legendre's continued fraction);
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
   from certified brackets of g and its first two derivatives.
 
-Floating-point accumulation error is folded into the bracket: reported
-values are shifted down by the rounding slack and ``tail_bound`` widens
-by twice of it, so the enclosure holds including roundoff.  Each tail
-certificate is itself rounded outward: it is formed in the log domain,
-widened by a bound on the rounding of its exponent (which grows like
-|sigma y| u), and never returned below the smallest normal float.
+Floating-point error is folded into the bracket: reported values are
+shifted down by the rounding slack and ``tail_bound`` widens by twice of
+it, so the enclosure holds including roundoff.  The slack covers the
+summation and each term's rounded exponent, whose error grows like
+|sigma y| u (see ``_roundoff``).  Each tail certificate is itself rounded
+outward: it is formed in the log domain, widened by a bound on the
+rounding of its exponent, and never returned below the smallest normal
+float (or, for a lower end, rounded down).
 """
 
 from __future__ import annotations
@@ -40,7 +49,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sequences import Family, SigmaSequence, increment_gap, quadratic, sigma, sigma_values
+from .sequences import (
+    Family,
+    SigmaSequence,
+    increment_gap,
+    quadratic,
+    sigma,
+    sigma_values,
+)
 
 __all__ = [
     "BoundaryClass",
@@ -177,7 +193,7 @@ def domain_info(
     if theta <= 1.0:
         return DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
     budget = max_terms_budget(max_terms)
-    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, _edge_tail, edge=True)
+    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, edge=True)
     if theta <= 2.0:
         return DomainInfo(
             1.0,
@@ -187,7 +203,7 @@ def domain_info(
             0.0,
             0.5 * fb.tail_bound,
         )
-    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, _edge_tail, edge=True)
+    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, edge=True)
     return DomainInfo(
         1.0,
         BoundaryClass.CLOSED_FINITE_SLOPE,
@@ -202,14 +218,43 @@ def domain_info(
 # Tail certificates
 # ---------------------------------------------------------------------------
 
-def _roundoff(total: float, n_terms: int) -> float:
-    # pairwise numpy summation of positive terms costs u*log2(n) relative
-    # (u = 2^-53); a few extra ulps cover the per-term exp/pow rounding
-    return 1.12e-16 * abs(total) * (8.0 + math.log2(max(n_terms, 2)))
-
-
+_LOGFAM = Family.LOGFAM  # a module global reads faster than an Enum member (per block)
 _U = 2.0 ** -53  # unit roundoff of float64
+_LN2 = math.log(2.0)
+_SUBNORMAL = 2.0 ** -1074  # the smallest subnormal float64
 _TINY = sys.float_info.min  # smallest normal float64
+
+
+def _roundoff(
+    seq: SigmaSequence, y: float, p: int, total: float, n_terms: int, sigma_last: float
+) -> float:
+    """Bound on the rounding error of a computed partial sum ``total`` of
+    ``n_terms`` terms t_n = sigma_n^p exp(sigma_n y), the last exponent
+    being ``sigma_last``.
+
+    Pairwise numpy summation of positive terms costs u log2(n) relative
+    (u = 2^-53), and a few extra ulps cover each term's own exp and pow.
+    The exp argument fl(sigma_n) y is off by at most
+    ((e_rel + 1) sigma_n + 2 e_abs) |y| u (``SigmaSequence.sigma_error``
+    and the product's rounding), which moves the term by that much
+    relative.  Summed over the terms, |y| sigma_n t_n needs no pass of its
+    own: -sigma_n y = ln(1/t_n) + p ln sigma_n, and x ln(1/x) is concave,
+    so the sum is at most T (ln(n/T) + p ln sigma_last) for the total T of
+    n terms (sigma_n > 0 wherever p > 0, and nondecreasing; y < 0).  0.01
+    of it more covers the rounding of T itself and second-order terms.  The
+    power sigma_n^p adds p (e_rel + e_abs + 3) u relative (sigma_n >= 1
+    wherever e_abs > 0 and p > 0).  A term that underflows, to 0 or a
+    subnormal, is off by at most the smallest subnormal besides.
+    """
+    if total <= 0.0:
+        return n_terms * _SUBNORMAL
+    e_rel, e_abs = seq.sigma_error
+    n_log2 = math.log2(max(n_terms, 2))
+    spread = n_log2 * _LN2 - math.log(total)
+    if p:
+        spread += p * math.log(sigma_last)
+    rel = (e_rel + 1.01) * max(spread, 0.0) + p * (e_rel + e_abs + 3.0) - 2.0 * e_abs * y
+    return total * (1.12e-16 * (8.0 + n_log2) + _U * rel) + n_terms * _SUBNORMAL
 
 
 def _up(value: float, rel: float) -> float:
@@ -230,6 +275,15 @@ def _exp_up(log_value: float, err: float) -> float:
     return _up(math.exp(log_value), err)
 
 
+def _exp_down(log_value: float, err: float) -> float:
+    """Lower bound on exp(t) for every t within ``err`` of ``log_value``;
+    0 where that is below the normal floats."""
+    low = log_value - err
+    if low < -700.0:
+        return 0.0
+    return math.exp(min(low, 709.0)) * (1.0 - 4.0 * _U)
+
+
 def _log_exp_int_upper(m: int, b: float, W: float) -> tuple[float, float]:
     """ln of integral_W^inf w^m exp(-b w) dw for integer m >= 0, b > 0.
 
@@ -243,6 +297,85 @@ def _log_exp_int_upper(m: int, b: float, W: float) -> tuple[float, float]:
         coef *= (m - j)
     log_acc = math.log(acc)
     return log_acc - b * W, _U * (2.0 * b * W + 2.0 * abs(log_acc) + 2.0 * m + 8.0)
+
+
+_GAMMA_PAIRS = 4000  # continued-fraction steps, in pairs, per evaluation
+_RESCALE = 2.0 ** 600
+
+
+def _log_upper_gamma(a: float, z: float) -> tuple[float, float, float]:
+    """Certified ln Gamma(a, z), the upper incomplete gamma function, z > 0.
+
+    Returns (lo, hi, err) with lo - err <= ln Gamma(a, z) <= hi + err for
+    the a and z given.  For a < 1, Gamma(a, z) = z^a e^-z F with Legendre's
+    continued fraction
+
+        F = 1/(z + (1-a)/(1 + 1/(z + (2-a)/(1 + 2/(z + ...)))))
+
+    whose elements are all positive, so its even convergents rise to F and
+    its odd ones fall to it (Gil, Segura & Temme, Numerical Methods for
+    Special Functions, 2007, ch. 6).  The forward recurrences for their
+    numerators and denominators add positive products only, so after n
+    steps each is within (1 + 3u)^n of the exact continuant.  The pairs
+    stop once the bracket is that narrow, or after ``_GAMMA_PAIRS`` with a
+    wider but still valid one.  For a >= 1 the recurrence
+    Gamma(s + 1, z) = s Gamma(s, z) + z^s e^-z climbs from s = a - floor(a)
+    in [0, 1), again adding positive terms only.
+    """
+    m = math.floor(a) if a >= 1.0 else 0
+    s = a - m  # exact
+    lo = hi = 1.0
+    n = 0
+    if not (m and s == 0.0):  # Gamma(m, z) needs no fraction
+        # convergents A/B after the first step (1, z): A = 1, B = z
+        a_prev, a_cur, b_prev, b_cur = 0.0, 1.0, 1.0, z
+        for k in range(1, _GAMMA_PAIRS + 1):
+            e = k - s
+            a_prev, a_cur = a_cur, a_cur + e * a_prev  # even step (k - s, 1)
+            b_prev, b_cur = b_cur, b_cur + e * b_prev
+            a_prev, a_cur = a_cur, z * a_cur + k * a_prev  # odd step (k, z)
+            b_prev, b_cur = b_cur, z * b_cur + k * b_prev
+            lo, hi = a_prev / b_prev, a_cur / b_cur
+            if b_cur > _RESCALE:  # exact: a power of two
+                a_prev /= _RESCALE
+                a_cur /= _RESCALE
+                b_prev /= _RESCALE
+                b_cur /= _RESCALE
+            if hi <= lo * (1.0 + 16.0 * k * _U):
+                break
+        n = 2 * k + 1
+    h_lo, h_hi = math.log(lo), math.log(hi)
+    # each convergent within (6n + 1) u relative, and its logarithm's rounding
+    err = _U * (6.0 * n + 4.0 + max(abs(h_lo), abs(h_hi)))
+    log_z = math.log(z)
+    if m:
+        # Gamma(s + k, z) = z^(s+k) e^-z H_k with H_0 = F and
+        # H_(k+1) = ((s + k) H_k + 1) / z, climbed in logarithms
+        h_lo, e_lo = _climb_gamma(s, m, log_z, h_lo)
+        h_hi, e_hi = _climb_gamma(s, m, log_z, h_hi)
+        err += max(e_lo, e_hi)
+    base = a * log_z - z
+    err += _U * (3.0 * z + 4.0 * abs(a * log_z) + 2.0 * max(abs(h_lo), abs(h_hi)) + 4.0)
+    return base + h_lo, base + h_hi, err
+
+
+def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float]:
+    """ln H_m from h = ln H_0 (see ``_log_upper_gamma``) and its added error.
+
+    Each step is a softplus of ln(s + k) + ln H_k, whose slope is below 1,
+    less ln z, so errors carry over unamplified and each step adds its own.
+    """
+    err = 0.0
+    for k in range(m):
+        if s + k == 0.0:
+            h = -log_z  # H_1 = 1/z, whatever H_0 is
+        else:
+            t = math.log(s + k) + h
+            sp = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
+            h_new = sp - log_z
+            err += _U * (2.0 * (abs(t) + abs(sp) + abs(h_new) + abs(log_z)) + 6.0)
+            h = h_new
+    return h, err
 
 
 def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
@@ -294,7 +427,7 @@ def _power_tail(theta: float, y: float, p: int, N: int) -> Optional[float]:
 
 
 def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Upper tail bound for the log family at y < -1, after index N."""
+    """Envelope bound on the log-family tail after index N, at y < -1 and p >= 1."""
     theta = seq.theta
     if N < 16:
         return None
@@ -303,13 +436,10 @@ def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optio
     c = p + theta * y
     if c > 0 and W <= c / (-y):
         return None  # envelope not yet decreasing
-    if p > 0:
-        sN = sigma(seq, N)
-        if sN * (-y) <= p:
-            return None
-        log_c1 = p * math.log1p(max(theta, 0.0) * math.log(W) / W)
-    else:
-        log_c1 = 0.0
+    sN = sigma(seq, N)
+    if sN * (-y) <= p:
+        return None
+    log_c1 = p * math.log1p(max(theta, 0.0) * math.log(W) / W)
     log_w = math.log(W)
     if c <= 0.0:
         log_int = c * log_w - b * W - math.log(b)
@@ -361,25 +491,71 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
     For the box family ``N`` must cover complete levels; use the level
     form via materialization helpers instead.
     """
-    if seq.family is Family.LOGFAM:
-        if y == -1.0:
-            # the integral from N bounds the sum only where the terms
-            # sigma^p exp(-sigma) decrease, i.e. from an index with sigma >= p
-            if seq.theta <= p + 1 or N < seq.start_index or sigma(seq, N) < p:
-                return None
-            return _logfam_boundary_integral(seq.theta, p, N)
+    if seq.family is _LOGFAM:
+        if y == -1.0 or p == 0:
+            bounds = _logfam_sandwich(seq, y, p, N)
+            return None if bounds is None else bounds[1]
         return _logfam_interior_tail(seq, y, p, N)
     return _geom_tail(seq, y, p, N)
 
 
-# ---------------------------------------------------------------------------
-# Evaluation engines
-# ---------------------------------------------------------------------------
-
-def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """Interior certificate: the omitted tail lies in [0, tail_bound_after]."""
+def _certificate(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
+    """(lower, width): the terms after index N sum to between ``lower`` and
+    ``lower + width`` (width inf while no certificate applies)."""
+    if seq.family is _LOGFAM and (y == -1.0 or p == 0):
+        bounds = _logfam_sandwich(seq, y, p, N)
+        if bounds is None:
+            return 0.0, math.inf
+        lower, upper = bounds
+        return lower, upper - lower
     tb = tail_bound_after(seq, y, p, N)
     return 0.0, math.inf if tb is None else tb
+
+
+# ---------------------------------------------------------------------------
+# Integral sandwich for the log family
+# ---------------------------------------------------------------------------
+
+def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[tuple[float, float]]:
+    """(lower, upper) on the log-family tail after N, at the edge y = -1 or
+    in the interior with p = 0; None while the terms may still grow.
+
+    The terms are g(n) with g(x) = sigma(x)^p exp(y sigma(x)).  Where g
+    decreases from N on, the tail lies between its integrals from N + 1
+    and from N.  Where g is also convex from N + 1/2 on, Hermite-Hadamard
+    narrows that to
+
+        int_{N+1}^inf g + g(N+1)/2  <=  sum_{n>N} g(n)  <=  int_{N+1/2}^inf g,
+
+    about |g'(N)|/8 wide instead of g(N).  In s = sigma, h(s) = s^p e^{ys}
+    has h'' = s^(p-2) e^{ys} ((p + ys)^2 - p), so h decreases once |y| s >=
+    p and is also convex once |y| s >= p + sqrt(p).  sigma increases, and
+    for theta >= 0 it is concave, so g'' = h'' sigma'^2 + h' sigma'' >= 0
+    from there on; for p = 0 that is every x >= 3.  The upper end is rounded
+    up far enough that subtracting the lower end cannot fall short.
+    """
+    theta = seq.theta
+    if N < seq.start_index or (y == -1.0 and theta <= p + 1):
+        return None
+    slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
+    if slope < p:
+        return None
+    convex = theta >= 0.0 and slope >= p + math.sqrt(p)
+    lower = _logfam_integral(seq, y, p, N + 1.0, lower=True)
+    if convex:
+        log_t, err = _log_term(seq, y, p, N + 1)
+        lower += 0.5 * _exp_down(log_t, err)
+    upper = _logfam_integral(seq, y, p, N + 0.5 if convex else float(N))
+    # 6 ulps down: this sum's rounding, and the walk's adding the lower end
+    # to its partial sum and subtracting its slack
+    return lower * (1.0 - 6.0 * _U), _up(upper, 0.0)
+
+
+def _logfam_integral(seq: SigmaSequence, y: float, p: int, c: float, lower: bool = False) -> float:
+    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down)."""
+    if y == -1.0:
+        return _logfam_boundary_integral(seq.theta, p, c, lower)
+    return _logfam_gamma_integral(seq.theta, y, c, lower)
 
 
 def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = False) -> float:
@@ -406,27 +582,59 @@ def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = Fals
     return acc * (1.0 - 2.0 * rel) if lower else _up(acc, rel)
 
 
-def _edge_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """Edge certificate at y = -1 (terms sigma^p / (n (ln n)^theta)).
+def _logfam_gamma_integral(theta: float, y: float, c: float, lower: bool = False) -> float:
+    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded up
+    (or down with ``lower``).
 
-    For decreasing terms the omitted tail lies between the integrals from
-    N+1 and from N, so adding the lower one to the partial sum leaves a
-    bracket one term wide, not the slowly-decaying raw tail.
+    With t = b ln x it is b^-a Gamma(a, b ln c), a = theta y + 1 and
+    b = -(y + 1).  Besides the error of ``_log_upper_gamma``, the bound
+    carries the rounding of a, b and z = b ln c: d ln Gamma / dz is at
+    most (z + 1 - a)/z for a < 1 and 1 for a >= 1, and d ln Gamma / da, a
+    mean of ln t over t >= z, lies between ln z and ln(z + max(a, 1)).
     """
-    lower = _logfam_boundary_integral(seq.theta, p, N + 1.0, lower=True)
-    if sigma(seq, N) < p + 0.5:  # term envelope not yet decreasing
-        return lower, math.inf
-    return lower, _logfam_boundary_integral(seq.theta, p, float(N)) - lower
+    b = -(y + 1.0)
+    a = theta * y + 1.0
+    z = b * math.log(c)
+    lo, hi, err = _log_upper_gamma(a, z)
+    log_b = math.log(b)
+    d_a = _U * (2.0 * abs(theta * y) + abs(a))
+    err += (
+        d_a * (abs(log_b) + abs(math.log(z)) + math.log(z + max(a, 1.0)))
+        + _U * (
+            2.0 * abs(a) * (abs(log_b) + 1.0)  # a ln b, ln b off by (|ln b| + 1) u
+            + 3.0 * (z + 1.0 + abs(a))  # z off by 3 z u
+            + 2.0 * (abs(a * log_b) + max(abs(lo), abs(hi)))
+        )
+    )
+    if lower:
+        return _exp_down(lo - a * log_b, err)
+    return _exp_up(hi - a * log_b, err)
 
+
+def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, float]:
+    """ln(sigma_n^p exp(sigma_n y)) and a bound on its error (sigma_n >= 1)."""
+    s = sigma(seq, n)
+    e_rel, e_abs = seq.sigma_error
+    log_s = math.log(s) if p else 0.0
+    err = (abs(y) + p / s) * (e_rel * s + e_abs) * _U + _U * 2.0 * (
+        abs(y * s) + p * abs(log_s) + 1.0
+    )
+    return p * log_s + y * s, err
+
+
+# ---------------------------------------------------------------------------
+# Evaluation engines
+# ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 15  # indices per pass of a block: its arrays stay in L2
 # exponents cached per sequence (see _sigma_prefix): the first blocks of an
 # interior walk (256 + 512 + 1024 + 2048 terms) and of an edge walk end inside
 _SIGMA_PREFIX = 4096
-
-
-def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> float:
-    """Sum of sigma_n^p exp(sigma_n y) over first <= n < stop.
+def _block_sum(
+    seq: SigmaSequence, y: float, p: int, first: int, stop: int
+) -> tuple[float, float]:
+    """Sum of sigma_n^p exp(sigma_n y) over first <= n < stop, and
+    sigma_(stop-1) (for ``_roundoff``).
 
     The block is computed chunk by chunk, in place, into one block-sized
     array: the temporaries stay in cache, each term gets the same
@@ -449,7 +657,7 @@ def _block_sum(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> f
         np.exp(terms, out=terms)
         if p:
             terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
-    return float(np.add.reduce(block))
+    return float(np.add.reduce(block)), float(s[-1])
 
 
 _MEMO_KEYS = 8  # sequences and walks kept per thread; the least recently used go
@@ -512,7 +720,7 @@ def _sum_blocks(
     tol: float,
     budget: int,
     block: int,
-    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]],
+    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]] = _certificate,
     edge: bool = False,
 ) -> SeriesEval:
     """Partial sums in doubling blocks until the certified bracket meets tol.
@@ -543,10 +751,11 @@ def _sum_blocks(
         else:
             n1 = min(n_done + block, last)
             if n1 > n_done:
-                total += _block_sum(seq, y, p, n_done + 1, n1 + 1)
+                block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
+                total += block_total
                 n_done = n1
-            slack = _roundoff(total, n_done - start + 1)
             lower, width = certificate(seq, y, p, n_done)
+            slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last)
             states.append((total, n_done, slack, lower, width))
         tail_bound = width + 2.0 * slack
         if tail_bound <= tol:
@@ -582,7 +791,7 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
 
     def brackets(abs_tols: list[float]) -> list[SeriesEval]:
         return [
-            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, _interior_tail)
+            _sum_blocks(quad, z, j, abs_tols[j], budget, 256)
             for j in range(p + 1)
         ]
 
@@ -660,10 +869,10 @@ def eval_series(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", di, y
             )
-        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, _edge_tail, edge=True)
+        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, edge=True)
     if seq.family is Family.BOX:
         return _eval_box(seq, y, p, tol, budget)
-    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
+    return _sum_blocks(seq, y, p, tol, budget, 256)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,35 @@ class TestCommands:
         assert doc["midpoint"] == pytest.approx(1.0, abs=1e-9)
         assert doc["tail_bound"] <= 1e-9
 
+    def test_infinite_slope_edge(self, capsys):
+        # logfam:1.5 is closed at y = -1 with infinite slope; its edge value
+        # is certified at the default tolerance well within the budget
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            K, theta = 1000, mp.mpf(1.5)
+
+            def g(x):
+                return 1 / (x * mp.log(x) ** theta)
+
+            # Euler-Maclaurin from K; the remainder is far below 1e-15
+            f_edge = (
+                mp.fsum(g(n) for n in range(3, K))
+                + mp.log(K) ** (1 - theta) / (theta - 1)
+                + g(K) / 2
+                - mp.diff(g, K, 1) / 12
+                + mp.diff(g, K, 3) / 720
+            )
+        code, out = run_cli(capsys, "domain", "logfam:1.5")
+        doc = parse(out)
+        assert code == EXIT_OK
+        assert doc["boundary_class"] == "ClosedInfiniteSlope"
+        assert abs(doc["f_at_boundary"] - f_edge) <= doc["f_boundary_err"]
+        code, out = run_cli(capsys, "eval", "logfam:1.5", "--y", "-1")
+        doc = parse(out)
+        assert code == EXIT_OK
+        assert doc["tail_bound"] <= 1e-9
+        assert doc["value"] <= f_edge <= doc["value"] + doc["tail_bound"]
+
     def test_domain(self, capsys):
         code, out = run_cli(capsys, "domain", "logfam:3")
         doc = parse(out)
@@ -215,6 +244,9 @@ class TestUsageErrors:
             ["eval", "linear", "--y=-inf"],
             ["logconj", "--v", "nan"],
             ["fit", "linear", "--u", "1", "--v", "nan"],
+            ["conjugate", "linear", "--u", "inf"],
+            ["fit", "linear", "--u", "1", "--v", "inf"],
+            ["boxconj", "--u", "1", "--v", "inf"],
         ],
         ids=" ".join,
     )
@@ -234,7 +266,7 @@ class TestOtherFormatsAndErrors:
         code, out = run_cli(
             capsys,
             "--max-terms", "2000", "--tol", "1e-10",
-            "eval", "logfam:3", "--y", "-1.02",
+            "eval", "logfam:3", "--y", "-1.02", "--p", "1",
         )
         assert code == EXIT_NUMERIC
         doc = parse(out)
@@ -242,7 +274,8 @@ class TestOtherFormatsAndErrors:
         assert doc["best_tail_bound"] > 1e-10
 
     def test_domain_honours_budget(self, capsys):
-        # the edge sums of logfam:3.5 need ~2e6 terms at the default tolerance
+        # the slope sum of logfam:3.5 at the edge needs more than 1000 terms
+        # at the default tolerance
         code, out = run_cli(capsys, "--max-terms", "1000", "domain", "logfam:3.5")
         assert code == EXIT_NUMERIC
         doc = parse(out)

@@ -33,6 +33,7 @@ from gibbs_series import (
     power,
     quadratic,
     sigma_values,
+    tail_bound_after,
 )
 
 
@@ -111,14 +112,20 @@ class TestBracketing:
         assert ev.value <= brute <= ev.value + ev.tail_bound
 
     def test_logfam_interior_bracket(self):
-        ev = eval_series(logfam(3.0), -2.0, 0, tol=1e-10)
-        brute = brute_partial(logfam(3.0), -2.0, 0, 10 * ev.truncation_index)
-        assert ev.value <= brute <= ev.value + ev.tail_bound
+        # the lower integral correction puts value above a longer partial
+        # sum, so the brute sum is closed with a bound on its own far tail
+        seq, y = logfam(3.0), -2.0
+        ev = eval_series(seq, y, 0, tol=1e-10)
+        n_terms = 10 * ev.truncation_index
+        brute = brute_partial(seq, y, 0, n_terms)
+        far = tail_bound_after(seq, y, 0, seq.start_index + n_terms - 1)
+        assert ev.value <= brute + far
+        assert brute <= ev.value + ev.tail_bound
 
     def test_logfam_boundary_brackets_nest(self):
         # integral-corrected brackets at two tolerances must be consistent
         loose = eval_series(logfam(3.0), -1.0, 0, tol=1e-6)
-        tight = eval_series(logfam(3.0), -1.0, 0, tol=1e-10)
+        tight = eval_series(logfam(3.0), -1.0, 0, tol=1e-12)
         assert tight.tail_bound < loose.tail_bound
         lo = max(loose.value, tight.value)
         hi = min(loose.upper, tight.upper)
@@ -178,9 +185,10 @@ class TestKernel:
         first = seq.start_index + 5
         stop = first + count
         for p in (0, 1, 2):
-            got = series._block_sum(seq, y, p, first, stop)
+            got, s_last = series._block_sum(seq, y, p, first, stop)
             s = plain_sigma(seq, np.arange(first, stop, dtype=np.int64))
             assert got == float(np.sum(s ** p * np.exp(s * y)))
+            assert s_last == s[-1]
 
     def test_sum_blocks_adds_block_sums_in_order(self):
         seq, y, p, budget = logfam(3.0), -1.0, 1, 300_000
@@ -199,7 +207,7 @@ class TestKernel:
             block *= 2
         best = exc.value.best
         assert best.truncation_index == stop - 1
-        assert best.value == total - series._roundoff(total, budget)
+        assert best.value == total - series._roundoff(seq, y, p, total, budget, s[-1])
 
     @pytest.mark.parametrize(
         "seq",
@@ -341,8 +349,9 @@ class TestDomainRules:
             eval_series(logfam(3.0), -1.0, 2, tol=1e-6)
 
     def test_budget_exceeded_carries_best(self):
+        # interior slopes of the log family keep the envelope certificate
         with pytest.raises(BudgetExceededError) as exc:
-            eval_series(logfam(3.0), -1.02, 0, tol=1e-10, max_terms=50_000)
+            eval_series(logfam(3.0), -1.02, 1, tol=1e-10, max_terms=50_000)
         best = exc.value.best
         assert best.value > 0.0
         assert best.tail_bound > 1e-10
@@ -350,7 +359,7 @@ class TestDomainRules:
     def test_env_budget_override(self, monkeypatch):
         monkeypatch.setenv("GIBBS_SERIES_MAX_TERMS", "2000")
         with pytest.raises(BudgetExceededError):
-            eval_series(logfam(3.0), -1.02, 0, tol=1e-10)
+            eval_series(logfam(3.0), -1.02, 1, tol=1e-10)
 
 
 class TestLogF:
@@ -421,7 +430,7 @@ class TestEvaluationMemo:
     @pytest.mark.parametrize(
         "seq,y,p,tol,budgets",
         [
-            (logfam(3.0), -1.0, 1, 1e-9, (5_000, 400_000)),
+            (logfam(3.0), -1.0, 1, 1e-9, (5_000, 1_000)),
             (linear(), -0.01, 0, 1e-12, (1_000, 100_000)),
         ],
         ids=str,
@@ -522,7 +531,7 @@ class TestSigmaPrefix:
             for first, stop in blocks:
                 for p in range(4):
                     expected = plain_sum(seq, y, p, first, stop)
-                    assert series._block_sum(seq, y, p, first, stop) == expected, (first, stop, p)
+                    assert series._block_sum(seq, y, p, first, stop)[0] == expected, (first, stop, p)
         assert series._memo.sigma[(seq, seq.generator)].size == self.CAP
 
     @pytest.mark.parametrize("seq", families(), ids=str)
@@ -573,7 +582,8 @@ class TestSigmaPrefix:
 
 
 class TestNonFiniteInputs:
-    """NaN and -inf arguments are usage errors, raised before any summing."""
+    """NaN and -inf series arguments, and NaN and +inf moments, are usage
+    errors, raised before any summing."""
 
     CASES = {
         "eval_series(linear, nan)": lambda: eval_series(linear(), math.nan),
@@ -589,6 +599,13 @@ class TestNonFiniteInputs:
         "min_entropy_moment(logfam:3.5, nan)": lambda: min_entropy_moment(logfam(3.5), math.nan),
         "fit_gibbs(linear, 1, nan)": lambda: fit_gibbs(linear(), 1.0, math.nan),
         "fit_gibbs(linear, nan, 1)": lambda: fit_gibbs(linear(), math.nan, 1.0),
+        "conjugate(linear, inf)": lambda: conjugate(linear(), math.inf),
+        "log_f_conjugate(quadratic, inf)": lambda: log_f_conjugate(quadratic(), math.inf),
+        "box_conjugate(inf, 4)": lambda: box_conjugate(math.inf, 4.0),
+        "box_conjugate(1, inf)": lambda: box_conjugate(1.0, math.inf),
+        "min_entropy_moment(logfam:3.5, inf)": lambda: min_entropy_moment(logfam(3.5), math.inf),
+        "fit_gibbs(linear, 1, inf)": lambda: fit_gibbs(linear(), 1.0, math.inf),
+        "fit_gibbs(linear, inf, 1)": lambda: fit_gibbs(linear(), math.inf, 1.0),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -609,3 +626,4 @@ class TestNonFiniteInputs:
             eval_series(linear(), math.inf)
         assert conjugate(linear(), -math.inf).regime is Regime.NEGATIVE_U
         assert conjugate(linear(), -math.inf).value == math.inf
+        assert box_conjugate(-math.inf, 4.0) == math.inf
