@@ -30,6 +30,7 @@ from .series import (
     domain_info,
     eval_series,
     log_f,
+    max_terms_budget,
     phi,
 )
 
@@ -196,6 +197,21 @@ def _brent(
     raise NumericError(f"Brent iteration did not converge in {maxiter} steps on ({a!r}, {b!r})")
 
 
+def _excess(fn: Callable[[float], float], target: float) -> Callable[[float], float]:
+    """fn(y) - target for Brent's method, read as 0 within four ulps of
+    target.  A bracket midpoint, or a quotient of two, carries a few ulps
+    of rounding, so that close the sign of the excess is noise: the probe
+    is taken as the root rather than chased with further probes.  The
+    caller still certifies the root's residual."""
+    noise = 4.0 * math.ulp(target)
+
+    def excess(y: float) -> float:
+        d = fn(y) - target
+        return 0.0 if abs(d) <= noise else d
+
+    return excess
+
+
 def solve_fprime(
     seq: SigmaSequence,
     u: float,
@@ -213,6 +229,7 @@ def solve_fprime(
     """
     di = domain_info(seq)
     eta = 0.25 * tol * max(1.0, u)
+    max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
 
     def fp(y: float) -> float:
         return _best_bracket(seq, y, 1, eta, max_terms).midpoint
@@ -221,7 +238,7 @@ def solve_fprime(
     a, b, capped = _expand_bracket(fp, u, di.alpha, open_edge)
     if capped is not None:
         return b, abs(capped - u)
-    y = _brent(lambda yy: fp(yy) - u, a, b, 1e-15, 8.9e-16, 300)
+    y = _brent(_excess(fp, u), a, b, 1e-15, 8.9e-16, 300)
     final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
     residual = abs(final.midpoint - u) + 0.5 * final.tail_bound
     if residual > tol * max(1.0, u):
@@ -241,6 +258,7 @@ def solve_phi(
     """Solve f'(y)/f(y) = v on the domain interior; returns (y, residual)."""
     di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
+    max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
 
     def ph_best(y: float) -> float:
         f0 = _best_bracket(seq, y, 0, 1.0, max_terms).midpoint
@@ -255,7 +273,7 @@ def solve_phi(
     a, b, capped = _expand_bracket(ph_best, v, di.alpha, open_edge)
     if capped is not None:
         return b, abs(capped - v)
-    y = _brent(lambda yy: ph_best(yy) - v, a, b, 1e-15, 8.9e-16, 300)
+    y = _brent(_excess(ph_best, v), a, b, 1e-15, 8.9e-16, 300)
     residual = abs(phi(seq, y, tol=rel, max_terms=max_terms) - v) + 0.5 * rel * v
     if residual > tol * max(1.0, v):
         raise NumericError(

@@ -105,11 +105,12 @@ class SigmaSequence:
         return state
 
     @cached_property  # read once per summed block
-    def sigma_error(self) -> tuple[float, float]:
-        """(e_rel, e_abs) bounding the exponents' rounding: each sigma_n
-        computed by ``sigma`` or ``sigma_values`` is within
-        (e_rel sigma_n + e_abs) u of the exact one, u = 2^-53, and
-        |sigma_n| <= sigma_n + e_abs.
+    def sigma_error(self) -> tuple[float, float, float]:
+        """(e_rel, e_abs, e_pow) bounding the exponents' rounding: each
+        sigma_n computed by ``sigma`` or ``sigma_values`` is within
+        (e_rel sigma_n + e_abs) u of the exact one, u = 2^-53, hence within
+        e_pow u relative, e_pow = e_rel + e_abs / sigma_start (wherever
+        e_abs > 0 the exponents are positive and nondecreasing).
 
         Integer exponents are exact: n^2 stays below 2^53 up to n = 9.4e7,
         past any default term budget.  Power and box values take one
@@ -118,21 +119,26 @@ class SigmaSequence:
         4 ln n u and ln ln n carries 4 (1 + ln ln n) u; bounding ln n and
         theta ln ln n by sigma_n (theta >= 0) or ln n by 2 sigma_n
         (-1 <= theta < 0) gives the pair below.  Custom exponents are the
-        generator's floats, exact by definition; e_abs is twice the size
-        of a negative first one, as the sequence is nondecreasing.
+        generator's floats, exact by definition (see ``signed``).
         """
         fam = self.family
         if fam is Family.LOGFAM:
-            return 19.0, 4.0 * max(abs(self.theta), 1.0)
-        if fam is Family.LOGLOG:
-            return 8.0, 8.0
-        if fam is Family.POWER:
-            return 2.0, 0.0
-        if fam is Family.BOX:
-            return 1.0, 0.0
-        if fam is Family.CUSTOM:
-            return 0.0, 2.0 * max(0.0, -float(self.generator(self.start_index)))
-        return 0.0, 0.0
+            e_rel, e_abs = 19.0, 4.0 * max(abs(self.theta), 1.0)
+        elif fam is Family.LOGLOG:
+            e_rel, e_abs = 8.0, 8.0
+        elif fam is Family.POWER:
+            return 2.0, 0.0, 2.0
+        elif fam is Family.BOX:
+            return 1.0, 0.0, 1.0
+        else:
+            return 0.0, 0.0, 0.0
+        return e_rel, e_abs, e_rel + e_abs / sigma(self, self.start_index)
+
+    @cached_property
+    def signed(self) -> bool:
+        """Whether some exponent is negative.  Only a custom sequence's can
+        be; every other family starts positive."""
+        return self.family is Family.CUSTOM and float(self.generator(self.start_index)) < 0.0
 
     def spec_string(self) -> str:
         """Round-trippable form used by the CLI mini-grammar."""

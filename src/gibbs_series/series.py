@@ -193,7 +193,7 @@ def domain_info(
     if theta <= 1.0:
         return DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
     budget = max_terms_budget(max_terms)
-    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, edge=True)
+    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, _sandwich_tail, edge=True)
     if theta <= 2.0:
         return DomainInfo(
             1.0,
@@ -203,7 +203,7 @@ def domain_info(
             0.0,
             0.5 * fb.tail_bound,
         )
-    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, edge=True)
+    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, _sandwich_tail, edge=True)
     return DomainInfo(
         1.0,
         BoundaryClass.CLOSED_FINITE_SLOPE,
@@ -220,41 +220,63 @@ def domain_info(
 
 _LOGFAM = Family.LOGFAM  # a module global reads faster than an Enum member (per block)
 _U = 2.0 ** -53  # unit roundoff of float64
-_LN2 = math.log(2.0)
 _SUBNORMAL = 2.0 ** -1074  # the smallest subnormal float64
 _TINY = sys.float_info.min  # smallest normal float64
 
 
 def _roundoff(
-    seq: SigmaSequence, y: float, p: int, total: float, n_terms: int, sigma_last: float
+    seq: SigmaSequence,
+    y: float,
+    p: int,
+    total: float,
+    n_terms: int,
+    sigma_last: float,
+    weight: float = 0.0,
 ) -> float:
     """Bound on the rounding error of a computed partial sum ``total`` of
-    ``n_terms`` terms t_n = sigma_n^p exp(sigma_n y), the last exponent
-    being ``sigma_last``.
+    ``n_terms`` terms t_n = sigma_n^p exp(sigma_n y), y < 0, the last
+    exponent being ``sigma_last``.
 
-    Pairwise numpy summation of positive terms costs u log2(n) relative
-    (u = 2^-53), and a few extra ulps cover each term's own exp and pow.
-    The exp argument fl(sigma_n) y is off by at most
-    ((e_rel + 1) sigma_n + 2 e_abs) |y| u (``SigmaSequence.sigma_error``
-    and the product's rounding), which moves the term by that much
-    relative.  Summed over the terms, |y| sigma_n t_n needs no pass of its
-    own: -sigma_n y = ln(1/t_n) + p ln sigma_n, and x ln(1/x) is concave,
-    so the sum is at most T (ln(n/T) + p ln sigma_last) for the total T of
-    n terms (sigma_n > 0 wherever p > 0, and nondecreasing; y < 0).  0.01
-    of it more covers the rounding of T itself and second-order terms.  The
-    power sigma_n^p adds p (e_rel + e_abs + 3) u relative (sigma_n >= 1
-    wherever e_abs > 0 and p > 0).  A term that underflows, to 0 or a
-    subnormal, is off by at most the smallest subnormal besides.
+    Pairwise numpy summation costs u log2(n) sum |t_n| (u = 2^-53), and a
+    few extra ulps cover each term's own exp and pow.  The exp argument
+    fl(sigma_n) y is off by at most ((e_rel + 1) sigma_n + e_abs) |y| u
+    (``SigmaSequence.sigma_error`` and the product's rounding), which
+    moves the term by that much relative, and sigma_n^p adds p (e_pow + 3)
+    u relative.  Where every exponent is positive, so is every term, and
+    |y| sigma_n t_n needs no pass of its own: -sigma_n y = ln(1/t_n) +
+    p ln sigma_n, and x ln(1/x) is concave, so its sum is at most
+    T (ln(n/T) + p ln sigma_last) for the total T of the n terms.  0.01 of
+    it more covers the rounding of T itself and second-order terms.
+
+    A ``signed`` sequence's walk passes instead ``weight``, the sum of
+    |t_n| (1 + |sigma_n y|), which bounds both sums the slack is made of.
+    A term that underflows, to 0 or a subnormal, is off by at most the
+    smallest subnormal besides.
     """
-    if total <= 0.0:
+    n_log2 = n_terms.bit_length()  # >= log2(n)
+    if weight:
+        return weight * 1.12e-16 * (9.0 + n_log2 + 3.0 * p) + n_terms * _SUBNORMAL
+    if total <= 0.0:  # no term, or every one zero
         return n_terms * _SUBNORMAL
-    e_rel, e_abs = seq.sigma_error
-    n_log2 = math.log2(max(n_terms, 2))
-    spread = n_log2 * _LN2 - math.log(total)
-    if p:
-        spread += p * math.log(sigma_last)
-    rel = (e_rel + 1.01) * max(spread, 0.0) + p * (e_rel + e_abs + 3.0) - 2.0 * e_abs * y
+    e_rel, e_abs, e_pow = seq.sigma_error
+    ratio = n_terms * sigma_last ** p / total if p else n_terms / total
+    if ratio < math.inf:
+        spread = math.log(ratio)
+    else:  # a total near the underflow threshold
+        spread = math.log(n_terms) - math.log(total) + p * math.log(sigma_last)
+    rel = p * (e_pow + 3.0) - e_abs * y
+    if spread > 0.0:  # always, but for rounding when T is near n sigma_last^p
+        rel += (e_rel + 1.01) * spread
     return total * (1.12e-16 * (8.0 + n_log2) + _U * rel) + n_terms * _SUBNORMAL
+
+
+def _abs_weight(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> float:
+    """Sum of |t_n| (1 + |sigma_n y|) over first <= n < stop (see
+    ``_roundoff``), for sequences whose terms need not all be positive."""
+    s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
+    sy = np.abs(s * y)
+    terms = np.abs(s ** p * np.exp(s * y))
+    return float(np.dot(terms, 1.0 + sy)) * (1.0 + 4.0 * (stop - first) * _U)
 
 
 def _up(value: float, rel: float) -> float:
@@ -499,17 +521,20 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
     return _geom_tail(seq, y, p, N)
 
 
-def _certificate(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """(lower, width): the terms after index N sum to between ``lower`` and
-    ``lower + width`` (width inf while no certificate applies)."""
-    if seq.family is _LOGFAM and (y == -1.0 or p == 0):
-        bounds = _logfam_sandwich(seq, y, p, N)
-        if bounds is None:
-            return 0.0, math.inf
-        lower, upper = bounds
-        return lower, upper - lower
+def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
+    """Interior certificate: the omitted tail lies in [0, tail_bound_after]."""
     tb = tail_bound_after(seq, y, p, N)
     return 0.0, math.inf if tb is None else tb
+
+
+def _sandwich_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
+    """Log-family certificate at the edge and at p = 0: the omitted tail
+    lies in [lower, lower + width] (``_logfam_sandwich``)."""
+    bounds = _logfam_sandwich(seq, y, p, N)
+    if bounds is None:
+        return 0.0, math.inf
+    lower, upper = bounds
+    return lower, upper - lower
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +639,7 @@ def _logfam_gamma_integral(theta: float, y: float, c: float, lower: bool = False
 def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, float]:
     """ln(sigma_n^p exp(sigma_n y)) and a bound on its error (sigma_n >= 1)."""
     s = sigma(seq, n)
-    e_rel, e_abs = seq.sigma_error
+    e_rel, e_abs, _ = seq.sigma_error
     log_s = math.log(s) if p else 0.0
     err = (abs(y) + p / s) * (e_rel * s + e_abs) * _U + _U * 2.0 * (
         abs(y * s) + p * abs(log_s) + 1.0
@@ -720,7 +745,7 @@ def _sum_blocks(
     tol: float,
     budget: int,
     block: int,
-    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]] = _certificate,
+    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]],
     edge: bool = False,
 ) -> SeriesEval:
     """Partial sums in doubling blocks until the certified bracket meets tol.
@@ -732,7 +757,9 @@ def _sum_blocks(
     [partial + lower - slack, partial + lower + width + slack].  A
     certified width already below the slack with 2 slack > tol fails at
     once: more terms only raise the accumulation floor.  ``edge`` selects
-    the wording of the budget-exhaustion message at y = -1.
+    the wording of the budget-exhaustion message at y = -1.  For a
+    ``signed`` sequence each block also adds its ``_abs_weight``, on
+    which the slack is then charged.
 
     The states after each block do not depend on ``tol``, which only picks
     where the walk stops.  They are kept per thread for the last few
@@ -743,20 +770,22 @@ def _sum_blocks(
     states = _recent(_memo.lru, (seq, seq.generator, y, p, budget, block, certificate), list)
     start = seq.start_index
     last = start + budget - 1
-    total = 0.0
+    total = weight = s_last = 0.0
     n_done = start - 1
     for i in itertools.count():
         if i < len(states):  # a block an earlier call already summed
-            total, n_done, slack, lower, width = states[i]
+            total, n_done, slack, lower, width, weight = states[i]
         else:
             n1 = min(n_done + block, last)
             if n1 > n_done:
                 block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
                 total += block_total
+                if seq.signed:
+                    weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
                 n_done = n1
             lower, width = certificate(seq, y, p, n_done)
-            slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last)
-            states.append((total, n_done, slack, lower, width))
+            slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
+            states.append((total, n_done, slack, lower, width, weight))
         tail_bound = width + 2.0 * slack
         if tail_bound <= tol:
             return SeriesEval(total + lower - slack, p, n_done, tail_bound, tol)
@@ -791,7 +820,7 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
 
     def brackets(abs_tols: list[float]) -> list[SeriesEval]:
         return [
-            _sum_blocks(quad, z, j, abs_tols[j], budget, 256)
+            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, _interior_tail)
             for j in range(p + 1)
         ]
 
@@ -869,10 +898,12 @@ def eval_series(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", di, y
             )
-        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, edge=True)
+        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, _sandwich_tail, edge=True)
     if seq.family is Family.BOX:
         return _eval_box(seq, y, p, tol, budget)
-    return _sum_blocks(seq, y, p, tol, budget, 256)
+    if seq.family is _LOGFAM and p == 0:
+        return _sum_blocks(seq, y, p, tol, budget, 256, _sandwich_tail)
+    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +929,7 @@ def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[in
     Strictly increasing in y with infimum sigma_start; the mean exponent
     under the normalized weights exp(sigma_n y)/f(y).
     """
+    max_terms = max_terms_budget(max_terms)  # one environment read for the four walks
     f_lb = _lower_bound(seq, y, 0, max_terms)
     g_lb = _lower_bound(seq, y, 1, max_terms)
     if f_lb <= 0.0 or g_lb <= 0.0:
@@ -913,6 +945,7 @@ def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[in
 
 def log_f(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[int] = None) -> float:
     """ln f(y) with absolute error <= tol."""
+    max_terms = max_terms_budget(max_terms)  # one environment read for both walks
     f_lb = _lower_bound(seq, y, 0, max_terms)
     if f_lb <= 0.0:
         raise DomainError(

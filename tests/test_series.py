@@ -361,6 +361,27 @@ class TestDomainRules:
         with pytest.raises(BudgetExceededError):
             eval_series(logfam(3.0), -1.02, 1, tol=1e-10)
 
+    @pytest.mark.parametrize("seq", [linear(), logfam(3.0)], ids=str)
+    def test_zero_budget_exceeded(self, seq, monkeypatch):
+        # no block fits the budget: the walk fails before summing a term
+        with pytest.raises(BudgetExceededError):
+            eval_series(seq, -1.02, 0, max_terms=0)
+        monkeypatch.setenv("GIBBS_SERIES_MAX_TERMS", "0")
+        with pytest.raises(BudgetExceededError):
+            eval_series(seq, -1.02, 1)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("shift,y", [(5.0, -1.0), (300.0, -0.05)])
+    def test_negative_leading_exponents(self, shift, y, p):
+        # sigma_n = n - shift: for odd p the leading terms are negative and
+        # outweigh the rest, and with shift 300 the first block ends below 0
+        mp = pytest.importorskip("mpmath")
+        seq = custom(lambda n: n - shift, declared_alpha=0.0, declared_gap=1.0)
+        with mp.workdps(50):
+            ref = mp.fsum((n - shift) ** p * mp.exp((n - shift) * y) for n in range(1, 4000))
+            ev = eval_series(seq, y, p, tol=1e-12 * abs(float(ref)))
+            assert ev.value <= ref <= mp.mpf(ev.value) + ev.tail_bound
+
 
 class TestLogF:
     def test_log_f_matches_eval(self):

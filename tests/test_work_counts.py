@@ -25,9 +25,7 @@ from gibbs_series import (
 REFERENCE_CALLS = {
     "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 11, 2_816, 256),
     "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 18, 4_608, 256),
-    # the rounding slack of the exp argument moves the box brackets' last
-    # bits, and the root finder takes one more probe (two 256-term walks)
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 20, 5_120, 256),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 18, 4_608, 256),
     "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 24, 6_144, 256),
     # one 4,096-term edge block classifies the domain, then three interior
     # blocks meet the integral sandwich
