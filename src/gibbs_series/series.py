@@ -12,14 +12,17 @@ certificates used are:
 * integral comparison: for monotone term envelopes, tails are bounded
   by integrals with closed-form antiderivatives (incomplete-gamma style
   bounds with integer exponents for powers, and the log family's
-  derivatives p >= 1 inside the domain);
+  derivatives p >= 2 inside the domain);
 * integral sandwich for the log family, at the edge y = -1 and in the
-  interior at p = 0: for decreasing terms convex from N + 1/2 on
-  (Hermite-Hadamard), int_{N+1} g + g(N+1)/2 <= tail <= int_{N+1/2} g,
-  a bracket about |g'(N)|/8 wide that is added to the partial sum; the
-  edge integrals are exact log-power integrals, the interior ones
-  b^-a Gamma(a, b ln c) with a certified upper incomplete gamma function
-  (the even and odd convergents of Legendre's continued fraction);
+  interior at p <= 1: for decreasing terms convex from N + 1/2 on
+  (Hermite-Hadamard; sigma is concave from x = e^phi ~ 5.04 on for every
+  theta >= -1), int_{N+1} g + g(N+1)/2 <= tail <= int_{N+1/2} g, a
+  bracket about |g'(N)|/8 wide that is added to the partial sum; the
+  edge integrals are exact log-power integrals, the interior p = 0 ones
+  F = b^-a Gamma(a, b ln c) with a certified upper incomplete gamma
+  function (the even and odd convergents of Legendre's continued
+  fraction), and the interior p = 1 ones dF/dy, bracketed by the secants
+  of F, which is convex in y;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
   from certified brackets of g and its first two derivatives.
@@ -449,7 +452,8 @@ def _power_tail(theta: float, y: float, p: int, N: int) -> Optional[float]:
 
 
 def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Envelope bound on the log-family tail after index N, at y < -1 and p >= 1."""
+    """Envelope bound on the log-family tail after index N, at y < -1 and
+    p >= 2 (lower orders have ``_logfam_sandwich``)."""
     theta = seq.theta
     if N < 16:
         return None
@@ -514,7 +518,7 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
     form via materialization helpers instead.
     """
     if seq.family is _LOGFAM:
-        if y == -1.0 or p == 0:
+        if y == -1.0 or p <= 1:
             bounds = _logfam_sandwich(seq, y, p, N)
             return None if bounds is None else bounds[1]
         return _logfam_interior_tail(seq, y, p, N)
@@ -528,7 +532,7 @@ def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float,
 
 
 def _sandwich_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """Log-family certificate at the edge and at p = 0: the omitted tail
+    """Log-family certificate at the edge and at p <= 1: the omitted tail
     lies in [lower, lower + width] (``_logfam_sandwich``)."""
     bounds = _logfam_sandwich(seq, y, p, N)
     if bounds is None:
@@ -543,7 +547,7 @@ def _sandwich_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float,
 
 def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[tuple[float, float]]:
     """(lower, upper) on the log-family tail after N, at the edge y = -1 or
-    in the interior with p = 0; None while the terms may still grow.
+    in the interior with p <= 1; None while the terms may still grow.
 
     The terms are g(n) with g(x) = sigma(x)^p exp(y sigma(x)).  Where g
     decreases from N on, the tail lies between its integrals from N + 1
@@ -554,10 +558,12 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[t
 
     about |g'(N)|/8 wide instead of g(N).  In s = sigma, h(s) = s^p e^{ys}
     has h'' = s^(p-2) e^{ys} ((p + ys)^2 - p), so h decreases once |y| s >=
-    p and is also convex once |y| s >= p + sqrt(p).  sigma increases, and
-    for theta >= 0 it is concave, so g'' = h'' sigma'^2 + h' sigma'' >= 0
-    from there on; for p = 0 that is every x >= 3.  The upper end is rounded
-    up far enough that subtracting the lower end cannot fall short.
+    p and is also convex once |y| s >= p + sqrt(p).  With L = ln x,
+    sigma'' = -(1 + theta (L + 1)/L^2)/x^2, which for every theta >= -1 is
+    <= 0 once L^2 >= L + 1, i.e. x >= e^phi ~ 5.04 (phi the golden ratio),
+    where sigma also increases; so g'' = h'' sigma'^2 + h' sigma'' >= 0 from
+    N = 5 on.  The upper end is rounded up far enough that subtracting the
+    lower end cannot fall short.
     """
     theta = seq.theta
     if N < seq.start_index or (y == -1.0 and theta <= p + 1):
@@ -565,7 +571,7 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[t
     slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
     if slope < p:
         return None
-    convex = theta >= 0.0 and slope >= p + math.sqrt(p)
+    convex = N >= 5 and slope >= p + math.sqrt(p)
     lower = _logfam_integral(seq, y, p, N + 1.0, lower=True)
     if convex:
         log_t, err = _log_term(seq, y, p, N + 1)
@@ -577,10 +583,13 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[t
 
 
 def _logfam_integral(seq: SigmaSequence, y: float, p: int, c: float, lower: bool = False) -> float:
-    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down)."""
+    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down);
+    in the interior p <= 1."""
     if y == -1.0:
         return _logfam_boundary_integral(seq.theta, p, c, lower)
-    return _logfam_gamma_integral(seq.theta, y, c, lower)
+    if p:
+        return _logfam_slope_integral(seq.theta, y, c, lower)
+    return _logfam_gamma_integral(seq.theta, y, c)[0 if lower else 1]
 
 
 def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = False) -> float:
@@ -607,9 +616,9 @@ def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = Fals
     return acc * (1.0 - 2.0 * rel) if lower else _up(acc, rel)
 
 
-def _logfam_gamma_integral(theta: float, y: float, c: float, lower: bool = False) -> float:
-    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded up
-    (or down with ``lower``).
+def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, float]:
+    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded
+    down and up.
 
     With t = b ln x it is b^-a Gamma(a, b ln c), a = theta y + 1 and
     b = -(y + 1).  Besides the error of ``_log_upper_gamma``, the bound
@@ -631,9 +640,40 @@ def _logfam_gamma_integral(theta: float, y: float, c: float, lower: bool = False
             + 2.0 * (abs(a * log_b) + max(abs(lo), abs(hi)))
         )
     )
+    return _exp_down(lo - a * log_b, err), _exp_up(hi - a * log_b, err)
+
+
+def _logfam_slope_integral(theta: float, y: float, c: float, lower: bool = False) -> float:
+    """integral_c^inf sigma(x) x^y (ln x)^(theta y) dx for y < -1, c >= 3,
+    rounded up (or down with ``lower``).
+
+    It is dF/dy for F(y) = integral_c^inf exp(y sigma(x)) dx, which
+    ``_logfam_gamma_integral`` certifies; d^2F/dy^2 = int sigma^2
+    exp(y sigma) > 0, so F is convex and its secants bracket the slope:
+
+        (F(y) - F(y - h))/h  <=  dF/dy  <=  (F(y + h) - F(y))/h.
+
+    Each quotient takes F's ends crosswise and divides by the exact float
+    difference of the two y (Sterbenz: h < |y|/4).  Its width is about
+    h sigma(c)^2 F/2 from the curvature plus 2 eps F/h from F's relative
+    bracket width eps, least at h = 2 sqrt(eps)/sigma(c); h is capped at
+    |y + 1|/4 to keep y + h inside the domain.
+    """
+    lo, hi = _logfam_gamma_integral(theta, y, c)
+    eps = hi / lo - 1.0 if lo > 0.0 else math.inf
+    log_c = math.log(c)
+    h = min(2.0 * math.sqrt(eps) / (log_c + theta * math.log(log_c)), -0.25 * (y + 1.0))
     if lower:
-        return _exp_down(lo - a * log_b, err)
-    return _exp_up(hi - a * log_b, err)
+        y_far = y - h
+        dy = y - y_far  # exact
+        if not dy > 0.0:  # y within a few ulps of the edge
+            return 0.0
+        return max((lo - _logfam_gamma_integral(theta, y_far, c)[1]) / dy, 0.0) * (1.0 - 4.0 * _U)
+    y_near = y + h
+    dy = y_near - y  # exact
+    if not (dy > 0.0 and y_near < -1.0):
+        return math.inf
+    return _up((_logfam_gamma_integral(theta, y_near, c)[1] - lo) / dy, 0.0)
 
 
 def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, float]:
@@ -901,7 +941,7 @@ def eval_series(
         return _sum_blocks(seq, -1.0, p, tol, budget, 4096, _sandwich_tail, edge=True)
     if seq.family is Family.BOX:
         return _eval_box(seq, y, p, tol, budget)
-    if seq.family is _LOGFAM and p == 0:
+    if seq.family is _LOGFAM and p <= 1:
         return _sum_blocks(seq, y, p, tol, budget, 256, _sandwich_tail)
     return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
 

@@ -262,6 +262,14 @@ class TestOtherFormatsAndErrors:
         assert code == EXIT_OK
         assert "boundary_class: OpenBoundary" in out
 
+    def test_interior_logfam_conjugate(self, capsys):
+        # every probe of f'(y) = u near the edge ends at the slope sandwich
+        code, out = run_cli(capsys, "conjugate", "logfam:2.9", "--u", "0.6625")
+        assert code == EXIT_OK
+        doc = parse(out)
+        assert doc["regime"] == "Interior"
+        assert -1.3 < doc["y"] < -1.2
+
     def test_eval_budget_exhaustion_exits_3(self, capsys):
         code, out = run_cli(
             capsys,

@@ -2,12 +2,14 @@
 
 The certified upper incomplete gamma function must enclose
 ``mpmath.gammainc``; every log-family bracket the sandwich produces, at the
-edge y = -1 and in the interior at p = 0, must contain an independent
-30-digit value and meet its tolerance; and interior brackets far from the
-edge must contain the 50-digit sum despite the rounding of each term's
-exponent.
+edge y = -1 and in the interior at p <= 1, must contain an independent
+30-digit value and meet its tolerance where it is certified; conjugates
+near the edge must solve f'(y) = u against that value; and interior
+brackets far from the edge must contain the 50-digit sum despite the
+rounding of each term's exponent.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -16,17 +18,37 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_series import eval_series, logfam, series
+from gibbs_series import BudgetExceededError, conjugate, eval_series, logfam, series
 
 mp = pytest.importorskip("mpmath")
 
 
+def interior_integral(theta, y, p, W):
+    """integral_{e^W}^inf sigma(x)^p exp(y sigma(x)) dx, y < -1, in the
+    caller's mpmath precision.
+
+    With w = ln x the integrand is (w + theta ln w)^p w^(theta y) e^(-b w),
+    b = -(y + 1): for p = 0 that is b^-a Gamma(a, b W), a = theta y + 1;
+    for p >= 1 it is integrated by quadrature, split where e^(-b w) has
+    fallen by e, e^10 and e^100.
+    """
+    th, yy, W = mp.mpf(theta), mp.mpf(y), mp.mpf(W)
+    a, b = th * yy + 1, -(yy + 1)
+    if p == 0:
+        return b ** (-a) * mp.gammainc(a, b * W)
+    return mp.quad(
+        lambda w: (w + th * mp.log(w)) ** p * w ** (th * yy) * mp.exp(-b * w),
+        [W, W + 1 / b, W + 10 / b, W + 100 / b, mp.inf],
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def reference(theta, y, p, K=1000, J=4):
     """sum_{n>=3} sigma_n^p exp(sigma_n y) to ~30 digits.
 
     The first K - 3 terms are summed exactly; the rest by Euler-Maclaurin
     from K with J correction terms, whose remainder is far below 1e-20
-    here.  The integral from K comes from mpmath's incomplete gamma in the
+    here.  The integral from K comes from ``interior_integral`` in the
     interior and from the log-power antiderivative at the edge.
     """
     with mp.workdps(30):
@@ -45,8 +67,7 @@ def reference(theta, y, p, K=1000, J=4):
                 mp.log(W) * W ** (1 - th) / (th - 1) + W ** (1 - th) / (th - 1) ** 2
             )
         else:
-            a, b = th * yy + 1, -(yy + 1)
-            integral = b ** (-a) * mp.gammainc(a, b * W)
+            integral = interior_integral(theta, y, p, W)
         corrections = mp.fsum(
             mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(g, K, 2 * j - 1)
             for j in range(1, J + 1)
@@ -67,7 +88,19 @@ def log_upper_gamma_reference(a, z):
 
 
 def contains(ev, ref):
-    return mp.mpf(ev.value) <= ref <= mp.mpf(ev.value) + mp.mpf(ev.tail_bound)
+    with mp.workdps(40):  # the upper end exactly, not rounded to 53 bits
+        return mp.mpf(ev.value) <= ref <= mp.mpf(ev.value) + mp.mpf(ev.tail_bound)
+
+
+def test_slope_reference_matches_long_sum():
+    # at y = -6 the terms fall like n^-6 (ln n)^-6, so 5,000 of them leave
+    # a tail below 1e-23; K = 200 puts ~4e-12 of the sum in the integral
+    with mp.workdps(30):
+        long_sum = mp.fsum(
+            (mp.log(n) + mp.log(mp.log(n))) * mp.exp(-6 * (mp.log(n) + mp.log(mp.log(n))))
+            for n in range(3, 5000)
+        )
+        assert abs(reference(1.0, -6.0, 1, K=200) - long_sum) <= 1e-20 * long_sum
 
 
 class TestUpperGamma:
@@ -92,8 +125,7 @@ class TestUpperGamma:
         # both rounded ends of integral_c^inf x^y (ln x)^(theta y) dx
         for y in (-1.05, -1.3, -2.5, -40.0):
             for c in (3.0, 258.5, 4099.0):
-                lo = series._logfam_gamma_integral(theta, y, c, lower=True)
-                hi = series._logfam_gamma_integral(theta, y, c)
+                lo, hi = series._logfam_gamma_integral(theta, y, c)
                 with mp.workdps(40):
                     th, yy = mp.mpf(theta), mp.mpf(y)
                     a, b = th * yy + 1, -(yy + 1)
@@ -129,15 +161,82 @@ def test_interior_brackets_contain_reference(theta, y):
 
 
 @pytest.mark.parametrize(
-    "theta,y", [(-1.0, -2.5), (-0.5, -2.5), (0.0, -1.3), (0.5, -1.6)], ids=str
+    "theta,y",
+    [(-1.0, -2.5), (-0.5, -2.5), (0.0, -1.3), (0.5, -1.6)]
+    + [(theta, y) for theta in (-1.0, -0.5, -0.2) for y in (-1.05, -1.3, -1.6)],
+    ids=str,
 )
 def test_interior_brackets_without_convexity(theta, y):
-    # theta < 0 leaves convexity uncertified (the monotone form, a > 1 for
-    # the incomplete gamma); theta = 0 is the zeta function, a = 1
+    # sigma is concave from x = e^phi ~ 5.04 on for every theta >= -1, so
+    # theta < 0 (a > 1 for the incomplete gamma) is convex there too and
+    # certifies within 65,282 terms; theta = 0 is the zeta function, a = 1
     tol = 1e-9
     ev = eval_series(logfam(theta), y, 0, tol=tol)
     assert ev.tail_bound <= tol
+    assert ev.truncation_index <= 65_282
     assert contains(ev, reference(theta, y, 0))
+
+
+SLOPE_THETAS = (-1.0, -0.5, 0.0, 0.5, 1.5, 2.0, 2.9, 3.0, 4.5)
+SLOPE_YS = (-1.05, -1.1, -1.3, -1.6, -2.0, -2.5)
+
+
+@pytest.mark.parametrize("theta", SLOPE_THETAS, ids=str)
+def test_interior_slope_brackets_contain_reference(theta):
+    # every p = 1 bracket, certified or the best one a budget failure
+    # carries, contains the 30-digit value
+    seq = logfam(theta)
+    for y in SLOPE_YS:
+        ref = reference(theta, y, 1)
+        for tol in (1e-6, 1e-9, 2.5e-10):
+            try:
+                ev = eval_series(seq, y, 1, tol=tol)
+            except BudgetExceededError as exc:
+                ev = exc.best
+            assert contains(ev, ref), (y, tol)
+
+
+@pytest.mark.parametrize(
+    "theta,y",
+    [(theta, y) for theta in (0.5, 1.5, 2.0, 2.9, 3.0, 4.5) for y in (-1.6, -2.0, -2.5)]
+    + [(theta, -1.3) for theta in (2.0, 2.9, 3.0, 4.5)],
+    ids=str,
+)
+def test_interior_slopes_certify(theta, y):
+    assert eval_series(logfam(theta), y, 1, tol=1e-9).tail_bound <= 1e-9
+
+
+@pytest.mark.parametrize("theta,y", [(-1.0, -2.5), (0.5, -1.05), (2.9, -1.26), (4.5, -1.6)], ids=str)
+def test_slope_integral_brackets_quadrature(theta, y):
+    # the secants of the certified p = 0 integral bracket its y-derivative
+    for c in (258.5, 4099.0, 2.0 ** 20):
+        lo = series._logfam_slope_integral(theta, y, c, lower=True)
+        hi = series._logfam_slope_integral(theta, y, c)
+        with mp.workdps(30):
+            ref = interior_integral(theta, y, 1, mp.log(c))
+        assert 0.0 < lo <= ref <= hi, c
+        # a few sqrt(eps) wide, eps ~ 1e-13 the p = 0 integral's relative width
+        assert hi - lo <= 1e-4 * hi, c
+
+
+def test_slope_integral_next_to_the_edge():
+    # within an ulp of y = -1 no secant step fits: the ends give up, not fail
+    y = math.nextafter(-1.0, -2.0)
+    assert series._logfam_slope_integral(2.0, y, 300.5, lower=True) == 0.0
+    assert series._logfam_slope_integral(2.0, y, 300.5) == math.inf
+
+
+# the three interior conjugates of the edge_sums benchmark, and two more
+@pytest.mark.parametrize(
+    "theta,u", [(2.825, 0.5875), (2.9, 0.6625), (2.975, 0.6125), (0.5, 0.5), (3.0, 0.5)], ids=str
+)
+def test_interior_conjugates_solve_the_slope_equation(theta, u):
+    tol = 1e-9
+    cv = conjugate(logfam(theta), u, tol=tol)
+    y = cv.attaining_y
+    with mp.workdps(30):
+        assert abs(reference(theta, y, 1) - u) <= cv.residual <= tol * max(1.0, u)
+        assert abs(cv.value - (y * u - reference(theta, y, 0))) <= tol
 
 
 EDGE = [(theta, 0) for theta in (1.05, 1.2, 1.5, 1.7229, 2.0)] + [

@@ -33,6 +33,13 @@ REFERENCE_CALLS = {
         lambda: eval_series(logfam(1.7229), -1.0886), 4, 5_888, 4_096
     ),
     "domain_info(logfam:1.5, 1e-9)": (lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096),
+    # the slope's difference-quotient sandwich ends every probe of the
+    # solve (the envelope bound exhausted 10^7 terms a probe)
+    "conjugate(logfam:2.9, 0.6625)": (
+        lambda: conjugate(logfam(2.9), 0.6625), 157, 4_069_376, 4_005_888
+    ),
+    # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
+    "eval_series(logfam:-1, -1.3)": (lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128),
 }
 
 
