@@ -136,12 +136,13 @@ class TestUpperGamma:
         code = (
             "import sys; sys.modules['mpmath'] = sys.modules['scipy'] = None; "
             "from gibbs_series import eval_series, logfam; "
-            "print(eval_series(logfam(1.7229), -1.0886).tail_bound)"
+            "print(eval_series(logfam(1.7229), -1.0886).tail_bound); "
+            "print(eval_series(logfam(2.9), -1.26, 1).tail_bound)"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
-        assert float(out.stdout) <= 1e-9
+        assert all(float(line) <= 1e-9 for line in out.stdout.split())
 
 
 INTERIOR = [

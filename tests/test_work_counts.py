@@ -33,8 +33,7 @@ REFERENCE_CALLS = {
         lambda: eval_series(logfam(1.7229), -1.0886), 4, 5_888, 4_096
     ),
     "domain_info(logfam:1.5, 1e-9)": (lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096),
-    # the slope's difference-quotient sandwich ends every probe of the
-    # solve (the envelope bound exhausted 10^7 terms a probe)
+    # every probe of the solve ends at the slope's difference-quotient sandwich
     "conjugate(logfam:2.9, 0.6625)": (
         lambda: conjugate(logfam(2.9), 0.6625), 157, 4_069_376, 4_005_888
     ),
