@@ -32,7 +32,7 @@ from .entropy import (
     plateau_witness,
 )
 from .scenarios import box_report, example1_table, example2_table
-from .sequences import Family, parse_sequence, parse_varsigma
+from .sequences import linear, parse_sequence, parse_varsigma
 from .series import BoundaryClass, BudgetExceededError, DomainError, domain_info, eval_series
 
 SCHEMA = "gibbs-series/1"
@@ -336,7 +336,7 @@ def _cmd_witness(cfg: RunConfig, args) -> int:
             "window_len": wit.window_len,
         }
     else:
-        if seq.family is not Family.LINEAR:
+        if seq != linear():
             raise InfeasibleError(
                 "alternating witnesses are defined for the unit-gap sequence "
                 "(use: witness linear --u ... --v ...)"

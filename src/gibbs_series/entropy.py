@@ -20,10 +20,8 @@ import numpy as np
 
 from .conjugate import _brent, _require_numbers, conjugate, solve_fprime, solve_phi
 from .sequences import (
-    Family,
     SigmaSequence,
     VarsigmaSequence,
-    box_levels,
     linear,
     sigma,
     sigma_values,
@@ -37,7 +35,6 @@ from .series import (
     log_f,
     max_terms_budget,
     tail_bound_after,
-    _box_level_tail,
     _up,
 )
 
@@ -56,9 +53,6 @@ __all__ = [
     "alternating_witness",
     "gibbs_ratio",
 ]
-
-_PREFIX_CAP = 65536  # largest materialized weight prefix
-
 
 class InfeasibleError(ValueError):
     """No nonnegative weights can satisfy the requested constraints."""
@@ -108,57 +102,34 @@ def _materialize(
     y: float,
     tail_target: float,
 ) -> tuple[tuple, np.ndarray, float, float]:
-    """Weight prefix exp(x + sigma_n y) with certified tail mass/energy."""
-    scale = math.exp(x)
-    if seq.family is Family.BOX:
-        return _materialize_box(seq, x, y, tail_target)
-    start = seq.start_index
-    n = start + 31
+    """Weight prefix exp(x + sigma_n y) with certified tail mass/energy.
+
+    The prefix is cut where its family's rules cut it (at an index, or
+    between box levels), the cut doubling from the first of ``rules.cuts``
+    until both tails are below ``tail_target`` or it reaches the last.
+    """
+    rules = seq.family.rules
+    cut, last = rules.cuts(seq)
     mass_t = energy_t = math.inf
     while True:
-        m = tail_bound_after(seq, y, 0, n)
-        e = tail_bound_after(seq, y, 1, n)
+        m = tail_bound_after(seq, y, 0, cut)
+        e = tail_bound_after(seq, y, 1, cut)
         if m is not None and e is not None:
             mass_t, energy_t = _scaled_up(x, m), _scaled_up(x, e)
             if max(mass_t, energy_t) <= tail_target:
                 break
-        if n - start + 1 >= _PREFIX_CAP:
+        if cut >= last:
             break
-        n = min(2 * n, start + _PREFIX_CAP - 1)
-    ns = np.arange(start, n + 1, dtype=np.int64)
-    w = scale * np.exp(sigma_values(seq, ns) * y)
+        cut = min(2 * cut, last)
+    indices, s = rules.prefix(seq, cut)
+    w = math.exp(x) * np.exp(s * y)
     keep = max(int(np.searchsorted(w == 0.0, True)), 1)  # drop underflowed tail
-    return tuple(int(i) for i in ns[:keep]), w[:keep], mass_t, energy_t
+    return tuple(indices[:keep]), w[:keep], mass_t, energy_t
 
 
 def _scaled_up(x: float, tail: float) -> float:
     """Upper bound on exp(x) * tail; exp(x) carries (|x| + 1) u."""
     return _up(math.exp(x) * tail, 2.0 ** -53 * (abs(x) + 2.0))
-
-
-def _materialize_box(
-    seq: SigmaSequence,
-    x: float,
-    y: float,
-    tail_target: float,
-) -> tuple[tuple, np.ndarray, float, float]:
-    kappa = seq.kappa
-    scale = math.exp(x)
-    s_max = 8
-    mass_t = energy_t = math.inf
-    while True:
-        m = _box_level_tail(kappa, y, 0, s_max)
-        e = _box_level_tail(kappa, y, 1, s_max)
-        if m is not None and e is not None:
-            mass_t, energy_t = _scaled_up(x, m), _scaled_up(x, e)
-            if max(mass_t, energy_t) <= tail_target:
-                break
-        if s_max >= 4096:
-            break
-        s_max *= 2
-    triples, levels = box_levels(s_max)
-    w = scale * np.exp(kappa * levels.astype(np.float64) * y)
-    return tuple(triples), w, mass_t, energy_t
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +258,9 @@ def fit_gibbs(
         )
     if rho <= s_min + sing_tol:
         # unique minimal level carries everything; not a Gibbs law
-        idx = (seq.start_index,) if seq.family is not Family.BOX else ((1, 1, 1),)
         return GibbsFit(
             status=FitStatus.BOUNDARY_SINGLETON,
-            indices=idx,
+            indices=(seq.family.rules.ground(seq),),
             weights=np.array([u]),
             achieved=(u, u * s_min),
             entropy_value=u * (math.log(u) - 1.0),
@@ -518,27 +488,28 @@ def alternating_attainment(
 ) -> AlternatingAttainment:
     """Classify convergence of sum (-1)^n varsigma_n ratio^n and sum it."""
     q = gibbs_ratio(u)
-    fam = varsigma.family.value
-    if fam == "expsq":
-        return AlternatingAttainment(False, None, q)
-    if fam == "exp":
-        threshold = -math.log(q)
-        if varsigma.param >= threshold:
-            return AlternatingAttainment(False, None, q, alpha_threshold=threshold)
-        w = -math.exp(varsigma.param) * q
-        return AlternatingAttainment(True, w / (1.0 - w), q, alpha_threshold=threshold)
-    # power coefficients: geometric decay of |terms| makes the sum certifiable
-    k = varsigma.param
+    rules = varsigma.family.rules
+    rate = rules.rate(varsigma.param)
+    # the terms vanish iff varsigma_n grows slower than q^-n; the threshold
+    # is reported for the geometric family, whose parameter is its rate
+    threshold = -math.log(q)
+    reported = threshold if rules.geometric else None
+    if rate >= threshold:
+        return AlternatingAttainment(False, None, q, alpha_threshold=reported)
+    if rules.geometric:
+        w = -math.exp(rate) * q
+        return AlternatingAttainment(True, w / (1.0 - w), q, alpha_threshold=reported)
+    # slower growth: geometric decay of |terms| makes the sum certifiable
     total = 0.0
     N = 0
     block = 64
     while True:
         ns = np.arange(N + 1, N + block + 1, dtype=np.float64)
-        total += float(np.sum(np.where(ns % 2 == 0, 1.0, -1.0) * ns ** k * q ** ns))
+        total += float(np.sum(np.where(ns % 2 == 0, 1.0, -1.0) * varsigma.values(ns) * q ** ns))
         N += block
-        r = q * ((N + 2.0) / (N + 1.0)) ** k
+        r = q * rules.step(varsigma.param, N)
         if r < 1.0:
-            tail = (N + 1.0) ** k * q ** (N + 1) / (1.0 - r)
+            tail = varsigma.value(N + 1) * q ** (N + 1) / (1.0 - r)
             if tail <= tol:
                 return AlternatingAttainment(True, total, q)
         if N > 10_000_000:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sequences import SigmaSequence, VarsigmaSequence, sigma_values
+from .sequences import SigmaSequence, VarsigmaSequence, sigma_values, varsigma_power
 from .series import _lower_bound, eval_series
 
 __all__ = [
@@ -298,22 +298,15 @@ def check_gradient_sum_2d(
     """
     if h is None:
         h = 1e-5 * max(1.0, abs(x), abs(y))
-    from .sequences import quadratic
+    from .scenarios import BoxModel
 
-    quad = quadratic()
-
-    def g(yy: float, p: int = 0) -> float:
-        return kappa ** p * eval_series(quad, kappa * yy, p, tol=1e-13).midpoint
-
-    def H(xx: float, yy: float) -> float:
-        return math.exp(xx) * g(yy) ** 3
-
+    model = BoxModel(kappa)
+    H = model.h
     fd = (
         (H(x + h, y) - H(x - h, y)) / (2.0 * h),
         (H(x, y + h) - H(x, y - h)) / (2.0 * h),
     )
-    g0 = g(y)
-    analytic = (math.exp(x) * g0 ** 3, 3.0 * math.exp(x) * g0 ** 2 * g(y, 1))
+    analytic = model.grad_h(x, y)
     return _report(
         "gradient-sum/2d-box",
         {"x": x, "y": y, "kappa": kappa, "h": h},
@@ -387,31 +380,22 @@ def alternating_gradient_series(
     z = np.exp(ns * x)
     first = float(np.dot(ns, z))
     sgn = np.where(ns % 2 == 0, 1.0, -1.0)
-    fam = varsigma.family.value
-    if fam == "expsq":
-        # exp(n^2 + n x) overflows fast; sum in log space, flag divergence
-        log_terms = ns * ns + ns * x
+    rules = varsigma.family.rules
+    rate = rules.rate(varsigma.param)  # lim ln(vs_n)/n
+    if rate > 0.0:
+        # exponentially growing coefficients overflow fast: sum in log space
+        log_terms = varsigma.log_values(ns) + ns * x
         second = float(np.sum(sgn * np.exp(np.minimum(log_terms, 700.0))))
-        classification = "divergent"
-        second_ref = None
-    elif fam == "exp":
-        a = varsigma.param
-        log_terms = a * ns + ns * x
-        second = float(np.sum(sgn * np.exp(np.minimum(log_terms, 700.0))))
-        if x + a < 0:
-            classification = "convergent"
-            w = math.exp(x + a)
-            second_ref = -w / (1.0 + w)
-        else:
-            classification = "divergent"
-            second_ref = None
     else:
         second = float(np.sum(sgn * varsigma.values(ns) * z))
-        classification = "convergent"
-        if varsigma.param == 2.0:
-            second_ref = 8.0 * geometric_fsecond(2.0 * x) - geometric_fsecond(x)
-        else:
-            second_ref = None
+    convergent = x + rate < 0
+    classification = "convergent" if convergent else "divergent"
+    second_ref = None
+    if convergent and rules.geometric:
+        w = math.exp(x + rate)
+        second_ref = -w / (1.0 + w)
+    elif convergent and varsigma == varsigma_power(2.0):
+        second_ref = 8.0 * geometric_fsecond(2.0 * x) - geometric_fsecond(x)
     first_ref = geometric_fprime(x)
     return AlternatingSeriesReport(
         first_partial=first,

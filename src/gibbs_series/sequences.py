@@ -1,9 +1,10 @@
 """Exponent sequences for countable sums of exponentials.
 
 A sequence ``sigma_1 <= sigma_2 <= ...`` defines the series
-``f(y) = sum_n exp(sigma_n * y)``.  Every family carries the analytic
-metadata (positivity, growth, a uniform lower bound on increments) that
-the series module needs to certify truncation tails.
+``f(y) = sum_n exp(sigma_n * y)``.  Each family is described once, by the
+``rules`` its ``Family`` member carries: its parameter, exponents,
+increments, rounding, domain, and the tail certificate and walk the
+series module uses for it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,14 +46,250 @@ class SequenceIndexError(ValueError):
     """Raised when an index below the sequence start is requested."""
 
 
-class Family(str, Enum):
-    LINEAR = "linear"            # sigma_n = n
-    POWER = "power"              # sigma_n = n**theta, theta > 0
-    LOGFAM = "logfam"            # sigma_n = ln(n (ln n)**theta), n >= 3
-    LOGLOG = "loglog"            # sigma_n = ln(ln n), n >= 3 (empty domain)
-    QUADRATIC = "quadratic"      # sigma_n = n**2
-    BOX = "box"                  # kappa*(k^2+l^2+m^2), flattened by sorted level
-    CUSTOM = "custom"
+class BoundaryClass(str, Enum):
+    EMPTY_DOMAIN = "EmptyDomain"
+    OPEN_BOUNDARY = "OpenBoundary"
+    CLOSED_INFINITE_SLOPE = "ClosedInfiniteSlope"
+    CLOSED_FINITE_SLOPE = "ClosedFiniteSlope"
+
+
+class _Described(str, Enum):
+    """An enum whose members each carry their family's description."""
+
+    def __new__(cls, value: str, rules):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.rules = rules
+        return member
+
+
+def _parse(spec: str, kind: str, grammar: dict, make: Callable):
+    """``make(family, parameter)`` from ``<name>`` or ``<name>:<parameter>``,
+    the name looked up in ``grammar``; a family whose rules have no
+    ``param`` takes none, and an omitted one means the rules' ``default``.
+    """
+    name, _, arg = spec.strip().partition(":")
+    family = grammar.get(name.lower())
+    if family is None:
+        raise ValueError(f"unknown {kind} spec {spec!r}")
+    rules = family.rules
+    try:
+        if rules.param is None:
+            if arg:
+                raise ValueError(f"{family.value} takes no parameter, got {arg!r}")
+            return make(family)
+        return make(family, float(arg) if arg or rules.default is None else rules.default)
+    except ValueError as exc:
+        raise ValueError(f"bad {kind} spec {spec!r}: {exc}") from exc
+
+
+def _checked(needs: str, value: float, low: float, closed: bool = False) -> float:
+    """``value`` as a float, if it is finite and above ``low`` (or equal to
+    it, where ``closed``); a ValueError saying what ``needs`` it otherwise."""
+    value = float(value)
+    if not (value >= low if closed else value > low) or value == math.inf:
+        raise ValueError(f"{needs} {'>=' if closed else '>'} {low:g}, got {value}")
+    return value
+
+
+def _spec(family: _Described, value: Optional[float]) -> str:
+    """``<name>`` or ``<name>:<value>``, the value in the shorter of ``:g``
+    and ``repr`` that reads back as it."""
+    if value is None:
+        return family.value
+    short = f"{value:g}"
+    return f"{family.value}:{short if float(short) == value else repr(value)}"
+
+
+# ---------------------------------------------------------------------------
+# Exponent families
+# ---------------------------------------------------------------------------
+
+class _Rules(NamedTuple):
+    """Everything the library knows of one exponent family.
+
+    The callables take the sequence, which holds the parameter.  ``tail``
+    and ``walk`` name the tail certificate after an index and the interior
+    walk of the series module (its ``_TAILS`` and ``_WALKS``).  A
+    materialized weight prefix runs from ``ground`` to a cut that doubles
+    from the first of ``cuts`` up to the last (see ``prefix``).
+    """
+
+    sigma: Callable[[SigmaSequence, int], float]  # one exponent, from math
+    # the exponents of an index array ns, built in place on x, its own float copy
+    values: Callable[[SigmaSequence, np.ndarray, np.ndarray], np.ndarray]
+    param: Optional[str] = None  # the SigmaSequence field holding the parameter
+    low: float = 0.0  # the parameter is finite and above low,
+    closed: bool = False  # or equal to it where closed;
+    default: Optional[float] = None  # a spec string without it means default
+    start: int = 1
+    # a lower bound on the increments from index N on
+    gap: Callable[[SigmaSequence, int], float] = lambda seq, N: 0.0
+    # (e_rel, e_abs) of SigmaSequence.sigma_error
+    rounding: Callable[[SigmaSequence], tuple[float, float]] = lambda seq: (0.0, 0.0)
+    # alpha of the domain (-inf, -alpha), and the class of its edge
+    domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
+    tail: str = "geometric"
+    walk: str = "blocks"
+    ground: Callable = lambda seq: seq.start_index
+    cuts: Callable = lambda seq: (seq.start_index + 31, seq.start_index + _PREFIX_CAP - 1)
+    prefix: Callable = lambda seq, cut: _index_prefix(seq, cut)
+    grammar: bool = True  # whether parse_sequence knows the family
+
+
+_PREFIX_CAP = 65536  # largest materialized weight prefix, in indices
+
+
+def _index_prefix(seq: SigmaSequence, cut: int) -> tuple[list, np.ndarray]:
+    """The indices up to ``cut`` and their exponents."""
+    ns = np.arange(seq.start_index, cut + 1, dtype=np.int64)
+    return ns.tolist(), sigma_values(seq, ns)
+
+
+def _power_sigma(seq: SigmaSequence, n: int) -> float:
+    try:
+        return float(n) ** seq.theta
+    except OverflowError:
+        raise ValueError(
+            f"exponent of index {n} overflows float64 for {seq.spec_string()}"
+        ) from None
+
+
+def _power_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if x.size:
+        _power_sigma(seq, int(ns.max()))  # raises where numpy would overflow
+    x **= seq.theta
+    return x
+
+
+def _power_gap(seq: SigmaSequence, N: int) -> float:
+    if seq.theta < 1.0:
+        return 0.0
+    # increments are nondecreasing, so the first one is the minimum;
+    # less the rounding of both powers, so it stays a lower bound
+    hi = _power_sigma(seq, N + 1)
+    return hi - _power_sigma(seq, N) - 2.0 ** -51 * hi
+
+
+def _logfam_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    lx = np.log(x, out=x)
+    theta_llx = np.log(lx)
+    theta_llx *= seq.theta
+    lx += theta_llx
+    return lx
+
+
+def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
+    # the edge -1 is open up to theta = 1; beyond, the boundary slope is
+    # infinite up to theta = 2 and finite past it
+    if seq.theta <= 1.0:
+        return 1.0, BoundaryClass.OPEN_BOUNDARY
+    if seq.theta <= 2.0:
+        return 1.0, BoundaryClass.CLOSED_INFINITE_SLOPE
+    return 1.0, BoundaryClass.CLOSED_FINITE_SLOPE
+
+
+def _box_sigma(seq: SigmaSequence, n: int) -> float:
+    _BOX.ensure_count(n)
+    return seq.kappa * _BOX.levels[n - 1]
+
+
+def _box_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    _BOX.ensure_count(int(ns.max()) if ns.size else 0)
+    x = _BOX.levels_array()[ns - 1].astype(np.float64)
+    x *= seq.kappa
+    return x
+
+
+def _box_prefix(seq: SigmaSequence, s_max: int) -> tuple[list, np.ndarray]:
+    """The triples with level up to ``s_max`` and their exponents."""
+    triples, levels = box_levels(s_max)
+    return triples, seq.kappa * levels.astype(np.float64)
+
+
+class Family(_Described):
+    """The exponent families, each member carrying its ``_Rules``.
+
+    Rounding (see ``SigmaSequence.sigma_error``): integer exponents are
+    exact, n^2 staying below 2^53 up to n = 9.4e7, past any default term
+    budget.  Power and box values take one rounded pow or product.  For
+    the log family, with logs off by at most 2 ulps (numpy's measure
+    within 0.51 of mpmath), ln n carries 4 ln n u and ln ln n carries
+    4 (1 + ln ln n) u; bounding ln n and theta ln ln n by sigma_n
+    (theta >= 0) or ln n by 2 sigma_n (-1 <= theta < 0) gives its pair.
+    Custom exponents are the generator's floats, exact by definition.
+    """
+
+    # sigma_n = n
+    LINEAR = "linear", _Rules(
+        sigma=lambda seq, n: float(n),
+        values=lambda seq, ns, x: x,
+        gap=lambda seq, N: 1.0,
+    )
+    # sigma_n = n**theta, theta > 0; increments grow from theta = 1 on,
+    # below which tails take an integral bound
+    POWER = "power", _Rules(
+        sigma=_power_sigma,
+        values=_power_values,
+        param="theta",
+        gap=_power_gap,
+        rounding=lambda seq: (2.0, 0.0),
+        tail="power",
+    )
+    # sigma_n = ln(n (ln n)**theta), n >= 3, theta >= -1 (below, sigma
+    # would be negative or decreasing near n = 3); increments shrink to 0
+    LOGFAM = "logfam", _Rules(
+        sigma=lambda seq, n: math.log(n) + seq.theta * math.log(math.log(n)),
+        values=_logfam_values,
+        param="theta",
+        low=-1.0,
+        closed=True,
+        start=3,
+        rounding=lambda seq: (19.0, 4.0 * max(abs(seq.theta), 1.0)),
+        domain=_logfam_domain,
+        tail="logfam",
+        walk="sandwich",
+    )
+    # sigma_n = ln(ln n), n >= 3: terms (ln n)^y decay slower than 1/n for
+    # every y, so the domain is empty
+    LOGLOG = "loglog", _Rules(
+        sigma=lambda seq, n: math.log(math.log(n)),
+        values=lambda seq, ns, x: np.log(np.log(x, out=x), out=x),
+        start=3,
+        rounding=lambda seq: (8.0, 8.0),
+        domain=lambda seq: (math.nan, BoundaryClass.EMPTY_DOMAIN),
+    )
+    # sigma_n = n**2, increments 2n + 1
+    QUADRATIC = "quadratic", _Rules(
+        sigma=lambda seq, n: float(n) ** 2,
+        values=lambda seq, ns, x: np.multiply(x, x, out=x),
+        gap=lambda seq, N: 2.0 * N + 1.0,
+    )
+    # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level
+    # (``_BoxTable``); repeated levels leave no increment gap.  Sums
+    # factor as g(y)^3 (``series._eval_box``), and tails and materialized
+    # prefixes are cut between levels: there a cut is a level, not an index
+    BOX = "box", _Rules(
+        sigma=_box_sigma,
+        values=_box_values,
+        param="kappa",
+        default=1.0,
+        rounding=lambda seq: (1.0, 0.0),
+        tail="box",
+        walk="box",
+        ground=lambda seq: (1, 1, 1),
+        cuts=lambda seq: (8, 4096),
+        prefix=_box_prefix,
+    )
+    # a generator's exponents, with a declared domain edge (open; closure
+    # is not certified) and increment gap; built by ``custom`` only
+    CUSTOM = "custom", _Rules(
+        sigma=lambda seq, n: float(seq.generator(n)),
+        values=lambda seq, ns, x: np.array([float(seq.generator(int(n))) for n in ns]),
+        gap=lambda seq, N: seq.declared_gap,
+        domain=lambda seq: (seq.declared_alpha, BoundaryClass.OPEN_BOUNDARY),
+        grammar=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -110,57 +347,48 @@ class SigmaSequence:
         sigma_n computed by ``sigma`` or ``sigma_values`` is within
         (e_rel sigma_n + e_abs) u of the exact one, u = 2^-53, hence within
         e_pow u relative, e_pow = e_rel + e_abs / sigma_start (wherever
-        e_abs > 0 the exponents are positive and nondecreasing).
-
-        Integer exponents are exact: n^2 stays below 2^53 up to n = 9.4e7,
-        past any default term budget.  Power and box values take one
-        rounded pow or product.  For the log family, with logs off by at
-        most 2 ulps (numpy's measure within 0.51 of mpmath), ln n carries
-        4 ln n u and ln ln n carries 4 (1 + ln ln n) u; bounding ln n and
-        theta ln ln n by sigma_n (theta >= 0) or ln n by 2 sigma_n
-        (-1 <= theta < 0) gives the pair below.  Custom exponents are the
-        generator's floats, exact by definition (see ``signed``).
+        e_abs > 0 the exponents are positive and nondecreasing).  The
+        family's rules give (e_rel, e_abs); see ``Family``.
         """
-        fam = self.family
-        if fam is Family.LOGFAM:
-            e_rel, e_abs = 19.0, 4.0 * max(abs(self.theta), 1.0)
-        elif fam is Family.LOGLOG:
-            e_rel, e_abs = 8.0, 8.0
-        elif fam is Family.POWER:
-            return 2.0, 0.0, 2.0
-        elif fam is Family.BOX:
-            return 1.0, 0.0, 1.0
-        else:
-            return 0.0, 0.0, 0.0
-        return e_rel, e_abs, e_rel + e_abs / sigma(self, self.start_index)
+        e_rel, e_abs = self.family.rules.rounding(self)
+        return e_rel, e_abs, (e_rel + e_abs / sigma(self, self.start_index) if e_abs else e_rel)
 
     @cached_property
     def signed(self) -> bool:
         """Whether some exponent is negative.  Only a custom sequence's can
         be; every other family starts positive."""
-        return self.family is Family.CUSTOM and float(self.generator(self.start_index)) < 0.0
+        return sigma(self, self.start_index) < 0.0
 
     def spec_string(self) -> str:
         """Round-trippable form used by the CLI mini-grammar."""
-        if self.family is Family.POWER:
-            return f"power:{self.theta:g}"
-        if self.family is Family.LOGFAM:
-            return f"logfam:{self.theta:g}"
-        if self.family is Family.BOX:
-            return f"box:{self.kappa:g}"
-        if self.family is Family.CUSTOM:
+        rules = self.family.rules
+        if not rules.grammar:
             return self.label or "custom"
-        return self.family.value
+        return _spec(self.family, getattr(self, rules.param) if rules.param else None)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.spec_string()
 
 
+def _sequence(family: Family, value: Optional[float] = None) -> SigmaSequence:
+    """A sequence of a family of the grammar, its parameter checked."""
+    rules = family.rules
+    if rules.param is None:
+        return _SINGLE[family.value]
+    needs = f"{family.value} family needs finite {rules.param}"
+    value = _checked(needs, value, rules.low, rules.closed)
+    return SigmaSequence(family, start_index=rules.start, **{rules.param: value})
+
+
+_GRAMMAR = {family.value: family for family in Family if family.rules.grammar}
 # the parameterless families are single instances, so keys holding them
 # compare by identity
-_LINEAR = SigmaSequence(Family.LINEAR)
-_LOGLOG = SigmaSequence(Family.LOGLOG, start_index=3)
-_QUADRATIC = SigmaSequence(Family.QUADRATIC)
+_SINGLE = {
+    name: SigmaSequence(family, start_index=family.rules.start)
+    for name, family in _GRAMMAR.items()
+    if family.rules.param is None
+}
+_LINEAR, _LOGLOG, _QUADRATIC = _SINGLE["linear"], _SINGLE["loglog"], _SINGLE["quadratic"]
 
 
 def linear() -> SigmaSequence:
@@ -168,17 +396,11 @@ def linear() -> SigmaSequence:
 
 
 def power(theta: float) -> SigmaSequence:
-    if not theta > 0:
-        raise ValueError(f"power family needs theta > 0, got {theta}")
-    return SigmaSequence(Family.POWER, theta=float(theta))
+    return _sequence(Family.POWER, theta)
 
 
 def logfam(theta: float) -> SigmaSequence:
-    # theta < -1 would make sigma_n negative or decreasing near n = 3;
-    # the supported range keeps every invariant valid from the start index.
-    if theta < -1.0:
-        raise ValueError(f"logfam family supports theta >= -1, got {theta}")
-    return SigmaSequence(Family.LOGFAM, theta=float(theta), start_index=3)
+    return _sequence(Family.LOGFAM, theta)
 
 
 def loglog() -> SigmaSequence:
@@ -190,9 +412,7 @@ def quadratic() -> SigmaSequence:
 
 
 def box(kappa: float = 1.0) -> SigmaSequence:
-    if not kappa > 0:
-        raise ValueError(f"box family needs kappa > 0, got {kappa}")
-    return SigmaSequence(Family.BOX, kappa=float(kappa))
+    return _sequence(Family.BOX, kappa)
 
 
 def custom(
@@ -220,26 +440,9 @@ def parse_sequence(spec: str) -> SigmaSequence:
     """Parse the CLI mini-grammar.
 
     Accepted forms: ``linear``, ``power:<theta>``, ``logfam:<theta>``,
-    ``loglog``, ``quadratic``, ``box:<kappa>``.
+    ``loglog``, ``quadratic``, ``box:<kappa>`` (``box`` alone: kappa = 1).
     """
-    name, _, arg = spec.strip().partition(":")
-    name = name.lower()
-    try:
-        if name == "linear":
-            return linear()
-        if name == "quadratic":
-            return quadratic()
-        if name == "loglog":
-            return loglog()
-        if name == "power":
-            return power(float(arg))
-        if name == "logfam":
-            return logfam(float(arg))
-        if name == "box":
-            return box(float(arg) if arg else 1.0)
-    except ValueError as exc:
-        raise ValueError(f"bad sequence spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown sequence spec {spec!r}")
+    return _parse(spec, "sequence", _GRAMMAR, _sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +561,7 @@ def sigma(seq: SigmaSequence, n: int) -> float:
         raise SequenceIndexError(
             f"index {n} below start index {seq.start_index} for {seq.spec_string()}"
         )
-    if seq.family is Family.LINEAR:
-        return float(n)
-    if seq.family is Family.POWER:
-        return float(n) ** seq.theta
-    if seq.family is Family.QUADRATIC:
-        return float(n) ** 2
-    if seq.family is Family.LOGFAM:
-        return math.log(n) + seq.theta * math.log(math.log(n))
-    if seq.family is Family.LOGLOG:
-        return math.log(math.log(n))
-    if seq.family is Family.BOX:
-        _BOX.ensure_count(n)
-        return seq.kappa * _BOX.levels[n - 1]
-    return float(seq.generator(n))
+    return seq.family.rules.sigma(seq, n)
 
 
 def sigma_values(seq: SigmaSequence, ns: np.ndarray) -> np.ndarray:
@@ -385,30 +575,7 @@ def sigma_values(seq: SigmaSequence, ns: np.ndarray) -> np.ndarray:
         raise SequenceIndexError(
             f"index {int(ns.min())} below start index {seq.start_index}"
         )
-    x = ns.astype(np.float64)
-    if seq.family is Family.LINEAR:
-        return x
-    if seq.family is Family.POWER:
-        x **= seq.theta
-        return x
-    if seq.family is Family.QUADRATIC:
-        x *= x
-        return x
-    if seq.family is Family.LOGFAM:
-        lx = np.log(x, out=x)
-        theta_llx = np.log(lx)
-        theta_llx *= seq.theta
-        lx += theta_llx
-        return lx
-    if seq.family is Family.LOGLOG:
-        np.log(x, out=x)
-        return np.log(x, out=x)
-    if seq.family is Family.BOX:
-        _BOX.ensure_count(int(ns.max()) if ns.size else 0)
-        x = _BOX.levels_array()[ns - 1].astype(np.float64)
-        x *= seq.kappa
-        return x
-    return np.array([float(seq.generator(int(n))) for n in ns])
+    return seq.family.rules.values(seq, ns, ns.astype(np.float64))
 
 
 def increment_gap(seq: SigmaSequence, N: int) -> float:
@@ -424,31 +591,64 @@ def increment_gap(seq: SigmaSequence, N: int) -> float:
         raise SequenceIndexError(
             f"index {N} below start index {seq.start_index}"
         )
-    if seq.family is Family.LINEAR:
-        return 1.0
-    if seq.family is Family.QUADRATIC:
-        return 2.0 * N + 1.0
-    if seq.family is Family.POWER:
-        if seq.theta >= 1.0:
-            # increments are nondecreasing, so the first one is the minimum;
-            # less the rounding of both powers, so it stays a lower bound
-            hi = (N + 1.0) ** seq.theta
-            return hi - float(N) ** seq.theta - 2.0 ** -51 * hi
-        return 0.0
-    if seq.family is Family.CUSTOM:
-        return seq.declared_gap
-    # LOGFAM, LOGLOG, BOX
-    return 0.0
+    return seq.family.rules.gap(seq, N)
 
 
 # ---------------------------------------------------------------------------
 # Alternating-constraint coefficient sequences
 # ---------------------------------------------------------------------------
 
-class VarsigmaFamily(str, Enum):
-    POWER_K = "power"        # varsigma_n = n**k, k > 1
-    EXP_ALPHA = "exp"        # varsigma_n = exp(alpha*n), alpha > 0
-    EXP_SQUARE = "expsq"     # varsigma_n = exp(n**2)
+class _Coefficients(NamedTuple):
+    """One coefficient family, its functions taking the parameter first.
+
+    ``rate`` is lim ln(varsigma_n)/n, and a ``geometric`` family has
+    varsigma_n = exp(rate n) exactly.  ``step(k, N)``, where set, bounds
+    varsigma_{n+1}/varsigma_n for every n > N.  ``param`` names the
+    parameter, which must be finite and above ``low``.
+    """
+
+    value: Callable[[Optional[float], int], float]
+    values: Callable[[Optional[float], np.ndarray], np.ndarray]
+    log_value: Callable[[Optional[float], int], float]
+    log_values: Callable[[Optional[float], np.ndarray], np.ndarray]
+    rate: Callable[[Optional[float]], float]
+    param: Optional[str] = None
+    low: float = 0.0
+    default = None  # no coefficient family has a default parameter
+    geometric: bool = False
+    step: Optional[Callable[[float, int], float]] = None
+
+
+class VarsigmaFamily(_Described):
+    # varsigma_n = n**k, k > 1
+    POWER_K = "power", _Coefficients(
+        value=lambda k, n: float(n) ** k,
+        values=lambda k, x: x ** k,
+        log_value=lambda k, n: k * math.log(n),
+        log_values=lambda k, x: k * np.log(x),
+        rate=lambda k: 0.0,
+        param="k",
+        low=1.0,
+        step=lambda k, N: ((N + 2.0) / (N + 1.0)) ** k,
+    )
+    # varsigma_n = exp(alpha*n), alpha > 0
+    EXP_ALPHA = "exp", _Coefficients(
+        value=lambda alpha, n: math.exp(alpha * n),
+        values=lambda alpha, x: np.exp(alpha * x),
+        log_value=lambda alpha, n: alpha * n,
+        log_values=lambda alpha, x: alpha * x,
+        rate=lambda alpha: alpha,
+        param="alpha",
+        geometric=True,
+    )
+    # varsigma_n = exp(n**2)
+    EXP_SQUARE = "expsq", _Coefficients(
+        value=lambda _, n: math.exp(float(n) ** 2),
+        values=lambda _, x: np.exp(x * x),
+        log_value=lambda _, n: float(n) ** 2,
+        log_values=lambda _, x: x * x,
+        rate=lambda _: math.inf,
+    )
 
 
 @dataclass(frozen=True)
@@ -462,63 +662,42 @@ class VarsigmaSequence:
     param: Optional[float] = None
 
     def value(self, n: int) -> float:
-        if self.family is VarsigmaFamily.POWER_K:
-            return float(n) ** self.param
-        if self.family is VarsigmaFamily.EXP_ALPHA:
-            return math.exp(self.param * n)
-        return math.exp(float(n) ** 2)
+        return self.family.rules.value(self.param, n)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        x = np.asarray(ns, dtype=np.float64)
-        if self.family is VarsigmaFamily.POWER_K:
-            return x ** self.param
-        if self.family is VarsigmaFamily.EXP_ALPHA:
-            return np.exp(self.param * x)
-        return np.exp(x * x)
+        return self.family.rules.values(self.param, np.asarray(ns, dtype=np.float64))
 
     def log_value(self, n: int) -> float:
         """log(varsigma_n); avoids overflow for the exponential families."""
-        if self.family is VarsigmaFamily.POWER_K:
-            return self.param * math.log(n)
-        if self.family is VarsigmaFamily.EXP_ALPHA:
-            return self.param * n
-        return float(n) ** 2
+        return self.family.rules.log_value(self.param, n)
+
+    def log_values(self, ns: np.ndarray) -> np.ndarray:
+        return self.family.rules.log_values(self.param, np.asarray(ns, dtype=np.float64))
 
     def spec_string(self) -> str:
-        if self.family is VarsigmaFamily.POWER_K:
-            return f"power:{self.param:g}"
-        if self.family is VarsigmaFamily.EXP_ALPHA:
-            return f"exp:{self.param:g}"
-        return "expsq"
+        return _spec(self.family, self.param)
+
+
+def _varsigma(family: VarsigmaFamily, value: Optional[float] = None) -> VarsigmaSequence:
+    rules = family.rules
+    if rules.param is None:
+        return VarsigmaSequence(family)
+    needs = f"{family.value} coefficients need finite {rules.param}"
+    return VarsigmaSequence(family, _checked(needs, value, rules.low))
 
 
 def varsigma_power(k: float) -> VarsigmaSequence:
-    if not k > 1:
-        raise ValueError(f"power coefficients need k > 1, got {k}")
-    return VarsigmaSequence(VarsigmaFamily.POWER_K, float(k))
+    return _varsigma(VarsigmaFamily.POWER_K, k)
 
 
 def varsigma_exp(alpha: float) -> VarsigmaSequence:
-    if not alpha > 0:
-        raise ValueError(f"exp coefficients need alpha > 0, got {alpha}")
-    return VarsigmaSequence(VarsigmaFamily.EXP_ALPHA, float(alpha))
+    return _varsigma(VarsigmaFamily.EXP_ALPHA, alpha)
 
 
 def varsigma_expsq() -> VarsigmaSequence:
-    return VarsigmaSequence(VarsigmaFamily.EXP_SQUARE)
+    return _varsigma(VarsigmaFamily.EXP_SQUARE)
 
 
 def parse_varsigma(spec: str) -> VarsigmaSequence:
     """Parse ``power:<k>``, ``exp:<alpha>``, or ``expsq``."""
-    name, _, arg = spec.strip().partition(":")
-    name = name.lower()
-    try:
-        if name == "power":
-            return varsigma_power(float(arg))
-        if name == "exp":
-            return varsigma_exp(float(arg))
-        if name == "expsq":
-            return varsigma_expsq()
-    except ValueError as exc:
-        raise ValueError(f"bad varsigma spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown varsigma spec {spec!r}")
+    return _parse(spec, "varsigma", {family.value: family for family in VarsigmaFamily}, _varsigma)

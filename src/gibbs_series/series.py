@@ -46,14 +46,13 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .sequences import (
-    Family,
+    BoundaryClass,
     SigmaSequence,
     increment_gap,
     quadratic,
@@ -86,13 +85,6 @@ def max_terms_budget(max_terms: Optional[int] = None) -> int:
         return int(max_terms)
     env = os.environ.get(_ENV_BUDGET)
     return int(env) if env else DEFAULT_MAX_TERMS
-
-
-class BoundaryClass(str, Enum):
-    EMPTY_DOMAIN = "EmptyDomain"
-    OPEN_BOUNDARY = "OpenBoundary"
-    CLOSED_INFINITE_SLOPE = "ClosedInfiniteSlope"
-    CLOSED_FINITE_SLOPE = "ClosedFiniteSlope"
 
 
 @dataclass(frozen=True)
@@ -176,44 +168,23 @@ def domain_info(
 ) -> DomainInfo:
     """Classify the domain of f for a sequence.
 
-    ``tol`` only affects the certified accuracy of the finite boundary
-    values (log family with fast-decaying boundary terms), which are
-    summed within ``max_terms`` (default: the global term budget).
+    The edge and its class are the family's (``rules.domain``).  ``tol``
+    only affects the certified accuracy of the finite boundary values
+    (log family with fast-decaying boundary terms), which are summed
+    within ``max_terms`` (default: the global term budget).
     """
-    fam = seq.family
-    if fam in (Family.LINEAR, Family.POWER, Family.QUADRATIC, Family.BOX):
-        return DomainInfo(0.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
-    if fam is Family.LOGLOG:
-        # terms (ln n)^y decay slower than 1/n for every y, so no y works
-        return DomainInfo(math.nan, BoundaryClass.EMPTY_DOMAIN, math.nan, math.nan)
-    if fam is Family.CUSTOM:
-        # declared metadata only; closure at the edge is not certified
-        return DomainInfo(
-            seq.declared_alpha, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf
-        )
-    # LOGFAM: domain edge at -1; membership of the edge depends on theta.
-    theta = seq.theta
-    if theta <= 1.0:
-        return DomainInfo(1.0, BoundaryClass.OPEN_BOUNDARY, math.inf, math.inf)
+    alpha, edge = seq.family.rules.domain(seq)
+    if edge is BoundaryClass.EMPTY_DOMAIN:
+        return DomainInfo(alpha, edge, math.nan, math.nan)
+    if edge is BoundaryClass.OPEN_BOUNDARY:
+        return DomainInfo(alpha, edge, math.inf, math.inf)
     budget = max_terms_budget(max_terms)
-    fb = _sum_blocks(seq, -1.0, 0, tol, budget, 4096, _sandwich_tail, edge=True)
-    if theta <= 2.0:
-        return DomainInfo(
-            1.0,
-            BoundaryClass.CLOSED_INFINITE_SLOPE,
-            math.inf,
-            fb.midpoint,
-            0.0,
-            0.5 * fb.tail_bound,
-        )
-    gm = _sum_blocks(seq, -1.0, 1, tol, budget, 4096, _sandwich_tail, edge=True)
+    fb = _edge_sum(seq, alpha, 0, tol, budget)
+    if edge is BoundaryClass.CLOSED_INFINITE_SLOPE:
+        return DomainInfo(alpha, edge, math.inf, fb.midpoint, 0.0, 0.5 * fb.tail_bound)
+    gm = _edge_sum(seq, alpha, 1, tol, budget)
     return DomainInfo(
-        1.0,
-        BoundaryClass.CLOSED_FINITE_SLOPE,
-        gm.midpoint,
-        fb.midpoint,
-        0.5 * gm.tail_bound,
-        0.5 * fb.tail_bound,
+        alpha, edge, gm.midpoint, fb.midpoint, 0.5 * gm.tail_bound, 0.5 * fb.tail_bound
     )
 
 
@@ -221,7 +192,6 @@ def domain_info(
 # Tail certificates
 # ---------------------------------------------------------------------------
 
-_LOGFAM = Family.LOGFAM  # a module global reads faster than an Enum member (per block)
 _U = 2.0 ** -53  # unit roundoff of float64
 _SUBNORMAL = 2.0 ** -1074  # the smallest subnormal float64
 _TINY = sys.float_info.min  # smallest normal float64
@@ -426,14 +396,15 @@ def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
                 + 12.0
             )
             return _exp_up(p * log_s1 + sy - log_gap, err)
-        return None
-    if seq.family is Family.POWER:
-        return _power_tail(seq.theta, y, p, N)
     return None
 
 
-def _power_tail(theta: float, y: float, p: int, N: int) -> Optional[float]:
-    """Tail of sum_{n>N} n^(theta p) exp(y n^theta) for theta in (0,1)."""
+def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
+    """Tail of sum_{n>N} n^(theta p) exp(y n^theta): geometric where the
+    increments grow (theta >= 1), else an integral bound."""
+    theta = seq.theta
+    if theta >= 1.0:
+        return _geom_tail(seq, y, p, N)
     b = -y
     if float(N) ** theta * b <= p:
         return None
@@ -511,18 +482,28 @@ def _box_level_tail(kappa: float, y: float, p: int, S: int) -> Optional[float]:
     return _exp_up(log_k + log_s - b * (S + 1.0) - log_gap, err)
 
 
+def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> Optional[float]:
+    return _box_level_tail(seq.kappa, y, p, S)
+
+
+def _logfam_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
+    if y == -1.0 or p <= 1:
+        bounds = _logfam_sandwich(seq, y, p, N)
+        return None if bounds is None else bounds[1]
+    return _logfam_interior_tail(seq, y, p, N)
+
+
+# each family's tail certificate, by the name its rules give (``rules.tail``)
+_TAILS = {"geometric": _geom_tail, "power": _power_tail, "logfam": _logfam_tail, "box": _box_tail}
+
+
 def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
     """Certified bound on sum_{n>N} sigma_n^p exp(sigma_n y), if available.
 
-    For the box family ``N`` must cover complete levels; use the level
-    form via materialization helpers instead.
+    The box spectrum is cut between levels, so for the box family ``N``
+    is a level s: the bound covers every triple with k^2+l^2+m^2 > s.
     """
-    if seq.family is _LOGFAM:
-        if y == -1.0 or p <= 1:
-            bounds = _logfam_sandwich(seq, y, p, N)
-            return None if bounds is None else bounds[1]
-        return _logfam_interior_tail(seq, y, p, N)
-    return _geom_tail(seq, y, p, N)
+    return _TAILS[seq.family.rules.tail](seq, y, p, N)
 
 
 def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
@@ -892,6 +873,26 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
     )
 
 
+def _edge_sum(seq: SigmaSequence, alpha: float, p: int, tol: float, budget: int) -> SeriesEval:
+    """f^(p)(-alpha) at a closed edge: only the log family has one, and
+    its integral sandwich certifies it."""
+    return _sum_blocks(seq, -alpha, p, tol, budget, 4096, _sandwich_tail, edge=True)
+
+
+def _blocks_walk(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
+    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
+
+
+def _sandwich_walk(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
+    """The log family's walk: the integral sandwich up to p = 1, the
+    envelope bound above."""
+    return _sum_blocks(seq, y, p, tol, budget, 256, _sandwich_tail if p <= 1 else _interior_tail)
+
+
+# each family's interior walk, by the name its rules give (``rules.walk``)
+_WALKS = {"blocks": _blocks_walk, "sandwich": _sandwich_walk, "box": _eval_box}
+
+
 def eval_series(
     seq: SigmaSequence,
     y: float,
@@ -938,12 +939,8 @@ def eval_series(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", di, y
             )
-        return _sum_blocks(seq, -1.0, p, tol, budget, 4096, _sandwich_tail, edge=True)
-    if seq.family is Family.BOX:
-        return _eval_box(seq, y, p, tol, budget)
-    if seq.family is _LOGFAM and p <= 1:
-        return _sum_blocks(seq, y, p, tol, budget, 256, _sandwich_tail)
-    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
+        return _edge_sum(seq, alpha, p, tol, budget)
+    return _WALKS[seq.family.rules.walk](seq, y, p, tol, budget)
 
 
 # ---------------------------------------------------------------------------

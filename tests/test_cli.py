@@ -256,6 +256,46 @@ class TestUsageErrors:
         assert captured.out == "" and "must be a number" in captured.err
 
 
+class TestMalformedSequenceSpecs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "linear:5", "--y", "-1"],
+            ["eval", "quadratic:9", "--y", "-1"],
+            ["domain", "loglog:7"],
+            ["eval", "logfam:nan", "--y", "-1"],
+            ["eval", "logfam:inf", "--y", "-2"],
+            ["eval", "box:inf", "--y", "-1"],
+            ["eval", "power:inf", "--y", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_before_any_summing(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: bad sequence spec {argv[1]!r}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "power:300", "--y", "-1"], ["conjugate", "power:500", "--u", "3"]],
+        ids=" ".join,
+    )
+    def test_exponent_overflow_names_the_index(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: exponent of index ")
+        assert f"overflows float64 for {argv[1]}" in captured.err
+
+    def test_sequence_echo_round_trips(self, capsys):
+        code, out = run_cli(capsys, "eval", "power:1.23456789", "--y", "-1")
+        assert code == EXIT_OK
+        assert parse(out)["sequence"] == "power:1.23456789"
+
+
 class TestOtherFormatsAndErrors:
     def test_pretty_format(self, capsys):
         code, out = run_cli(capsys, "--format", "pretty", "domain", "linear")

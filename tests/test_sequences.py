@@ -10,10 +10,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gibbs_series
 from gibbs_series import sequences
 from gibbs_series import (
+    Family,
     SequenceIndexError,
     box,
     custom,
@@ -282,6 +285,23 @@ class TestParsing:
         for spec in ("linear", "power:2", "logfam:3", "loglog", "quadratic", "box:0.5"):
             assert parse_sequence(spec).spec_string() == spec
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([(power, 0.0), (logfam, -1.0), (box, 0.0)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_round_trip_sampled(self, family, value):
+        make, low = family
+        value = low + abs(value) if make is logfam else abs(value)
+        if value <= 0.0 and make is not logfam:
+            value = 5e-324
+        seq = make(value)
+        spec = seq.spec_string()
+        assert parse_sequence(spec) == seq
+        short = f"{value:g}"
+        if float(short) == value:  # the :g form is exact: same bytes as ever
+            assert spec.partition(":")[2] == short
+
     def test_box_default_kappa(self):
         assert parse_sequence("box").kappa == 1.0
 
@@ -289,6 +309,75 @@ class TestParsing:
         for bad in ("cubic", "power", "power:-1", "logfam:-2", "box:0"):
             with pytest.raises(ValueError):
                 parse_sequence(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["linear:5", "quadratic:9", "loglog:7", "logfam:nan", "logfam:inf",
+         "box:inf", "power:inf", "power:nan", "box:nan", "logfam:-inf"],
+    )
+    def test_malformed_specs(self, bad):
+        with pytest.raises(ValueError, match="bad sequence spec"):
+            parse_sequence(bad)
+
+    @pytest.mark.parametrize(
+        "make,value",
+        [(logfam, math.nan), (logfam, math.inf), (power, math.inf), (power, math.nan),
+         (box, math.inf), (box, math.nan)],
+    )
+    def test_constructors_reject_non_finite(self, make, value):
+        with pytest.raises(ValueError, match="needs finite"):
+            make(value)
+
+    def test_power_overflow_names_the_index(self):
+        seq = power(300.0)
+        assert sigma(seq, 10) == 10.0 ** 300
+        with pytest.raises(ValueError, match="index 11 overflows"):
+            sigma(seq, 11)
+        with pytest.raises(ValueError, match="index 299 overflows"):
+            sigma_values(seq, np.arange(1, 300))
+        with pytest.raises(ValueError, match="overflows"):
+            increment_gap(seq, 20)
+
+
+def exact_sigma(mp, seq, n):
+    """sigma_n in mpmath's working precision, from the sequence's own floats."""
+    if seq.family is Family.POWER:
+        return mp.mpf(n) ** mp.mpf(seq.theta)
+    if seq.family is Family.LOGFAM:
+        return mp.log(n) + mp.mpf(seq.theta) * mp.log(mp.log(n))
+    if seq.family is Family.LOGLOG:
+        return mp.log(mp.log(n))
+    if seq.family is Family.BOX:
+        return mp.mpf(seq.kappa) * sequences._BOX.levels[n - 1]
+    if seq.family is Family.QUADRATIC:
+        return mp.mpf(n) ** 2
+    assert seq.family is Family.LINEAR
+    return mp.mpf(n)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [linear(), power(0.7), power(1.6), power(3.0), quadratic(), logfam(3.0), logfam(1.5),
+     logfam(0.0), logfam(-0.5), logfam(-1.0), loglog(), box(0.8), box(1.0)],
+    ids=str,
+)
+def test_sigma_error_bounds_scalar_and_vector_exponents(seq):
+    # each computed exponent lies within (e_rel sigma + e_abs) u of a 40-digit
+    # one, u = 2^-53; numpy's vector pow and log can differ from math's in the
+    # last ulp, so both paths are checked
+    mp = pytest.importorskip("mpmath")
+    top = 5e4 if seq.family is Family.BOX else 1e7
+    rng = np.random.default_rng(20260810)
+    draws = np.exp(rng.uniform(math.log(seq.start_index), math.log(top), 1000))
+    ns = np.unique(np.maximum(draws.astype(np.int64), seq.start_index))
+    e_rel, e_abs, _ = seq.sigma_error
+    vector = sigma_values(seq, ns).tolist()
+    with mp.workdps(40):
+        for n, v in zip(ns.tolist(), vector):
+            exact = exact_sigma(mp, seq, n)
+            bound = (e_rel * abs(float(exact)) + e_abs) * 2.0 ** -53
+            assert abs(mp.mpf(sigma(seq, n)) - exact) <= bound, n
+            assert abs(mp.mpf(v) - exact) <= bound, n
 
 
 class TestVarsigma:
@@ -310,3 +399,7 @@ class TestVarsigma:
             parse_varsigma("exp:0")
         with pytest.raises(ValueError):
             parse_varsigma("weird")
+
+    def test_round_trip(self):
+        for spec in ("power:2", "power:1.5", "exp:0.1", "expsq", "exp:0.123456789"):
+            assert parse_varsigma(spec).spec_string() == spec
