@@ -11,6 +11,14 @@ is finite exactly on u >= 0.  Regimes:
 * u > gamma (finite gamma): f* is affine with slope -alpha,
   f*(u) = -alpha u - f(-alpha), the sup being attained at the edge.
 
+The conjugate of ln f is read at the ratio rho = v/u of a mass u > 0 and
+an energy v (u = 1 for ``log_f_conjugate``).  It is +inf exactly when
+v < s_min u (s_min the smallest exponent); 0, not attained, up to
+1e-13 max(1, s_min) above s_min (the rounding of v/u); attained at the
+edge within the certified error of the edge ratio gamma/f(-alpha) and
+affine beyond it; else attained where f'/f = rho.  The entropy minima
+f*(u) and u(ln u - 1) + u (ln f)*(v/u) take their regimes from here.
+
 All infinite values are genuine IEEE infinities paired with an explicit
 regime tag; no finite sentinels are used.
 """
@@ -68,8 +76,8 @@ class Regime(str, Enum):
 class ConjugateValue:
     """f*(u) with its regime tag and, when the sup is attained, the argmax.
 
-    ``residual`` is the achieved |f'(attaining_y) - u| for interior
-    solutions (nonzero when the optimizer was capped at an open edge).
+    ``residual`` is the achieved residual of the root equation for
+    interior solutions (nonzero when the optimizer was capped at an open edge).
     """
 
     value: float
@@ -321,29 +329,41 @@ def log_f_conjugate(
     tol: float = 1e-9,
     max_terms: Optional[int] = None,
 ) -> float:
-    """Conjugate of ln f: sup_y [v y - ln f(y)].
+    """Conjugate of ln f, sup_y [v y - ln f(y)]: the module's ratio rule at u = 1."""
+    return _log_conjugate(seq, v, tol, max_terms).value
 
-    +inf below the smallest exponent, 0 at it (lower-semicontinuous
-    limit for a simple minimal level), v*y - ln f(y) at the interior
-    solution of f'/f = v above it.  When the ratio range is bounded
-    (finite-slope closed edge), values beyond the range lie on the
-    affine piece attained at the edge.
-    """
+
+def _log_conjugate(
+    seq: SigmaSequence,
+    v: float,
+    tol: float,
+    max_terms: Optional[int],
+    u: float = 1.0,
+) -> ConjugateValue:
+    """(ln f)*(v/u) for u > 0, tagged by the ratio rule of the module
+    docstring; ZERO has no attaining y, the edge regimes attain at -alpha."""
     _require_numbers(v=v)
     di = domain_info(seq)
     if di.empty:
         raise DomainError("conjugate undefined for an empty domain", di)
     s_min = sigma(seq, seq.start_index)
-    if v < s_min:
-        return math.inf
-    if v <= s_min + 1e-13 * max(1.0, s_min):
-        return 0.0
-    if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE:
-        ratio_sup = di.gamma / di.f_at_boundary
-        if v >= ratio_sup:
-            return -di.alpha * v - math.log(di.f_at_boundary)
-    y, _ = solve_phi(seq, v, tol=tol, max_terms=max_terms)
-    return v * y - log_f(seq, y, tol=0.25 * tol * max(1.0, v), max_terms=max_terms)
+    if v < s_min * u:
+        return ConjugateValue(math.inf, Regime.INFINITE)
+    rho = v / u
+    if rho <= s_min + 1e-13 * max(1.0, s_min):  # absorbs the rounding of v/u
+        return ConjugateValue(0.0, Regime.ZERO)
+    if math.isfinite(di.gamma):
+        f_edge = di.f_at_boundary
+        ratio_sup = di.gamma / f_edge
+        ratio_err = di.gamma_err / f_edge + di.gamma * di.f_boundary_err / f_edge ** 2
+        edge_value = -di.alpha * rho - math.log(f_edge)
+        if rho > ratio_sup + ratio_err:
+            return ConjugateValue(edge_value, Regime.PLATEAU, attaining_y=-di.alpha)
+        if rho >= ratio_sup - ratio_err:
+            return ConjugateValue(edge_value, Regime.BOUNDARY_GAMMA, attaining_y=-di.alpha)
+    y, residual = solve_phi(seq, rho, tol=tol, max_terms=max_terms)
+    lf = log_f(seq, y, tol=0.25 * tol * max(1.0, rho), max_terms=max_terms)
+    return ConjugateValue(rho * y - lf, Regime.INTERIOR, attaining_y=y, residual=residual)
 
 
 def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> float:

@@ -7,6 +7,11 @@ laws w_n = exp(x + sigma_n y); when the infimum is not attained (the
 affine plateau of the conjugate, or sign-alternating constraints away
 from the attainment point) finite-support eps-optimal witnesses are
 constructed explicitly.
+
+The minima are the conjugates f*(u) (one moment) and u(ln u - 1) +
+u (ln f)*(v/u) (two), and the fits map the regimes ``conjugate`` decides
+to a FitStatus: infeasible exactly when v < s_min u, the ground level in
+a rounding band above s_min, the edge law within its certified band.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugate import _brent, _require_numbers, conjugate, solve_fprime, solve_phi
+from .conjugate import Regime, _brent, _log_conjugate, _require_numbers, conjugate
 from .sequences import (
     SigmaSequence,
     VarsigmaSequence,
@@ -28,11 +33,9 @@ from .sequences import (
     varsigma_power,
 )
 from .series import (
-    BoundaryClass,
     DomainError,
     domain_info,
     eval_series,
-    log_f,
     max_terms_budget,
     tail_bound_after,
     _up,
@@ -96,18 +99,22 @@ class GibbsFit:
     reason: str = ""
 
 
-def _materialize(
+def _attained(
     seq: SigmaSequence,
-    x: float,
+    x: Optional[float],
     y: float,
+    mass: float,
+    energy: float,
     tail_target: float,
-) -> tuple[tuple, np.ndarray, float, float]:
-    """Weight prefix exp(x + sigma_n y) with certified tail mass/energy.
+) -> GibbsFit:
+    """The attained law w_n = exp(x + sigma_n y) with the given moments and
+    entropy (x - 1) mass + y energy (x = None: the one-moment law, x = 0).
 
     The prefix is cut where its family's rules cut it (at an index, or
     between box levels), the cut doubling from the first of ``rules.cuts``
-    until both tails are below ``tail_target`` or it reaches the last.
+    until both certified tails are below ``tail_target`` or it reaches the last.
     """
+    x0 = 0.0 if x is None else x
     rules = seq.family.rules
     cut, last = rules.cuts(seq)
     mass_t = energy_t = math.inf
@@ -115,16 +122,26 @@ def _materialize(
         m = tail_bound_after(seq, y, 0, cut)
         e = tail_bound_after(seq, y, 1, cut)
         if m is not None and e is not None:
-            mass_t, energy_t = _scaled_up(x, m), _scaled_up(x, e)
+            mass_t, energy_t = _scaled_up(x0, m), _scaled_up(x0, e)
             if max(mass_t, energy_t) <= tail_target:
                 break
         if cut >= last:
             break
         cut = min(2 * cut, last)
     indices, s = rules.prefix(seq, cut)
-    w = math.exp(x) * np.exp(s * y)
+    w = math.exp(x0) * np.exp(s * y)
     keep = max(int(np.searchsorted(w == 0.0, True)), 1)  # drop underflowed tail
-    return tuple(indices[:keep]), w[:keep], mass_t, energy_t
+    return GibbsFit(
+        status=FitStatus.INTERIOR_UNIQUE,
+        dual_x=x,
+        dual_y=y,
+        indices=tuple(indices[:keep]),
+        weights=w[:keep],
+        tail_mass=mass_t,
+        tail_energy=energy_t,
+        achieved=(mass, energy),
+        entropy_value=(x0 - 1.0) * mass + y * energy,
+    )
 
 
 def _scaled_up(x: float, tail: float) -> float:
@@ -154,54 +171,33 @@ def min_entropy_moment(
     di = domain_info(seq)
     if di.empty:
         raise DomainError("entropy problem undefined for an empty domain", di)
-    if u < 0:
+    cv = conjugate(seq, u, tol=tol, max_terms=max_terms)
+    if cv.regime is Regime.NEGATIVE_U:
         return GibbsFit(
             status=FitStatus.INFEASIBLE,
             reason=f"target moment {u!r} is negative; weights are nonnegative",
         )
-    if u == 0:
+    if cv.regime is Regime.ZERO:
         return GibbsFit(
             status=FitStatus.INTERIOR_UNIQUE,
             achieved=(0.0, 0.0),
             entropy_value=0.0,
             reason="zero moment forces the all-zero law",
         )
-    if math.isfinite(di.gamma):
-        if u > di.gamma + di.gamma_err:
-            value = -di.alpha * u - di.f_at_boundary
-            return GibbsFit(
-                status=FitStatus.PLATEAU_NON_ATTAINED,
-                entropy_value=value,
-                achieved=(None, u),
-                reason="moment exceeds the boundary slope; infimum not attained",
-            )
-        if u >= di.gamma - di.gamma_err:
-            y = -di.alpha
-            idx, w, t0, t1 = _materialize(seq, 0.0, y, tol * max(1.0, u))
-            return GibbsFit(
-                status=FitStatus.INTERIOR_UNIQUE,
-                dual_y=y,
-                indices=idx,
-                weights=w,
-                tail_mass=t0,
-                tail_energy=t1,
-                achieved=(di.f_at_boundary, di.gamma),
-                entropy_value=-di.alpha * di.gamma - di.f_at_boundary,
-            )
-    y, _ = solve_fprime(seq, u, tol=tol, max_terms=max_terms)
-    f_mid = eval_series(seq, y, 0, tol=0.25 * tol * max(1.0, u), max_terms=max_terms).midpoint
-    g_mid = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, u), max_terms=max_terms).midpoint
-    idx, w, t0, t1 = _materialize(seq, 0.0, y, tol * max(1.0, u))
-    return GibbsFit(
-        status=FitStatus.INTERIOR_UNIQUE,
-        dual_y=y,
-        indices=idx,
-        weights=w,
-        tail_mass=t0,
-        tail_energy=t1,
-        achieved=(f_mid, g_mid),
-        entropy_value=y * g_mid - f_mid,
-    )
+    if cv.regime is Regime.PLATEAU:
+        return GibbsFit(
+            status=FitStatus.PLATEAU_NON_ATTAINED,
+            entropy_value=cv.value,
+            achieved=(None, u),
+            reason="moment exceeds the boundary slope; infimum not attained",
+        )
+    y = cv.attaining_y
+    if cv.regime is Regime.BOUNDARY_GAMMA:  # the edge law's moments are the domain's
+        f_mid, g_mid = di.f_at_boundary, di.gamma
+    else:
+        f_mid = eval_series(seq, y, 0, tol=0.25 * tol * max(1.0, u), max_terms=max_terms).midpoint
+        g_mid = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, u), max_terms=max_terms).midpoint
+    return _attained(seq, None, y, f_mid, g_mid, tol * max(1.0, u))
 
 
 def fit_gibbs(
@@ -245,10 +241,10 @@ def fit_gibbs(
                 "representable (the conjugate still evaluates to 0 there)"
             ),
         )
+    cv = _log_conjugate(seq, v, tol, max_terms, u=u)
     s_min = sigma(seq, seq.start_index)
     rho = v / u
-    sing_tol = 1e-12 * max(1.0, s_min)
-    if rho < s_min - sing_tol:
+    if cv.regime is Regime.INFINITE:
         return GibbsFit(
             status=FitStatus.INFEASIBLE,
             reason=(
@@ -256,7 +252,7 @@ def fit_gibbs(
                 f"feasible ratios lie in [{s_min:g}, sup f'/f)"
             ),
         )
-    if rho <= s_min + sing_tol:
+    if cv.regime is Regime.ZERO:
         # unique minimal level carries everything; not a Gibbs law
         return GibbsFit(
             status=FitStatus.BOUNDARY_SINGLETON,
@@ -266,52 +262,17 @@ def fit_gibbs(
             entropy_value=u * (math.log(u) - 1.0),
             reason="ratio at the minimal exponent: all mass on the ground level",
         )
-    if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE:
-        ratio_sup = di.gamma / di.f_at_boundary
-        ratio_err = (
-            di.gamma_err / di.f_at_boundary
-            + di.gamma * di.f_boundary_err / di.f_at_boundary ** 2
+    if cv.regime is Regime.PLATEAU:
+        return GibbsFit(
+            status=FitStatus.PLATEAU_NON_ATTAINED,
+            entropy_value=u * (math.log(u) - 1.0) + u * cv.value,
+            achieved=(u, v),
+            reason="ratio beyond the attainable range; infimum not attained",
         )
-        if rho > ratio_sup + ratio_err:
-            value = u * (math.log(u) - 1.0) - di.alpha * v - u * math.log(di.f_at_boundary)
-            return GibbsFit(
-                status=FitStatus.PLATEAU_NON_ATTAINED,
-                entropy_value=value,
-                achieved=(u, v),
-                reason="ratio beyond the attainable range; infimum not attained",
-            )
-        if rho >= ratio_sup - ratio_err:
-            y = -di.alpha
-            x = math.log(u) - math.log(di.f_at_boundary)
-            idx, w, t0, t1 = _materialize(seq, x, y, tol * max(1.0, u))
-            return GibbsFit(
-                status=FitStatus.INTERIOR_UNIQUE,
-                dual_x=x,
-                dual_y=y,
-                indices=idx,
-                weights=w,
-                tail_mass=t0,
-                tail_energy=t1,
-                achieved=(u, u * ratio_sup),
-                entropy_value=u * (x - 1.0) + y * u * ratio_sup,
-            )
-    y, _ = solve_phi(seq, rho, tol=tol, max_terms=max_terms)
-    lf = log_f(seq, y, tol=min(0.25 * tol, 1e-13), max_terms=max_terms)
-    x = math.log(u) - lf
+    y = cv.attaining_y
+    x = math.log(u) - (rho * y - cv.value)  # Fenchel-Young: ln f(y) = rho y - (ln f)*(rho)
     g_mid = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, v), max_terms=max_terms).midpoint
-    v_ach = math.exp(x) * g_mid
-    idx, w, t0, t1 = _materialize(seq, x, y, tol * max(1.0, u))
-    return GibbsFit(
-        status=FitStatus.INTERIOR_UNIQUE,
-        dual_x=x,
-        dual_y=y,
-        indices=idx,
-        weights=w,
-        tail_mass=t0,
-        tail_energy=t1,
-        achieved=(u, v_ach),
-        entropy_value=u * (x - 1.0) + y * v_ach,
-    )
+    return _attained(seq, x, y, u, math.exp(x) * g_mid, tol * max(1.0, u))
 
 
 # ---------------------------------------------------------------------------

@@ -39,28 +39,19 @@ __all__ = ["BoxModel", "BoxReport", "example1_table", "example2_table", "box_rep
 def _divergence_certificate(seq: SigmaSequence, kind: str, n_probe: int) -> dict:
     """Exact lower bound, growing without bound in n_probe, for a
     divergent boundary series (integral comparison, closed form)."""
-    theta = seq.theta
-    if kind == "mass":  # sum 1/(n (ln n)^theta) from n = 3
+    if kind == "loglog":  # terms (ln n)^y decay slower than any 1/n power
+        y = -5.0
+        lower = (n_probe - 2.0) * math.log(n_probe) ** y
+        growth = f"N (ln N)^{y:g} (probe y = {y:g})"
+    else:  # sum_{n>=3} 1/(n (ln n)^t) is the mass (t = theta), below the slope (t = theta - 1)
+        t = seq.theta if kind == "mass" else seq.theta - 1.0
         W0, W1 = math.log(3.0), math.log(n_probe + 1.0)
-        if theta == 1.0:
-            lower = math.log(W1) - math.log(W0)
-            growth = "ln ln N"
-        else:
-            lower = (W1 ** (1.0 - theta) - W0 ** (1.0 - theta)) / (1.0 - theta)
-            growth = f"(ln N)^{1.0 - theta:g}"
-    elif kind == "slope":  # sum sigma_n e^{-sigma_n} >= sum 1/(n (ln n)^(theta-1))
-        W0, W1 = math.log(3.0), math.log(n_probe + 1.0)
-        t = theta - 1.0
         if t == 1.0:
             lower = math.log(W1) - math.log(W0)
             growth = "ln ln N"
         else:
             lower = (W1 ** (1.0 - t) - W0 ** (1.0 - t)) / (1.0 - t)
             growth = f"(ln N)^{1.0 - t:g}"
-    else:  # "loglog": terms (ln n)^y decay slower than any 1/n power
-        y = -5.0
-        lower = (n_probe - 2.0) * math.log(n_probe) ** y
-        growth = f"N (ln N)^{y:g} (probe y = {y:g})"
     return {
         "type": "divergence_lower_bound",
         "at_terms": n_probe,

@@ -7,6 +7,7 @@ import pytest
 
 from gibbs_series import (
     DomainError,
+    FitStatus,
     NumericError,
     Regime,
     box_conjugate,
@@ -14,6 +15,7 @@ from gibbs_series import (
     domain_info,
     eval_series,
     exp_conjugate,
+    fit_gibbs,
     linear,
     log_f,
     log_f_conjugate,
@@ -158,6 +160,22 @@ class TestLogFConjugate:
         ys = np.linspace(-5.0, -1e-3, 4001)
         sup = max(2.0 * y - log_f(linear(), float(y), tol=1e-12) for y in ys)
         assert val == pytest.approx(sup, abs=1e-4)
+
+    def test_edge_band_is_the_fits(self):
+        # within the certified error below the edge ratio gamma/f(-1) the
+        # sup is the edge's, for the conjugate as for the fit; a small
+        # budget makes a walk toward the edge fail fast instead
+        seq = logfam(3.0)
+        di = domain_info(seq)
+        f_edge = di.f_at_boundary
+        ratio_sup = di.gamma / f_edge
+        ratio_err = di.gamma_err / f_edge + di.gamma * di.f_boundary_err / f_edge ** 2
+        rho = ratio_sup - 0.5 * ratio_err
+        value = log_f_conjugate(seq, rho, max_terms=100_000)
+        assert value == -rho - math.log(f_edge)
+        fit = fit_gibbs(seq, 1.0, rho, max_terms=100_000)
+        assert fit.status is FitStatus.INTERIOR_UNIQUE and fit.dual_y == -1.0
+        assert fit.entropy_value == pytest.approx(-1.0 + value, abs=1e-9)
 
 
 class TestBoxConjugate:

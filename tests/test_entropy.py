@@ -8,6 +8,7 @@ import pytest
 from gibbs_series import (
     FitStatus,
     InfeasibleError,
+    Regime,
     WitnessBudgetError,
     alternating_attainment,
     alternating_witness,
@@ -18,16 +19,20 @@ from gibbs_series import (
     fit_gibbs,
     gibbs_ratio,
     linear,
+    log_f_conjugate,
     logfam,
     max_terms_budget,
     min_entropy_moment,
+    parse_sequence,
     parse_varsigma,
     plateau_witness,
     power,
     primal_truncated,
     quadratic,
+    sigma,
     sigma_values,
 )
+from gibbs_series.conjugate import _log_conjugate
 
 
 def entropy_of(weights):
@@ -176,6 +181,15 @@ class TestTwoMoments:
         ss = sigma_values(seq, np.asarray(fit.indices[:20]))
         assert ws == pytest.approx(np.exp(fit.dual_x - ss), rel=1e-13)
 
+    def test_fit_meets_its_own_tolerance(self):
+        # ln f(y) is asked to the fit's tolerance, which the float64
+        # accumulation floor of this sum allows, not to a fixed 1e-13
+        seq = logfam(3.0)
+        fit = fit_gibbs(seq, 1.5, 3.0)
+        assert fit.status is FitStatus.INTERIOR_UNIQUE
+        expect = 1.5 * (math.log(1.5) - 1.0) + 1.5 * log_f_conjugate(seq, 2.0)
+        assert fit.entropy_value == pytest.approx(expect, abs=1e-9 * 1.5)
+
     def test_uniqueness_perturbation(self):
         # moving mass along the two-constraint null space raises entropy
         fit = fit_gibbs(linear(), 1.0, 2.0, tol=1e-12)
@@ -184,6 +198,114 @@ class TestTwoMoments:
         base = entropy_of(w)
         for eps in (1e-3, -1e-3):
             assert entropy_of(w + eps * direction) > base
+
+
+def _edge_ratio(seq):
+    """The edge ratio gamma/f(-alpha) and its certified error."""
+    di = domain_info(seq)
+    f_edge = di.f_at_boundary
+    err = di.gamma_err / f_edge + di.gamma * di.f_boundary_err / f_edge ** 2
+    return di.gamma / f_edge, err
+
+
+def _at_s_min(seq):
+    return 2.0 * sigma(seq, seq.start_index)  # v at u = 2, where v/u is exact
+
+
+def _value(seq, x):
+    return x(seq) if callable(x) else x
+
+
+# (family, u, v or v of the sequence, regime of (ln f)*(v/u)): below s_min,
+# at s_min, interior, and logfam:3's edge band and plateau
+RATIO_GRID = [
+    ("linear", 2.0, 1.0, Regime.INFINITE),
+    ("linear", 2.0, _at_s_min, Regime.ZERO),
+    ("linear", 1.5, 4.0, Regime.INTERIOR),
+    ("power:0.7", 1.0, 0.5, Regime.INFINITE),
+    ("power:0.7", 2.0, _at_s_min, Regime.ZERO),
+    ("power:0.7", 1.2, 3.0, Regime.INTERIOR),
+    ("quadratic", 1.0, 0.9, Regime.INFINITE),
+    ("quadratic", 2.0, _at_s_min, Regime.ZERO),
+    ("quadratic", 1.3, 3.1, Regime.INTERIOR),
+    ("box:0.8", 1.0, 2.3, Regime.INFINITE),
+    ("box:0.8", 2.0, _at_s_min, Regime.ZERO),
+    ("box:0.8", 1.0, 4.0, Regime.INTERIOR),
+    ("logfam:3", 1.0, 1.3, Regime.INFINITE),
+    ("logfam:3", 2.0, _at_s_min, Regime.ZERO),
+    ("logfam:3", 1.5, 3.0, Regime.INTERIOR),
+    ("logfam:3", 1.0, lambda q: _edge_ratio(q)[0] - 0.5 * _edge_ratio(q)[1], Regime.BOUNDARY_GAMMA),
+    ("logfam:3", 1.0, lambda q: _edge_ratio(q)[0] + 0.5, Regime.PLATEAU),
+]
+
+# (family, u or u of the sequence, regime of f*(u)); logfam:3's interior
+# point stays away from the edge, where the slope walks exhaust the budget
+MOMENT_GRID = [
+    ("linear", -1.0, Regime.NEGATIVE_U),
+    ("linear", 0.0, Regime.ZERO),
+    ("linear", 2.0, Regime.INTERIOR),
+    ("power:0.7", 1.4, Regime.INTERIOR),
+    ("quadratic", 1.5, Regime.INTERIOR),
+    ("box:0.8", 0.8, Regime.INTERIOR),
+    ("logfam:3", -1.0, Regime.NEGATIVE_U),
+    ("logfam:3", 0.0, Regime.ZERO),
+    ("logfam:3", 0.3, Regime.INTERIOR),
+    ("logfam:3", lambda q: domain_info(q).gamma, Regime.BOUNDARY_GAMMA),
+    ("logfam:3", lambda q: domain_info(q).gamma + 0.5, Regime.PLATEAU),
+]
+
+RATIO_STATUS = {
+    Regime.INFINITE: FitStatus.INFEASIBLE,
+    Regime.ZERO: FitStatus.BOUNDARY_SINGLETON,
+    Regime.INTERIOR: FitStatus.INTERIOR_UNIQUE,
+    Regime.BOUNDARY_GAMMA: FitStatus.INTERIOR_UNIQUE,
+    Regime.PLATEAU: FitStatus.PLATEAU_NON_ATTAINED,
+}
+MOMENT_STATUS = {
+    Regime.NEGATIVE_U: FitStatus.INFEASIBLE,
+    Regime.ZERO: FitStatus.INTERIOR_UNIQUE,
+    Regime.INTERIOR: FitStatus.INTERIOR_UNIQUE,
+    Regime.BOUNDARY_GAMMA: FitStatus.INTERIOR_UNIQUE,
+    Regime.PLATEAU: FitStatus.PLATEAU_NON_ATTAINED,
+}
+
+
+class TestConjugateAgreement:
+    """The fits read their regimes off the conjugates: min entropy = f*(u)
+    for one moment and u(ln u - 1) + u (ln f)*(v/u) for two."""
+
+    TOL = 1e-9
+
+    @pytest.mark.parametrize(
+        "spec, u, v, regime", RATIO_GRID,
+        ids=[f"{g[0]}-{g[3].value}" for g in RATIO_GRID],
+    )
+    def test_two_moment_fit(self, spec, u, v, regime):
+        seq = parse_sequence(spec)
+        v = _value(seq, v)
+        assert _log_conjugate(seq, v, self.TOL, None, u=u).regime is regime
+        fit = fit_gibbs(seq, u, v, tol=self.TOL)
+        assert fit.status is RATIO_STATUS[regime]
+        value = log_f_conjugate(seq, v / u, tol=self.TOL)
+        if regime is Regime.INFINITE:
+            assert value == math.inf
+        else:
+            expect = u * (math.log(u) - 1.0) + u * value
+            assert fit.entropy_value == pytest.approx(expect, abs=self.TOL * max(1.0, u))
+
+    @pytest.mark.parametrize(
+        "spec, u, regime", MOMENT_GRID,
+        ids=[f"{g[0]}-{g[2].value}" for g in MOMENT_GRID],
+    )
+    def test_one_moment_fit(self, spec, u, regime):
+        seq = parse_sequence(spec)
+        u = _value(seq, u)
+        cv = conjugate(seq, u, tol=self.TOL)
+        assert cv.regime is regime
+        fit = min_entropy_moment(seq, u, tol=self.TOL)
+        assert fit.status is MOMENT_STATUS[regime]
+        if regime is not Regime.NEGATIVE_U:
+            assert fit.entropy_value == pytest.approx(cv.value, abs=self.TOL * max(1.0, u))
 
 
 class TestPlateauWitness:

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from gibbs_series import (
+    FitStatus,
+    box,
+    box_conjugate,
     box_report,
     domain_info,
     eval_series,
     example1_table,
     example2_table,
+    fit_gibbs,
     logfam,
     quadratic,
 )
@@ -134,6 +138,16 @@ class TestBoxReport:
         rep = box_report(1.0, 2.0)
         assert rep.classification == "infeasible"
         assert rep.h_star == math.inf
+
+    def test_cone_edge_agrees_with_fit_and_conjugate(self):
+        # 0.09 lies below the rounded cone edge 3 * 0.1 * 0.3 = 0.09000000000000001
+        rep = box_report(0.3, 0.09, kappa=0.1)
+        assert rep.classification == "infeasible" and rep.h_star == math.inf
+        assert fit_gibbs(box(0.1), 0.3, 0.09).status is FitStatus.INFEASIBLE
+        assert box_conjugate(0.3, 0.09, kappa=0.1) == math.inf
+        v = 3 * 0.1 * 0.3
+        assert box_report(0.3, v, kappa=0.1).classification == "ground_state"
+        assert fit_gibbs(box(0.1), 0.3, v).status is FitStatus.BOUNDARY_SINGLETON
 
     def test_gradient_round_trip(self):
         model = BoxModel()

@@ -17,6 +17,7 @@ from gibbs_series import (
     linear,
     log_f_conjugate,
     logfam,
+    min_entropy_moment,
     quadratic,
     series,
 )
@@ -24,9 +25,11 @@ from gibbs_series import (
 # (call, most _block_sum calls, most terms summed, most exponents computed)
 REFERENCE_CALLS = {
     "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 11, 2_816, 256),
+    # the fit reads the conjugate's root; its moments reuse the cached sums
+    "min_entropy_moment(linear, 2)": (lambda: min_entropy_moment(linear(), 2.0), 11, 2_816, 256),
     "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 18, 4_608, 256),
     "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 18, 4_608, 256),
-    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 24, 6_144, 256),
+    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 22, 5_632, 256),
     # one 4,096-term edge block classifies the domain, then three interior
     # blocks meet the integral sandwich
     "eval_series(logfam:1.7229, -1.0886)": (
