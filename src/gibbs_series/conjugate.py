@@ -6,7 +6,7 @@ is finite exactly on u >= 0.  Regimes:
 * u < 0: +inf;
 * u = 0: 0 (the infimum of f is 0, approached as y -> -inf, not attained);
 * 0 < u < gamma: the sup is attained at the unique interior y with
-  f'(y) = u, found by bracketed monotone root finding;
+  f'(y) = u, found by a safeguarded secant on ln f'(y) - ln u (``_find_root``);
 * u = gamma < inf: attained at the domain edge -alpha;
 * u > gamma (finite gamma): f* is affine with slope -alpha,
   f*(u) = -alpha u - f(-alpha), the sup being attained at the edge.
@@ -55,8 +55,10 @@ __all__ = [
     "BOUNDARY_CAP",
 ]
 
-# closest approach to an open domain edge when bracketing toward it
+# closest approach to an open domain edge when searching toward it
 BOUNDARY_CAP = 1e-12
+# probes before _find_root gives up; an interior solve takes about seven
+_MAX_PROBES = 200
 
 
 class NumericError(RuntimeError):
@@ -104,120 +106,81 @@ def exp_conjugate(u: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bracketed monotone inversion
+# Monotone inversion in log space
 # ---------------------------------------------------------------------------
 
-def _expand_bracket(
+def _find_root(
     fn: Callable[[float], float],
     target: float,
-    alpha: float,
-    open_edge: bool,
-) -> tuple[float, float, Optional[float]]:
-    """Bracket the root of fn(y) = target on (-inf, -alpha).
+    band: float,
+    edge: float,
+    cap: Optional[float] = None,
+) -> tuple[float, float, bool]:
+    """Solve fn(y) = target > 0 for fn increasing on (-inf, edge).
 
-    ``fn`` must be increasing with limit below target at -inf.  Returns
-    (a, b) with fn(a) <= target <= fn(b), or (a, b, capped_value) when an
-    open edge stops the rightward search at -alpha - BOUNDARY_CAP.
+    Returns (y, fn(y), capped).  Starts at edge - 1 and takes secant steps
+    on the log excess ln fn(y) - ln target.  For f' that is a log-sum-exp
+    of affine functions of y, convex and nearly linear, so few steps reach
+    the root.  The nearest probes below and above target form a bracket;
+    a step that leaves it, or that follows a secant step inside it which
+    did not halve the log excess, is replaced by bisection.  Before a
+    bracket forms a step may at most halve the distance to the edge
+    (toward it) or double it (away from it).  Stops at the first probe
+    within ``band`` of target, or at the better end of a bracket that float
+    resolution cannot split; there is no stop on the step length.  With
+    ``cap`` (an open edge) the search gets no closer to the edge than
+    ``cap`` and returns capped=True there if fn is still below target.
+    Raises NumericError on a NaN probe, when fn does not cross target, or
+    after _MAX_PROBES probes.
     """
-    dist = 1.0
-    a = -alpha - dist
-    for _ in range(80):
-        if fn(a) <= target:
-            break
-        dist *= 2.0
-        a = -alpha - dist
-    else:
-        raise NumericError(
-            f"left bracket expansion failed: fn({a!r}) still above {target!r}"
-        )
-    h = dist / 2.0
-    b = -alpha - h
-    for _ in range(200):
-        fb = fn(b)
-        if fb >= target:
-            return a, b, None
-        if open_edge and h <= BOUNDARY_CAP:
-            return a, b, fb
-        h = max(h / 2.0, BOUNDARY_CAP if open_edge else h / 2.0)
-        b = -alpha - h
-    raise NumericError(
-        f"right bracket expansion failed near the edge -{alpha:g} "
-        f"(target {target!r}, last fn={fb!r})"
-    )
-
-
-def _brent(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    xtol: float,
-    rtol: float,
-    maxiter: int,
-) -> float:
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973),
-    ch. 4.  Steps, acceptance tests and operation order follow the
-    ``brentq`` C routine the tests compare against, so both return the
-    same root after the same calls of f.  Stops once half the bracket is
-    below (xtol + rtol |x|) / 2.  Raises NumericError when f(a), f(b) do
-    not bracket a root, f returns NaN, or maxiter steps do not converge.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.isnan(fpre) or math.isnan(fcur) or (fpre < 0.0) == (fcur < 0.0):
-        raise NumericError(f"f({a!r})={fpre!r} and f({b!r})={fcur!r} do not bracket a root")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+    if not target > 0.0:
+        raise NumericError(f"the log-space solve needs a positive target, got {target!r}")
+    log_target = math.log(target)
+    lo: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) below target
+    hi: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) above target
+    prev = None  # (y, log excess) of the previous probe
+    interpolated = False  # whether the current probe is a secant step inside the bracket
+    y = edge - 1.0
+    for _ in range(_MAX_PROBES):
+        fy = fn(y)
+        if math.isnan(fy):
+            raise NumericError(f"probe fn({y!r}) is NaN while solving for {target!r}")
+        if abs(fy - target) <= band:
+            return y, fy, False
+        if fy < target:
+            lo = (y, fy)
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise NumericError(f"f({xcur!r}) is NaN in the bracket ({a!r}, {b!r})")
-    raise NumericError(f"Brent iteration did not converge in {maxiter} steps on ({a!r}, {b!r})")
-
-
-def _excess(fn: Callable[[float], float], target: float) -> Callable[[float], float]:
-    """fn(y) - target for Brent's method, read as 0 within four ulps of
-    target.  A bracket midpoint, or a quotient of two, carries a few ulps
-    of rounding, so that close the sign of the excess is noise: the probe
-    is taken as the root rather than chased with further probes.  The
-    caller still certifies the root's residual."""
-    noise = 4.0 * math.ulp(target)
-
-    def excess(y: float) -> float:
-        d = fn(y) - target
-        return 0.0 if abs(d) <= noise else d
-
-    return excess
+            hi = (y, fy)
+        excess = math.log(fy) - log_target if fy > 0.0 else -math.inf
+        step = None
+        if prev is not None and math.isfinite(excess + prev[1]) and excess != prev[1]:
+            step = y - excess * (y - prev[0]) / (excess - prev[1])
+        slow = interpolated and abs(excess) > 0.5 * abs(prev[1])
+        prev = (y, excess)
+        interpolated = False
+        if lo is not None and hi is not None:
+            if step is None or not lo[0] < step < hi[0] or slow:
+                step = 0.5 * (lo[0] + hi[0])
+            else:
+                interpolated = True
+            if not lo[0] < step < hi[0]:
+                return min(lo, hi, key=lambda p: abs(p[1] - target)) + (False,)
+        elif hi is None:
+            nearest = edge - max(0.5 * (edge - lo[0]), cap or 0.0)
+            step = nearest if step is None or step <= lo[0] else min(step, nearest)
+            if step <= lo[0]:
+                if cap is not None:
+                    return lo + (True,)
+                raise NumericError(
+                    f"fn stays below {target!r} up to the edge {edge!r} (last fn={fy!r})"
+                )
+        else:
+            farthest = edge - 2.0 * (edge - hi[0])
+            step = farthest if step is None or step >= hi[0] else max(step, farthest)
+        y = step
+    raise NumericError(
+        f"no root of fn(y) = {target!r} within {_MAX_PROBES} probes (last y={y!r})"
+    )
 
 
 def solve_fprime(
@@ -228,11 +191,12 @@ def solve_fprime(
 ) -> tuple[float, float]:
     """Solve f'(y) = u on the domain interior; returns (y, residual).
 
-    f' is strictly increasing from 0 to gamma, so geometric bracket
-    expansion followed by Brent iteration is sound.  Probes closer to a
-    slow boundary than the budget allows degrade to their best bracket
-    midpoint; the returned root is re-certified strictly, so the final
-    residual satisfies |f'(y) - u| <= tol*max(1, u) or an error is
+    f' is strictly increasing from 0 to gamma, so ``_find_root`` inverts
+    it, stopping at the first probe whose midpoint lies within
+    0.5*tol*max(1, u) of u.  Probes closer
+    to a slow boundary than the budget allows degrade to their best
+    bracket midpoint; the returned root is re-certified strictly, so the
+    final residual satisfies |f'(y) - u| <= tol*max(1, u) or an error is
     raised.
     """
     di = domain_info(seq)
@@ -242,17 +206,16 @@ def solve_fprime(
     def fp(y: float) -> float:
         return _best_bracket(seq, y, 1, eta, max_terms).midpoint
 
-    open_edge = di.boundary_class is BoundaryClass.OPEN_BOUNDARY
-    a, b, capped = _expand_bracket(fp, u, di.alpha, open_edge)
-    if capped is not None:
-        return b, abs(capped - u)
-    y = _brent(_excess(fp, u), a, b, 1e-15, 8.9e-16, 300)
+    cap = BOUNDARY_CAP if di.boundary_class is BoundaryClass.OPEN_BOUNDARY else None
+    y, fy, capped = _find_root(fp, u, 2.0 * eta, -di.alpha, cap)
+    if capped:
+        return y, abs(fy - u)
     final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
     residual = abs(final.midpoint - u) + 0.5 * final.tail_bound
     if residual > tol * max(1.0, u):
         raise NumericError(
             f"root residual {residual:g} exceeds {tol * max(1.0, u):g} "
-            f"for f'(y)={u!r} on {seq.spec_string()} (y={y!r}, bracket=({a!r},{b!r}))"
+            f"for f'(y)={u!r} on {seq.spec_string()} (y={y!r})"
         )
     return y, residual
 
@@ -263,7 +226,14 @@ def solve_phi(
     tol: float = 1e-12,
     max_terms: Optional[int] = None,
 ) -> tuple[float, float]:
-    """Solve f'(y)/f(y) = v on the domain interior; returns (y, residual)."""
+    """Solve f'(y)/f(y) = v on the domain interior; returns (y, residual).
+
+    The ratio increases from s_min, and phi - s_min falls to 0 like
+    exp((sigma_2 - sigma_1) y) as y -> -inf, so ``_find_root`` solves
+    phi - s_min = v - s_min, whose log is nearly linear where ln phi would
+    flatten.  It stops at the first probe within 0.25*tol*max(1, v) of v,
+    and the root is re-certified strictly like ``solve_fprime``'s.
+    """
     di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
     max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
@@ -277,11 +247,13 @@ def solve_phi(
         den = _best_bracket(seq, y, 0, 0.25 * rel * f0, max_terms).midpoint
         return num / den
 
-    open_edge = di.boundary_class is not BoundaryClass.CLOSED_FINITE_SLOPE
-    a, b, capped = _expand_bracket(ph_best, v, di.alpha, open_edge)
-    if capped is not None:
-        return b, abs(capped - v)
-    y = _brent(_excess(ph_best, v), a, b, 1e-15, 8.9e-16, 300)
+    s_min = sigma(seq, seq.start_index)
+    cap = None if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE else BOUNDARY_CAP
+    y, fy, capped = _find_root(
+        lambda y: ph_best(y) - s_min, v - s_min, 0.25 * tol * max(1.0, v), -di.alpha, cap
+    )
+    if capped:
+        return y, abs(fy + s_min - v)
     residual = abs(phi(seq, y, tol=rel, max_terms=max_terms) - v) + 0.5 * rel * v
     if residual > tol * max(1.0, v):
         raise NumericError(

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugate import Regime, _brent, _log_conjugate, _require_numbers, conjugate
+from .conjugate import Regime, _find_root, _log_conjugate, _require_numbers, conjugate
 from .sequences import (
     SigmaSequence,
     VarsigmaSequence,
@@ -245,11 +245,13 @@ def fit_gibbs(
     s_min = sigma(seq, seq.start_index)
     rho = v / u
     if cv.regime is Regime.INFINITE:
+        # the exact test v < s_min * u, printed in full: the rounded ratio
+        # can read equal to s_min
         return GibbsFit(
             status=FitStatus.INFEASIBLE,
             reason=(
-                f"energy/mass ratio {rho:g} below the minimal exponent {s_min:g}; "
-                f"feasible ratios lie in [{s_min:g}, sup f'/f)"
+                f"energy {v!r} below the minimal exponent times the mass, {s_min * u!r}; "
+                f"feasible energy/mass ratios lie in [{s_min!r}, sup f'/f)"
             ),
         )
     if cv.regime is Regime.ZERO:
@@ -371,13 +373,13 @@ def plateau_witness(
         def window_moment(lam: float) -> float:
             return float(np.sum(s * np.exp(-s * lam)))
 
-        hi = alpha  # window at alpha carries less than v_window (u > gamma)
-        lo = alpha / 2.0
-        while window_moment(lo) < v_window:
-            lo /= 2.0
-            if lo < 1e-14:
-                raise WitnessBudgetError("window equation has no root above 1e-14", best)
-        lam = _brent(lambda l: window_moment(l) - v_window, lo, hi, 1e-14, 8.9e-16, 100)
+        # the window moment decreases in lam, so solve in -lam below the edge lam = 0
+        neg_lam, _, capped = _find_root(
+            lambda t: window_moment(-t), v_window, 1e-13 * v_window, 0.0, cap=1e-14
+        )
+        if capped:
+            raise WitnessBudgetError("window equation has no root above 1e-14", best)
+        lam = -neg_lam
         w = np.exp(-s * lam)
         moment = prefix_moment + float(np.sum(s * w))
         w[-1] += (u - moment) / s[-1]  # exact moment, float-level

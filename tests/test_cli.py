@@ -127,6 +127,15 @@ class TestCommands:
         assert code == EXIT_DOMAIN
         assert parse(out)["status"] == "Infeasible"
 
+    def test_fit_infeasible_reason_shows_the_exact_comparison(self, capsys):
+        # v/u rounds to s_min = 0.30000000000000004, yet v < s_min * u
+        code, out = run_cli(capsys, "fit", "box:0.1", "--u", "0.3", "--v", "0.09")
+        assert code == EXIT_DOMAIN
+        reason = parse(out)["reason"]
+        assert reason.startswith("energy 0.09 below the minimal exponent times the mass, ")
+        printed = reason.split(";")[0].rsplit(", ", 1)[1]
+        assert float(printed) == 0.30000000000000004 * 0.3 != 0.09
+
     def test_witness_alternating(self, capsys):
         code, out = run_cli(
             capsys, "witness", "linear", "--u", "2", "--v", "0", "--eps", "0.05"

@@ -21,10 +21,14 @@ from gibbs_series import (
     log_f_conjugate,
     logfam,
     loglog,
+    parse_sequence,
     power,
     quadratic,
+    sigma,
+    solve_fprime,
+    solve_phi,
 )
-from gibbs_series.conjugate import _brent
+from gibbs_series.conjugate import BOUNDARY_CAP, _find_root
 from gibbs_series.scenarios import BoxModel
 
 
@@ -209,62 +213,149 @@ class TestBoxConjugate:
         assert vals[1] <= 0.5 * (vals[0] + vals[2]) + 1e-10
 
 
-def _recorded(f):
-    """f plus the list of points it was called at."""
-    calls = []
-
-    def g(x):
-        calls.append(x)
-        return f(x)
-
-    return g, calls
+# 50-digit references for (f, f', f''): closed forms and direct sums, and
+# for power and logfam an Euler-Maclaurin split at _EM_CUT whose tail
+# integral is an incomplete gamma function (power) or a quadrature (logfam)
+_EM_CUT, _EM_ORDER = 1000, 4
 
 
-class TestBrent:
-    SETTINGS = [(1e-15, 8.9e-16, 300), (1e-14, 8.9e-16, 100), (1e-6, 1e-10, 50)]
+def _series_ref(mp, spec, y):
+    family, _, param = spec.partition(":")
+    y = mp.mpf(y)
+    if family == "linear":
+        q = mp.exp(y)
+        return q / (1 - q), q / (1 - q) ** 2, q * (1 + q) / (1 - q) ** 3
+    if family in ("quadratic", "box"):
+        kappa = mp.mpf(param or 1)
+        z = kappa * y
+        ks = range(1, int(mp.sqrt(200 / -z)) + 2)
+        g0, g1, g2 = (mp.fsum((k * k) ** j * mp.exp(k * k * z) for k in ks) for j in range(3))
+        if family == "quadratic":
+            return g0, g1, g2
+        # box sums factor as g(kappa y)^3 over k, l, m >= 1
+        return g0 ** 3, 3 * kappa * g0 ** 2 * g1, kappa ** 2 * (6 * g0 * g1 ** 2 + 3 * g0 ** 2 * g2)
+    theta, cut = mp.mpf(param), _EM_CUT
+    if family == "power":
+        first, s = 1, lambda x: x ** theta
 
+        def tail(p):
+            a = p + 1 / theta
+            return (-y) ** -a * mp.gammainc(a, -y * mp.mpf(cut) ** theta) / theta
+    else:
+        first, s = 3, lambda x: mp.log(x) + theta * mp.log(mp.log(x))
+        b, w0 = -(1 + y), mp.log(cut)
+
+        def tail(p):
+            return mp.quad(
+                lambda w: (w + theta * mp.log(w)) ** p * w ** (theta * y) * mp.exp(-b * w),
+                [w0, w0 + 1 / b, w0 + 10 / b, w0 + 100 / b, mp.inf],
+            )
+    head = [mp.mpf(0)] * 3
+    for n in range(first, cut):
+        sn = s(mp.mpf(n))
+        term = mp.exp(sn * y)
+        for p in range(3):
+            head[p] += term
+            term *= sn
+
+    def em(p):
+        g = lambda x: s(x) ** p * mp.exp(s(x) * y)
+        corrections = mp.fsum(
+            mp.bernoulli(2 * j) / mp.factorial(2 * j) * mp.diff(g, cut, 2 * j - 1)
+            for j in range(1, _EM_ORDER + 1)
+        )
+        return head[p] + tail(p) + g(mp.mpf(cut)) / 2 - corrections
+
+    return tuple(em(p) for p in range(3))
+
+
+def _fprime_ref(mp, spec, y):
+    """(f', f'') at y."""
+    return _series_ref(mp, spec, y)[1:]
+
+
+def _phi_ref(mp, spec, y):
+    """(phi, phi') at y for phi = f'/f."""
+    f0, f1, f2 = _series_ref(mp, spec, y)
+    return f1 / f0, f2 / f0 - (f1 / f0) ** 2
+
+
+# targets u in [0.2, 5] (for the ratio, s_min + u); logfam:3 keeps to the
+# part of its interior the default budget certifies
+_TARGETS = [
+    (spec, u, 1e-12)
+    for spec in ("linear", "power:0.7", "quadratic", "box:1.2")
+    for u in (0.2, 0.9, 2.4, 5.0)
+]
+_FPRIME_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.45, 0.7)]
+_PHI_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.5)]
+
+
+class TestRootFinder:
     @staticmethod
-    def _brackets(n):
-        rng = np.random.default_rng(20260810)
-        shapes = [
-            lambda r, k: lambda x: math.tanh(k * (x - r)),
-            lambda r, k: lambda x: (x - r) ** 3 + 1e-3 * k * (x - r),
-            lambda r, k: lambda x: math.expm1(k * (x - r)),
-            lambda r, k: lambda x: math.atan(k * (x - r)) + (x - r) ** 5,
-        ]
-        for i in range(n):
-            a = float(rng.uniform(-10.0, 1.0))
-            b = a + float(10.0 ** rng.uniform(-6.0, 1.3))
-            r = float(rng.uniform(a, b))
-            k = float(10.0 ** rng.uniform(-1.0, 1.5))
-            f = shapes[i % len(shapes)](r, k)
-            sign = 1.0 if i % 3 else -1.0  # some decreasing brackets too
-            yield (lambda x, f=f, sign=sign: sign * f(x)), a, b
+    def _check_root(mp, equation, y, target, residual, tol):
+        """The reported residual bounds the 50-digit one, meets tol, and
+        places y within twice residual / slope of the 50-digit root."""
+        assert residual <= tol * max(1.0, target)
+        with mp.workdps(50):
+            value, slope = equation(y)
+            assert abs(value - target) <= residual
+            # two Newton steps from a root good to ~1e-12 reach ~1e-48
+            root = y - (value - target) / slope
+            value, slope = equation(root)
+            root -= (value - target) / slope
+            assert abs(y - root) <= 2 * residual / slope
 
-    def test_same_root_and_calls_as_reference_brentq(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        for f, a, b in self._brackets(400):
-            for xtol, rtol, maxiter in self.SETTINGS:
-                mine, my_calls = _recorded(f)
-                ref, ref_calls = _recorded(f)
-                root = _brent(mine, a, b, xtol, rtol, maxiter)
-                expected = optimize.brentq(ref, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-                assert root == expected
-                assert my_calls == ref_calls
+    @pytest.mark.parametrize("spec, u, tol", _FPRIME_CASES)
+    def test_fprime_root_against_mpmath(self, spec, u, tol):
+        mp = pytest.importorskip("mpmath")
+        y, residual = solve_fprime(parse_sequence(spec), u, tol=tol)
+        self._check_root(mp, lambda t: _fprime_ref(mp, spec, t), y, u, residual, tol)
 
-    def test_same_root_and_calls_on_exact_ends(self):
-        optimize = pytest.importorskip("scipy.optimize")
-        for a, b in [(0.5, 2.0), (-1.0, 0.5)]:
-            mine, my_calls = _recorded(lambda x: x - 0.5)
-            ref, ref_calls = _recorded(lambda x: x - 0.5)
-            assert _brent(mine, a, b, 1e-15, 8.9e-16, 300) == 0.5
-            assert optimize.brentq(ref, a, b, xtol=1e-15, rtol=8.9e-16) == 0.5
-            assert my_calls == ref_calls
+    @pytest.mark.parametrize("spec, u, tol", _PHI_CASES)
+    def test_phi_root_against_mpmath(self, spec, u, tol):
+        mp = pytest.importorskip("mpmath")
+        seq = parse_sequence(spec)
+        v = sigma(seq, seq.start_index) + u
+        y, residual = solve_phi(seq, v, tol=tol)
+        self._check_root(mp, lambda t: _phi_ref(mp, spec, t), y, v, residual, tol)
 
-    def test_too_few_iterations_raise(self):
-        with pytest.raises(NumericError, match="did not converge in 3 steps"):
-            _brent(lambda x: math.tanh(20.0 * (x - 0.3)), 0.0, 1.0, 1e-15, 8.9e-16, 3)
+    def test_open_edge_cap(self):
+        # -1/y rises to +inf at the open edge 0; its root at -1e-15 lies
+        # closer to the edge than the cap, where the search stops
+        y, fy, capped = _find_root(lambda y: -1.0 / y, 1e15, 1.0, 0.0, cap=BOUNDARY_CAP)
+        assert capped and y == -BOUNDARY_CAP and fy == -1.0 / y
 
-    def test_same_sign_ends_raise(self):
-        with pytest.raises(NumericError, match="do not bracket a root"):
-            _brent(lambda x: x + 1.0, 0.0, 1.0, 1e-15, 8.9e-16, 300)
+    def test_steps_toward_the_edge_at_most_halve_its_distance(self):
+        probes = []
+
+        def fn(y):
+            probes.append(y)
+            return -1.0 / y
+
+        _find_root(fn, 1e6, 1e-9, 0.0, cap=BOUNDARY_CAP)
+        # until a probe lands above the target, each keeps at least half
+        # the previous one's distance to the edge
+        first_above = next(i for i, y in enumerate(probes) if -1.0 / y >= 1e6)
+        walk = probes[: first_above + 1]
+        assert len(walk) > 10 and all(b <= 0.5 * a for a, b in zip(walk, walk[1:]))
+
+    def test_closed_edge_without_a_crossing_raises(self):
+        # exp stays below 5 up to the closed edge -1: no cap, no root
+        with pytest.raises(NumericError, match="stays below"):
+            _find_root(math.exp, 5.0, 1e-12, -1.0)
+
+    def test_target_never_undershot_raises(self):
+        with pytest.raises(NumericError, match="no root"):
+            _find_root(lambda y: 3.0, 1.0, 1e-12, 0.0)
+
+    def test_nonpositive_target_raises(self):
+        with pytest.raises(NumericError, match="positive target"):
+            _find_root(math.exp, 0.0, 1e-12, 0.0)
+        with pytest.raises(NumericError, match="positive target"):
+            solve_fprime(linear(), -1.0)
+
+    def test_nan_probe_raises(self):
+        # the first probe at -1 lies below target, the next one is NaN
+        with pytest.raises(NumericError, match="NaN"):
+            _find_root(lambda y: math.exp(y) if y < -0.9 else math.nan, 0.5, 1e-12, 0.0)

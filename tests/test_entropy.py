@@ -330,6 +330,20 @@ class TestPlateauWitness:
         assert np.all(wit.weights >= 0.0)
         assert 0.0 < wit.lam < 1.0
 
+    def test_window_multiplier_solves_its_equation(self):
+        # lam solves the window equation within the finder's band of
+        # 1e-13 relative, and the last weight then makes the moment exact
+        seq = logfam(3.0)
+        di = domain_info(seq)
+        u = di.gamma + 1.0
+        wit = plateau_witness(seq, u, eps=0.2, max_terms=100_000)
+        ss = sigma_values(seq, wit.indices)
+        prefix, window = ss[: -wit.window_len], ss[-wit.window_len :]
+        prefix_moment = float(np.sum(prefix * np.exp(-prefix * di.alpha)))
+        window_moment = float(np.sum(window * np.exp(-window * wit.lam)))
+        assert window_moment == pytest.approx(u - prefix_moment, rel=2e-13)
+        assert math.fsum(ss * wit.weights) == pytest.approx(u, rel=1e-15)
+
     def test_entropy_measures_gap(self):
         seq = logfam(3.0)
         g = domain_info(seq).gamma

@@ -24,12 +24,12 @@ from gibbs_series import (
 
 # (call, most _block_sum calls, most terms summed, most exponents computed)
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 11, 2_816, 256),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 8, 2_048, 256),
     # the fit reads the conjugate's root; its moments reuse the cached sums
-    "min_entropy_moment(linear, 2)": (lambda: min_entropy_moment(linear(), 2.0), 11, 2_816, 256),
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 18, 4_608, 256),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 18, 4_608, 256),
-    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 22, 5_632, 256),
+    "min_entropy_moment(linear, 2)": (lambda: min_entropy_moment(linear(), 2.0), 8, 2_048, 256),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 14, 3_584, 256),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 12, 3_072, 256),
+    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 14, 3_584, 256),
     # one 4,096-term edge block classifies the domain, then three interior
     # blocks meet the integral sandwich
     "eval_series(logfam:1.7229, -1.0886)": (
@@ -38,7 +38,7 @@ REFERENCE_CALLS = {
     "domain_info(logfam:1.5, 1e-9)": (lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096),
     # every probe of the solve ends at the slope's difference-quotient sandwich
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 157, 4_069_376, 4_005_888
+        lambda: conjugate(logfam(2.9), 0.6625), 58, 1_581_568, 1_556_480
     ),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128),
