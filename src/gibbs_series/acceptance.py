@@ -42,7 +42,7 @@ from .sequences import (
     quadratic,
     sigma_values,
 )
-from .series import _lower_bound, domain_info, eval_series
+from .series import _evaluate, domain_info, eval_series
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
 
@@ -325,8 +325,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
         if i % 10 < 7:
             u = float(rng.uniform(0.0, 5.0))
         else:  # equality case: u on the derivative graph
-            lb = _lower_bound(seq, y, 1, None)
-            u = eval_series(seq, y, 1, tol=1e-12 * max(1.0, lb)).midpoint
+            u = _evaluate(seq, y, 1, 1e-12, None, 1e-12).midpoint
         rep = check_fenchel_young(seq, y, u)
         gap = rep.lhs[0]
         min_gap = min(min_gap, gap)

@@ -231,21 +231,21 @@ def solve_phi(
     The ratio increases from s_min, and phi - s_min falls to 0 like
     exp((sigma_2 - sigma_1) y) as y -> -inf, so ``_find_root`` solves
     phi - s_min = v - s_min, whose log is nearly linear where ln phi would
-    flatten.  It stops at the first probe within 0.25*tol*max(1, v) of v,
-    and the root is re-certified strictly like ``solve_fprime``'s.
+    flatten.  Each probe walks f and f' once, until their brackets are a
+    fraction of their own certified lower ends wide.  It stops at the
+    first probe within 0.25*tol*max(1, v) of v, and the root is
+    re-certified strictly like ``solve_fprime``'s.
     """
     di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
     max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
 
     def ph_best(y: float) -> float:
-        f0 = _best_bracket(seq, y, 0, 1.0, max_terms).midpoint
-        g0 = _best_bracket(seq, y, 1, 1.0, max_terms).midpoint
-        if f0 <= 0.0 or g0 <= 0.0:
+        num = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
+        den = _best_bracket(seq, y, 0, 0.0, max_terms, 0.25 * rel)
+        if num.value <= 0.0 or den.value <= 0.0:
             raise NumericError(f"series underflows at y={y!r} while bracketing")
-        num = _best_bracket(seq, y, 1, 0.25 * rel * g0, max_terms).midpoint
-        den = _best_bracket(seq, y, 0, 0.25 * rel * f0, max_terms).midpoint
-        return num / den
+        return num.midpoint / den.midpoint
 
     s_min = sigma(seq, seq.start_index)
     cap = None if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE else BOUNDARY_CAP

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .sequences import SigmaSequence, VarsigmaSequence, sigma_values, varsigma_power
-from .series import _lower_bound, eval_series
+from .series import _evaluate
 
 __all__ = [
     "VerificationReport",
@@ -238,8 +238,8 @@ def primal_truncated(
 # ---------------------------------------------------------------------------
 
 def _tight_mid(seq: SigmaSequence, y: float, p: int = 0) -> float:
-    """f^(p)(y) to 1e-13 of its size (absolute below 1), sized by a cheap probe."""
-    return eval_series(seq, y, p, tol=1e-13 * max(1.0, _lower_bound(seq, y, p, None))).midpoint
+    """f^(p)(y) to 1e-13 of its size (absolute below 1)."""
+    return _evaluate(seq, y, p, 1e-13, None, 1e-13).midpoint
 
 
 def check_gradient_sum(

@@ -109,8 +109,9 @@ class _Rules(NamedTuple):
     """Everything the library knows of one exponent family.
 
     The callables take the sequence, which holds the parameter.  ``tail``
-    and ``walk`` name the tail certificate after an index and the interior
-    walk of the series module (its ``_TAILS`` and ``_WALKS``).  A
+    names the tail certificate after an index (the series module's
+    ``_TAILS``), and ``walk`` the interior walk: doubling blocks of terms,
+    or the box's cube factorization.  A
     materialized weight prefix runs from ``ground`` to a cut that doubles
     from the first of ``cuts`` up to the last (see ``prefix``).
     """
@@ -248,7 +249,6 @@ class Family(_Described):
         rounding=lambda seq: (19.0, 4.0 * max(abs(seq.theta), 1.0)),
         domain=_logfam_domain,
         tail="logfam",
-        walk="sandwich",
     )
     # sigma_n = ln(ln n), n >= 3: terms (ln n)^y decay slower than 1/n for
     # every y, so the domain is empty

@@ -130,7 +130,6 @@ class SeriesEval:
     order: int
     truncation_index: int
     tail_bound: float
-    requested_tol: float
 
     @property
     def midpoint(self) -> float:
@@ -195,6 +194,10 @@ def domain_info(
 _U = 2.0 ** -53  # unit roundoff of float64
 _SUBNORMAL = 2.0 ** -1074  # the smallest subnormal float64
 _TINY = sys.float_info.min  # smallest normal float64
+
+# a tail certificate: (lower, upper) on the sum of the terms after an index,
+# or None while none applies yet
+_Tail = Optional[tuple[float, float]]
 
 
 def _roundoff(
@@ -373,8 +376,8 @@ def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float
     return h, err
 
 
-def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Geometric tail bound after index N, or None if not yet applicable."""
+def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+    """(0, geometric tail bound) after index N, or None if not yet applicable."""
     s1 = sigma(seq, N + 1)
     if p > 0 and s1 * (-y) <= p:
         return None  # terms may still be growing
@@ -395,13 +398,13 @@ def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
                 + 2.0 * (growth - dy) / one_minus_r
                 + 12.0
             )
-            return _exp_up(p * log_s1 + sy - log_gap, err)
+            return 0.0, _exp_up(p * log_s1 + sy - log_gap, err)
     return None
 
 
-def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Tail of sum_{n>N} n^(theta p) exp(y n^theta): geometric where the
-    increments grow (theta >= 1), else an integral bound."""
+def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+    """(0, bound) on the tail of sum_{n>N} n^(theta p) exp(y n^theta):
+    geometric where the increments grow (theta >= 1), else an integral bound."""
     theta = seq.theta
     if theta >= 1.0:
         return _geom_tail(seq, y, p, N)
@@ -419,12 +422,12 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]
     log_pre = (a - 1.0 - m) * math.log(S) - math.log(theta)
     # S = N^theta carries a relative error of u, moving b S by b S u
     err += _U * (4.0 * (b * S + a + m) + 3.0 * abs(log_pre) + 2.0 * abs(log_int))
-    return _exp_up(log_pre + log_int, err)
+    return 0.0, _exp_up(log_pre + log_int, err)
 
 
-def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Envelope bound on the log-family tail after index N, at y < -1 and
-    p >= 2 (lower orders have ``_logfam_sandwich``)."""
+def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+    """(0, envelope bound) on the log-family tail after index N, at y < -1
+    and p >= 2 (lower orders have ``_logfam_sandwich``)."""
     theta = seq.theta
     if N < 16:
         return None
@@ -453,7 +456,7 @@ def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optio
         + 2.0 * abs(log_int)
         + 8.0
     )
-    return _exp_up(log_c1 + log_int, err)
+    return 0.0, _exp_up(log_c1 + log_int, err)
 
 
 def _box_level_tail(kappa: float, y: float, p: int, S: int) -> Optional[float]:
@@ -482,14 +485,15 @@ def _box_level_tail(kappa: float, y: float, p: int, S: int) -> Optional[float]:
     return _exp_up(log_k + log_s - b * (S + 1.0) - log_gap, err)
 
 
-def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> Optional[float]:
-    return _box_level_tail(seq.kappa, y, p, S)
+def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
+    bound = _box_level_tail(seq.kappa, y, p, S)
+    return None if bound is None else (0.0, bound)
 
 
-def _logfam_tail(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
+def _logfam_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+    """The integral sandwich at the edge and up to p = 1, the envelope above."""
     if y == -1.0 or p <= 1:
-        bounds = _logfam_sandwich(seq, y, p, N)
-        return None if bounds is None else bounds[1]
+        return _logfam_sandwich(seq, y, p, N)
     return _logfam_interior_tail(seq, y, p, N)
 
 
@@ -503,30 +507,15 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
     The box spectrum is cut between levels, so for the box family ``N``
     is a level s: the bound covers every triple with k^2+l^2+m^2 > s.
     """
-    return _TAILS[seq.family.rules.tail](seq, y, p, N)
-
-
-def _interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """Interior certificate: the omitted tail lies in [0, tail_bound_after]."""
-    tb = tail_bound_after(seq, y, p, N)
-    return 0.0, math.inf if tb is None else tb
-
-
-def _sandwich_tail(seq: SigmaSequence, y: float, p: int, N: int) -> tuple[float, float]:
-    """Log-family certificate at the edge and at p <= 1: the omitted tail
-    lies in [lower, lower + width] (``_logfam_sandwich``)."""
-    bounds = _logfam_sandwich(seq, y, p, N)
-    if bounds is None:
-        return 0.0, math.inf
-    lower, upper = bounds
-    return lower, upper - lower
+    bounds = _TAILS[seq.family.rules.tail](seq, y, p, N)
+    return None if bounds is None else bounds[1]
 
 
 # ---------------------------------------------------------------------------
 # Integral sandwich for the log family
 # ---------------------------------------------------------------------------
 
-def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[tuple[float, float]]:
+def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     """(lower, upper) on the log-family tail after N, at the edge y = -1 or
     in the interior with p <= 1; None while the terms may still grow.
 
@@ -766,27 +755,30 @@ def _sum_blocks(
     tol: float,
     budget: int,
     block: int,
-    certificate: Callable[[SigmaSequence, float, int, int], tuple[float, float]],
+    certificate: Callable[[SigmaSequence, float, int, int], _Tail],
     edge: bool = False,
+    rel: float = 0.0,
 ) -> SeriesEval:
-    """Partial sums in doubling blocks until the certified bracket meets tol.
+    """Partial sums in doubling blocks until the certified bracket is at
+    most max(tol, rel * its lower end) wide.
 
-    After each block ``certificate(seq, y, p, N)`` returns ``(lower,
-    width)``: the terms after index N sum to between ``lower`` and
-    ``lower + width`` (width inf while no certificate applies).  The
-    computed partial is accurate to +-slack, so the bracket is
-    [partial + lower - slack, partial + lower + width + slack].  A
-    certified width already below the slack with 2 slack > tol fails at
-    once: more terms only raise the accumulation floor.  ``edge`` selects
-    the wording of the budget-exhaustion message at y = -1.  For a
-    ``signed`` sequence each block also adds its ``_abs_weight``, on
-    which the slack is then charged.
+    After each block ``certificate(seq, y, p, N)`` bounds the terms after
+    index N (width inf while it returns None).  The computed partial is
+    accurate to +-slack, so the bracket is [partial + lower - slack,
+    partial + upper + slack].  Its lower end is at or below the true sum,
+    so a width ``rel`` of it is a relative accuracy ``rel``.  A relative
+    walk whose lower end is not positive (the sum underflows) stops at the
+    first certified block, for the caller to refuse.  A certified width already below the
+    slack with 2 slack above the target fails at once: more terms only
+    raise the accumulation floor.  ``edge`` selects the wording of the
+    budget-exhaustion message at y = -1.  For a ``signed`` sequence each
+    block also adds its ``_abs_weight``, on which the slack is charged.
 
-    The states after each block do not depend on ``tol``, which only picks
-    where the walk stops.  They are kept per thread for the last few
-    (seq, y, p, budget, first block, certificate) keys, so a repeated or
-    tighter request replays them and sums only the blocks past the last
-    one stored, with the same bits as a walk from the start.
+    The states after each block depend on neither ``tol`` nor ``rel``,
+    which only pick where the walk stops.  They are kept per thread for
+    the last few (seq, y, p, budget, first block, certificate) keys, so a
+    repeated or tighter request replays them and sums only the blocks past
+    the last one stored, with the same bits as a walk from the start.
     """
     states = _recent(_memo.lru, (seq, seq.generator, y, p, budget, block, certificate), list)
     start = seq.start_index
@@ -804,32 +796,37 @@ def _sum_blocks(
                 if seq.signed:
                     weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
                 n_done = n1
-            lower, width = certificate(seq, y, p, n_done)
+            lower, upper = certificate(seq, y, p, n_done) or (0.0, math.inf)
+            width = upper - lower
             slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
             states.append((total, n_done, slack, lower, width, weight))
-        tail_bound = width + 2.0 * slack
-        if tail_bound <= tol:
-            return SeriesEval(total + lower - slack, p, n_done, tail_bound, tol)
-        if 2.0 * slack > tol and width <= slack:
+        best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack)
+        target = max(tol, rel * best.value)
+        if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
+            return best
+        if 2.0 * slack > target and width <= slack:
             raise BudgetExceededError(
-                f"tolerance {tol:g} is below the float64 accumulation floor "
+                f"tolerance {target:g} is below the float64 accumulation floor "
                 f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                SeriesEval(total + lower - slack, p, n_done, tail_bound, tol),
+                best,
             )
         if n_done >= last:
             raise BudgetExceededError(
-                f"boundary tolerance {tol:g} unreachable within {budget} terms "
-                f"(best width {tail_bound:g})"
+                f"boundary tolerance {target:g} unreachable within {budget} terms "
+                f"(best width {best.tail_bound:g})"
                 if edge
-                else f"tolerance {tol:g} unreachable within {budget} terms "
-                f"(best tail bound {tail_bound:g}) for {seq.spec_string()} at y={y!r}",
-                SeriesEval(total + lower - slack, p, n_done, tail_bound, tol),
+                else f"tolerance {target:g} unreachable within {budget} terms "
+                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
+                best,
             )
         block = min(block * 2, 1_000_000)
 
 
-def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
-    """Box series via the cube factorization f = g^3, orders p <= 2."""
+def _eval_box(
+    seq: SigmaSequence, y: float, p: int, tol: float, budget: int, rel: float = 0.0
+) -> SeriesEval:
+    """Box series via the cube factorization f = g^3, orders p <= 2; the
+    product bracket stops as ``_sum_blocks``'s does."""
     if p > 2:
         raise ValueError(
             "box series evaluation supports derivative orders 0..2 "
@@ -838,16 +835,17 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
     kappa = seq.kappa
     z = kappa * y
     quad = quadratic()
+    certificate = _TAILS[quad.family.rules.tail]
 
     def brackets(abs_tols: list[float]) -> list[SeriesEval]:
         return [
-            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, _interior_tail)
+            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, certificate)
             for j in range(p + 1)
         ]
 
     # rough pass to scale component tolerances, then tighten until the
-    # product bracket meets tol
-    comps = brackets([max(t, 1e-300) for t in [1.0, 1.0, 1.0][: p + 1]])
+    # product bracket meets the target
+    comps = brackets([1.0] * (p + 1))
     for _ in range(6):
         g = [kappa ** j * comps[j].value for j in range(p + 1)]
         gu = [kappa ** j * comps[j].upper for j in range(p + 1)]
@@ -859,38 +857,28 @@ def _eval_box(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> 
         else:
             lo = 6.0 * g[0] * g[1] ** 2 + 3.0 * g[0] ** 2 * g[2]
             hi = 6.0 * gu[0] * gu[1] ** 2 + 3.0 * gu[0] ** 2 * gu[2]
-        if hi - lo <= tol:
+        target = max(tol, rel * lo)
+        if hi - lo <= target or (rel and lo <= 0.0):
             idx = max(c.truncation_index for c in comps)
-            return SeriesEval(lo, p, idx, hi - lo, tol)
-        # component relative accuracy needed: spread tol across factors
-        shrink = max((hi - lo) / tol, 4.0)
+            return SeriesEval(lo, p, idx, hi - lo)
+        # component relative accuracy needed: spread the target across factors
+        shrink = max((hi - lo) / target, 4.0)
         comps = brackets(
             [max(comps[j].tail_bound / shrink / 4.0, 1e-300) for j in range(p + 1)]
         )
     raise BudgetExceededError(
-        f"box bracket did not reach tol={tol:g}",
-        SeriesEval(lo, p, max(c.truncation_index for c in comps), hi - lo, tol),
+        f"box bracket did not reach tol={target:g}",
+        SeriesEval(lo, p, max(c.truncation_index for c in comps), hi - lo),
     )
 
 
-def _edge_sum(seq: SigmaSequence, alpha: float, p: int, tol: float, budget: int) -> SeriesEval:
+def _edge_sum(
+    seq: SigmaSequence, alpha: float, p: int, tol: float, budget: int, rel: float = 0.0
+) -> SeriesEval:
     """f^(p)(-alpha) at a closed edge: only the log family has one, and
     its integral sandwich certifies it."""
-    return _sum_blocks(seq, -alpha, p, tol, budget, 4096, _sandwich_tail, edge=True)
-
-
-def _blocks_walk(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
-    return _sum_blocks(seq, y, p, tol, budget, 256, _interior_tail)
-
-
-def _sandwich_walk(seq: SigmaSequence, y: float, p: int, tol: float, budget: int) -> SeriesEval:
-    """The log family's walk: the integral sandwich up to p = 1, the
-    envelope bound above."""
-    return _sum_blocks(seq, y, p, tol, budget, 256, _sandwich_tail if p <= 1 else _interior_tail)
-
-
-# each family's interior walk, by the name its rules give (``rules.walk``)
-_WALKS = {"blocks": _blocks_walk, "sandwich": _sandwich_walk, "box": _eval_box}
+    certificate = _TAILS[seq.family.rules.tail]
+    return _sum_blocks(seq, -alpha, p, tol, budget, 4096, certificate, edge=True, rel=rel)
 
 
 def eval_series(
@@ -909,11 +897,19 @@ def eval_series(
     bracket, when the tolerance needs more than the term budget, and
     ValueError for a NaN or -inf ``y`` before any term is summed.
     """
+    return _evaluate(seq, y, p, tol, max_terms)
+
+
+def _evaluate(
+    seq: SigmaSequence, y: float, p: int, tol: float, max_terms: Optional[int], rel: float = 0.0
+) -> SeriesEval:
+    """``eval_series`` that also stops once tail_bound <= rel * value (see
+    ``_sum_blocks``); with ``rel`` set, ``tol`` may be 0."""
     if math.isnan(y) or y == -math.inf:
         raise ValueError(f"y must be a number above -inf, got {y!r}")
     if p < 0 or p != int(p):
         raise ValueError("derivative order p must be a nonnegative integer")
-    if not tol > 0:
+    if not (tol > 0 or rel > 0):
         raise ValueError("tol must be positive")
     p = int(p)
     budget = max_terms_budget(max_terms)
@@ -939,56 +935,56 @@ def eval_series(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", di, y
             )
-        return _edge_sum(seq, alpha, p, tol, budget)
-    return _WALKS[seq.family.rules.walk](seq, y, p, tol, budget)
+        return _edge_sum(seq, alpha, p, tol, budget, rel)
+    rules = seq.family.rules
+    if rules.walk == "box":
+        return _eval_box(seq, y, p, tol, budget, rel)
+    return _sum_blocks(seq, y, p, tol, budget, 256, _TAILS[rules.tail], rel=rel)
 
 
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
 
-def _best_bracket(seq: SigmaSequence, y: float, p: int, tol: float, budget) -> SeriesEval:
-    """eval_series, or on budget exhaustion the best bracket it reached."""
+def _best_bracket(
+    seq: SigmaSequence, y: float, p: int, tol: float, budget, rel: float = 0.0
+) -> SeriesEval:
+    """``_evaluate``, or on budget exhaustion the best bracket it reached."""
     try:
-        return eval_series(seq, y, p, tol=tol, max_terms=budget)
+        return _evaluate(seq, y, p, tol, budget, rel)
     except BudgetExceededError as exc:
         return exc.best
 
 
-def _lower_bound(seq: SigmaSequence, y: float, p: int, budget: Optional[int]) -> float:
-    """Cheap certified lower bound on f^(p)(y) (any bracket's value)."""
-    return _best_bracket(seq, y, p, 1.0, budget).value
+def _relative(seq: SigmaSequence, y: float, p: int, rel: float, budget: int, what: str) -> SeriesEval:
+    """f^(p)(y) bracketed to ``rel`` of its certified lower end; DomainError
+    where that end is not positive, the sum underflowing."""
+    ev = _evaluate(seq, y, p, 0.0, budget, rel)
+    if ev.value <= 0.0:
+        raise DomainError(
+            f"series underflows at y={y!r}; {what} undefined in float64",
+            domain_info(seq),
+            y,
+        )
+    return ev
 
 
 def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[int] = None) -> float:
     """Log-derivative f'(y)/f(y) with relative error <= tol.
 
     Strictly increasing in y with infimum sigma_start; the mean exponent
-    under the normalized weights exp(sigma_n y)/f(y).
+    under the normalized weights exp(sigma_n y)/f(y).  f and f' are each
+    walked once, until their brackets are tol/4 of their own certified
+    lower ends wide (``_sum_blocks``'s relative stop).
     """
-    max_terms = max_terms_budget(max_terms)  # one environment read for the four walks
-    f_lb = _lower_bound(seq, y, 0, max_terms)
-    g_lb = _lower_bound(seq, y, 1, max_terms)
-    if f_lb <= 0.0 or g_lb <= 0.0:
-        raise DomainError(
-            f"series underflows at y={y!r}; ratio undefined in float64",
-            domain_info(seq),
-            y,
-        )
-    e0 = eval_series(seq, y, 0, tol=0.25 * tol * f_lb, max_terms=max_terms)
-    e1 = eval_series(seq, y, 1, tol=0.25 * tol * g_lb, max_terms=max_terms)
+    max_terms = max_terms_budget(max_terms)  # one environment read for both walks
+    e0 = _relative(seq, y, 0, 0.25 * tol, max_terms, "ratio")
+    e1 = _relative(seq, y, 1, 0.25 * tol, max_terms, "ratio")
     return e1.midpoint / e0.midpoint
 
 
 def log_f(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[int] = None) -> float:
-    """ln f(y) with absolute error <= tol."""
-    max_terms = max_terms_budget(max_terms)  # one environment read for both walks
-    f_lb = _lower_bound(seq, y, 0, max_terms)
-    if f_lb <= 0.0:
-        raise DomainError(
-            f"series underflows at y={y!r}; log undefined in float64",
-            domain_info(seq),
-            y,
-        )
-    e0 = eval_series(seq, y, 0, tol=0.5 * tol * f_lb, max_terms=max_terms)
+    """ln f(y) with absolute error <= tol, from one walk that stops once
+    f's bracket is tol/2 of its certified lower end wide."""
+    e0 = _relative(seq, y, 0, 0.5 * tol, max_terms_budget(max_terms), "log")
     return math.log(e0.midpoint)

@@ -22,6 +22,7 @@ from gibbs_series import (
     logfam,
     loglog,
     parse_sequence,
+    phi,
     power,
     quadratic,
     sigma,
@@ -289,6 +290,25 @@ _TARGETS = [
 ]
 _FPRIME_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.45, 0.7)]
 _PHI_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.5)]
+
+
+# phi and ln f at interior points; logfam:3 at the tolerance its budget meets
+_CONTRACT_CASES = [
+    (spec, y, 1e-12)
+    for spec in ("linear", "power:0.7", "quadratic", "box:1")
+    for y in (-2.5, -0.7, -0.2)
+] + [("logfam:3", y, 1e-10) for y in (-2.0, -1.4)]
+
+
+@pytest.mark.parametrize("spec, y, tol", _CONTRACT_CASES)
+def test_phi_relative_and_log_f_absolute_against_mpmath(spec, y, tol):
+    mp = pytest.importorskip("mpmath")
+    seq = parse_sequence(spec)
+    ratio, log_value = phi(seq, y, tol=tol), log_f(seq, y, tol=tol)
+    with mp.workdps(50):
+        f0, f1, _ = _series_ref(mp, spec, y)
+        assert abs(mp.mpf(ratio) * f0 / f1 - 1) <= tol
+        assert abs(mp.mpf(log_value) - mp.log(f0)) <= tol
 
 
 class TestRootFinder:

@@ -258,7 +258,8 @@ def test_sandwich_is_a_fraction_of_a_term_wide():
     # comparison left g(N)
     seq, N = logfam(1.5), 4098
     for y in (-1.0, -1.3):
-        lower, width = series._sandwich_tail(seq, y, 0, N)
+        lower, upper = series._logfam_tail(seq, y, 0, N)
+        width = upper - lower
         term = N ** y * math.log(N) ** (1.5 * y)
         assert 0.0 < lower and 0.0 < width < term / N, y
 

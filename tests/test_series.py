@@ -390,6 +390,24 @@ class TestLogF:
         f = eval_series(linear(), y, 0, tol=1e-14).midpoint
         assert log_f(linear(), y, tol=1e-12) == pytest.approx(math.log(f), abs=1e-12)
 
+    @pytest.mark.parametrize("fn", [phi, log_f], ids=lambda fn: fn.__name__)
+    def test_underflowing_sum_is_refused_after_one_block(self, fn, monkeypatch):
+        # e^-800 is below the smallest subnormal, so no relative accuracy
+        # exists; the walk stops at its first certified block instead of
+        # running through the term budget
+        blocks = []
+        kernel = series._block_sum
+
+        def counted(seq, y, p, first, stop):
+            blocks.append((p, first, stop))
+            return kernel(seq, y, p, first, stop)
+
+        monkeypatch.setattr(series, "_block_sum", counted)
+        clear_memo()
+        with pytest.raises(DomainError, match="underflows"):
+            fn(linear(), -800.0)
+        assert len(blocks) <= 1, blocks
+
 
 def clear_memo():
     """Drop this thread's stored block walks and exponent prefixes."""
