@@ -21,8 +21,9 @@ certificates used are:
   edge integrals are exact log-power integrals, the interior p = 0 ones
   F = b^-a Gamma(a, b ln c) with a certified upper incomplete gamma
   function (the even and odd convergents of Legendre's continued
-  fraction), and the interior p = 1 ones dF/dy, bracketed by the secants
-  of F, which is convex in y;
+  fraction), and the interior p = 1 ones dF/dy, bracketed to second
+  order in the step by four values of F for each end, since F is a
+  Laplace transform in y and its F''' is positive;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
   from certified brackets of g and its first two derivatives.
@@ -613,37 +614,103 @@ def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, flo
     return _exp_down(lo - a * log_b, err), _exp_up(hi - a * log_b, err)
 
 
+# 2h F'(y) is at most, or at least, these combinations of F(y + j h): pairs
+# (j, coefficient), see ``_logfam_slope_integral``
+_SLOPE_UPPER = ((1, 2.0), (0, -3.0), (-1, 2.0), (-2, -1.0))
+_SLOPE_LOWER = ((0, 2.0), (-1, -1.0), (-2, -2.0), (-3, 1.0))
+
+
 def _logfam_slope_integral(theta: float, y: float, c: float, lower: bool = False) -> float:
     """integral_c^inf sigma(x) x^y (ln x)^(theta y) dx for y < -1, c >= 3,
     rounded up (or down with ``lower``).
 
-    It is dF/dy for F(y) = integral_c^inf exp(y sigma(x)) dx, which
-    ``_logfam_gamma_integral`` certifies; d^2F/dy^2 = int sigma^2
-    exp(y sigma) > 0, so F is convex and its secants bracket the slope:
+    It is F'(y) for F(y) = integral_c^inf exp(y sigma(x)) dx, which
+    ``_logfam_gamma_integral`` certifies.  F is a Laplace transform in y
+    and sigma > 0 on [3, inf), so every F^(k) = int sigma^k exp(y sigma)
+    is positive; only F''' >= 0, i.e. F'' increasing, is used.  With a step
+    h, each end is a secant of F plus a correction (h/2) F'':
 
-        (F(y) - F(y - h))/h  <=  dF/dy  <=  (F(y + h) - F(y))/h.
+    * upper end: F(y + h) - F(y) - h F'(y) = int_y^(y+h) (y + h - t)
+      F''(t) dt >= (h^2/2) F''(y), and F''(y) is at least the second
+      difference on {y - 2h, y - h, y}, a value of F'' left of y; so
 
-    Each quotient takes F's ends crosswise and divides by the exact float
-    difference of the two y (Sterbenz: h < |y|/4).  Its width is about
-    h sigma(c)^2 F/2 from the curvature plus 2 eps F/h from F's relative
-    bracket width eps, least at h = 2 sqrt(eps)/sigma(c); h is capped at
-    |y + 1|/4 to keep y + h inside the domain.
+          F'(y) <= [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h),
+
+      (2/3) h^2 F''' above it;
+    * lower end: F'(y) - (F(y) - F(y - h))/h = (1/h) int_(y-h)^y
+      int_t^y F''(s) ds dt >= (h/2) F''(y - h), and F''(y - h) is at least
+      the second difference on {y - 3h, y - 2h, y - h}; so
+
+          F'(y) >= [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h),
+
+      (5/6) h^2 F''' below it.
+
+    Each combination takes F's ends crosswise (the upper end for positive
+    coefficients of the upper bound and negative ones of the lower bound).
+    The products carry at most u each and ``math.fsum`` rounds the sum
+    once, so 8 u of the sum of |terms| covers both with margin; h is a
+    power of two, so dividing by 2h is exact.  The nodes y + j h must be
+    exact floats: y + j h less y is exact (Sterbenz), and differs from j h
+    only where a node crosses a binade.  There the correction is dropped
+    and the end is the plain secant over the exact float step, at a
+    first-order step 2 sqrt(eps) over the same scale.
+
+    The width is about (3/2) h^2 F''' from the curvature plus 7 eps F/h
+    from F's relative bracket width eps, least near h = 1.4 eps^(1/3)
+    (F/F''')^(1/3).  F'''/F = E[sigma^3] under the weight, far above
+    sigma(c)^3 near the edge, so its cube root is taken from the third
+    moment of ln x (``_slope_step_scale``).  h is capped at |y + 1|/4 to
+    keep y + h inside the domain.  The bracket is then 5-8 eps^(2/3) of F'
+    wide (eps ~ 1e-13) where F's own width allows.
     """
     lo, hi = _logfam_gamma_integral(theta, y, c)
-    eps = hi / lo - 1.0 if lo > 0.0 else math.inf
-    log_c = math.log(c)
-    h = min(2.0 * math.sqrt(eps) / (log_c + theta * math.log(log_c)), -0.25 * (y + 1.0))
+    cap = -0.25 * (y + 1.0)
+    eps, scale = (hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)) if lo > 0.0 else (math.inf, 1.0)
+    step = min(1.4 * eps ** (1.0 / 3.0) / scale, cap)
+    h = math.ldexp(1.0, math.frexp(step)[1] - 1)  # the power of two at or below step
+    js, coefs = zip(*(_SLOPE_LOWER if lower else _SLOPE_UPPER))
+    nodes = [y + j * h for j in js]
+    divisor = 2.0 * h
+    if any(t - y != j * h for t, j in zip(nodes, js)):  # a node across a binade
+        h = min(2.0 * math.sqrt(eps) / scale, cap)
+        near = y - h if lower else y + h
+        nodes, coefs = (y, near), ((1.0, -1.0) if lower else (-1.0, 1.0))
+        divisor = abs(near - y)  # exact
+    if not (divisor > 0.0 and max(nodes) < -1.0):  # y within a few ulps of the edge
+        return 0.0 if lower else math.inf
+    terms = []
+    for t, coef in zip(nodes, coefs):
+        ends = (lo, hi) if t == y else _logfam_gamma_integral(theta, t, c)
+        terms.append(coef * ends[(coef > 0.0) != lower])
+    total = math.fsum(terms)
+    err = 8.0 * _U * math.fsum(map(abs, terms))
     if lower:
-        y_far = y - h
-        dy = y - y_far  # exact
-        if not dy > 0.0:  # y within a few ulps of the edge
-            return 0.0
-        return max((lo - _logfam_gamma_integral(theta, y_far, c)[1]) / dy, 0.0) * (1.0 - 4.0 * _U)
-    y_near = y + h
-    dy = y_near - y  # exact
-    if not (dy > 0.0 and y_near < -1.0):
-        return math.inf
-    return _up((_logfam_gamma_integral(theta, y_near, c)[1] - lo) / dy, 0.0)
+        return max(total - err, 0.0) / divisor * (1.0 - 4.0 * _U)
+    return _up((total + err) / divisor, 0.0)
+
+
+def _slope_step_scale(theta: float, y: float, c: float, F: float) -> float:
+    """sigma at w = E[w^3]^(1/3), w = ln x under the weight exp(y sigma(x))
+    on [c, inf), given F > 0, the integral of that weight: the scale of
+    F'''/F = E[sigma^3] on which ``_logfam_slope_integral`` sizes its step.
+
+    In t = b w the weight is t^(a-1) e^-t on [z, inf), so E[t^3] is the
+    product of R_j = Gamma(a+j+1, z)/Gamma(a+j, z) = a + j + r_j, j < 3,
+    with r_j = z^(a+j) e^-z/Gamma(a+j, z): r_0 from F = b^-a Gamma(a, z),
+    and r_(j+1) = z r_j/R_j.  Each R_j is a mean of t >= z, so it is held
+    at z or above against cancellation.  Only the width depends on it.
+    """
+    b = -(y + 1.0)
+    a = theta * y + 1.0
+    z = b * math.log(c)
+    r = math.exp(a * math.log(z) - z - math.log(F) - a * math.log(b))
+    t3 = 1.0
+    for j in range(3):
+        ratio = max(a + j + r, z)
+        t3 *= ratio
+        r *= z / ratio
+    w = t3 ** (1.0 / 3.0) / b
+    return w + theta * math.log(w)
 
 
 def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, float]:

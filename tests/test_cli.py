@@ -319,6 +319,15 @@ class TestOtherFormatsAndErrors:
         assert doc["regime"] == "Interior"
         assert -1.3 < doc["y"] < -1.2
 
+    def test_interior_logfam_conjugate_nearer_the_edge(self, capsys):
+        # the second-order slope sandwich certifies f'(y) = 1 at y ~ -1.39
+        # within the default budget
+        code, out = run_cli(capsys, "conjugate", "logfam:1.5", "--u", "1")
+        assert code == EXIT_OK
+        doc = parse(out)
+        assert doc["regime"] == "Interior"
+        assert -1.45 < doc["y"] < -1.35
+
     def test_eval_budget_exhaustion_exits_3(self, capsys):
         code, out = run_cli(
             capsys,

@@ -1,5 +1,5 @@
-"""Work-count gate: evaluations, blocks, terms and exponents the reference
-calls compute from a cold memo.
+"""Work-count gate: evaluations, blocks, terms, exponents and incomplete
+gamma certificates the reference calls compute from a cold memo.
 
 The counts are deterministic, so a change that silently drops the reuse of
 partial sums or of cached exponents (or computes more for any other reason)
@@ -24,37 +24,49 @@ from gibbs_series import (
 
 # (call, most _block_sum calls, most terms summed, most exponents computed,
 # most evaluations: eval_series calls and the relative walks of phi, log_f
-# and the ratio probes, all of which pass through series._evaluate)
+# and the ratio probes, all of which pass through series._evaluate; most
+# series._log_upper_gamma calls, the log family's interior certificates)
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 8, 2_048, 256, 9),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 8, 2_048, 256, 9, 0),
     # the fit reads the conjugate's root; its moments reuse the cached sums
-    "min_entropy_moment(linear, 2)": (lambda: min_entropy_moment(linear(), 2.0), 8, 2_048, 256, 11),
+    "min_entropy_moment(linear, 2)": (
+        lambda: min_entropy_moment(linear(), 2.0), 8, 2_048, 256, 11, 0
+    ),
     # each ratio probe walks f and f' once, to a fraction of their own size
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 14, 3_584, 256, 18),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 12, 3_072, 256, 16),
-    "log_f_conjugate(quadratic, 2)": (lambda: log_f_conjugate(quadratic(), 2.0), 14, 3_584, 256, 17),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 14, 3_584, 256, 18, 0),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 12, 3_072, 256, 16, 0),
+    "log_f_conjugate(quadratic, 2)": (
+        lambda: log_f_conjugate(quadratic(), 2.0), 14, 3_584, 256, 17, 0
+    ),
     # one 4,096-term edge block classifies the domain, then three interior
     # blocks meet the integral sandwich
     "eval_series(logfam:1.7229, -1.0886)": (
-        lambda: eval_series(logfam(1.7229), -1.0886), 4, 5_888, 4_096, 1
+        lambda: eval_series(logfam(1.7229), -1.0886), 4, 5_888, 4_096, 1, 6
     ),
-    "domain_info(logfam:1.5, 1e-9)": (lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0),
-    # every probe of the solve ends at the slope's difference-quotient sandwich
+    "domain_info(logfam:1.5, 1e-9)": (
+        lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0, 0
+    ),
+    # every probe of the solve ends at the slope's second-order sandwich,
+    # eight incomplete gamma evaluations a certificate
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 58, 1_581_568, 1_556_480, 9
+        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 9, 148
     ),
+    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 9, 238),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
-    "eval_series(logfam:-1, -1.3)": (lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1),
+    "eval_series(logfam:-1, -1.3)": (
+        lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 12
+    ),
 }
 
 
 @pytest.mark.parametrize("name", REFERENCE_CALLS)
 def test_reference_call_work(name, monkeypatch):
-    call, max_blocks, max_terms, max_sigmas, max_evals = REFERENCE_CALLS[name]
-    work = {"blocks": 0, "terms": 0, "sigmas": 0, "evals": 0}
+    call, max_blocks, max_terms, max_sigmas, max_evals, max_gammas = REFERENCE_CALLS[name]
+    work = {"blocks": 0, "terms": 0, "sigmas": 0, "evals": 0, "gammas": 0}
     kernel = series._block_sum
     sigma_values = series.sigma_values
     evaluate = series._evaluate
+    upper_gamma = series._log_upper_gamma
 
     def counted(seq, y, p, first, stop):
         work["blocks"] += 1
@@ -69,9 +81,14 @@ def test_reference_call_work(name, monkeypatch):
         work["evals"] += 1
         return evaluate(*args)
 
+    def counted_gamma(a, z):
+        work["gammas"] += 1
+        return upper_gamma(a, z)
+
     monkeypatch.setattr(series, "_block_sum", counted)
     monkeypatch.setattr(series, "sigma_values", counted_sigmas)
     monkeypatch.setattr(series, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(series, "_log_upper_gamma", counted_gamma)
     series._memo.lru.clear()
     series._memo.sigma.clear()
     domain_info.cache_clear()
@@ -81,4 +98,5 @@ def test_reference_call_work(name, monkeypatch):
         and work["terms"] <= max_terms
         and work["sigmas"] <= max_sigmas
         and work["evals"] <= max_evals
+        and work["gammas"] <= max_gammas
     ), work
