@@ -665,7 +665,9 @@ def _logfam_slope_integral(theta: float, y: float, c: float, lower: bool = False
     """
     lo, hi = _logfam_gamma_integral(theta, y, c)
     cap = -0.25 * (y + 1.0)
-    eps, scale = (hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)) if lo > 0.0 else (math.inf, 1.0)
+    eps, scale = math.inf, 1.0
+    if lo > 0.0:
+        eps, scale = hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)
     step = min(1.4 * eps ** (1.0 / 3.0) / scale, cap)
     h = math.ldexp(1.0, math.frexp(step)[1] - 1)  # the power of two at or below step
     js, coefs = zip(*(_SLOPE_LOWER if lower else _SLOPE_UPPER))
