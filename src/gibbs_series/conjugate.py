@@ -353,4 +353,4 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     if v < 3.0 * kappa * u:
         return math.inf
     lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
-    return u * (math.log(u) - 1.0) + 3.0 * u * lf
+    return exp_conjugate(u) + 3.0 * u * lf

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugate import Regime, _find_root, _log_conjugate, _require_numbers, conjugate
+from .conjugate import Regime, _find_root, _log_conjugate, _require_numbers, conjugate, exp_conjugate
 from .sequences import (
     SigmaSequence,
     VarsigmaSequence,
@@ -261,13 +261,13 @@ def fit_gibbs(
             indices=(seq.family.rules.ground(seq),),
             weights=np.array([u]),
             achieved=(u, u * s_min),
-            entropy_value=u * (math.log(u) - 1.0),
+            entropy_value=exp_conjugate(u),
             reason="ratio at the minimal exponent: all mass on the ground level",
         )
     if cv.regime is Regime.PLATEAU:
         return GibbsFit(
             status=FitStatus.PLATEAU_NON_ATTAINED,
-            entropy_value=u * (math.log(u) - 1.0) + u * cv.value,
+            entropy_value=exp_conjugate(u) + u * cv.value,
             achieved=(u, v),
             reason="ratio beyond the attainable range; infimum not attained",
         )

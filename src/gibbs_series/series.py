@@ -9,21 +9,20 @@ certificates used are:
   sigma_{N+1} > p/|y|, omitted terms are dominated by the decreasing
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
   whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1;
-* integral comparison: for monotone term envelopes, tails are bounded
-  by integrals with closed-form antiderivatives (incomplete-gamma style
-  bounds with integer exponents for powers, and the log family's
-  derivatives p >= 2 inside the domain);
+* integral comparison: for powers n^theta with theta < 1, the tail is
+  bounded by an integral, an upper incomplete gamma function of integer
+  order;
 * integral sandwich for the log family, at the edge y = -1 and in the
-  interior at p <= 1: for decreasing terms convex from N + 1/2 on
+  interior at every order p: for decreasing terms convex from N + 1/2 on
   (Hermite-Hadamard; sigma is concave from x = e^phi ~ 5.04 on for every
   theta >= -1), int_{N+1} g + g(N+1)/2 <= tail <= int_{N+1/2} g, a
   bracket about |g'(N)|/8 wide that is added to the partial sum; the
   edge integrals are exact log-power integrals, the interior p = 0 ones
   F = b^-a Gamma(a, b ln c) with a certified upper incomplete gamma
   function (the even and odd convergents of Legendre's continued
-  fraction), and the interior p = 1 ones dF/dy, bracketed to second
-  order in the step by four values of F for each end, since F is a
-  Laplace transform in y and its F''' is positive;
+  fraction), and the interior p >= 1 ones d^p F/dy^p, bracketed to
+  second order in the step by 2p + 2 values of F for each end, since F
+  is a Laplace transform in y and its F^(p+2) is positive;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
   from certified brackets of g and its first two derivatives.
@@ -45,7 +44,7 @@ import math
 import os
 import sys
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -109,18 +108,6 @@ class DomainInfo:
     @property
     def empty(self) -> bool:
         return self.boundary_class is BoundaryClass.EMPTY_DOMAIN
-
-    def contains(self, y: float) -> bool:
-        if self.empty:
-            return False
-        if y < -self.alpha:
-            return True
-        if y == -self.alpha:
-            return self.boundary_class in (
-                BoundaryClass.CLOSED_INFINITE_SLOPE,
-                BoundaryClass.CLOSED_FINITE_SLOPE,
-            )
-        return False
 
 
 @dataclass(frozen=True)
@@ -283,21 +270,6 @@ def _exp_down(log_value: float, err: float) -> float:
     return math.exp(min(low, 709.0)) * (1.0 - 4.0 * _U)
 
 
-def _log_exp_int_upper(m: int, b: float, W: float) -> tuple[float, float]:
-    """ln of integral_W^inf w^m exp(-b w) dw for integer m >= 0, b > 0.
-
-    Returns the computed logarithm and a bound on its absolute rounding
-    error (the error of ``W`` itself is the caller's to add).
-    """
-    acc = 0.0
-    coef = 1.0
-    for j in range(m + 1):
-        acc += coef * W ** (m - j) / b ** (j + 1)
-        coef *= (m - j)
-    log_acc = math.log(acc)
-    return log_acc - b * W, _U * (2.0 * b * W + 2.0 * abs(log_acc) + 2.0 * m + 8.0)
-
-
 _GAMMA_PAIRS = 4000  # continued-fraction steps, in pairs, per evaluation
 _RESCALE = 2.0 ** 600
 
@@ -413,51 +385,26 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     if float(N) ** theta * b <= p:
         return None
     # substitute s = x^theta:  (1/theta) * int_S^inf s^(a-1) exp(-b s) ds,
-    # a = p + 1/theta >= 1;  bound s^(a-1) <= S^(a-1-m) s^m with m = ceil(a-1)
+    # a = p + 1/theta >= 1;  bound s^(a-1) <= S^(a-1-m) s^m with m = ceil(a-1),
+    # whose integral is Gamma(m + 1, b S) / b^(m+1)
     S = float(N) ** theta
     if S < 1.0:
         return None
     a = p + 1.0 / theta
     m = math.ceil(a - 1.0)
-    log_int, err = _log_exp_int_upper(m, b, S)
+    log_b = math.log(b)
+    _, log_gamma, err = _log_upper_gamma(m + 1.0, b * S)
+    log_int = log_gamma - (m + 1) * log_b
     log_pre = (a - 1.0 - m) * math.log(S) - math.log(theta)
-    # S = N^theta carries a relative error of u, moving b S by b S u
-    err += _U * (4.0 * (b * S + a + m) + 3.0 * abs(log_pre) + 2.0 * abs(log_int))
-    return 0.0, _exp_up(log_pre + log_int, err)
-
-
-def _logfam_interior_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(0, envelope bound) on the log-family tail after index N, at y < -1
-    and p >= 2 (lower orders have ``_logfam_sandwich``)."""
-    theta = seq.theta
-    if N < 16:
-        return None
-    W = math.log(N)
-    b = -(y + 1.0)
-    c = p + theta * y
-    if c > 0 and W <= c / (-y):
-        return None  # envelope not yet decreasing
-    sN = sigma(seq, N)
-    if sN * (-y) <= p:
-        return None
-    log_c1 = p * math.log1p(max(theta, 0.0) * math.log(W) / W)
-    log_w = math.log(W)
-    if c <= 0.0:
-        log_int = c * log_w - b * W - math.log(b)
-        m = 0
-        err = _U * (2.0 * abs(log_int) + 2.0 * abs(math.log(b)) + 4.0)
-    else:
-        m = math.ceil(c)
-        log_int, err = _log_exp_int_upper(m, b, W)
-    # W = ln N, b = -(y+1) and c = p + theta y each carry a few ulps
+    # S = N^theta carries a relative error of u, moving b S by 2 b S u, and
+    # d ln Gamma(m + 1, z) / dz lies in [-1, 0]; ln b carries (|ln b| + 1) u
     err += _U * (
-        4.0 * (b + abs(y)) * W
-        + 4.0 * (abs(c) + abs(theta * y) + m) * (abs(log_w) + 1.0)
-        + 4.0 * (log_c1 + p)
+        4.0 * (b * S + a + m)
+        + 2.0 * (m + 1) * (abs(log_b) + 1.0)
+        + 3.0 * abs(log_pre)
         + 2.0 * abs(log_int)
-        + 8.0
     )
-    return 0.0, _exp_up(log_c1 + log_int, err)
+    return 0.0, _exp_up(log_pre + log_int, err)
 
 
 def _box_level_tail(kappa: float, y: float, p: int, S: int) -> Optional[float]:
@@ -491,34 +438,13 @@ def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
     return None if bound is None else (0.0, bound)
 
 
-def _logfam_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """The integral sandwich at the edge and up to p = 1, the envelope above."""
-    if y == -1.0 or p <= 1:
-        return _logfam_sandwich(seq, y, p, N)
-    return _logfam_interior_tail(seq, y, p, N)
-
-
-# each family's tail certificate, by the name its rules give (``rules.tail``)
-_TAILS = {"geometric": _geom_tail, "power": _power_tail, "logfam": _logfam_tail, "box": _box_tail}
-
-
-def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
-    """Certified bound on sum_{n>N} sigma_n^p exp(sigma_n y), if available.
-
-    The box spectrum is cut between levels, so for the box family ``N``
-    is a level s: the bound covers every triple with k^2+l^2+m^2 > s.
-    """
-    bounds = _TAILS[seq.family.rules.tail](seq, y, p, N)
-    return None if bounds is None else bounds[1]
-
-
 # ---------------------------------------------------------------------------
 # Integral sandwich for the log family
 # ---------------------------------------------------------------------------
 
 def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(lower, upper) on the log-family tail after N, at the edge y = -1 or
-    in the interior with p <= 1; None while the terms may still grow.
+    """(lower, upper) on the log-family tail after N, at the edge y = -1 and
+    in the interior at every order p; None while the terms may still grow.
 
     The terms are g(n) with g(x) = sigma(x)^p exp(y sigma(x)).  Where g
     decreases from N on, the tail lies between its integrals from N + 1
@@ -554,12 +480,11 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
 
 
 def _logfam_integral(seq: SigmaSequence, y: float, p: int, c: float, lower: bool = False) -> float:
-    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down);
-    in the interior p <= 1."""
+    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down)."""
     if y == -1.0:
         return _logfam_boundary_integral(seq.theta, p, c, lower)
     if p:
-        return _logfam_slope_integral(seq.theta, y, c, lower)
+        return _logfam_derivative_integral(seq.theta, y, p, c, lower)
     return _logfam_gamma_integral(seq.theta, y, c)[0 if lower else 1]
 
 
@@ -614,74 +539,89 @@ def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, flo
     return _exp_down(lo - a * log_b, err), _exp_up(hi - a * log_b, err)
 
 
-# 2h F'(y) is at most, or at least, these combinations of F(y + j h): pairs
-# (j, coefficient), see ``_logfam_slope_integral``
-_SLOPE_UPPER = ((1, 2.0), (0, -3.0), (-1, 2.0), (-2, -1.0))
-_SLOPE_LOWER = ((0, 2.0), (-1, -1.0), (-2, -2.0), (-3, 1.0))
+@lru_cache(maxsize=None)
+def _stencil(p: int, lower: bool) -> tuple[tuple[int, float], ...]:
+    """Pairs (j, coefficient) of the combination of F(y + j h) that is at
+    least 2 h^p F^(p)(y), or with ``lower`` at most it (see
+    ``_logfam_derivative_integral``); zero coefficients are left out."""
+    # (q, top, weight): weight times the backward difference nabla^q F(y + top h)
+    if lower:  # 2 nabla^p F(y) + p nabla^(p+1) F(y - p h)
+        parts = ((p, 0, 2), (p + 1, -p, p))
+    else:  # 2 Delta^p F(y) - p nabla^(p+1) F(y), Delta^p F(y) = nabla^p F(y + p h)
+        parts = ((p, p, 2), (p + 1, 0, -p))
+    coefs = Counter()
+    for q, top, weight in parts:
+        for k in range(q + 1):
+            coefs[top - k] += weight * (-1) ** k * math.comb(q, k)
+    return tuple((j, float(c)) for j, c in coefs.items() if c)
 
 
-def _logfam_slope_integral(theta: float, y: float, c: float, lower: bool = False) -> float:
-    """integral_c^inf sigma(x) x^y (ln x)^(theta y) dx for y < -1, c >= 3,
-    rounded up (or down with ``lower``).
+def _logfam_derivative_integral(
+    theta: float, y: float, p: int, c: float, lower: bool = False
+) -> float:
+    """integral_c^inf sigma(x)^p x^y (ln x)^(theta y) dx for p >= 1, y < -1,
+    c >= 3, rounded up (or down with ``lower``).
 
-    It is F'(y) for F(y) = integral_c^inf exp(y sigma(x)) dx, which
+    It is F^(p)(y) for F(y) = integral_c^inf exp(y sigma(x)) dx, which
     ``_logfam_gamma_integral`` certifies.  F is a Laplace transform in y
     and sigma > 0 on [3, inf), so every F^(k) = int sigma^k exp(y sigma)
-    is positive; only F''' >= 0, i.e. F'' increasing, is used.  With a step
-    h, each end is a secant of F plus a correction (h/2) F'':
+    is positive and increasing (Widder, The Laplace Transform, 1941,
+    ch. IV); only F^(p+2) >= 0 is used.  With a step h and the forward and
+    backward differences Delta and nabla, Delta^p F(y) / h^p is the mean of
+    F^(p) on [y, y + p h] under a B-spline of mass 1 and mean p h/2.  F^(p)
+    is convex, so that mean is at least F^(p)(y) + (p h/2) F^(p+1)(y), and
+    F^(p+1)(y) is at least nabla^(p+1) F(y) / h^(p+1), a mean of F^(p+1)
+    left of y.  Likewise F^(p)(y) >= F^(p)(y - t) + t F^(p+1)(y - p h) for
+    t <= p h, averaged under the spline of nabla^p F(y).  So
 
-    * upper end: F(y + h) - F(y) - h F'(y) = int_y^(y+h) (y + h - t)
-      F''(t) dt >= (h^2/2) F''(y), and F''(y) is at least the second
-      difference on {y - 2h, y - h, y}, a value of F'' left of y; so
+        F^(p)(y) <= [2 Delta^p F(y) - p nabla^(p+1) F(y)] / (2 h^p),
+        F^(p)(y) >= [2 nabla^p F(y) + p nabla^(p+1) F(y - p h)] / (2 h^p),
 
-          F'(y) <= [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h),
-
-      (2/3) h^2 F''' above it;
-    * lower end: F'(y) - (F(y) - F(y - h))/h = (1/h) int_(y-h)^y
-      int_t^y F''(s) ds dt >= (h/2) F''(y - h), and F''(y - h) is at least
-      the second difference on {y - 3h, y - 2h, y - h}; so
-
-          F'(y) >= [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h),
-
-      (5/6) h^2 F''' below it.
+    whose coefficients ``_stencil`` lists.  At p = 1 they are
+    [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h), (2/3) h^2 F''' above F',
+    and [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h), (5/6) h^2 F''' below.
 
     Each combination takes F's ends crosswise (the upper end for positive
     coefficients of the upper bound and negative ones of the lower bound).
     The products carry at most u each and ``math.fsum`` rounds the sum
     once, so 8 u of the sum of |terms| covers both with margin; h is a
-    power of two, so dividing by 2h is exact.  The nodes y + j h must be
+    power of two, so dividing by 2 h^p is exact.  The nodes y + j h must be
     exact floats: y + j h less y is exact (Sterbenz), and differs from j h
-    only where a node crosses a binade.  There the correction is dropped
-    and the end is the plain secant over the exact float step, at a
-    first-order step 2 sqrt(eps) over the same scale.
+    only where a node crosses into the binade below, whose ulp is twice
+    y's.  There each end is taken at the neighbour of y with an even last
+    mantissa bit, from whose multiples of 2 ulp every node is exact: the
+    one above y for the upper end and the one below for the lower end, as
+    F^(p) increases in y.
 
-    The width is about (3/2) h^2 F''' from the curvature plus 7 eps F/h
-    from F's relative bracket width eps, least near h = 1.4 eps^(1/3)
-    (F/F''')^(1/3).  F'''/F = E[sigma^3] under the weight, far above
-    sigma(c)^3 near the edge, so its cube root is taken from the third
-    moment of ln x (``_slope_step_scale``).  h is capped at |y + 1|/4 to
-    keep y + h inside the domain.  The bracket is then 5-8 eps^(2/3) of F'
-    wide (eps ~ 1e-13) where F's own width allows.
+    The width is about h^2 F^(p+2) from the curvature plus eps F / h^p
+    times the coefficients from F's relative bracket width eps, least near
+    h = 1.4 eps^(1/(p+2)) (F/F^(p+2))^(1/(p+2)).  F^(p+2)/F = E[sigma^(p+2)]
+    under the weight, far above sigma(c)^(p+2) near the edge; its root is
+    taken from the third moment of ln x (``_slope_step_scale``) at every p.
+    h is capped at |y + 1|/(4p) to keep y + p h inside the domain.  At p = 1
+    the bracket is then 5-8 eps^(2/3) of F' wide (eps ~ 1e-13) where F's
+    own width allows.
     """
     lo, hi = _logfam_gamma_integral(theta, y, c)
-    cap = -0.25 * (y + 1.0)
     eps, scale = math.inf, 1.0
     if lo > 0.0:
         eps, scale = hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)
-    step = min(1.4 * eps ** (1.0 / 3.0) / scale, cap)
+    step = min(1.4 * eps ** (1.0 / (p + 2)) / scale, -0.25 * (y + 1.0) / p)
     h = math.ldexp(1.0, math.frexp(step)[1] - 1)  # the power of two at or below step
-    js, coefs = zip(*(_SLOPE_LOWER if lower else _SLOPE_UPPER))
-    nodes = [y + j * h for j in js]
-    divisor = 2.0 * h
-    if any(t - y != j * h for t, j in zip(nodes, js)):  # a node across a binade
-        h = min(2.0 * math.sqrt(eps) / scale, cap)
-        near = y - h if lower else y + h
-        nodes, coefs = (y, near), ((1.0, -1.0) if lower else (-1.0, 1.0))
-        divisor = abs(near - y)  # exact
+    stencil = _stencil(p, lower)
+    nodes = [y + j * h for j, _ in stencil]
+    if any(t - y != j * h for t, (j, _) in zip(nodes, stencil)):  # a node across a binade
+        mantissa, exponent = math.frexp(y)
+        even = (math.floor if lower else math.ceil)(math.ldexp(mantissa, 52))
+        neighbour = math.ldexp(even, exponent - 52)
+        if neighbour != y and neighbour < -1.0:
+            return _logfam_derivative_integral(theta, neighbour, p, c, lower)
+        return 0.0 if lower else math.inf
+    divisor = 2.0 * h ** p
     if not (divisor > 0.0 and max(nodes) < -1.0):  # y within a few ulps of the edge
         return 0.0 if lower else math.inf
     terms = []
-    for t, coef in zip(nodes, coefs):
+    for t, (_, coef) in zip(nodes, stencil):
         ends = (lo, hi) if t == y else _logfam_gamma_integral(theta, t, c)
         terms.append(coef * ends[(coef > 0.0) != lower])
     total = math.fsum(terms)
@@ -694,7 +634,8 @@ def _logfam_slope_integral(theta: float, y: float, c: float, lower: bool = False
 def _slope_step_scale(theta: float, y: float, c: float, F: float) -> float:
     """sigma at w = E[w^3]^(1/3), w = ln x under the weight exp(y sigma(x))
     on [c, inf), given F > 0, the integral of that weight: the scale of
-    F'''/F = E[sigma^3] on which ``_logfam_slope_integral`` sizes its step.
+    F'''/F = E[sigma^3] on which ``_logfam_derivative_integral`` sizes its
+    step.
 
     In t = b w the weight is t^(a-1) e^-t on [z, inf), so E[t^3] is the
     product of R_j = Gamma(a+j+1, z)/Gamma(a+j, z) = a + j + r_j, j < 3,
@@ -724,6 +665,20 @@ def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, floa
         abs(y * s) + p * abs(log_s) + 1.0
     )
     return p * log_s + y * s, err
+
+
+# each family's tail certificate, by the name its rules give (``rules.tail``)
+_TAILS = {"geometric": _geom_tail, "power": _power_tail, "logfam": _logfam_sandwich, "box": _box_tail}
+
+
+def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[float]:
+    """Certified bound on sum_{n>N} sigma_n^p exp(sigma_n y), if available.
+
+    The box spectrum is cut between levels, so for the box family ``N``
+    is a level s: the bound covers every triple with k^2+l^2+m^2 > s.
+    """
+    bounds = _TAILS[seq.family.rules.tail](seq, y, p, N)
+    return None if bounds is None else bounds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +850,9 @@ def _eval_box(
     seq: SigmaSequence, y: float, p: int, tol: float, budget: int, rel: float = 0.0
 ) -> SeriesEval:
     """Box series via the cube factorization f = g^3, orders p <= 2; the
-    product bracket stops as ``_sum_blocks``'s does."""
+    product bracket stops as ``_sum_blocks``'s does.  A factor walk that
+    fails ends the evaluation: the box's BudgetExceededError carries the
+    product of the factors' best brackets."""
     if p > 2:
         raise ValueError(
             "box series evaluation supports derivative orders 0..2 "
@@ -906,16 +863,20 @@ def _eval_box(
     quad = quadratic()
     certificate = _TAILS[quad.family.rules.tail]
 
-    def brackets(abs_tols: list[float]) -> list[SeriesEval]:
-        return [
-            _sum_blocks(quad, z, j, abs_tols[j], budget, 256, certificate)
-            for j in range(p + 1)
-        ]
+    def brackets(abs_tols: list[float]) -> tuple[list[SeriesEval], Optional[BudgetExceededError]]:
+        comps, failed = [], None
+        for j in range(p + 1):
+            try:
+                comps.append(_sum_blocks(quad, z, j, abs_tols[j], budget, 256, certificate))
+            except BudgetExceededError as exc:
+                comps.append(exc.best)
+                failed = exc
+        return comps, failed
 
     # rough pass to scale component tolerances, then tighten until the
     # product bracket meets the target
-    comps = brackets([1.0] * (p + 1))
-    for _ in range(6):
+    comps, failed = brackets([1.0] * (p + 1))
+    for attempt in range(7):
         g = [kappa ** j * comps[j].value for j in range(p + 1)]
         gu = [kappa ** j * comps[j].upper for j in range(p + 1)]
         if p == 0:
@@ -926,18 +887,21 @@ def _eval_box(
         else:
             lo = 6.0 * g[0] * g[1] ** 2 + 3.0 * g[0] ** 2 * g[2]
             hi = 6.0 * gu[0] * gu[1] ** 2 + 3.0 * gu[0] ** 2 * gu[2]
+        best = SeriesEval(lo, p, max(c.truncation_index for c in comps), hi - lo)
         target = max(tol, rel * lo)
         if hi - lo <= target or (rel and lo <= 0.0):
-            idx = max(c.truncation_index for c in comps)
-            return SeriesEval(lo, p, idx, hi - lo)
+            return best
+        if failed is not None or attempt == 6:
+            break
         # component relative accuracy needed: spread the target across factors
         shrink = max((hi - lo) / target, 4.0)
-        comps = brackets(
+        comps, failed = brackets(
             [max(comps[j].tail_bound / shrink / 4.0, 1e-300) for j in range(p + 1)]
         )
     raise BudgetExceededError(
-        f"box bracket did not reach tol={target:g}",
-        SeriesEval(lo, p, max(c.truncation_index for c in comps), hi - lo),
+        f"box bracket did not reach tol={target:g} for {seq.spec_string()} at y={y!r}"
+        + ("" if failed is None else f" (a factor: {failed})"),
+        best,
     )
 
 

@@ -62,6 +62,7 @@ CASES = [
     (logfam(0.5), -2.0, 0, 1000),
     (logfam(3.0), -1.0, 0, 1000),
     (logfam(3.0), -1.0, 1, 1000),
+    (logfam(3.0), -1.5, 2, 1000),
 ]
 
 

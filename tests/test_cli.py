@@ -339,6 +339,15 @@ class TestOtherFormatsAndErrors:
         assert doc["error"] == "BudgetExceeded"
         assert doc["best_tail_bound"] > 1e-10
 
+    def test_box_budget_exhaustion_names_the_box(self, capsys):
+        # the bracket reported is f_box(-0.5) = 0.42749..., not its factor
+        code, out = run_cli(capsys, "--tol", "1e-30", "eval", "box:1", "--y", "-0.5")
+        assert code == EXIT_NUMERIC
+        doc = parse(out)
+        assert doc["error"] == "BudgetExceeded"
+        assert "for box:1 at y=-0.5" in doc["detail"]
+        assert abs(doc["best_value"] - 0.4274923674) < 1e-9
+
     def test_domain_honours_budget(self, capsys):
         # the slope sum of logfam:3.5 at the edge needs more than 1000 terms
         # at the default tolerance

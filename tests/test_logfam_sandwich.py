@@ -2,7 +2,7 @@
 
 The certified upper incomplete gamma function must enclose
 ``mpmath.gammainc``; every log-family bracket the sandwich produces, at the
-edge y = -1 and in the interior at p <= 1, must contain an independent
+edge y = -1 and in the interior at every order, must contain an independent
 30-digit value and meet its tolerance where it is certified; conjugates
 near the edge must solve f'(y) = u against that value; and interior
 brackets far from the edge must contain the 50-digit sum despite the
@@ -234,13 +234,44 @@ def test_interior_slopes_certify(theta, y):
     assert eval_series(logfam(theta), y, 1, tol=1e-9).tail_bound <= 1e-9
 
 
+# (theta, y, p, most terms): interior orders p >= 2 certify at the default
+# tolerance; a term budget of 10^7 was not enough for the first, third to
+# sixth rows before their tails were sandwiched
+HIGHER_ORDERS = [
+    (3.0, -1.5, 2, 16_130),
+    (3.0, -2.0, 2, 258),
+    (1.5, -2.0, 2, 1_794),
+    (0.5, -2.0, 2, 130_818),
+    (-1.0, -2.5, 2, 524_034),
+    (4.5, -1.3, 2, 7_938),
+    (3.0, -2.0, 3, 3_842),
+]
+
+
+@pytest.mark.parametrize("theta,y,p,most", HIGHER_ORDERS, ids=str)
+def test_interior_higher_orders_certify(theta, y, p, most):
+    ev = eval_series(logfam(theta), y, p, tol=1e-9)
+    assert ev.tail_bound <= 1e-9
+    assert ev.truncation_index <= most
+    assert contains(ev, reference(theta, y, p))
+
+
+def test_interior_higher_order_budget_bracket_contains_reference():
+    # theta = 3, y = -1.3, p = 2 still needs more than 10^7 terms for 1e-9;
+    # the best bracket the failure carries still encloses the sum
+    with pytest.raises(BudgetExceededError) as info:
+        eval_series(logfam(3.0), -1.3, 2, tol=1e-9)
+    assert info.value.best.tail_bound <= 2e-9
+    assert contains(info.value.best, reference(3.0, -1.3, 2))
+
+
 @pytest.mark.parametrize("theta,y", [(-1.0, -2.5), (0.5, -1.05), (2.9, -1.26), (4.5, -1.6)], ids=str)
 def test_slope_integral_brackets_quadrature(theta, y):
     # second-order combinations of the certified p = 0 integral bracket its
     # y-derivative
     for c in (258.5, 4099.0, 2.0 ** 20):
-        lo = series._logfam_slope_integral(theta, y, c, lower=True)
-        hi = series._logfam_slope_integral(theta, y, c)
+        lo = series._logfam_derivative_integral(theta, y, 1, c, lower=True)
+        hi = series._logfam_derivative_integral(theta, y, 1, c)
         with mp.workdps(40):
             ref = interior_integral(theta, y, 1, mp.log(c))
         assert 0.0 < lo <= ref <= hi, c
@@ -250,26 +281,34 @@ def test_slope_integral_brackets_quadrature(theta, y):
 
 @pytest.mark.parametrize("theta", [-1.0, 0.5, 2.825, 2.9, 3.0, 4.5], ids=str)
 def test_slope_integral_contains_reference_on_grid(theta):
-    # from next to the edge to deep inside, and at y = nextafter(-2, 0),
-    # where the left nodes y - jh cross a binade and each end falls back to
-    # the secant at a first-order step: still an enclosure, a few sqrt(eps)
-    # wide, not (0, inf)
+    # every order p <= 3, from next to the edge to deep inside, and at
+    # y = nextafter(-2, 0), where the left nodes y - jh cross a binade and
+    # each end is taken at an even-mantissa neighbour of y instead: still an
+    # enclosure, and about as wide as the one at y = -2 itself.  Next to
+    # the edge the step is capped at |y + 1|/(4p), and from p = 2 on the
+    # lower end may fall to 0 there
     binade = math.nextafter(-2.0, 0.0)
-    for y in (-1.0005, -1.05, -1.3, -6.0, -20.0, binade):
-        for c in (5.5, 258.5, 1794.5, 4099.0, 2.0 ** 20):
-            lo = series._logfam_slope_integral(theta, y, c, lower=True)
-            hi = series._logfam_slope_integral(theta, y, c)
-            with mp.workdps(40):
-                ref = interior_integral(theta, y, 1, mp.log(c))
-                assert 0.0 < lo <= ref <= hi < math.inf, (y, c)
-            assert y != binade or hi - lo <= 1e-5 * hi, c
+    for p in (1, 2, 3):
+        for y in (-1.0005, -1.05, -1.3, -6.0, -20.0, binade):
+            for c in (5.5, 258.5, 1794.5, 4099.0, 2.0 ** 20):
+                lo = series._logfam_derivative_integral(theta, y, p, c, lower=True)
+                hi = series._logfam_derivative_integral(theta, y, p, c)
+                with mp.workdps(40):
+                    ref = interior_integral(theta, y, p, mp.log(c))
+                    assert 0.0 <= lo <= ref <= hi < math.inf, (p, y, c)
+                assert p > 1 or lo > 0.0, (y, c)
+                if y == binade:
+                    lo2 = series._logfam_derivative_integral(theta, -2.0, p, c, lower=True)
+                    hi2 = series._logfam_derivative_integral(theta, -2.0, p, c)
+                    assert hi - lo <= 2.0 * (hi2 - lo2), (p, c)
 
 
 def test_slope_integral_next_to_the_edge():
     # within an ulp of y = -1 no step fits: the ends give up, not fail
     y = math.nextafter(-1.0, -2.0)
-    assert series._logfam_slope_integral(2.0, y, 300.5, lower=True) == 0.0
-    assert series._logfam_slope_integral(2.0, y, 300.5) == math.inf
+    for p in (1, 2):
+        assert series._logfam_derivative_integral(2.0, y, p, 300.5, lower=True) == 0.0
+        assert series._logfam_derivative_integral(2.0, y, p, 300.5) == math.inf
 
 
 # the three interior conjugates of the edge_sums benchmark, and three more
@@ -305,7 +344,7 @@ def test_sandwich_is_a_fraction_of_a_term_wide():
     # comparison left g(N)
     seq, N = logfam(1.5), 4098
     for y in (-1.0, -1.3):
-        lower, upper = series._logfam_tail(seq, y, 0, N)
+        lower, upper = series._logfam_sandwich(seq, y, 0, N)
         width = upper - lower
         term = N ** y * math.log(N) ** (1.5 * y)
         assert 0.0 < lower and 0.0 < width < term / N, y

@@ -148,6 +148,16 @@ class TestBracketing:
         with pytest.raises(ValueError):
             eval_series(box(1.0), -1.0, 3, tol=1e-6)
 
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_box_budget_failure_carries_the_box_bracket(self, p):
+        # a tolerance below the factor's accumulation floor fails with the
+        # box's own error, whose bracket encloses f_box, not the factor g
+        ev = eval_series(box(1.0), -0.5, p)
+        with pytest.raises(BudgetExceededError, match="for box:1 at y=-0.5") as info:
+            eval_series(box(1.0), -0.5, p, tol=1e-30)
+        best = info.value.best
+        assert best.value <= ev.upper and ev.value <= best.upper
+
     def test_roundoff_floor_fails_fast(self):
         # absolute tolerance below the float64 accumulation floor
         with pytest.raises(BudgetExceededError) as exc:

@@ -56,6 +56,14 @@ REFERENCE_CALLS = {
     "eval_series(logfam:-1, -1.3)": (
         lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 12
     ),
+    # higher orders meet the same sandwich, 2p + 2 incomplete gamma
+    # evaluations for each end of a certificate, after the edge blocks
+    "eval_series(logfam:3, -2, 3)": (
+        lambda: eval_series(logfam(3.0), -2.0, 3), 6, 12_032, 4_096, 1, 64
+    ),
+    "eval_series(logfam:1.5, -2, 2)": (
+        lambda: eval_series(logfam(1.5), -2.0, 2), 4, 5_888, 4_096, 1, 36
+    ),
 }
 
 
