@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,19 +55,13 @@ class CriterionResult:
     title: str
     passed: bool
     details: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0  # excluded from serialized output
 
     def summary_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] criterion {self.id}: {self.title}"
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -88,14 +82,12 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
         "geometric closed form on a 50-point grid",
         ok,
         {"max_rel_err": worst, "tol": 1e-12, "runtime_under_1s": elapsed < 1.0},
-        elapsed,
     )
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Conjugate of the unit-gap series at u=2 hits the closed form, and the
     1000-level truncated solver agrees within 1e-6."""
-    t0 = time.perf_counter()
     exact = -1.0 - 2.0 * math.log(2.0)
     cv = conjugate(linear(), 2.0, tol=1e-12)
     trunc = primal_truncated(linear(), 1000, moment=2.0)
@@ -108,13 +100,11 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CriterionResult:
         "conjugate exactness at u=2 with truncated-dual agreement",
         ok,
         {"value_err": value_err, "argmax_err": y_err, "truncated_gap": trunc_err},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Two-moment fit (mass 1, energy 2) reproduces weights (1/2)^n."""
-    t0 = time.perf_counter()
     fit = fit_gibbs(linear(), 1.0, 2.0, tol=1e-12)
     worst = max(
         abs(float(fit.weights[n - 1]) - 0.5 ** n) for n in range(1, 31)
@@ -126,7 +116,6 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CriterionResult:
         "Gibbs weights (1/2)^n for mass 1, energy 2",
         ok,
         {"max_weight_err": worst, "ratio_err": ratio_err},
-        time.perf_counter() - t0,
     )
 
 
@@ -141,7 +130,6 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
     its moment, and its gap must not fall below the floor on its own
     support: such a gap would mean the gap or the target is wrong.
     """
-    t0 = time.perf_counter()
     seq = logfam(3.0)
     g = domain_info(seq).gamma
     us = [g + 0.5, g + 1.0, g + 2.0]
@@ -183,7 +171,6 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CriterionResult:
             "moment_err": moment_err,
             "witness_ok": witness_ok,
         },
-        time.perf_counter() - t0,
     )
 
 
@@ -191,7 +178,6 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Box reports: degenerate ray entropy -1 via the ground-state
     singleton; interior target (1,4) reproduces its moments and matches the
     conjugate."""
-    t0 = time.perf_counter()
     r3 = box_report(1.0, 3.0)
     singleton_ok = (
         r3.classification == "ground_state"
@@ -212,7 +198,6 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
             "moments_err": moments_err,
             "conjugate_gap": conj_err,
         },
-        time.perf_counter() - t0,
     )
 
 
@@ -220,7 +205,6 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Term-by-term derivative sum: central differences with h=1e-5 agree
     with the analytic series to 1e-6 at 20 random interior points per
     target (unit-gap, square-exponent, and the 2-D box free energy)."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = {"linear": 0.0, "quadratic": 0.0, "box2d": 0.0}
     for _ in range(20):
@@ -245,7 +229,6 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         "finite-difference gradient sums at 20 random points per target",
         ok,
         {"max_gaps": worst, "tol": 1e-6, "h": 1e-5, "seed": seed},
-        time.perf_counter() - t0,
     )
 
 
@@ -253,7 +236,6 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Alternating gradient series: square coefficients converge to -2/27
     by 200 terms; exponential-rate classification follows the sign of
     x + rate at 10 sample points."""
-    t0 = time.perf_counter()
     rep = alternating_gradient_series(
         -math.log(2.0), parse_varsigma("power:2"), 200
     )
@@ -281,14 +263,12 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
         "alternating series value -2/27 and sign-rule classification",
         ok,
         {"second_err": second_err, "classification_ok": cls_ok},
-        time.perf_counter() - t0,
     )
 
 
 def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Attainment value -2/27 at u=2 to 1e-12; alternating witnesses reach
     gaps 1e-1, 1e-2, 1e-3."""
-    t0 = time.perf_counter()
     att = alternating_attainment(2.0, parse_varsigma("power:2"), tol=1e-13)
     value_err = abs(att.value - (-2.0 / 27.0))
     gaps = {}
@@ -303,7 +283,6 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
         "alternating attainment value and witness gaps",
         ok,
         {"value_err": value_err, "witness_gaps": gaps},
-        time.perf_counter() - t0,
     )
 
 
@@ -314,7 +293,6 @@ def _cycle_families() -> list[SigmaSequence]:
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Fenchel-Young sweep over 1000 random (sequence, y, u) samples: no
     gap below -1e-10, equality cases within 1e-8."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     families = _cycle_families()
     min_gap = math.inf
@@ -341,13 +319,11 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
             "max_equality_gap": max_equality_gap,
             "seed": seed,
         },
-        time.perf_counter() - t0,
     )
 
 
 def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Domain table reproduces all five classifications with certificates."""
-    t0 = time.perf_counter()
     rows = example1_table(n_probe=10**6)
     expected = [
         ("power", "OpenBoundary"),
@@ -376,7 +352,6 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
         "five-row domain classification table with certificates",
         ok,
         {"classes_ok": cls_ok, "certificates_ok": certs_ok, "finite_slope_ok": slope_ok},
-        time.perf_counter() - t0,
     )
 
 

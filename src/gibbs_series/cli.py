@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,22 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    tol: float
-    max_terms: Optional[int]
-    fmt: str
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_terms is not None and self.max_terms < 1000:
-            raise ValueError("term budget must be at least 1000")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +84,7 @@ def dumps(obj) -> str:
 
 
 def _emit(doc: dict, fmt: str) -> None:
+    doc = {"schema": SCHEMA, **doc}
     if fmt == "pretty":
         for k, v in doc.items():
             print(f"{k}: {v}")
@@ -150,7 +135,6 @@ def _weights_payload(fit_indices, weights, cap: int) -> dict:
 
 def _fit_doc(fit: GibbsFit, cap: int) -> dict:
     doc = {
-        "schema": SCHEMA,
         "status": fit.status.value,
         "entropy": fit.entropy_value,
         "dual_x": fit.dual_x,
@@ -178,7 +162,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on first use and shared by every later call."""
     p = _Parser(
         prog="gibbs-series",
         description="Certified exponential sums, conjugates, and entropy fits",
@@ -195,31 +181,38 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("domain", help="classify the domain of a sequence")
+    sp.set_defaults(run=_cmd_domain)
     sp.add_argument("sequence")
 
     sp = sub.add_parser("eval", help="certified series value")
+    sp.set_defaults(run=_cmd_eval)
     sp.add_argument("sequence")
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--p", type=int, default=0)
 
     sp = sub.add_parser("conjugate", help="conjugate of the exponential sum")
+    sp.set_defaults(run=_cmd_conjugate)
     sp.add_argument("sequence")
     sp.add_argument("--u", type=float, required=True)
 
     sp = sub.add_parser("logconj", help="conjugate of ln f")
+    sp.set_defaults(run=_cmd_logconj)
     sp.add_argument("--v", type=float, required=True)
     sp.add_argument("--seq", default="quadratic", dest="sequence")
 
     sp = sub.add_parser("boxconj", help="conjugate of the box free energy")
+    sp.set_defaults(run=_cmd_boxconj)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--v", type=float, required=True)
 
     sp = sub.add_parser("fit", help="entropy minimization under moments")
+    sp.set_defaults(run=_cmd_fit)
     sp.add_argument("sequence")
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--v", type=float, default=None)
 
     sp = sub.add_parser("witness", help="finite eps-optimal weights")
+    sp.set_defaults(run=_cmd_witness)
     sp.add_argument("sequence")
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--v", type=float, default=None)
@@ -227,9 +220,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--varsigma", default="power:2")
 
     sp = sub.add_parser("table", help="canned scenario tables")
+    sp.set_defaults(run=_cmd_table)
     sp.add_argument("which", choices=("example1", "example2", "box"))
 
     sp = sub.add_parser("verify", help="run acceptance criteria")
+    sp.set_defaults(run=_cmd_verify)
     sp.add_argument("claim", help="criterion id, alias, or 'all'")
     sp.add_argument("--jobs", type=int, default=1)
     return p
@@ -239,12 +234,11 @@ def _build_parser() -> _Parser:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_domain(cfg: RunConfig, args) -> int:
+def _cmd_domain(args) -> int:
     seq = parse_sequence(args.sequence)
-    di = domain_info(seq, tol=min(cfg.tol, 1e-8), max_terms=cfg.max_terms)
+    di = domain_info(seq, tol=min(args.tol, 1e-8), max_terms=args.max_terms)
     _emit(
         {
-            "schema": SCHEMA,
             "sequence": seq.spec_string(),
             "alpha": di.alpha,
             "boundary_class": di.boundary_class.value,
@@ -253,17 +247,16 @@ def _cmd_domain(cfg: RunConfig, args) -> int:
             "f_at_boundary": di.f_at_boundary,
             "f_boundary_err": di.f_boundary_err,
         },
-        cfg.fmt,
+        args.fmt,
     )
     return EXIT_OK
 
 
-def _cmd_eval(cfg: RunConfig, args) -> int:
+def _cmd_eval(args) -> int:
     seq = parse_sequence(args.sequence)
-    ev = eval_series(seq, args.y, args.p, tol=cfg.tol, max_terms=cfg.max_terms)
+    ev = eval_series(seq, args.y, args.p, tol=args.tol, max_terms=args.max_terms)
     _emit(
         {
-            "schema": SCHEMA,
             "sequence": seq.spec_string(),
             "y": args.y,
             "p": args.p,
@@ -272,17 +265,16 @@ def _cmd_eval(cfg: RunConfig, args) -> int:
             "midpoint": ev.midpoint,
             "truncation_index": ev.truncation_index,
         },
-        cfg.fmt,
+        args.fmt,
     )
     return EXIT_OK
 
 
-def _cmd_conjugate(cfg: RunConfig, args) -> int:
+def _cmd_conjugate(args) -> int:
     seq = parse_sequence(args.sequence)
-    cv = conjugate(seq, args.u, tol=cfg.tol, max_terms=cfg.max_terms)
+    cv = conjugate(seq, args.u, tol=args.tol, max_terms=args.max_terms)
     _emit(
         {
-            "schema": SCHEMA,
             "sequence": seq.spec_string(),
             "u": args.u,
             "value": cv.value,
@@ -290,43 +282,39 @@ def _cmd_conjugate(cfg: RunConfig, args) -> int:
             "y": cv.attaining_y,
             "residual": cv.residual,
         },
-        cfg.fmt,
+        args.fmt,
     )
     return EXIT_OK
 
 
-def _cmd_logconj(cfg: RunConfig, args) -> int:
+def _cmd_logconj(args) -> int:
     seq = parse_sequence(args.sequence)
-    value = log_f_conjugate(seq, args.v, tol=cfg.tol, max_terms=cfg.max_terms)
-    _emit(
-        {"schema": SCHEMA, "sequence": seq.spec_string(), "v": args.v, "value": value},
-        cfg.fmt,
-    )
+    value = log_f_conjugate(seq, args.v, tol=args.tol, max_terms=args.max_terms)
+    _emit({"sequence": seq.spec_string(), "v": args.v, "value": value}, args.fmt)
     return EXIT_OK
 
 
-def _cmd_boxconj(cfg: RunConfig, args) -> int:
-    value = box_conjugate(args.u, args.v, tol=cfg.tol)
-    _emit({"schema": SCHEMA, "u": args.u, "v": args.v, "value": value}, cfg.fmt)
+def _cmd_boxconj(args) -> int:
+    value = box_conjugate(args.u, args.v, tol=args.tol)
+    _emit({"u": args.u, "v": args.v, "value": value}, args.fmt)
     return EXIT_OK
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
+def _cmd_fit(args) -> int:
     seq = parse_sequence(args.sequence)
     if args.v is None:
-        fit = min_entropy_moment(seq, args.u, tol=cfg.tol, max_terms=cfg.max_terms)
+        fit = min_entropy_moment(seq, args.u, tol=args.tol, max_terms=args.max_terms)
     else:
-        fit = fit_gibbs(seq, args.u, args.v, tol=cfg.tol, max_terms=cfg.max_terms)
-    _emit(_fit_doc(fit, args.max_weights), cfg.fmt)
+        fit = fit_gibbs(seq, args.u, args.v, tol=args.tol, max_terms=args.max_terms)
+    _emit(_fit_doc(fit, args.max_weights), args.fmt)
     return EXIT_DOMAIN if fit.status is FitStatus.INFEASIBLE else EXIT_OK
 
 
-def _cmd_witness(cfg: RunConfig, args) -> int:
+def _cmd_witness(args) -> int:
     seq = parse_sequence(args.sequence)
     if args.v is None:
-        wit = plateau_witness(seq, args.u, args.eps, max_terms=cfg.max_terms)
+        wit = plateau_witness(seq, args.u, args.eps, max_terms=args.max_terms)
         doc = {
-            "schema": SCHEMA,
             "kind": "plateau",
             "entropy": wit.entropy,
             "target": wit.target,
@@ -343,7 +331,6 @@ def _cmd_witness(cfg: RunConfig, args) -> int:
             )
         wit = alternating_witness(args.u, args.v, args.eps, parse_varsigma(args.varsigma))
         doc = {
-            "schema": SCHEMA,
             "kind": "alternating",
             "entropy": wit.entropy,
             "target": wit.target,
@@ -354,11 +341,11 @@ def _cmd_witness(cfg: RunConfig, args) -> int:
             "signed_scale": wit.signed_scale,
         }
     doc.update(_weights_payload(wit.indices, wit.weights, args.max_weights))
-    _emit(doc, cfg.fmt)
+    _emit(doc, args.fmt)
     return EXIT_OK
 
 
-def _cmd_table(cfg: RunConfig, args) -> int:
+def _cmd_table(args) -> int:
     if args.which == "example1":
         rows = example1_table()
     elif args.which == "example2":
@@ -380,89 +367,67 @@ def _cmd_table(cfg: RunConfig, args) -> int:
                     "notes": r.notes,
                 }
             )
-    _emit_table(rows, cfg.fmt, args.which)
+    _emit_table(rows, args.fmt, args.which)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if args.claim == "all":
-        results = acceptance.run_all(seed=cfg.seed, jobs=max(1, args.jobs))
+        results = acceptance.run_all(seed=args.seed, jobs=max(1, args.jobs))
     else:
-        results = [acceptance.run_criterion(args.claim, seed=cfg.seed)]
+        results = [acceptance.run_criterion(args.claim, seed=args.seed)]
     for res in results:
         print(res.summary_line(), file=sys.stderr)
     doc = {
-        "schema": SCHEMA,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "passed": all(r.passed for r in results),
         "results": [r.to_dict() for r in results],
     }
-    _emit(doc, cfg.fmt)
+    _emit(doc, args.fmt)
     return EXIT_OK if doc["passed"] else EXIT_NUMERIC
 
 
-_COMMANDS = {
-    "domain": _cmd_domain,
-    "eval": _cmd_eval,
-    "conjugate": _cmd_conjugate,
-    "logconj": _cmd_logconj,
-    "boxconj": _cmd_boxconj,
-    "fit": _cmd_fit,
-    "witness": _cmd_witness,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            tol=args.tol,
-            max_terms=args.max_terms,
-            fmt=args.fmt,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](cfg, args)
+        if not args.tol > 0:
+            raise ValueError("tolerance must be positive")
+        if args.max_terms is not None and args.max_terms < 1000:
+            raise ValueError("term budget must be at least 1000")
+        return args.run(args)
     except DomainError as exc:
         name = (
             "EmptyDomain"
             if exc.info.boundary_class is BoundaryClass.EMPTY_DOMAIN
             else "OutsideDomain"
         )
-        _emit({"schema": SCHEMA, "error": name, "detail": str(exc)}, cfg.fmt)
+        _emit({"error": name, "detail": str(exc)}, args.fmt)
         return EXIT_DOMAIN
     except InfeasibleError as exc:
-        _emit({"schema": SCHEMA, "error": "Infeasible", "detail": str(exc)}, cfg.fmt)
+        _emit({"error": "Infeasible", "detail": str(exc)}, args.fmt)
         return EXIT_DOMAIN
     except BudgetExceededError as exc:
         _emit(
             {
-                "schema": SCHEMA,
                 "error": "BudgetExceeded",
                 "detail": str(exc),
                 "best_value": exc.best.value,
                 "best_tail_bound": exc.best.tail_bound,
             },
-            cfg.fmt,
+            args.fmt,
         )
         return EXIT_NUMERIC
     except WitnessBudgetError as exc:
-        doc = {"schema": SCHEMA, "error": "WitnessBudgetExceeded", "detail": str(exc)}
+        doc = {"error": "WitnessBudgetExceeded", "detail": str(exc)}
         if exc.best is not None:
             doc["best_gap"] = exc.best.gap
-        _emit(doc, cfg.fmt)
+        _emit(doc, args.fmt)
         return EXIT_NUMERIC
     except NumericError as exc:
-        _emit({"schema": SCHEMA, "error": "NumericError", "detail": str(exc)}, cfg.fmt)
+        _emit({"error": "NumericError", "detail": str(exc)}, args.fmt)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ from .series import (
     domain_info,
     eval_series,
     log_f,
-    max_terms_budget,
     phi,
 )
 
@@ -201,7 +200,6 @@ def solve_fprime(
     """
     di = domain_info(seq)
     eta = 0.25 * tol * max(1.0, u)
-    max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
 
     def fp(y: float) -> float:
         return _best_bracket(seq, y, 1, eta, max_terms).midpoint
@@ -238,7 +236,6 @@ def solve_phi(
     """
     di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
-    max_terms = max_terms_budget(max_terms)  # one environment read, not one per probe
 
     def ph_best(y: float) -> float:
         num = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)

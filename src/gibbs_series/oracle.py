@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,18 +50,7 @@ class VerificationReport:
     meta: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "claim": self.claim,
-            "params": self.params,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "tol": self.tol,
-            "passed": self.passed,
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _report(claim, params, lhs, rhs, tol, meta=None) -> VerificationReport:

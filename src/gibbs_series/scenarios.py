@@ -197,15 +197,11 @@ class BoxModel:
     """Free energy h(x, y) = e^x g(y)^3 over the box spectrum.
 
     g(y) = sum_{k>=1} exp(kappa k^2 y); the flattened spectrum is the
-    associated exponent sequence.  h is finite on R x (-inf, 0) and
+    exponent sequence ``box(kappa)``.  h is finite on R x (-inf, 0) and
     strictly convex there.
     """
 
     kappa: float = 1.0
-
-    @property
-    def sequence(self) -> SigmaSequence:
-        return box(self.kappa)
 
     def g(self, y: float, p: int = 0, tol: float = 1e-13) -> float:
         return self.kappa ** p * eval_series(quadratic(), self.kappa * y, p, tol=tol).midpoint

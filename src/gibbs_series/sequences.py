@@ -192,7 +192,7 @@ def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
 
 def _box_sigma(seq: SigmaSequence, n: int) -> float:
     _BOX.ensure_count(n)
-    return seq.kappa * _BOX.levels[n - 1]
+    return seq.kappa * int(_BOX.levels_array()[n - 1])
 
 
 def _box_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -453,7 +453,7 @@ class _BoxTable:
     """Growing cache of the flattened box spectrum (kappa = 1 levels).
 
     Triples (k, l, m), k,l,m >= 1, sorted by s = k^2+l^2+m^2 ascending with
-    lexicographic tie-break; ``levels[i]`` is the integer s of triple i.
+    lexicographic tie-break; ``levels_array()[i]`` is the integer s of triple i.
     The cache only ever grows, under a lock, so a prefix a caller has
     ensured stays valid while other threads extend it.  It grows by whole
     slices of levels, each adding a quarter to the top level (at least
@@ -463,7 +463,6 @@ class _BoxTable:
 
     def __init__(self) -> None:
         self.triples: list[tuple[int, int, int]] = []
-        self.levels: list[int] = []
         self._levels_arr = np.empty(0, dtype=np.int64)
         self._next_s = 3
         self._lock = threading.Lock()
@@ -488,7 +487,6 @@ class _BoxTable:
         stop = min(self._next_s + max(64, self._next_s >> 2), s_max + 1)
         k, l, m, s = _triples_in_levels(self._next_s, stop)
         self.triples.extend(zip(k.tolist(), l.tolist(), m.tolist()))
-        self.levels.extend(s.tolist())
         self._levels_arr = np.concatenate((self._levels_arr, s))
         self._next_s = stop
 
@@ -539,7 +537,7 @@ def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int],
     _BOX.ensure_count(budget)
     return [
         (trip, kappa * s)
-        for trip, s in zip(_BOX.triples[:budget], _BOX.levels[:budget])
+        for trip, s in zip(_BOX.triples[:budget], _BOX.levels_array()[:budget].tolist())
     ]
 
 

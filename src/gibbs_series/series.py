@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
 import threading
 from collections import Counter, OrderedDict
@@ -76,15 +75,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_TERMS = 10_000_000
-_ENV_BUDGET = "GIBBS_SERIES_MAX_TERMS"
 
 
 def max_terms_budget(max_terms: Optional[int] = None) -> int:
-    """Effective term budget: argument, else env override, else default."""
-    if max_terms is not None:
-        return int(max_terms)
-    env = os.environ.get(_ENV_BUDGET)
-    return int(env) if env else DEFAULT_MAX_TERMS
+    """Effective term budget: the argument, else the default."""
+    return DEFAULT_MAX_TERMS if max_terms is None else int(max_terms)
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,6 @@ class SeriesEval:
     """Certified bracket for f^(p)(y): true value in [value, value+tail_bound]."""
 
     value: float
-    order: int
     truncation_index: int
     tail_bound: float
 
@@ -824,7 +818,7 @@ def _sum_blocks(
             width = upper - lower
             slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
             states.append((total, n_done, slack, lower, width, weight))
-        best = SeriesEval(total + lower - slack, p, n_done, width + 2.0 * slack)
+        best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
         target = max(tol, rel * best.value)
         if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
             return best
@@ -887,7 +881,7 @@ def _eval_box(
         else:
             lo = 6.0 * g[0] * g[1] ** 2 + 3.0 * g[0] ** 2 * g[2]
             hi = 6.0 * gu[0] * gu[1] ** 2 + 3.0 * gu[0] ** 2 * gu[2]
-        best = SeriesEval(lo, p, max(c.truncation_index for c in comps), hi - lo)
+        best = SeriesEval(lo, max(c.truncation_index for c in comps), hi - lo)
         target = max(tol, rel * lo)
         if hi - lo <= target or (rel and lo <= 0.0):
             return best
@@ -989,7 +983,7 @@ def _best_bracket(
         return exc.best
 
 
-def _relative(seq: SigmaSequence, y: float, p: int, rel: float, budget: int, what: str) -> SeriesEval:
+def _relative(seq: SigmaSequence, y: float, p: int, rel: float, budget: Optional[int], what: str) -> SeriesEval:
     """f^(p)(y) bracketed to ``rel`` of its certified lower end; DomainError
     where that end is not positive, the sum underflowing."""
     ev = _evaluate(seq, y, p, 0.0, budget, rel)
@@ -1010,7 +1004,6 @@ def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[in
     walked once, until their brackets are tol/4 of their own certified
     lower ends wide (``_sum_blocks``'s relative stop).
     """
-    max_terms = max_terms_budget(max_terms)  # one environment read for both walks
     e0 = _relative(seq, y, 0, 0.25 * tol, max_terms, "ratio")
     e1 = _relative(seq, y, 1, 0.25 * tol, max_terms, "ratio")
     return e1.midpoint / e0.midpoint
@@ -1019,5 +1012,5 @@ def phi(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[in
 def log_f(seq: SigmaSequence, y: float, tol: float = 1e-12, max_terms: Optional[int] = None) -> float:
     """ln f(y) with absolute error <= tol, from one walk that stops once
     f's bracket is tol/2 of its certified lower end wide."""
-    e0 = _relative(seq, y, 0, 0.5 * tol, max_terms_budget(max_terms), "log")
+    e0 = _relative(seq, y, 0, 0.5 * tol, max_terms, "log")
     return math.log(e0.midpoint)

@@ -387,6 +387,32 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert outs[0].strip()
 
+    @pytest.mark.parametrize(
+        "first,second,codes",
+        [
+            (["--format", "pretty", "conjugate", "linear", "--u", "2"],
+             ["conjugate", "linear", "--u", "2"], (EXIT_OK, EXIT_OK)),
+            (["fit", "linear", "--u", "2", "--v", "3"],
+             ["fit", "linear", "--u", "2"], (EXIT_OK, EXIT_OK)),
+            (["--max-terms", "1000", "domain", "logfam:3.5"],
+             ["domain", "logfam:3.5"], (EXIT_NUMERIC, EXIT_OK)),
+        ],
+        ids=["format", "optional-v", "max-terms"],
+    )
+    def test_shared_parser_carries_nothing_between_calls(self, capsys, first, second, codes):
+        # the parser is built once per process; an option given to one call
+        # must not leak into the next, in either order
+        def run(argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        a_then_b = [run(first), run(second)]
+        b_then_a = [run(second), run(first)][::-1]
+        assert a_then_b == b_then_a
+        assert (a_then_b[0][0], a_then_b[1][0]) == codes
+        assert a_then_b[0][1:] != a_then_b[1][1:]
+
 
 def test_cli_import_does_not_load_scipy():
     code = "import sys, gibbs_series.cli; print('scipy' in sys.modules)"

@@ -184,7 +184,6 @@ class TestEnumerateBox:
         table = sequences._BoxTable()
         table.ensure_level(3000)
         assert table.triples == triples
-        assert table.levels == levels
         assert table.levels_array().tolist() == levels
 
     def test_growth_steps_do_not_change_the_prefix(self):
@@ -202,8 +201,7 @@ class TestEnumerateBox:
         for table in (by_count, by_level, mixed):
             n = min(len(table.triples), len(triples))
             assert table.triples[:n] == triples[:n]
-            assert table.levels[:n] == levels[:n]
-            assert table.levels_array().tolist() == table.levels
+            assert table.levels_array().tolist()[:n] == levels[:n]
 
     def test_cache_growth_is_thread_safe(self, monkeypatch):
         # fresh caches: the shared one may already hold these levels
@@ -227,13 +225,13 @@ class TestEnumerateBox:
         finally:
             sys.setswitchinterval(interval)
         n = len(table.triples)
-        assert n >= 8000 and len(table.levels) == n
+        levels = reference.levels_array().tolist()
+        assert n >= 8000 and len(table.levels_array()) == n
         assert table.triples == reference.triples[:n]
-        assert table.levels == reference.levels[:n]
+        assert table.levels_array().tolist() == levels[:n]
         for budget, got in zip(budgets, results):
             assert got == [
-                (t, float(s))
-                for t, s in zip(reference.triples[:budget], reference.levels[:budget])
+                (t, float(s)) for t, s in zip(reference.triples[:budget], levels[:budget])
             ]
 
 
@@ -348,7 +346,7 @@ def exact_sigma(mp, seq, n):
     if seq.family is Family.LOGLOG:
         return mp.log(mp.log(n))
     if seq.family is Family.BOX:
-        return mp.mpf(seq.kappa) * sequences._BOX.levels[n - 1]
+        return mp.mpf(seq.kappa) * int(sequences._BOX.levels_array()[n - 1])
     if seq.family is Family.QUADRATIC:
         return mp.mpf(n) ** 2
     assert seq.family is Family.LINEAR
