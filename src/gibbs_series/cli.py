@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Every subcommand prints a single JSON document (CSV/pretty for tables)
-on stdout.  Exit codes: 0 success, 1 usage error, 2 domain or
+Every subcommand prints a single JSON (or pretty) document, ``table`` also
+CSV, on stdout.  Exit codes: 0 success, 1 usage error, 2 domain or
 infeasibility, 3 numeric failure (budget, bracketing, residual).
 Floats are rendered with 17 significant digits so round-trips are
 lossless, and identical configurations produce byte-identical output.
@@ -397,6 +397,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ValueError("tolerance must be positive")
         if args.max_terms is not None and args.max_terms < 1000:
             raise ValueError("term budget must be at least 1000")
+        if args.fmt == "csv" and args.command != "table":
+            raise ValueError("--format csv applies to the table command only")
         return args.run(args)
     except DomainError as exc:
         name = (

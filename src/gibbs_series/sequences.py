@@ -3,8 +3,8 @@
 A sequence ``sigma_1 <= sigma_2 <= ...`` defines the series
 ``f(y) = sum_n exp(sigma_n * y)``.  Each family is described once, by the
 ``rules`` its ``Family`` member carries: its parameter, exponents,
-increments, rounding, domain, and the tail certificate and walk the
-series module uses for it.
+increments, rounding, domain, and the tail certificate the series
+module uses for it.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ class _Rules(NamedTuple):
 
     The callables take the sequence, which holds the parameter.  ``tail``
     names the tail certificate after an index (the series module's
-    ``_TAILS``), and ``walk`` the interior walk: doubling blocks of terms,
-    or the box's cube factorization.  A
+    ``_TAILS``); "box" also selects the cube factorization of f.  A
     materialized weight prefix runs from ``ground`` to a cut that doubles
     from the first of ``cuts`` up to the last (see ``prefix``).
     """
@@ -131,7 +130,6 @@ class _Rules(NamedTuple):
     # alpha of the domain (-inf, -alpha), and the class of its edge
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
     tail: str = "geometric"
-    walk: str = "blocks"
     ground: Callable = lambda seq: seq.start_index
     cuts: Callable = lambda seq: (seq.start_index + 31, seq.start_index + _PREFIX_CAP - 1)
     prefix: Callable = lambda seq, cut: _index_prefix(seq, cut)
@@ -276,7 +274,6 @@ class Family(_Described):
         default=1.0,
         rounding=lambda seq: (1.0, 0.0),
         tail="box",
-        walk="box",
         ground=lambda seq: (1, 1, 1),
         cuts=lambda seq: (8, 4096),
         prefix=_box_prefix,

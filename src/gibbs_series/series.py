@@ -160,10 +160,10 @@ def domain_info(
     if edge is BoundaryClass.OPEN_BOUNDARY:
         return DomainInfo(alpha, edge, math.inf, math.inf)
     budget = max_terms_budget(max_terms)
-    fb = _edge_sum(seq, alpha, 0, tol, budget)
+    fb = _sum_blocks(seq, -alpha, 0, tol, budget, edge=True)
     if edge is BoundaryClass.CLOSED_INFINITE_SLOPE:
         return DomainInfo(alpha, edge, math.inf, fb.midpoint, 0.0, 0.5 * fb.tail_bound)
-    gm = _edge_sum(seq, alpha, 1, tol, budget)
+    gm = _sum_blocks(seq, -alpha, 1, tol, budget, edge=True)
     return DomainInfo(
         alpha, edge, gm.midpoint, fb.midpoint, 0.5 * gm.tail_bound, 0.5 * fb.tail_bound
     )
@@ -772,33 +772,34 @@ def _sum_blocks(
     p: int,
     tol: float,
     budget: int,
-    block: int,
-    certificate: Callable[[SigmaSequence, float, int, int], _Tail],
-    edge: bool = False,
     rel: float = 0.0,
+    edge: bool = False,
 ) -> SeriesEval:
     """Partial sums in doubling blocks until the certified bracket is at
     most max(tol, rel * its lower end) wide.
 
-    After each block ``certificate(seq, y, p, N)`` bounds the terms after
-    index N (width inf while it returns None).  The computed partial is
-    accurate to +-slack, so the bracket is [partial + lower - slack,
-    partial + upper + slack].  Its lower end is at or below the true sum,
-    so a width ``rel`` of it is a relative accuracy ``rel``.  A relative
-    walk whose lower end is not positive (the sum underflows) stops at the
-    first certified block, for the caller to refuse.  A certified width already below the
-    slack with 2 slack above the target fails at once: more terms only
-    raise the accumulation floor.  ``edge`` selects the wording of the
-    budget-exhaustion message at y = -1.  For a ``signed`` sequence each
-    block also adds its ``_abs_weight``, on which the slack is charged.
+    After each block the family's certificate (``_TAILS``) bounds the
+    terms after index N (width inf while it returns None).  The computed
+    partial is accurate to +-slack, so the bracket is [partial + lower -
+    slack, partial + upper + slack].  Its lower end is at or below the true
+    sum, so a width ``rel`` of it is a relative accuracy ``rel``.  A
+    relative walk whose lower end is not positive (the sum underflows)
+    stops at the first certified block, for the caller to refuse.  A
+    certified width already below the slack with 2 slack above the target
+    fails at once: more terms only raise the accumulation floor.  At the
+    domain edge (``edge``) the first block is 4096 terms, not 256, and the
+    budget message names a boundary tolerance.  A ``signed`` sequence's
+    blocks also add their ``_abs_weight``, on which the slack is charged.
 
     The states after each block depend on neither ``tol`` nor ``rel``,
     which only pick where the walk stops.  They are kept per thread for
-    the last few (seq, y, p, budget, first block, certificate) keys, so a
-    repeated or tighter request replays them and sums only the blocks past
-    the last one stored, with the same bits as a walk from the start.
+    the last few (seq, generator, y, p, budget) keys, so a repeated or
+    tighter request replays them and sums only the blocks past the last
+    one stored, with the same bits as a walk from the start.
     """
-    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget, block, certificate), list)
+    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
+    certificate = _TAILS[seq.family.rules.tail]
+    block = 4096 if edge else 256
     start = seq.start_index
     last = start + budget - 1
     total = weight = s_last = 0.0
@@ -855,13 +856,12 @@ def _eval_box(
     kappa = seq.kappa
     z = kappa * y
     quad = quadratic()
-    certificate = _TAILS[quad.family.rules.tail]
 
     def brackets(abs_tols: list[float]) -> tuple[list[SeriesEval], Optional[BudgetExceededError]]:
         comps, failed = [], None
         for j in range(p + 1):
             try:
-                comps.append(_sum_blocks(quad, z, j, abs_tols[j], budget, 256, certificate))
+                comps.append(_sum_blocks(quad, z, j, abs_tols[j], budget))
             except BudgetExceededError as exc:
                 comps.append(exc.best)
                 failed = exc
@@ -899,15 +899,6 @@ def _eval_box(
     )
 
 
-def _edge_sum(
-    seq: SigmaSequence, alpha: float, p: int, tol: float, budget: int, rel: float = 0.0
-) -> SeriesEval:
-    """f^(p)(-alpha) at a closed edge: only the log family has one, and
-    its integral sandwich certifies it."""
-    certificate = _TAILS[seq.family.rules.tail]
-    return _sum_blocks(seq, -alpha, p, tol, budget, 4096, certificate, edge=True, rel=rel)
-
-
 def eval_series(
     seq: SigmaSequence,
     y: float,
@@ -940,33 +931,32 @@ def _evaluate(
         raise ValueError("tol must be positive")
     p = int(p)
     budget = max_terms_budget(max_terms)
-    di = domain_info(seq)
-    if di.empty:
-        raise DomainError("empty effective domain", di, y)
-    alpha = di.alpha
+    # edge and class from the rules; domain_info (an edge sum) only for refusals
+    alpha, edge = seq.family.rules.domain(seq)
+    if edge is BoundaryClass.EMPTY_DOMAIN:
+        raise DomainError("empty effective domain", domain_info(seq), y)
     if y > -alpha:
         raise DomainError(
-            f"y={y!r} is beyond the domain edge -{alpha:g}", di, y
+            f"y={y!r} is beyond the domain edge -{alpha:g}", domain_info(seq), y
         )
     at_edge = (y == -alpha) or (abs(y + alpha) <= 1e-15 * max(1.0, alpha))
     if at_edge:
-        if di.boundary_class is BoundaryClass.OPEN_BOUNDARY:
+        if edge is BoundaryClass.OPEN_BOUNDARY:
             raise DomainError(
-                f"domain is open at the edge -{alpha:g}", di, y
+                f"domain is open at the edge -{alpha:g}", domain_info(seq), y
             )
-        if di.boundary_class is BoundaryClass.CLOSED_INFINITE_SLOPE and p > 0:
+        if edge is BoundaryClass.CLOSED_INFINITE_SLOPE and p > 0:
             raise DomainError(
-                "derivatives are unbounded at an infinite-slope edge", di, y
+                "derivatives are unbounded at an infinite-slope edge", domain_info(seq), y
             )
         if p > 1:
             raise DomainError(
-                "orders p >= 2 are refused at the domain edge", di, y
+                "orders p >= 2 are refused at the domain edge", domain_info(seq), y
             )
-        return _edge_sum(seq, alpha, p, tol, budget, rel)
-    rules = seq.family.rules
-    if rules.walk == "box":
+        return _sum_blocks(seq, -alpha, p, tol, budget, rel, edge=True)
+    if seq.family.rules.tail == "box":
         return _eval_box(seq, y, p, tol, budget, rel)
-    return _sum_blocks(seq, y, p, tol, budget, 256, _TAILS[rules.tail], rel=rel)
+    return _sum_blocks(seq, y, p, tol, budget, rel)
 
 
 # ---------------------------------------------------------------------------

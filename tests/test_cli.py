@@ -248,6 +248,17 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [["conjugate", "linear", "--u", "2"], ["fit", "linear", "--u", "2"]],
+        ids=" ".join,
+    )
+    def test_csv_outside_table(self, capsys, argv):
+        # only the scenario tables have rows to write as CSV
+        assert main(["--format", "csv", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "table command only" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["eval", "linear", "--y", "nan"],
             ["eval", "linear", "--y=-inf"],

@@ -200,14 +200,16 @@ class TestKernel:
             assert got == float(np.sum(s ** p * np.exp(s * y)))
             assert s_last == s[-1]
 
-    def test_sum_blocks_adds_block_sums_in_order(self):
+    def test_sum_blocks_adds_block_sums_in_order(self, monkeypatch):
         seq, y, p, budget = logfam(3.0), -1.0, 1, 300_000
 
         def no_certificate(seq, y, p, n):
             return 0.0, math.inf
 
+        series._memo.lru.clear()
+        monkeypatch.setitem(series._TAILS, "logfam", no_certificate)
         with pytest.raises(BudgetExceededError) as exc:
-            series._sum_blocks(seq, y, p, 1e-9, budget, 4096, no_certificate, edge=True)
+            series._sum_blocks(seq, y, p, 1e-9, budget, edge=True)
         total, first, block = 0.0, seq.start_index, 4096
         stop = seq.start_index + budget
         while first < stop:
@@ -357,6 +359,33 @@ class TestDomainRules:
         assert eval_series(logfam(3.0), -1.0, 1, tol=1e-7).tail_bound <= 1e-7
         with pytest.raises(DomainError):
             eval_series(logfam(3.0), -1.0, 2, tol=1e-6)
+
+    def test_interior_sum_leaves_the_edge_alone(self, monkeypatch):
+        # the family's rules classify the edge, so a cold interior sum
+        # walks no block at y = -1
+        ys = []
+        kernel = series._block_sum
+
+        def recorded(seq, y, p, first, stop):
+            ys.append(y)
+            return kernel(seq, y, p, first, stop)
+
+        monkeypatch.setattr(series, "_block_sum", recorded)
+        clear_memo()
+        domain_info.cache_clear()
+        eval_series(logfam(3.0), -1.5)
+        assert ys and -1.0 not in ys
+
+    def test_refusal_carries_the_certified_record(self):
+        with pytest.raises(DomainError) as exc:
+            eval_series(logfam(3.0), -0.9)
+        assert exc.value.info == domain_info(logfam(3.0))
+        assert math.isfinite(exc.value.info.gamma)
+
+    def test_edge_refusal_carries_its_class(self):
+        with pytest.raises(DomainError) as exc:
+            eval_series(logfam(1.5), -1.0, 1)
+        assert exc.value.info.boundary_class is BoundaryClass.CLOSED_INFINITE_SLOPE
 
     def test_budget_exceeded_carries_best(self):
         # this close to the edge the slope's difference-quotient sandwich

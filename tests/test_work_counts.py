@@ -38,10 +38,10 @@ REFERENCE_CALLS = {
     "log_f_conjugate(quadratic, 2)": (
         lambda: log_f_conjugate(quadratic(), 2.0), 14, 3_584, 256, 17, 0
     ),
-    # one 4,096-term edge block classifies the domain, then three interior
-    # blocks meet the integral sandwich
+    # an interior sum reads the edge's class from the family's rules and
+    # sums no term there: three interior blocks meet the integral sandwich
     "eval_series(logfam:1.7229, -1.0886)": (
-        lambda: eval_series(logfam(1.7229), -1.0886), 4, 5_888, 4_096, 1, 6
+        lambda: eval_series(logfam(1.7229), -1.0886), 3, 1_792, 1_792, 1, 6
     ),
     "domain_info(logfam:1.5, 1e-9)": (
         lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0, 0
@@ -57,12 +57,12 @@ REFERENCE_CALLS = {
         lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 12
     ),
     # higher orders meet the same sandwich, 2p + 2 incomplete gamma
-    # evaluations for each end of a certificate, after the edge blocks
+    # evaluations for each end of a certificate
     "eval_series(logfam:3, -2, 3)": (
-        lambda: eval_series(logfam(3.0), -2.0, 3), 6, 12_032, 4_096, 1, 64
+        lambda: eval_series(logfam(3.0), -2.0, 3), 4, 3_840, 3_840, 1, 64
     ),
     "eval_series(logfam:1.5, -2, 2)": (
-        lambda: eval_series(logfam(1.5), -2.0, 2), 4, 5_888, 4_096, 1, 36
+        lambda: eval_series(logfam(1.5), -2.0, 2), 3, 1_792, 1_792, 1, 36
     ),
 }
 
