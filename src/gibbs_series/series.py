@@ -8,7 +8,10 @@ certificates used are:
 * geometric: when increments sigma_{n+1} - sigma_n >= delta > 0 and
   sigma_{N+1} > p/|y|, omitted terms are dominated by the decreasing
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
-  whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1;
+  whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1; box
+  levels s > S, at most s triples each, are bounded by the same envelope
+  at s = S + 1 + k with exponent p + 1 (``_envelope``, the one rounding
+  account of both);
 * integral comparison: for powers n^theta with theta < 1, the tail is
   bounded by an integral, an upper incomplete gamma function of integer
   order;
@@ -25,7 +28,9 @@ certificates used are:
   is a Laplace transform in y and its F^(p+2) is positive;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
-  from certified brackets of g and its first two derivatives.
+  from certified brackets of g and its first two derivatives, each walked
+  to 1/4 of its own lower end and, where the product misses its target,
+  once more to a width that provably meets it.
 
 Floating-point error is folded into the bracket: reported values are
 shifted down by the rounding slack and ``tail_bound`` widens by twice of
@@ -343,30 +348,42 @@ def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float
     return h, err
 
 
+def _envelope(
+    log_c: float, s1: float, q: int, delta: float, y: float, err: float
+) -> Optional[float]:
+    """Bound on sum_{k>=0} e^log_c (s1 + k delta)^q exp((s1 + k delta) y):
+    its first term over 1 - r, r = (1 + delta/s1)^q exp(delta y) the
+    largest ratio of consecutive terms; None while the terms may still grow
+    (s1 |y| <= q) or r > 1 - 1e-12.
+
+    Rounding: the lead exponent's parts carry 3 u of each, s1 y that of a
+    rounded s1 too; an error x in the exponent of r, 2 u of each part,
+    moves ln(1 - r) by x/(1 - r).  ``err`` bounds the relative error of a
+    rounded ``y``, which moves the two by err |s1 y| and err |delta y|.
+    """
+    if q and s1 * -y <= q:
+        return None
+    growth = q * math.log1p(delta / s1) if q else 0.0
+    dy = delta * y
+    one_minus_r = -math.expm1(dy + growth)
+    if not one_minus_r > 1e-12:
+        return None
+    sy = s1 * y
+    log_s1 = math.log(s1) if q else 0.0
+    log_gap = math.log(one_minus_r)  # <= 0
+    err = _U * (
+        3.0 * (abs(log_c) + abs(sy) + q * (abs(log_s1) + 1.0) - log_gap)
+        + 2.0 * (growth - dy) / one_minus_r
+        + 12.0
+    ) + err * (abs(sy) - dy / one_minus_r)
+    return _exp_up(log_c + q * log_s1 + sy - log_gap, err)
+
+
 def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(0, geometric tail bound) after index N, or None if not yet applicable."""
-    s1 = sigma(seq, N + 1)
-    if p > 0 and s1 * (-y) <= p:
-        return None  # terms may still be growing
-    delta = increment_gap(seq, N + 1)
-    if delta > 0.0:
-        # 1 - r with r = (1 + delta/s1)^p exp(delta y), free of cancellation
-        growth = p * math.log1p(delta / s1) if p else 0.0
-        dy = delta * y
-        one_minus_r = -math.expm1(dy + growth)
-        if one_minus_r > 1e-12:
-            sy = s1 * y
-            log_s1 = math.log(s1) if p else 0.0
-            log_gap = math.log(one_minus_r)  # <= 0
-            # s1 and s1*y carry |s1 y| u; an error in the exponent of r
-            # moves 1 - r by that error over (1 - r)
-            err = _U * (
-                3.0 * (abs(sy) + p * (abs(log_s1) + 1.0) - log_gap)
-                + 2.0 * (growth - dy) / one_minus_r
-                + 12.0
-            )
-            return 0.0, _exp_up(p * log_s1 + sy - log_gap, err)
-    return None
+    """(0, bound) after index N from the geometric envelope at
+    s1 = sigma_{N+1} with the family's increment gap, or None."""
+    bound = _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y, 0.0)
+    return None if bound is None else (0.0, bound)
 
 
 def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
@@ -401,34 +418,14 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     return 0.0, _exp_up(log_pre + log_int, err)
 
 
-def _box_level_tail(kappa: float, y: float, p: int, S: int) -> Optional[float]:
-    """Tail over flattened box terms with level s > S.
-
-    Uses the lattice-count bound r3(s) <= s (at most one m per (k,l) pair,
-    and fewer than s pairs with k^2+l^2 < s), so omitted mass is below
-    kappa^p * sum_{s>S} s^(p+1) exp(kappa y s), bounded geometrically.
-    """
-    b = kappa * (-y)
-    if (S + 1) * b <= p + 1:
-        return None
-    # 1 - r with r = ((S+2)/(S+1))^(p+1) exp(kappa y), free of cancellation
-    growth = (p + 1) * math.log1p(1.0 / (S + 1.0))
-    one_minus_r = -math.expm1(growth - b)
-    if one_minus_r <= 1e-12:
-        return None
-    log_k = p * math.log(kappa)
-    log_s = (p + 1) * math.log(S + 1.0)
-    log_gap = math.log(one_minus_r)
-    err = _U * (
-        3.0 * (2.0 * b * (S + 1.0) + abs(log_k) + log_s + abs(log_gap) + p)
-        + 2.0 * (growth + 2.0 * b) / one_minus_r
-        + 12.0
-    )
-    return _exp_up(log_k + log_s - b * (S + 1.0) - log_gap, err)
-
-
 def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
-    bound = _box_level_tail(seq.kappa, y, p, S)
+    """(0, bound) on the box terms with level s > S, or None: r3(s) <= s
+    (at most one m per (k, l), and fewer than s pairs with k^2 + l^2 < s)
+    puts them below kappa^p sum_{s>S} s^(p+1) exp(kappa y s), the envelope
+    at s1 = S + 1, q = p + 1, delta = 1, with fl(kappa y) off by u (``err``).
+    """
+    kappa = seq.kappa
+    bound = _envelope(p * math.log(kappa), S + 1.0, p + 1, 1.0, kappa * y, _U)
     return None if bound is None else (0.0, bound)
 
 
@@ -841,13 +838,25 @@ def _sum_blocks(
         block = min(block * 2, 1_000_000)
 
 
+# (g^3)^(p), p <= 2: rows (c, a, b, d) of its monomials c g^a g'^b g''^d
+_CUBE = (((1.0, 3, 0, 0),), ((3.0, 2, 1, 0),), ((6.0, 1, 2, 0), (3.0, 2, 0, 1)))
+
+
 def _eval_box(
     seq: SigmaSequence, y: float, p: int, tol: float, budget: int, rel: float = 0.0
 ) -> SeriesEval:
-    """Box series via the cube factorization f = g^3, orders p <= 2; the
-    product bracket stops as ``_sum_blocks``'s does.  A factor walk that
-    fails ends the evaluation: the box's BudgetExceededError carries the
-    product of the factors' best brackets."""
+    """Box series via f = g^3, g(z) = sum_k exp(k^2 z) at z = kappa y,
+    orders p <= 2; the product bracket stops as ``_sum_blocks``'s does.
+
+    ``_CUBE``'s monomials have positive coefficients and degree 3, so
+    factor brackets at most r <= 1/4 of their lower ends wide give a
+    product [L, H] at most (1 + r)^3 - 1 <= 4 r of L wide.  A first pass at
+    r = 1/4 that misses the target is followed by one at
+    r = min(1/4, target/(4 H)), whose width 4 r L' <= target L'/H is within
+    the target, L' being below the true value and so below H.  A factor
+    walk that fails ends the evaluation: the box's BudgetExceededError
+    carries the product of the factors' best brackets.
+    """
     if p > 2:
         raise ValueError(
             "box series evaluation supports derivative orders 0..2 "
@@ -856,42 +865,29 @@ def _eval_box(
     kappa = seq.kappa
     z = kappa * y
     quad = quadratic()
-
-    def brackets(abs_tols: list[float]) -> tuple[list[SeriesEval], Optional[BudgetExceededError]]:
-        comps, failed = [], None
+    r = 0.25
+    for _ in range(2):
+        low, high = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
+        n_max, failed = 0, None
         for j in range(p + 1):
             try:
-                comps.append(_sum_blocks(quad, z, j, abs_tols[j], budget))
+                factor = _sum_blocks(quad, z, j, 0.0, budget, r)
             except BudgetExceededError as exc:
-                comps.append(exc.best)
-                failed = exc
-        return comps, failed
-
-    # rough pass to scale component tolerances, then tighten until the
-    # product bracket meets the target
-    comps, failed = brackets([1.0] * (p + 1))
-    for attempt in range(7):
-        g = [kappa ** j * comps[j].value for j in range(p + 1)]
-        gu = [kappa ** j * comps[j].upper for j in range(p + 1)]
-        if p == 0:
-            lo, hi = g[0] ** 3, gu[0] ** 3
-        elif p == 1:
-            lo = 3.0 * g[0] ** 2 * g[1]
-            hi = 3.0 * gu[0] ** 2 * gu[1]
-        else:
-            lo = 6.0 * g[0] * g[1] ** 2 + 3.0 * g[0] ** 2 * g[2]
-            hi = 6.0 * gu[0] * gu[1] ** 2 + 3.0 * gu[0] ** 2 * gu[2]
-        best = SeriesEval(lo, max(c.truncation_index for c in comps), hi - lo)
+                factor, failed = exc.best, exc
+            scale = kappa ** j
+            low[j], high[j] = scale * factor.value, scale * factor.upper
+            n_max = max(n_max, factor.truncation_index)
+        lo = hi = -0.0  # the additive identity, so a lone monomial keeps its bits
+        for c, a, b, d in _CUBE[p]:
+            lo += c * low[0] ** a * low[1] ** b * low[2] ** d
+            hi += c * high[0] ** a * high[1] ** b * high[2] ** d
+        best = SeriesEval(lo, n_max, hi - lo)
         target = max(tol, rel * lo)
         if hi - lo <= target or (rel and lo <= 0.0):
             return best
-        if failed is not None or attempt == 6:
+        if failed is not None:
             break
-        # component relative accuracy needed: spread the target across factors
-        shrink = max((hi - lo) / target, 4.0)
-        comps, failed = brackets(
-            [max(comps[j].tail_bound / shrink / 4.0, 1e-300) for j in range(p + 1)]
-        )
+        r = min(0.25, target / (4.0 * hi))
     raise BudgetExceededError(
         f"box bracket did not reach tol={target:g} for {seq.spec_string()} at y={y!r}"
         + ("" if failed is None else f" (a factor: {failed})"),

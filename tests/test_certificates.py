@@ -20,7 +20,6 @@ from gibbs_series import (
     tail_bound_after,
 )
 from gibbs_series.sequences import box_levels
-from gibbs_series.series import _box_level_tail
 
 
 def brute_tail(seq, y, p, N, extent=2_000_000):
@@ -112,7 +111,7 @@ def test_box_level_tail_never_below_level_sum():
         for y in (-1e-3, -0.05, -0.3, -2.0, -10.0, -40.0):
             for S in (3, 8, 20, 64, 200):
                 for p in (0, 1, 2):
-                    bound = _box_level_tail(kappa, y, p, S)
+                    bound = tail_bound_after(box(kappa), y, p, S)
                     if bound is None:
                         continue
                     with mp.workdps(40):
@@ -144,7 +143,7 @@ def test_box_level_tail_dominates_brute():
 
     kappa, y, S = 1.0, -0.3, 20
     for p in (0, 1):
-        bound = _box_level_tail(kappa, y, p, S)
+        bound = tail_bound_after(box(kappa), y, p, S)
         brute = math.fsum(
             s ** p * math.exp(s * y) for _, s in enumerate_box(kappa, 300_000) if s > S
         )
