@@ -16,6 +16,7 @@ a rounding band above s_min, the edge law within its certified band.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -341,10 +342,11 @@ def plateau_witness(
     start = seq.start_index
     target = conjugate(seq, u).value
 
-    # smallest admissible prefix end: first index whose exponent reaches u
-    n_bar = start
-    while sigma(seq, n_bar) < u:
-        n_bar += 1
+    # smallest admissible prefix end: the first index whose exponent reaches
+    # u, by bisection of the nondecreasing sigma over the budget's indices
+    n_bar = start + bisect.bisect_left(range(start, start + budget), u, key=lambda n: sigma(seq, n))
+    if n_bar == start + budget:
+        raise WitnessBudgetError(f"no exponent within {budget} terms reaches u={u!r}")
     n_end = max(n_prefix if n_prefix is not None else n_bar, n_bar)
 
     ks_prefix = np.arange(start, n_end + 1, dtype=np.int64)

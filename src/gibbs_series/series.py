@@ -8,10 +8,8 @@ certificates used are:
 * geometric: when increments sigma_{n+1} - sigma_n >= delta > 0 and
   sigma_{N+1} > p/|y|, omitted terms are dominated by the decreasing
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
-  whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1; box
-  levels s > S, at most s triples each, are bounded by the same envelope
-  at s = S + 1 + k with exponent p + 1 (``_envelope``, the one rounding
-  account of both);
+  whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1, and
+  so are box levels s > S, of at most s triples each (``_envelope``);
 * integral comparison: for powers n^theta with theta < 1, the tail is
   bounded by an integral, an upper incomplete gamma function of integer
   order;
@@ -380,8 +378,7 @@ def _envelope(
 
 
 def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(0, bound) after index N from the geometric envelope at
-    s1 = sigma_{N+1} with the family's increment gap, or None."""
+    """(0, bound) after index N: the envelope from sigma_{N+1}, or None."""
     bound = _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y, 0.0)
     return None if bound is None else (0.0, bound)
 
@@ -853,7 +850,8 @@ def _eval_box(
     product [L, H] at most (1 + r)^3 - 1 <= 4 r of L wide.  A first pass at
     r = 1/4 that misses the target is followed by one at
     r = min(1/4, target/(4 H)), whose width 4 r L' <= target L'/H is within
-    the target, L' being below the true value and so below H.  A factor
+    the target, L' being below the true value and so below H, while r is
+    far above the 40 u by which both ends are rounded outward.  A factor
     walk that fails ends the evaluation: the box's BudgetExceededError
     carries the product of the factors' best brackets.
     """
@@ -874,16 +872,18 @@ def _eval_box(
                 factor = _sum_blocks(quad, z, j, 0.0, budget, r)
             except BudgetExceededError as exc:
                 factor, failed = exc.best, exc
-            scale = kappa ** j
-            low[j], high[j] = scale * factor.value, scale * factor.upper
+            low[j], high[j] = max(kappa ** j * factor.value, 0.0), kappa ** j * factor.upper
             n_max = max(n_max, factor.truncation_index)
-        lo = hi = -0.0  # the additive identity, so a lone monomial keeps its bits
+        lo = hi = 0.0
         for c, a, b, d in _CUBE[p]:
             lo += c * low[0] ** a * low[1] ** b * low[2] ** d
             hi += c * high[0] ** a * high[1] ** b * high[2] ** d
-        best = SeriesEval(lo, n_max, hi - lo)
+        # kappa^j, the factors' upper ends, powers, products and sum: at most
+        # 18 u of an end, 20 u as _up(hi, 6 u) takes it
+        lo = lo * (1.0 - 20.0 * _U) if lo >= _TINY else 0.0
+        best = SeriesEval(lo, n_max, _up(_up(hi, 6.0 * _U) - lo, 0.0))
         target = max(tol, rel * lo)
-        if hi - lo <= target or (rel and lo <= 0.0):
+        if best.tail_bound <= target or (rel and lo <= 0.0):
             return best
         if failed is not None:
             break
@@ -935,8 +935,7 @@ def _evaluate(
         raise DomainError(
             f"y={y!r} is beyond the domain edge -{alpha:g}", domain_info(seq), y
         )
-    at_edge = (y == -alpha) or (abs(y + alpha) <= 1e-15 * max(1.0, alpha))
-    if at_edge:
+    if y == -alpha:
         if edge is BoundaryClass.OPEN_BOUNDARY:
             raise DomainError(
                 f"domain is open at the edge -{alpha:g}", domain_info(seq), y

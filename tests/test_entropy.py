@@ -395,6 +395,34 @@ class TestPlateauWitness:
         ss = sigma_values(seq, wit.indices)
         assert float(ss @ wit.weights) == pytest.approx(g, rel=1e-13)
 
+    def test_prefix_search_stays_within_the_budget(self, monkeypatch):
+        # sigma_n of logfam:3 reaches 25 only past n = 10^7, beyond 10^5
+        # terms: the search gives up after a few dozen exponents instead of
+        # stepping through millions of indices
+        from gibbs_series import entropy
+
+        calls = []
+
+        def counted(seq, n):
+            calls.append(n)
+            assert len(calls) <= 100, "the prefix search steps index by index"
+            return sigma(seq, n)
+
+        monkeypatch.setattr(entropy, "sigma", counted)
+        with pytest.raises(WitnessBudgetError, match="within 100000 terms") as exc:
+            plateau_witness(logfam(3.0), 25.0, 0.1, max_terms=100_000)
+        assert exc.value.best is None
+        assert max(calls) <= logfam(3.0).start_index + 100_000 - 1
+        # where the prefix fits, it ends at the first index whose exponent
+        # reaches u, as a scan would find it
+        calls.clear()
+        u = 14.5
+        n_bar = next(n for n in range(3, 10_000) if sigma(logfam(3.0), n) >= u)
+        with pytest.raises(WitnessBudgetError) as exc:
+            plateau_witness(logfam(3.0), u, 0.5, max_terms=100_000)
+        assert exc.value.best.n_prefix == n_bar == 3609
+        assert len(calls) <= 100
+
     def test_prefix_override(self):
         seq = logfam(3.0)
         g = domain_info(seq).gamma

@@ -46,6 +46,25 @@ def interior_integral(theta, y, p, W):
     return W ** (th * yy) * mp.exp(-b * W) * scaled
 
 
+def gamma_derivative(theta, y, p, W):
+    """The order-p integral of ``interior_integral``, p >= 1, as
+    d^p/dy^p of b^-a Gamma(a, b W) (a = theta y + 1, b = -(y + 1)) by
+    mpmath's central differences, in the caller's precision.
+
+    The step is 2^-70, not mpmath's default of the working precision's
+    ulp: differences that fine put a = theta y + 1 within 2^-140 of an
+    integer at y = -20, where mpmath's gammainc for a < -30 loses all its
+    digits (theta = 3, 4.5) and slows down.
+    """
+    th, W = mp.mpf(theta), mp.mpf(W)
+
+    def F(t):
+        a, b = th * t + 1, -(t + 1)
+        return b ** (-a) * mp.gammainc(a, b * W)
+
+    return mp.diff(F, mp.mpf(y), p, h=mp.ldexp(1, -70))
+
+
 @functools.lru_cache(maxsize=None)
 def reference(theta, y, p, K=1000, J=4):
     """sum_{n>=3} sigma_n^p exp(sigma_n y) to ~30 digits.
@@ -128,6 +147,15 @@ def test_slope_reference_matches_incomplete_gamma():
             with mp.workdps(40):
                 quad = interior_integral(theta, y, 1, mp.log(c))
                 assert abs(quad - exact) <= mp.mpf(10) ** -38 * exact, (y, c)
+
+
+def test_gamma_derivative_matches_quadrature():
+    # the grid's derivative reference against quadrature, where the two
+    # differed most over the whole grid (5.5e-29 of the value)
+    for theta, y, p, c in ((4.5, -20.0, 2, 2.0 ** 20), (-1.0, -1.0005, 3, 2.0 ** 20), (0.5, -1.3, 1, 5.5)):
+        with mp.workdps(40):
+            quad = interior_integral(theta, y, p, mp.log(c))
+            assert abs(gamma_derivative(theta, y, p, mp.log(c)) - quad) <= 1e-27 * quad
 
 
 class TestUpperGamma:
@@ -294,7 +322,7 @@ def test_slope_integral_contains_reference_on_grid(theta):
                 lo = series._logfam_derivative_integral(theta, y, p, c, lower=True)
                 hi = series._logfam_derivative_integral(theta, y, p, c)
                 with mp.workdps(40):
-                    ref = interior_integral(theta, y, p, mp.log(c))
+                    ref = gamma_derivative(theta, y, p, mp.log(c))
                     assert 0.0 <= lo <= ref <= hi < math.inf, (p, y, c)
                 assert p > 1 or lo > 0.0, (y, c)
                 if y == binade:
@@ -309,6 +337,31 @@ def test_slope_integral_next_to_the_edge():
     for p in (1, 2):
         assert series._logfam_derivative_integral(2.0, y, p, 300.5, lower=True) == 0.0
         assert series._logfam_derivative_integral(2.0, y, p, 300.5) == math.inf
+
+
+def test_one_ulp_inside_the_edge_is_an_interior_point():
+    # y = -1 - 2^-52 is not the edge: f(y) lies ~7.5e-8 below f(-1) for
+    # logfam:1.5, whose slope is infinite there, so the edge's bracket
+    # misses it.  Around f(y): 2,000 terms summed exactly, and the
+    # Hermite-Hadamard sandwich of the tail's decreasing convex terms g,
+    # int_{2001} g + g(2001)/2 and int_{2000.5} g, 1.5e-9 apart
+    y, K = -1.0000000000000002, 2000
+    try:
+        ev = eval_series(logfam(1.5), y)
+    except BudgetExceededError as exc:
+        ev = exc.best
+    with mp.workdps(30):
+        th, yy = mp.mpf(1.5), mp.mpf(y)
+
+        def g(n):
+            return mp.exp(yy * (mp.log(n) + th * mp.log(mp.log(n))))
+
+        head = mp.fsum(g(n) for n in range(3, K + 1))
+        upper = head + interior_integral(1.5, y, 0, mp.log(K + mp.mpf(0.5)))
+        lower = head + interior_integral(1.5, y, 0, mp.log(K + 1)) + g(K + 1) / 2
+        assert upper - lower <= 2e-9
+        assert mp.mpf(ev.value) <= lower
+        assert mp.mpf(ev.value) + mp.mpf(ev.tail_bound) >= upper
 
 
 # the three interior conjugates of the edge_sums benchmark, and three more

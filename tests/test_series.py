@@ -144,6 +144,47 @@ class TestBracketing:
         brute = math.fsum(s ** p * math.exp(s * y) for _, s in enumerate_box(1.0, 6000))
         assert ev.value - 1e-12 <= brute <= ev.value + ev.tail_bound
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_box_brackets_contain_theta_reference(self, p, monkeypatch):
+        # g(z) = sum_{k>=1} exp(k^2 z) = (theta_3(0, e^z) - 1)/2, taken for
+        # |z| < pi through Jacobi's transformation theta_3(0, e^z) =
+        # sqrt(pi/-z) theta_3(0, e^(pi^2/z)), and f_box^(p)(y) =
+        # kappa^p (g^3)^(p)(kappa y) by 50-digit differentiation.  Below
+        # kappa |y| = 1e-3 the first pass is too wide and the retry runs
+        mp = pytest.importorskip("mpmath")
+
+        def cube(t):
+            if -t < mp.pi:
+                theta = mp.sqrt(mp.pi / -t) * mp.jtheta(3, 0, mp.exp(mp.pi ** 2 / t))
+            else:
+                theta = mp.jtheta(3, 0, mp.exp(t))
+            return ((theta - 1) / 2) ** 3
+
+        walks = []
+        sum_blocks = series._sum_blocks
+        monkeypatch.setattr(series, "_sum_blocks", lambda *args: walks.append(args) or sum_blocks(*args))
+        retries = 0
+        for kappa in (0.3, 1.0, 2.5):
+            for z in (-1e-5, -3e-4, -1e-3, -0.05, -0.7, -4.0):
+                y = z / kappa
+                for tol, rel in ((1e-9, 0.0), (0.0, 1e-11)):
+                    series._memo.lru.clear()
+                    walks.clear()
+                    try:
+                        ev = series._evaluate(box(kappa), y, p, tol, None, rel)
+                    except BudgetExceededError as exc:
+                        # only a target at the float64 floor of the sum
+                        ev = exc.best
+                        assert max(tol, rel * ev.value) < 2e-14 * ev.value, (kappa, z)
+                    retries += len(walks) > p + 1
+                    with mp.workdps(50):
+                        k = mp.mpf(kappa)
+                        ref = k ** p * mp.diff(cube, k * mp.mpf(y), p)
+                        assert mp.mpf(ev.value) <= ref <= mp.mpf(ev.value) + mp.mpf(ev.tail_bound), (
+                            kappa, z, tol, rel,
+                        )
+        assert retries >= 10
+
     def test_box_high_order_refused(self):
         with pytest.raises(ValueError):
             eval_series(box(1.0), -1.0, 3, tol=1e-6)
