@@ -344,8 +344,9 @@ def plateau_witness(
 
     # smallest admissible prefix end: the first index whose exponent reaches
     # u, by bisection of the nondecreasing sigma over the budget's indices
-    n_bar = start + bisect.bisect_left(range(start, start + budget), u, key=lambda n: sigma(seq, n))
-    if n_bar == start + budget:
+    stop = start + budget
+    n_bar = start + bisect.bisect_left(range(start, stop), u, key=lambda n: sigma(seq, n))
+    if n_bar == stop:
         raise WitnessBudgetError(f"no exponent within {budget} terms reaches u={u!r}")
     n_end = max(n_prefix if n_prefix is not None else n_bar, n_bar)
 

@@ -340,7 +340,7 @@ def test_slope_integral_next_to_the_edge():
 
 
 def test_one_ulp_inside_the_edge_is_an_interior_point():
-    # y = -1 - 2^-52 is not the edge: f(y) lies ~7.5e-8 below f(-1) for
+    # y = -1 - 2^-52 is not the edge: f(y) lies 5.4e-8 below f(-1) for
     # logfam:1.5, whose slope is infinite there, so the edge's bracket
     # misses it.  Around f(y): 2,000 terms summed exactly, and the
     # Hermite-Hadamard sandwich of the tail's decreasing convex terms g,
