@@ -19,10 +19,10 @@ from .oracle import alternating_gradient_series
 from .sequences import (
     SigmaSequence,
     box,
+    box_factor,
     logfam,
     loglog,
     power,
-    quadratic,
     varsigma_exp,
     varsigma_expsq,
     varsigma_power,
@@ -204,7 +204,7 @@ class BoxModel:
     kappa: float = 1.0
 
     def g(self, y: float, p: int = 0, tol: float = 1e-13) -> float:
-        return self.kappa ** p * eval_series(quadratic(), self.kappa * y, p, tol=tol).midpoint
+        return eval_series(box_factor(self.kappa), y, p, tol=tol).midpoint
 
     def h(self, x: float, y: float) -> float:
         return math.exp(x) * self.g(y) ** 3

@@ -13,7 +13,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -29,6 +29,7 @@ __all__ = [
     "loglog",
     "quadratic",
     "box",
+    "box_factor",
     "custom",
     "parse_sequence",
     "sigma",
@@ -211,10 +212,10 @@ class Family(_Described):
 
     Rounding (see ``SigmaSequence.sigma_error``): integer exponents are
     exact, n^2 staying below 2^53 up to n = 9.4e7, past any default term
-    budget.  Power and box values take one rounded pow or product.  For
-    the log family, with logs off by at most 2 ulps (numpy's measure
-    within 0.51 of mpmath), ln n carries 4 ln n u and ln ln n carries
-    4 (1 + ln ln n) u; bounding ln n and theta ln ln n by sigma_n
+    budget.  Power, box and kappa n^2 values take one rounded pow or
+    product.  For the log family, with logs off by at most 2 ulps (numpy's
+    measure within 0.51 of mpmath), ln n carries 4 ln n u and ln ln n
+    carries 4 (1 + ln ln n) u; bounding ln n and theta ln ln n by sigma_n
     (theta >= 0) or ln n by 2 sigma_n (-1 <= theta < 0) gives its pair.
     Custom exponents are the generator's floats, exact by definition.
     """
@@ -257,11 +258,12 @@ class Family(_Described):
         rounding=lambda seq: (8.0, 8.0),
         domain=lambda seq: (math.nan, BoundaryClass.EMPTY_DOMAIN),
     )
-    # sigma_n = n**2, increments 2n + 1
+    # sigma_n = n**2 and increments 2n + 1, for the box factor kappa times both
     QUADRATIC = "quadratic", _Rules(
-        sigma=lambda seq, n: float(n) ** 2,
-        values=lambda seq, ns, x: np.multiply(x, x, out=x),
-        gap=lambda seq, N: 2.0 * N + 1.0,
+        sigma=lambda seq, n: float(n) ** 2 * (seq.kappa or 1.0),
+        values=lambda seq, ns, x: np.multiply(np.multiply(x, x, out=x), seq.kappa or 1.0, out=x),
+        gap=lambda seq, N: math.nextafter(seq.kappa * (2 * N + 1), 0) if seq.kappa else 2.0 * N + 1,
+        rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level
     # (``_BoxTable``); repeated levels leave no increment gap.  Sums
@@ -410,6 +412,12 @@ def quadratic() -> SigmaSequence:
 
 def box(kappa: float = 1.0) -> SigmaSequence:
     return _sequence(Family.BOX, kappa)
+
+
+@lru_cache(maxsize=64)
+def box_factor(kappa: float) -> SigmaSequence:
+    """g's exponents kappa k^2 for a box's f = g^3; ``quadratic()`` at kappa = 1."""
+    return _QUADRATIC if kappa == 1.0 else SigmaSequence(Family.QUADRATIC, kappa=kappa)
 
 
 def custom(

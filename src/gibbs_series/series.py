@@ -9,7 +9,7 @@ certificates used are:
   sigma_{N+1} > p/|y|, omitted terms are dominated by the decreasing
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
   whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1, and
-  so are box levels s > S, of at most s triples each (``_envelope``);
+  so are box levels kappa s, s > S, of at most s triples each (``_envelope``);
 * integral comparison: for powers n^theta with theta < 1, the tail is
   bounded by an integral, an upper incomplete gamma function of integer
   order;
@@ -26,9 +26,9 @@ certificates used are:
   is a Laplace transform in y and its F^(p+2) is positive;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
-  from certified brackets of g and its first two derivatives, each walked
-  to 1/4 of its own lower end and, where the product misses its target,
-  once more to a width that provably meets it.
+  from certified brackets of g and its first two derivatives at y, each
+  walked to 1/4 of its own lower end and, where the product misses its
+  target, once more to a width that provably meets it.
 
 Floating-point error is folded into the bracket: reported values are
 shifted down by the rounding slack and ``tail_bound`` widens by twice of
@@ -56,8 +56,8 @@ import numpy as np
 from .sequences import (
     BoundaryClass,
     SigmaSequence,
+    box_factor,
     increment_gap,
-    quadratic,
     sigma,
     sigma_values,
 )
@@ -346,18 +346,15 @@ def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float
     return h, err
 
 
-def _envelope(
-    log_c: float, s1: float, q: int, delta: float, y: float, err: float
-) -> Optional[float]:
-    """Bound on sum_{k>=0} e^log_c (s1 + k delta)^q exp((s1 + k delta) y):
-    its first term over 1 - r, r = (1 + delta/s1)^q exp(delta y) the
-    largest ratio of consecutive terms; None while the terms may still grow
+def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
+    """(0, bound) on sum_{k>=0} e^log_c (s1 + k delta)^q exp((s1 + k delta) y),
+    the bound being its first term over 1 - r, r = (1 + delta/s1)^q
+    exp(delta y) the largest ratio of consecutive terms; None while the terms may still grow
     (s1 |y| <= q) or r > 1 - 1e-12.
 
     Rounding: the lead exponent's parts carry 3 u of each, s1 y that of a
     rounded s1 too; an error x in the exponent of r, 2 u of each part,
-    moves ln(1 - r) by x/(1 - r).  ``err`` bounds the relative error of a
-    rounded ``y``, which moves the two by err |s1 y| and err |delta y|.
+    moves ln(1 - r) by x/(1 - r).
     """
     if q and s1 * -y <= q:
         return None
@@ -373,14 +370,13 @@ def _envelope(
         3.0 * (abs(log_c) + abs(sy) + q * (abs(log_s1) + 1.0) - log_gap)
         + 2.0 * (growth - dy) / one_minus_r
         + 12.0
-    ) + err * (abs(sy) - dy / one_minus_r)
-    return _exp_up(log_c + q * log_s1 + sy - log_gap, err)
+    )
+    return 0.0, _exp_up(log_c + q * log_s1 + sy - log_gap, err)
 
 
 def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     """(0, bound) after index N: the envelope from sigma_{N+1}, or None."""
-    bound = _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y, 0.0)
-    return None if bound is None else (0.0, bound)
+    return _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y)
 
 
 def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
@@ -418,12 +414,11 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
 def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
     """(0, bound) on the box terms with level s > S, or None: r3(s) <= s
     (at most one m per (k, l), and fewer than s pairs with k^2 + l^2 < s)
-    puts them below kappa^p sum_{s>S} s^(p+1) exp(kappa y s), the envelope
-    at s1 = S + 1, q = p + 1, delta = 1, with fl(kappa y) off by u (``err``).
-    """
+    puts them below sum_{s>S} s (kappa s)^p exp(kappa s y), the envelope
+    over kappa s with s1 = fl(kappa (S + 1)), q = p + 1, delta = kappa and
+    log_c = -ln kappa."""
     kappa = seq.kappa
-    bound = _envelope(p * math.log(kappa), S + 1.0, p + 1, 1.0, kappa * y, _U)
-    return None if bound is None else (0.0, bound)
+    return _envelope(-math.log(kappa), kappa * (S + 1.0), p + 1, kappa, y)
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +837,8 @@ _CUBE = (((1.0, 3, 0, 0),), ((3.0, 2, 1, 0),), ((6.0, 1, 2, 0), (3.0, 2, 0, 1)))
 def _eval_box(
     seq: SigmaSequence, y: float, p: int, tol: float, budget: int, rel: float = 0.0
 ) -> SeriesEval:
-    """Box series via f = g^3, g(z) = sum_k exp(k^2 z) at z = kappa y,
-    orders p <= 2; the product bracket stops as ``_sum_blocks``'s does.
+    """Box series via f = g^3, g walked at y over ``box_factor``'s kappa
+    k^2, orders p <= 2; the product bracket stops as ``_sum_blocks``'s does.
 
     ``_CUBE``'s monomials have positive coefficients and degree 3, so
     factor brackets at most r <= 1/4 of their lower ends wide give a
@@ -860,26 +855,23 @@ def _eval_box(
             "box series evaluation supports derivative orders 0..2 "
             "(higher orders of the cubed factor are not implemented)"
         )
-    kappa = seq.kappa
-    z = kappa * y
-    quad = quadratic()
     r = 0.25
     for _ in range(2):
         low, high = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
         n_max, failed = 0, None
         for j in range(p + 1):
             try:
-                factor = _sum_blocks(quad, z, j, 0.0, budget, r)
+                factor = _sum_blocks(box_factor(seq.kappa), y, j, 0.0, budget, r)
             except BudgetExceededError as exc:
                 factor, failed = exc.best, exc
-            low[j], high[j] = max(kappa ** j * factor.value, 0.0), kappa ** j * factor.upper
+            low[j], high[j] = max(factor.value, 0.0), factor.upper
             n_max = max(n_max, factor.truncation_index)
         lo = hi = 0.0
         for c, a, b, d in _CUBE[p]:
             lo += c * low[0] ** a * low[1] ** b * low[2] ** d
             hi += c * high[0] ** a * high[1] ** b * high[2] ** d
-        # kappa^j, the factors' upper ends, powers, products and sum: at most
-        # 18 u of an end, 20 u as _up(hi, 6 u) takes it
+        # the factors' upper ends, powers, products and sum: at most 10 u
+        # of an end, inside the 20 u taken, as _up(hi, 6 u) takes it
         lo = lo * (1.0 - 20.0 * _U) if lo >= _TINY else 0.0
         best = SeriesEval(lo, n_max, _up(_up(hi, 6.0 * _U) - lo, 0.0))
         target = max(tol, rel * lo)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,6 +120,28 @@ class TestIncrementGap:
                 assert delta > 0.0
                 for n in range(N, N + 200):
                     assert sigma(seq, n + 1) >= sigma(seq, n) + delta - 1e-12
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.37, 2.5])
+    def test_kappa_quadratic_gap_is_exact_lower_bound(self, kappa):
+        # the box factor's increments kappa (2n + 1) >= kappa (2N + 1),
+        # the product rounded down: never above it, and within an ulp
+        seq = sequences.SigmaSequence(Family.QUADRATIC, kappa=kappa)
+        rng = np.random.default_rng(18)
+        for N in list(range(1, 1001)) + rng.integers(1, 10**6, 2000).tolist() + [10**6]:
+            gap = increment_gap(seq, N)
+            exact = Fraction(kappa) * (2 * N + 1)
+            assert Fraction(gap) <= exact, (kappa, N)
+            assert gap >= float(exact) * (1.0 - 2.0 ** -51), (kappa, N)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.37, 2.5])
+    def test_kappa_quadratic_is_one_rounded_product(self, kappa):
+        # fl(kappa n^2), n^2 exact: one rounding, charged as e_rel = 1
+        seq = sequences.SigmaSequence(Family.QUADRATIC, kappa=kappa)
+        assert seq.sigma_error == (1.0, 0.0, 1.0)
+        ns = [1, 2, 3, 1000, 10**6, 9 * 10**7]
+        want = [kappa * float(n * n) for n in ns]
+        assert sigma_values(seq, np.array(ns)).tolist() == want
+        assert [sigma(seq, n) for n in ns] == want
 
     def test_custom_declares_gap(self):
         seq = custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=2.0)

@@ -185,6 +185,22 @@ class TestBracketing:
                         )
         assert retries >= 10
 
+    def test_box_factor_walked_at_y_over_scaled_exponents(self, monkeypatch):
+        # g(y) = sum_k exp(kappa k^2 y) is walked at the box's own y over
+        # the exponents fl(kappa k^2), not at a rounded kappa y
+        walks = []
+        sum_blocks = series._sum_blocks
+        monkeypatch.setattr(series, "_sum_blocks", lambda *args: walks.append(args) or sum_blocks(*args))
+        ns = np.arange(1, 200)
+        for kappa in (0.37, 1.0, 2.5):
+            walks.clear()
+            eval_series(box(kappa), -0.25, 2)
+            assert {(y, p) for _, y, p, *_ in walks} == {(-0.25, 0), (-0.25, 1), (-0.25, 2)}
+            for factor, *_ in walks:
+                assert factor.family is Family.QUADRATIC
+                want = [kappa * float(n * n) for n in ns.tolist()]
+                assert sigma_values(factor, ns).tolist() == want, kappa
+
     def test_box_high_order_refused(self):
         with pytest.raises(ValueError):
             eval_series(box(1.0), -1.0, 3, tol=1e-6)
