@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import math
+import re
 import sys
 from typing import Optional
 
@@ -156,6 +157,11 @@ def _fit_doc(fit: GibbsFit, cap: int) -> dict:
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a dash-led number in exponent form (-5e-1) is a value, not an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -349,6 +349,8 @@ def plateau_witness(
     if n_bar == stop:
         raise WitnessBudgetError(f"no exponent within {budget} terms reaches u={u!r}")
     n_end = max(n_prefix if n_prefix is not None else n_bar, n_bar)
+    if n_end >= stop:
+        raise WitnessBudgetError(f"prefix through n={n_end} exceeds the {budget}-term budget")
 
     ks_prefix = np.arange(start, n_end + 1, dtype=np.int64)
     s_prefix = sigma_values(seq, ks_prefix)

@@ -17,6 +17,7 @@ from .conjugate import box_conjugate
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
+    Family,
     SigmaSequence,
     box,
     box_factor,
@@ -60,7 +61,13 @@ def _divergence_certificate(seq: SigmaSequence, kind: str, n_probe: int) -> dict
     }
 
 
-def _convergence_certificate(seq: SigmaSequence, p: int, tol: float) -> dict:
+def _edge_certificate(
+    seq: SigmaSequence, p: int, converges: bool, n_probe: int, tol: float
+) -> dict:
+    """The edge sum of order p (mass, slope): its certified value where it
+    converges, else an exact diverging lower bound."""
+    if not converges:
+        return _divergence_certificate(seq, "slope" if p else "mass", n_probe)
     ev = eval_series(seq, -domain_info(seq).alpha, p, tol=tol)
     return {
         "type": "certified_value",
@@ -70,94 +77,59 @@ def _convergence_certificate(seq: SigmaSequence, p: int, tol: float) -> dict:
     }
 
 
+# each row's sequence and the theta range sharing its edge class; the power
+# row stands for its family, whose edge terms e^0 = 1 need no sum
+_EXAMPLE1 = (
+    (power(1.0), "theta > 0"),
+    (logfam(0.5), "theta <= 1"),
+    (logfam(1.5), "1 < theta <= 2"),
+    (logfam(3.0), "theta > 2"),
+    (loglog(), "-"),
+)
+_POWER_LABEL = "power:<theta>, theta > 0 (shown: theta=1)"
+_POWER_NOTE = "terms e^{sigma_n * 0} = 1 do not vanish at y = 0"
+
+
 def example1_table(n_probe: int = 10**6, tol: float = 1e-8) -> list[dict]:
     """Five-row domain classification with certified edge behaviour.
 
     Rows: the power family (open domain ending at 0), the log family in
     its three slope classes at the edge -1, and the iterated-log family
-    (empty domain).  Each row logs either a certified boundary value or
-    an exact diverging lower bound.
+    (empty domain).  Each row reads its edge class from ``domain_info``
+    and logs, for the edge mass and slope, either a certified boundary
+    value (where that edge sum converges) or an exact diverging lower
+    bound.
     """
     rows: list[dict] = []
-
-    seq = power(1.0)
-    di = domain_info(seq)
-    rows.append(
-        {
-            "sequence": "power:<theta>, theta > 0 (shown: theta=1)",
-            "theta_range": "theta > 0",
-            "domain": "(-inf, 0)",
+    for seq, theta_range in _EXAMPLE1:
+        di = domain_info(seq)
+        closed, finite = math.isfinite(di.f_at_boundary), math.isfinite(di.gamma)
+        row = {
+            "sequence": _POWER_LABEL if seq.family is Family.POWER else seq.spec_string(),
+            "theta_range": theta_range,
+            "domain": "empty" if di.empty else f"(-inf, {0.0 - di.alpha:g}{']' if closed else ')'}",
             "boundary_class": di.boundary_class.value,
-            "boundary_slope": "inf",
-            "certificates": {
+            "boundary_slope": "-" if di.empty else di.gamma if finite else "inf",
+        }
+        if finite:
+            row["boundary_slope_err"] = di.gamma_err
+        if di.empty:
+            certificates = {"any_y": _divergence_certificate(seq, "loglog", n_probe)}
+        elif seq.family is Family.POWER:
+            certificates = {
                 "edge": {
                     "type": "divergence_lower_bound",
-                    "note": "terms e^{sigma_n * 0} = 1 do not vanish at y = 0",
+                    "note": _POWER_NOTE,
                     "partial_lower_bound": float(n_probe),
                     "at_terms": n_probe,
                 }
-            },
-        }
-    )
-
-    seq = logfam(0.5)
-    di = domain_info(seq)
-    rows.append(
-        {
-            "sequence": seq.spec_string(),
-            "theta_range": "theta <= 1",
-            "domain": "(-inf, -1)",
-            "boundary_class": di.boundary_class.value,
-            "boundary_slope": "inf",
-            "certificates": {"edge_mass": _divergence_certificate(seq, "mass", n_probe)},
-        }
-    )
-
-    seq = logfam(1.5)
-    di = domain_info(seq)
-    rows.append(
-        {
-            "sequence": seq.spec_string(),
-            "theta_range": "1 < theta <= 2",
-            "domain": "(-inf, -1]",
-            "boundary_class": di.boundary_class.value,
-            "boundary_slope": "inf",
-            "certificates": {
-                "edge_mass": _convergence_certificate(seq, 0, tol),
-                "edge_slope": _divergence_certificate(seq, "slope", n_probe),
-            },
-        }
-    )
-
-    seq = logfam(3.0)
-    di = domain_info(seq)
-    rows.append(
-        {
-            "sequence": seq.spec_string(),
-            "theta_range": "theta > 2",
-            "domain": "(-inf, -1]",
-            "boundary_class": di.boundary_class.value,
-            "boundary_slope": di.gamma,
-            "boundary_slope_err": di.gamma_err,
-            "certificates": {
-                "edge_mass": _convergence_certificate(seq, 0, tol),
-                "edge_slope": _convergence_certificate(seq, 1, tol),
-            },
-        }
-    )
-
-    seq = loglog()
-    di = domain_info(seq)
-    rows.append(
-        {
-            "sequence": seq.spec_string(),
-            "theta_range": "-",
-            "domain": "empty",
-            "boundary_class": di.boundary_class.value,
-            "boundary_slope": "-",
-            "certificates": {"any_y": _divergence_certificate(seq, "loglog", n_probe)},
-        }
-    )
+            }
+        else:
+            certificates = {"edge_mass": _edge_certificate(seq, 0, closed, n_probe, tol)}
+            if closed:
+                certificates["edge_slope"] = _edge_certificate(seq, 1, finite, n_probe, tol)
+        row["certificates"] = certificates
+        rows.append(row)
     return rows
 
 

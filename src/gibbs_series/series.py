@@ -349,8 +349,8 @@ def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float
 def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
     """(0, bound) on sum_{k>=0} e^log_c (s1 + k delta)^q exp((s1 + k delta) y),
     the bound being its first term over 1 - r, r = (1 + delta/s1)^q
-    exp(delta y) the largest ratio of consecutive terms; None while the terms may still grow
-    (s1 |y| <= q) or r > 1 - 1e-12.
+    exp(delta y) the largest ratio of consecutive terms; None while the
+    terms may still grow (s1 |y| <= q) or r > 1 - 1e-12.
 
     Rounding: the lead exponent's parts carry 3 u of each, s1 y that of a
     rounded s1 too; an error x in the exponent of r, 2 u of each part,

@@ -229,6 +229,14 @@ class TestCommands:
         assert doc["passed"] is False
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("y", ["-5e-1", "-1E+2", "-.5"])
+    def test_negative_number_in_exponent_form(self, capsys, y):
+        # argparse takes a dash-led token for an option unless it reads as
+        # a negative number; these read as one, the same value as --y=<y>
+        spaced = run_cli(capsys, "eval", "linear", "--y", y)
+        assert spaced == run_cli(capsys, "eval", "linear", f"--y={y}")
+        assert spaced[0] == EXIT_OK
+
 
 class TestUsageErrors:
     def test_unknown_sequence(self, capsys):

@@ -395,6 +395,23 @@ class TestPlateauWitness:
         ss = sigma_values(seq, wit.indices)
         assert float(ss @ wit.weights) == pytest.approx(g, rel=1e-13)
 
+    def test_requested_prefix_stays_within_the_budget(self, monkeypatch):
+        # a prefix past the term budget fails before its weights are made
+        from gibbs_series import entropy
+
+        computed = []
+
+        def counted(seq, ns):
+            computed.append(len(ns))
+            return sigma_values(seq, ns)
+
+        monkeypatch.setattr(entropy, "sigma_values", counted)
+        u = domain_info(logfam(3.0)).gamma + 1.0
+        with pytest.raises(WitnessBudgetError, match="prefix through n=3000000") as exc:
+            plateau_witness(logfam(3.0), u, 0.5, max_terms=100_000, n_prefix=3_000_000)
+        assert exc.value.best is None
+        assert sum(computed) <= 100_000
+
     def test_prefix_search_stays_within_the_budget(self, monkeypatch):
         # sigma_n of logfam:3 reaches 25 only past n = 10^7, beyond 10^5
         # terms: the search gives up after a few dozen exponents instead of
