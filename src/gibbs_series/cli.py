@@ -122,12 +122,12 @@ def _emit_table(rows: list[dict], fmt: str, name: str) -> None:
     print(dumps({"schema": SCHEMA, "table": name, "rows": rows}))
 
 
-def _weights_payload(fit_indices, weights, cap: int) -> dict:
+def _weights_payload(indices: np.ndarray, weights: np.ndarray, cap: int) -> dict:
     total = len(weights)
-    out = []
-    for idx, w in list(zip(fit_indices, weights))[:cap]:
-        key = list(idx) if isinstance(idx, (tuple, list)) else int(idx)
-        out.append({"index": key, "weight": float(w)})
+    out = [
+        {"index": idx, "weight": w}
+        for idx, w in zip(indices[:cap].tolist(), weights[:cap].tolist())
+    ]
     payload = {"weights": out, "weights_total": total}
     if total > cap:
         payload["weights_truncated"] = True

@@ -28,6 +28,7 @@ from .conjugate import Regime, _find_root, _log_conjugate, _require_numbers, con
 from .sequences import (
     SigmaSequence,
     VarsigmaSequence,
+    _frozen,
     linear,
     sigma,
     sigma_values,
@@ -70,6 +71,9 @@ class WitnessBudgetError(RuntimeError):
         self.best = best
 
 
+_NO_INDICES = _frozen(np.empty(0, dtype=np.int64))
+
+
 class FitStatus(str, Enum):
     INTERIOR_UNIQUE = "InteriorUnique"
     BOUNDARY_SINGLETON = "BoundarySingleton"
@@ -84,14 +88,16 @@ class GibbsFit:
     For attained fits the law is w_n = exp(dual_x + sigma_n dual_y)
     (dual_x absent for the single-constraint problem); ``indices`` and
     ``weights`` materialize a prefix, with certified bounds on the mass
-    and energy carried by the un-materialized tail.  ``achieved`` holds
-    the full-law moments (mass, energy).
+    and energy carried by the un-materialized tail.  ``indices`` is a
+    read-only int64 array, of shape (n,) for an index family and (n, 3)
+    of triples (k, l, m) for the box (empty where nothing is
+    materialized).  ``achieved`` holds the full-law moments (mass, energy).
     """
 
     status: FitStatus
     dual_x: Optional[float] = None
     dual_y: Optional[float] = None
-    indices: tuple = ()
+    indices: np.ndarray = field(default_factory=lambda: _NO_INDICES, compare=False)
     weights: Optional[np.ndarray] = field(default=None, compare=False)
     tail_mass: float = 0.0
     tail_energy: float = 0.0
@@ -136,7 +142,7 @@ def _attained(
         status=FitStatus.INTERIOR_UNIQUE,
         dual_x=x,
         dual_y=y,
-        indices=tuple(indices[:keep]),
+        indices=indices[:keep],
         weights=w[:keep],
         tail_mass=mass_t,
         tail_energy=energy_t,
@@ -259,7 +265,7 @@ def fit_gibbs(
         # unique minimal level carries everything; not a Gibbs law
         return GibbsFit(
             status=FitStatus.BOUNDARY_SINGLETON,
-            indices=(seq.family.rules.ground(seq),),
+            indices=_frozen(np.array([seq.family.rules.ground(seq)])),
             weights=np.array([u]),
             achieved=(u, u * s_min),
             entropy_value=exp_conjugate(u),

@@ -140,10 +140,16 @@ class _Rules(NamedTuple):
 _PREFIX_CAP = 65536  # largest materialized weight prefix, in indices
 
 
-def _index_prefix(seq: SigmaSequence, cut: int) -> tuple[list, np.ndarray]:
-    """The indices up to ``cut`` and their exponents."""
-    ns = np.arange(seq.start_index, cut + 1, dtype=np.int64)
-    return ns.tolist(), sigma_values(seq, ns)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+def _index_prefix(seq: SigmaSequence, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices up to ``cut``, a read-only int array, and their exponents."""
+    ns = _frozen(np.arange(seq.start_index, cut + 1, dtype=np.int64))
+    return ns, sigma_values(seq, ns)
 
 
 def _power_sigma(seq: SigmaSequence, n: int) -> float:
@@ -201,8 +207,8 @@ def _box_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray
     return x
 
 
-def _box_prefix(seq: SigmaSequence, s_max: int) -> tuple[list, np.ndarray]:
-    """The triples with level up to ``s_max`` and their exponents."""
+def _box_prefix(seq: SigmaSequence, s_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triples with level up to ``s_max`` (``box_levels``) and their exponents."""
     triples, levels = box_levels(s_max)
     return triples, seq.kappa * levels.astype(np.float64)
 
@@ -359,10 +365,13 @@ class SigmaSequence:
         return sigma(self, self.start_index) < 0.0
 
     def spec_string(self) -> str:
-        """Round-trippable form used by the CLI mini-grammar."""
+        """Round-trippable form used by the CLI mini-grammar.  A box factor
+        with kappa != 1, outside the grammar, reads ``quadratic (kappa=<kappa>)``."""
         rules = self.family.rules
         if not rules.grammar:
             return self.label or "custom"
+        if rules.param is None and self.kappa is not None:
+            return f"{self.family.value} (kappa={self.kappa!r})"
         return _spec(self.family, getattr(self, rules.param) if rules.param else None)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -457,42 +466,44 @@ def parse_sequence(spec: str) -> SigmaSequence:
 class _BoxTable:
     """Growing cache of the flattened box spectrum (kappa = 1 levels).
 
-    Triples (k, l, m), k,l,m >= 1, sorted by s = k^2+l^2+m^2 ascending with
-    lexicographic tie-break; ``levels_array()[i]`` is the integer s of triple i.
-    The cache only ever grows, under a lock, so a prefix a caller has
-    ensured stays valid while other threads extend it.  It grows by whole
+    ``arrays`` is the pair (triples, levels) of read-only int64 arrays:
+    triples[i] = (k, l, m), k,l,m >= 1, shape (n, 3), sorted by
+    s = k^2+l^2+m^2 ascending with lexicographic tie-break, and levels[i]
+    its integer s.  The cache only ever grows, under a lock, and each
+    growth replaces the pair in one assignment, so a reader never pairs
+    arrays of two sizes and a prefix a caller has ensured stays valid
+    while other threads extend it.  ``ensure_count(n)`` grows by whole
     slices of levels, each adding a quarter to the top level (at least
-    64), so ``ensure_count(n)`` may leave more than n triples;
-    ``ensure_level(s_max)`` stops at level s_max.
+    64), so it may leave more than n triples; ``ensure_level(s_max)``
+    fills up to level s_max in one slice.
     """
 
     def __init__(self) -> None:
-        self.triples: list[tuple[int, int, int]] = []
-        self._levels_arr = np.empty(0, dtype=np.int64)
+        self.arrays = (_frozen(np.empty((0, 3), np.int64)), _frozen(np.empty(0, np.int64)))
         self._next_s = 3
         self._lock = threading.Lock()
 
     def ensure_count(self, n: int) -> None:
         with self._lock:
-            while len(self.triples) < n:
-                self._add_levels(math.inf)
+            while len(self.levels_array()) < n:
+                # a slice adds about 40% to the triple count, so its
+                # transient arrays stay a fraction of the table
+                self._add_levels(self._next_s + max(64, self._next_s >> 2))
 
     def ensure_level(self, s_max: int) -> None:
         with self._lock:
-            while self._next_s <= s_max:
-                self._add_levels(s_max)
+            if self._next_s <= s_max:
+                self._add_levels(s_max + 1)
 
     def levels_array(self) -> np.ndarray:
-        return self._levels_arr
+        return self.arrays[1]
 
-    def _add_levels(self, s_max: float) -> None:
-        # a slice adds about 40% to the triple count, so its transient
-        # arrays stay a fraction of the table; stopping at s_max saves a
-        # cold box fit the ~40% of its enumeration time spent past its cut
-        stop = min(self._next_s + max(64, self._next_s >> 2), s_max + 1)
-        k, l, m, s = _triples_in_levels(self._next_s, stop)
-        self.triples.extend(zip(k.tolist(), l.tolist(), m.tolist()))
-        self._levels_arr = np.concatenate((self._levels_arr, s))
+    def _add_levels(self, stop: int) -> None:
+        triples, levels = _triples_in_levels(self._next_s, stop)
+        self.arrays = (
+            _frozen(np.concatenate((self.arrays[0], triples))),
+            _frozen(np.concatenate((self.arrays[1], levels))),
+        )
         self._next_s = stop
 
 
@@ -504,12 +515,15 @@ def _isqrt(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-    """Arrays k, l, m, s of every triple with lo <= s = k^2+l^2+m^2 < hi.
+def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) array of every triple (k, l, m) with lo <= s =
+    k^2+l^2+m^2 < hi, and its levels s.
 
     Ordered by level, then lexicographically.  Each (k, l) pair with room
     for m >= 1 contributes the run of m between two integer square roots,
     so the work and memory follow the output, not a cube of the range.
+    The runs come out in (k, l, m) order, which a stable sort on the
+    level keeps within each level.
     """
     sq = np.arange(1, isqrt(hi - 3) + 1, dtype=np.int64) ** 2
     kl = sq[:, None] + sq[None, :]
@@ -522,15 +536,16 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     k = np.repeat(k + 1, count)
     l = np.repeat(l + 1, count)
     s = k * k + l * l + m * m
-    order = np.lexsort((m, l, k, s))
-    return k[order], l[order], m[order], s[order]
+    order = np.argsort(s, kind="stable")
+    return np.column_stack((k, l, m))[order], s[order]
 
 
 _BOX = _BoxTable()
 
 
 def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int], float]]:
-    """First ``budget`` box triples sorted by kappa*(k^2+l^2+m^2).
+    """First ``budget`` box triples sorted by kappa*(k^2+l^2+m^2), as a
+    list of ((k, l, m), kappa*s) tuples.
 
     Ties break lexicographically; the output is deterministic and, up to
     the last emitted level, gap-free.
@@ -540,18 +555,20 @@ def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int],
     if not kappa > 0:
         raise ValueError("kappa must be > 0")
     _BOX.ensure_count(budget)
+    triples, levels = _BOX.arrays
     return [
-        (trip, kappa * s)
-        for trip, s in zip(_BOX.triples[:budget], _BOX.levels_array()[:budget].tolist())
+        (tuple(trip), kappa * s)
+        for trip, s in zip(triples[:budget].tolist(), levels[:budget].tolist())
     ]
 
 
-def box_levels(s_max: int) -> tuple[list[tuple[int, int, int]], np.ndarray]:
-    """All cached triples with level <= s_max, plus their integer levels."""
+def box_levels(s_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """All triples with level <= s_max, an (n, 3) int64 array, and their
+    integer levels: read-only views of the shared table."""
     _BOX.ensure_level(s_max)
-    arr = _BOX.levels_array()
-    cut = int(np.searchsorted(arr, s_max, side="right"))
-    return _BOX.triples[:cut], arr[:cut]
+    triples, levels = _BOX.arrays
+    cut = int(np.searchsorted(levels, s_max, side="right"))
+    return triples[:cut], levels[:cut]
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,24 @@ class TestOtherFormatsAndErrors:
         assert "for box:1 at y=-0.5" in doc["detail"]
         assert abs(doc["best_value"] - 0.4274923674) < 1e-9
 
+    def test_box_factor_failure_names_kappa(self, capsys):
+        # the factor summed exp(0.37 k^2 y), so the message names 0.37;
+        # box:1's factor is the plain quadratic and its message keeps it
+        for spec, factor in (("box:0.37", "quadratic (kappa=0.37)"), ("box:1", "quadratic")):
+            code, out = run_cli(capsys, "--tol", "1e-30", "eval", spec, "--y", "-0.25", "--p", "1")
+            assert code == EXIT_NUMERIC
+            detail = parse(out)["detail"]
+            assert f"for {spec} at y=-0.25 (a factor: " in detail
+            assert detail.endswith(f" for {factor} at y=-0.25)")
+
+    def test_box_weights_are_index_triples(self, capsys):
+        code, out = run_cli(capsys, "--max-weights", "3", "fit", "box:1", "--u", "1", "--v", "4")
+        assert code == EXIT_OK
+        doc = parse(out)
+        assert [w["index"] for w in doc["weights"]] == [[1, 1, 1], [1, 1, 2], [1, 2, 1]]
+        assert all(isinstance(w["weight"], float) for w in doc["weights"])
+        assert doc["weights_total"] > 3 and doc["weights_truncated"] is True
+
     def test_domain_honours_budget(self, capsys):
         # the slope sum of logfam:3.5 at the edge needs more than 1000 terms
         # at the default tolerance

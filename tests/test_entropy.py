@@ -32,6 +32,7 @@ from gibbs_series import (
     sigma,
     sigma_values,
 )
+from gibbs_series import sequences
 from gibbs_series.conjugate import _log_conjugate
 
 
@@ -128,8 +129,25 @@ class TestTwoMoments:
     def test_box_ground_state(self):
         fit = fit_gibbs(box(1.0), 1.0, 3.0)
         assert fit.status is FitStatus.BOUNDARY_SINGLETON
-        assert fit.indices == ((1, 1, 1),)
+        assert fit.indices.tolist() == [[1, 1, 1]]
         assert fit.entropy_value == pytest.approx(-1.0, abs=1e-14)
+
+    def test_fit_indices_are_read_only_table_rows(self):
+        fit = fit_gibbs(box(1.0), 1.0, 4.0, tol=1e-10)
+        table = sequences._BOX.arrays[0]
+        assert fit.indices.shape == (len(fit.weights), 3)
+        assert np.array_equal(fit.indices, table[: len(fit.weights)])
+        before = table[: len(fit.weights)].tolist()
+        with pytest.raises(ValueError):
+            fit.indices[0, 0] = 7
+        assert sequences._BOX.arrays[0][: len(fit.weights)].tolist() == before
+        for seq in (linear(), power(1.5)):
+            fit = min_entropy_moment(seq, 1.5)
+            first = seq.start_index
+            assert np.array_equal(fit.indices, np.arange(first, first + len(fit.weights)))
+            with pytest.raises(ValueError):
+                fit.indices[0] = 7
+        assert fit_gibbs(linear(), 1.0, 1.0).indices.tolist() == [1]
 
     def test_box_interior_duality(self):
         fit = fit_gibbs(box(1.0), 1.0, 4.0, tol=1e-10)

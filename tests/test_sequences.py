@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -206,7 +207,7 @@ class TestEnumerateBox:
         triples, levels = brute_box(3000)
         table = sequences._BoxTable()
         table.ensure_level(3000)
-        assert table.triples == triples
+        assert table.arrays[0].tolist() == [list(t) for t in triples]
         assert table.levels_array().tolist() == levels
 
     def test_growth_steps_do_not_change_the_prefix(self):
@@ -214,7 +215,7 @@ class TestEnumerateBox:
         by_count, by_level, mixed = (sequences._BoxTable() for _ in range(3))
         for n in (1, 7, 4, 950, 12_345, 60_000):
             by_count.ensure_count(n)
-            assert len(by_count.triples) >= n
+            assert len(by_count.arrays[0]) >= n
         for s_max in (5, 100, 99, 101, 1777, 3000):
             by_level.ensure_level(s_max)
             assert s_max < by_level._next_s
@@ -222,9 +223,45 @@ class TestEnumerateBox:
             getattr(mixed, f"ensure_{step}")(arg)
         mixed.ensure_count(30_000)
         for table in (by_count, by_level, mixed):
-            n = min(len(table.triples), len(triples))
-            assert table.triples[:n] == triples[:n]
+            n = min(len(table.arrays[0]), len(triples))
+            assert table.arrays[0][:n].tolist() == [list(t) for t in triples[:n]]
             assert table.levels_array().tolist()[:n] == levels[:n]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(3, 4_999), st.integers(1, 4_997))
+    def test_triples_in_levels_match_lexsort(self, lo, width):
+        hi = min(lo + width, 5_000)
+        top = math.isqrt(hi - 3)
+        k, l, m = (a.ravel() for a in np.indices((top, top, top)) + 1)
+        s = k * k + l * l + m * m
+        keep = (lo <= s) & (s < hi)
+        k, l, m, s = k[keep], l[keep], m[keep], s[keep]
+        order = np.lexsort((m, l, k, s))
+        triples, levels = sequences._triples_in_levels(lo, hi)
+        assert triples.tolist() == np.column_stack((k, l, m))[order].tolist()
+        assert levels.tolist() == s[order].tolist()
+
+    def test_shared_arrays_are_read_only(self):
+        triples, levels = sequences.box_levels(50)
+        before = [a.tolist() for a in sequences._BOX.arrays]
+        for array, row in ((triples, 0), (levels, 0), (sequences._BOX.arrays[0], 1)):
+            with pytest.raises(ValueError):
+                array[row] = 9
+        assert [a[: len(b)].tolist() for a, b in zip(sequences._BOX.arrays, before)] == before
+
+    def test_table_retains_under_2mb_to_level_2048(self):
+        # int64 triples and levels, 32 bytes per triple: 1.41 MiB for the
+        # 46,115 triples to level 2048
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = sequences._BoxTable()
+            table.ensure_level(2048)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(table.levels_array()) == 46_115
+        assert retained <= 2 * 2**20
 
     def test_cache_growth_is_thread_safe(self, monkeypatch):
         # fresh caches: the shared one may already hold these levels
@@ -247,14 +284,15 @@ class TestEnumerateBox:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        n = len(table.triples)
+        n = len(table.arrays[0])
+        triples = reference.arrays[0].tolist()
         levels = reference.levels_array().tolist()
         assert n >= 8000 and len(table.levels_array()) == n
-        assert table.triples == reference.triples[:n]
+        assert table.arrays[0].tolist() == triples[:n]
         assert table.levels_array().tolist() == levels[:n]
         for budget, got in zip(budgets, results):
             assert got == [
-                (t, float(s)) for t, s in zip(reference.triples[:budget], levels[:budget])
+                (tuple(t), float(s)) for t, s in zip(triples[:budget], levels[:budget])
             ]
 
 
