@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -49,19 +48,28 @@ __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_S
 DEFAULT_SEED = 20260810
 
 
-@dataclass
 class CriterionResult:
-    id: str
-    title: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    """One criterion's verdict and the measurements behind it (``details``,
+    a new dict where none is given)."""
+
+    __slots__ = ("id", "title", "passed", "details")
+
+    def __init__(self, id: str, title: str, passed: bool, details: Optional[dict] = None):
+        self.id, self.title, self.passed = id, title, passed
+        self.details = {} if details is None else details
+
+    def __eq__(self, other: object):
+        return self.to_dict() == other.to_dict() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return "CriterionResult(" + ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items()) + ")"
 
     def summary_line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] criterion {self.id}: {self.title}"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -394,6 +402,8 @@ def run_all(seed: int = DEFAULT_SEED, jobs: int = 1) -> list[CriterionResult]:
     ids = list(CRITERIA)
     if jobs <= 1:
         return [CRITERIA[i](seed=seed) for i in ids]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = {i: pool.submit(CRITERIA[i], seed=seed) for i in ids}
         return [futures[i].result() for i in ids]

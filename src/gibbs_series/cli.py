@@ -10,7 +10,6 @@ lossless, and identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -95,6 +94,8 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def _emit_table(rows: list[dict], fmt: str, name: str) -> None:
     if fmt == "csv":
+        import csv
+
         cols: list[str] = []
         for row in rows:
             for k in row:

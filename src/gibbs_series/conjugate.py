@@ -26,15 +26,15 @@ regime tag; no finite sentinels are used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .sequences import SigmaSequence, quadratic, sigma
 from .series import (
     BoundaryClass,
     DomainError,
     _best_bracket,
+    _compared,
     domain_info,
     eval_series,
     log_f,
@@ -73,8 +73,7 @@ class Regime(str, Enum):
     INFINITE = "Infinite"
 
 
-@dataclass(frozen=True)
-class ConjugateValue:
+class ConjugateValue(NamedTuple):
     """f*(u) with its regime tag and, when the sup is attained, the argmax.
 
     ``residual`` is the achieved residual of the root equation for
@@ -85,6 +84,7 @@ class ConjugateValue:
     regime: Regime
     attaining_y: Optional[float] = None
     residual: Optional[float] = None
+    __eq__, __ne__, __hash__ = _compared()
 
 
 def _require_numbers(**args: float) -> None:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .series import (
     eval_series,
     max_terms_budget,
     tail_bound_after,
+    _compared,
     _up,
 )
 
@@ -81,8 +81,7 @@ class FitStatus(str, Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class GibbsFit:
+class GibbsFit(NamedTuple):
     """Result of an entropy minimization.
 
     For attained fits the law is w_n = exp(dual_x + sigma_n dual_y)
@@ -97,13 +96,14 @@ class GibbsFit:
     status: FitStatus
     dual_x: Optional[float] = None
     dual_y: Optional[float] = None
-    indices: np.ndarray = field(default_factory=lambda: _NO_INDICES, compare=False)
-    weights: Optional[np.ndarray] = field(default=None, compare=False)
+    indices: np.ndarray = _NO_INDICES
+    weights: Optional[np.ndarray] = None
     tail_mass: float = 0.0
     tail_energy: float = 0.0
     achieved: tuple[Optional[float], Optional[float]] = (None, None)
     entropy_value: float = math.nan
     reason: str = ""
+    __eq__, __ne__, __hash__ = _compared("indices", "weights")
 
 
 def _attained(
@@ -288,8 +288,7 @@ def fit_gibbs(
 # Plateau witnesses (finite support, moment exact, entropy near-optimal)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlateauWitness:
+class PlateauWitness(NamedTuple):
     """Finite-support weights for a non-attained plateau infimum.
 
     Prefix indices carry the boundary law exp(-sigma_k alpha); window
@@ -299,8 +298,8 @@ class PlateauWitness:
     value at u.
     """
 
-    indices: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
+    indices: np.ndarray
+    weights: np.ndarray
     entropy: float = math.nan
     target: float = math.nan
     gap: float = math.nan
@@ -309,6 +308,7 @@ class PlateauWitness:
     window_len: int = 0
     lam_history: tuple[float, ...] = ()
     gap_history: tuple[float, ...] = ()
+    __eq__, __ne__, __hash__ = _compared("indices", "weights")
 
 
 def plateau_witness(
@@ -440,8 +440,7 @@ def gibbs_ratio(u: float) -> float:
     return (1.0 + 2.0 * u - math.sqrt(4.0 * u + 1.0)) / (2.0 * u)
 
 
-@dataclass(frozen=True)
-class AlternatingAttainment:
+class AlternatingAttainment(NamedTuple):
     """Attainment classification for the alternating second moment.
 
     The infimum with constraints (sum n w_n = u, sum (-1)^n vs_n w_n = v)
@@ -491,8 +490,7 @@ def alternating_attainment(
         block *= 2
 
 
-@dataclass(frozen=True)
-class AlternatingWitness:
+class AlternatingWitness(NamedTuple):
     """Finite weights meeting the alternating two-moment constraints.
 
     Prefix 1..n_prefix carries the Gibbs law ratio^n; indices (m, m+1)
@@ -505,8 +503,8 @@ class AlternatingWitness:
     coefficients, where the signed check is ill-conditioned by nature).
     """
 
-    indices: np.ndarray = field(compare=False)
-    weights: np.ndarray = field(compare=False)
+    indices: np.ndarray
+    weights: np.ndarray
     entropy: float = math.nan
     target: float = math.nan
     gap: float = math.nan
@@ -514,6 +512,7 @@ class AlternatingWitness:
     window_start: int = 0
     moment_residuals: tuple[float, float] = (0.0, 0.0)
     signed_scale: float = 1.0
+    __eq__, __ne__, __hash__ = _compared("indices", "weights")
 
 
 def alternating_witness(

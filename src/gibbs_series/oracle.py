@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .sequences import SigmaSequence, VarsigmaSequence, sigma_values, varsigma_power
-from .series import _evaluate
+from .series import _compared, _evaluate
 
 __all__ = [
     "VerificationReport",
@@ -35,9 +34,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One verified claim: inputs echoed, both sides, gaps, verdict."""
+class VerificationReport(NamedTuple):
+    """One verified claim: inputs echoed, both sides, gaps, verdict.
+
+    ``meta`` is a new dict for each report built without one.
+    """
 
     claim: str
     params: dict
@@ -47,10 +48,20 @@ class VerificationReport:
     rel_gap: float
     tol: float
     passed: bool
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
+
+
+def _new_report(cls, *args, _new=VerificationReport.__new__, **kwargs) -> VerificationReport:
+    report = _new(cls, *args, **kwargs)
+    return report._replace(meta={}) if report.meta is None else report
+
+
+# a NamedTuple field takes no default factory, so its __new__ gives each
+# report left without ``meta`` a dict of its own
+VerificationReport.__new__ = _new_report
 
 
 def _report(claim, params, lhs, rhs, tol, meta=None) -> VerificationReport:
@@ -67,7 +78,7 @@ def _report(claim, params, lhs, rhs, tol, meta=None) -> VerificationReport:
         rel_gap=gap / scale,
         tol=tol,
         passed=gap <= tol,
-        meta=meta or {},
+        meta=meta,
     )
 
 
@@ -99,16 +110,16 @@ class TruncationInfeasibleError(ValueError):
     """The truncated support cannot meet the requested moments."""
 
 
-@dataclass(frozen=True)
-class TruncatedSolution:
+class TruncatedSolution(NamedTuple):
     """Optimum of the N-level problem; upper bound on the countable one."""
 
     value: float
-    weights: np.ndarray = field(compare=False)
+    weights: np.ndarray
     dual_x: Optional[float]
     dual_y: float
     residual: float
     n_levels: int
+    __eq__, __ne__, __hash__ = _compared("weights")
 
 
 def _truncated_sigmas(seq: SigmaSequence, n_levels: int) -> np.ndarray:
@@ -337,8 +348,7 @@ def check_fenchel_young(
 # Alternating gradient partial sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlternatingSeriesReport:
+class AlternatingSeriesReport(NamedTuple):
     """Partial sums of sum_n (n e^{nx}, (-1)^n vs_n e^{nx}) with references."""
 
     first_partial: float

@@ -10,8 +10,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .conjugate import box_conjugate
 from .entropy import FitStatus, GibbsFit, fit_gibbs
@@ -164,8 +163,7 @@ def example2_table(n_terms: int = 400) -> list[dict]:
 # Cubic box model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoxModel:
+class BoxModel(NamedTuple):
     """Free energy h(x, y) = e^x g(y)^3 over the box spectrum.
 
     g(y) = sum_{k>=1} exp(kappa k^2 y); the flattened spectrum is the
@@ -186,8 +184,7 @@ class BoxModel:
         return math.exp(x) * g0 ** 3, 3.0 * math.exp(x) * g0 ** 2 * self.g(y, 1)
 
 
-@dataclass(frozen=True)
-class BoxReport:
+class BoxReport(NamedTuple):
     """Full record for one (mass, energy) target of the box model."""
 
     u: float

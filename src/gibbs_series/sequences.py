@@ -126,6 +126,9 @@ class _Rules(NamedTuple):
     start: int = 1
     # a lower bound on the increments from index N on
     gap: Callable[[SigmaSequence, int], float] = lambda seq, N: 0.0
+    # the last index whose terms sigma_n^p exp(sigma_n y) at order p are
+    # floats, if any: a walk sums no further, leaving the rest to the tail
+    last: Optional[Callable[[SigmaSequence, int], int]] = None
     # (e_rel, e_abs) of SigmaSequence.sigma_error
     rounding: Callable[[SigmaSequence], tuple[float, float]] = lambda seq: (0.0, 0.0)
     # alpha of the domain (-inf, -alpha), and the class of its edge
@@ -171,10 +174,21 @@ def _power_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarr
 def _power_gap(seq: SigmaSequence, N: int) -> float:
     if seq.theta < 1.0:
         return 0.0
+    try:
+        hi = float(N + 1) ** seq.theta
+    except OverflowError:
+        # sigma_(N+1) > 2^1024, and (N+1)^theta - N^theta >= (N+1)^(theta-1)
+        # = sigma_(N+1)/(N+1) for theta >= 1
+        return 2.0 ** 1023 / (N + 1)
     # increments are nondecreasing, so the first one is the minimum;
     # less the rounding of both powers, so it stays a lower bound
-    hi = _power_sigma(seq, N + 1)
     return hi - _power_sigma(seq, N) - 2.0 ** -51 * hi
+
+
+def _power_last(seq: SigmaSequence, p: int) -> int:
+    # n^(theta max(p, 1)) < 2^1024 up to n = 2^(1023 / (theta max(p, 1))),
+    # a factor 2 to spare for the rounding of that power
+    return int(2.0 ** min(1023.0 / (seq.theta * max(p, 1)), 1023.0))
 
 
 def _logfam_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -239,6 +253,7 @@ class Family(_Described):
         values=_power_values,
         param="theta",
         gap=_power_gap,
+        last=_power_last,
         rounding=lambda seq: (2.0, 0.0),
         tail="power",
     )
@@ -671,8 +686,7 @@ class VarsigmaFamily(_Described):
     )
 
 
-@dataclass(frozen=True)
-class VarsigmaSequence:
+class VarsigmaSequence(NamedTuple):
     """Coefficients for the sign-alternating second moment constraint.
 
     All families grow super-linearly (varsigma_n / n -> infinity).

@@ -47,9 +47,8 @@ import math
 import sys
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,8 +84,20 @@ def max_terms_budget(max_terms: Optional[int] = None) -> int:
     return DEFAULT_MAX_TERMS if max_terms is None else int(max_terms)
 
 
-@dataclass(frozen=True)
-class DomainInfo:
+def _compared(*skip: str) -> tuple:
+    """``__eq__``, ``__ne__`` and ``__hash__`` for a NamedTuple result: equal
+    only to its own type, never to a bare tuple, on every field but ``skip``."""
+
+    def key(record: tuple) -> tuple:
+        return tuple(v for f, v in zip(record._fields, record) if f not in skip)
+
+    def eq(a: tuple, b: object):
+        return type(a) is type(b) and key(a) == key(b) if isinstance(b, tuple) else NotImplemented
+
+    return eq, object.__ne__, lambda record: hash(key(record))
+
+
+class DomainInfo(NamedTuple):
     """Domain classification of f(y) = sum exp(sigma_n y).
 
     The domain is an interval (-inf, -alpha) or (-inf, -alpha]; ``gamma``
@@ -108,13 +119,13 @@ class DomainInfo:
         return self.boundary_class is BoundaryClass.EMPTY_DOMAIN
 
 
-@dataclass(frozen=True)
-class SeriesEval:
+class SeriesEval(NamedTuple):
     """Certified bracket for f^(p)(y): true value in [value, value+tail_bound]."""
 
     value: float
     truncation_index: int
     tail_bound: float
+    __eq__, __ne__, __hash__ = _compared()
 
     @property
     def midpoint(self) -> float:
@@ -384,7 +395,16 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     geometric where the increments grow (theta >= 1), else an integral bound."""
     theta = seq.theta
     if theta >= 1.0:
-        return _geom_tail(seq, y, p, N)
+        # lower s1 and delta only raise the envelope: s1 is taken at most
+        # 2^1000 / max(1, |y|), also where (N+1)^theta overflows, so that
+        # s1 y stays finite, and delta at most s1, so that the rounding of
+        # r stays within that of the lead exponent
+        cap = 2.0 ** 1000 / max(1.0, -y)
+        try:
+            s1 = min(float(N + 1) ** theta, cap)
+        except OverflowError:
+            s1 = cap
+        return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
     b = -y
     if float(N) ** theta * b <= p:
         return None
@@ -787,10 +807,13 @@ def _sum_blocks(
     one stored, with the same bits as a walk from the start.
     """
     states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
-    certificate = _TAILS[seq.family.rules.tail]
+    rules = seq.family.rules
+    certificate = _TAILS[rules.tail]
     block = 4096 if edge else 256
     start = seq.start_index
     last = start + budget - 1
+    if rules.last is not None:  # exponents past float64 from some index on
+        last = min(last, rules.last(seq, p))
     total = weight = s_last = 0.0
     n_done = start - 1
     for i in itertools.count():

@@ -12,6 +12,8 @@ from gibbs_series import (
     Family,
     box,
     custom,
+    eval_series,
+    increment_gap,
     linear,
     logfam,
     power,
@@ -63,6 +65,37 @@ CASES = [
     (logfam(3.0), -1.0, 1, 1000),
     (logfam(3.0), -1.5, 2, 1000),
 ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "theta,y,p",
+    [
+        (300.0, -1.0, 0),
+        (300.0, -1.0, 1),
+        (300.0, -2.0, 2),
+        (500.0, -1e-100, 1),
+        (1000.0, -1e-200, 0),
+        (60.0, -1e-3, 3),
+    ],
+)
+def test_power_exponents_past_float64_against_mpmath(theta, y, p):
+    """A walk stops at the last index whose terms are floats (n^(theta
+    max(p, 1)) < 2^1024); past it the envelope, from exponents and
+    increments past float64, bounds the rest.  Every term after the first
+    is below exp(-10^5), so the first 100 are a 50-digit reference."""
+    mp = pytest.importorskip("mpmath")
+    seq = power(theta)
+    ev = eval_series(seq, y, p)
+    N = ev.truncation_index
+    assert N < 100
+    with mp.workdps(50):
+        s = [mp.mpf(n) ** theta for n in range(1, 101)]
+        exact = mp.fsum(x ** p * mp.exp(x * y) for x in s)
+        assert ev.value <= exact <= mp.mpf(ev.value) + ev.tail_bound
+    k = int(theta)
+    assert 0.0 < increment_gap(seq, N + 1) <= (N + 2) ** k - (N + 1) ** k
+    assert 0.0 < tail_bound_after(seq, y, p, N) <= ev.tail_bound
 
 
 @pytest.mark.parametrize("seq,y,p,N", CASES)

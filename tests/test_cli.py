@@ -229,6 +229,23 @@ class TestCommands:
         assert doc["passed"] is False
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "power:300", "--y", "-1"], ["conjugate", "power:500", "--u", "3"]],
+        ids=" ".join,
+    )
+    def test_exponents_past_float64(self, capsys, argv):
+        # the walk stops at the last float exponent (index 10 of power:300)
+        # and the envelope bounds the rest, so nothing overflows
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        if argv[0] == "eval":
+            doc = parse(captured.out)
+            assert doc["truncation_index"] == 10
+            assert doc["value"] <= math.exp(-1.0) <= doc["value"] + doc["tail_bound"]
+
     @pytest.mark.parametrize("y", ["-5e-1", "-1E+2", "-.5"])
     def test_negative_number_in_exponent_form(self, capsys, y):
         # argparse takes a dash-led token for an option unless it reads as
@@ -304,19 +321,6 @@ class TestMalformedSequenceSpecs:
         assert captured.out == ""
         assert captured.err.startswith(f"error: bad sequence spec {argv[1]!r}")
         assert captured.err.count("\n") == 1
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "argv",
-        [["eval", "power:300", "--y", "-1"], ["conjugate", "power:500", "--u", "3"]],
-        ids=" ".join,
-    )
-    def test_exponent_overflow_names_the_index(self, capsys, argv):
-        assert main(argv) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: exponent of index ")
-        assert f"overflows float64 for {argv[1]}" in captured.err
 
     def test_sequence_echo_round_trips(self, capsys):
         code, out = run_cli(capsys, "eval", "power:1.23456789", "--y", "-1")
@@ -462,3 +466,26 @@ def test_cli_import_does_not_load_scipy():
         env=child_env(),
     )
     assert done.stdout.strip() == "False"
+
+
+def test_cli_import_defers_the_pool_and_csv_and_generates_no_dataclass_code():
+    # only ``verify --jobs N`` and ``--format csv`` need these modules, and
+    # the records are NamedTuples or plain classes, all but one
+    code = (
+        "import dataclasses, inspect, json, sys, gibbs_series.cli\n"
+        "mods = [m for n, m in list(sys.modules.items()) if n.startswith('gibbs_series')]\n"
+        "dcs = sorted({c.__name__ for m in mods for _, c in inspect.getmembers(m, inspect.isclass)"
+        " if c.__module__.startswith('gibbs_series') and dataclasses.is_dataclass(c)})\n"
+        "print(json.dumps([sorted({'concurrent.futures', 'csv'} & set(sys.modules)), dcs]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env=child_env(),
+    )
+    loaded, dataclasses = json.loads(done.stdout)
+    assert loaded == []
+    assert len(dataclasses) <= 1, dataclasses
