@@ -6,7 +6,8 @@ is finite exactly on u >= 0.  Regimes:
 * u < 0: +inf;
 * u = 0: 0 (the infimum of f is 0, approached as y -> -inf, not attained);
 * 0 < u < gamma: the sup is attained at the unique interior y with
-  f'(y) = u, found by a safeguarded secant on ln f'(y) - ln u (``_find_root``);
+  f'(y) = u, found by a safeguarded secant on ln f'(y) - ln u (``_find_root``)
+  whose first probe is a float64 root on the first exponents (``_float_start``);
 * u = gamma < inf: attained at the domain edge -alpha;
 * u > gamma (finite gamma): f* is affine with slope -alpha,
   f*(u) = -alpha u - f(-alpha), the sup being attained at the edge.
@@ -27,14 +28,18 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .sequences import SigmaSequence, quadratic, sigma
+import numpy as np
+
+from .sequences import SigmaSequence, box_factor, quadratic, sigma
 from .series import (
     BoundaryClass,
     DomainError,
     _best_bracket,
     _compared,
+    _sigma_prefix,
     domain_info,
     eval_series,
     log_f,
@@ -56,8 +61,16 @@ __all__ = [
 
 # closest approach to an open domain edge when searching toward it
 BOUNDARY_CAP = 1e-12
-# probes before _find_root gives up; an interior solve takes about seven
+# probes before _find_root gives up; an interior solve from a float start
+# takes one or two, from edge - 1 four to nine
 _MAX_PROBES = 200
+# the float start (``_float_start``): exponents it reads, steps it takes at
+# most, and its rejection rule, the block's last _START_TAIL terms weighing
+# under _START_SHARE of the block
+_START_TERMS, _START_STEPS = 256, 40
+_START_TAIL, _START_SHARE = 16, 1e-6
+# a log excess at which one more Halley step leaves ~1e-15 of it
+_START_DONE = 1e-5
 
 
 class NumericError(RuntimeError):
@@ -108,17 +121,25 @@ def exp_conjugate(u: float) -> float:
 # Monotone inversion in log space
 # ---------------------------------------------------------------------------
 
+def _require_positive(target: float) -> None:
+    """NumericError unless the log-space solve's target is positive."""
+    if not target > 0.0:
+        raise NumericError(f"the log-space solve needs a positive target, got {target!r}")
+
+
 def _find_root(
     fn: Callable[[float], float],
     target: float,
     band: float,
     edge: float,
     cap: Optional[float] = None,
+    start: Optional[float] = None,
 ) -> tuple[float, float, bool]:
     """Solve fn(y) = target > 0 for fn increasing on (-inf, edge).
 
-    Returns (y, fn(y), capped).  Starts at edge - 1 and takes secant steps
-    on the log excess ln fn(y) - ln target.  For f' that is a log-sum-exp
+    Returns (y, fn(y), capped).  Starts at ``start`` (``_float_start``'s
+    float root), or without one at edge - 1, and takes secant steps on the
+    log excess ln fn(y) - ln target.  For f' that is a log-sum-exp
     of affine functions of y, convex and nearly linear, so few steps reach
     the root.  The nearest probes below and above target form a bracket;
     a step that leaves it, or that follows a secant step inside it which
@@ -129,17 +150,16 @@ def _find_root(
     resolution cannot split; there is no stop on the step length.  With
     ``cap`` (an open edge) the search gets no closer to the edge than
     ``cap`` and returns capped=True there if fn is still below target.
-    Raises NumericError on a NaN probe, when fn does not cross target, or
-    after _MAX_PROBES probes.
+    Raises NumericError for a target not positive (before any probe), on
+    a NaN probe, when fn does not cross target, or after _MAX_PROBES probes.
     """
-    if not target > 0.0:
-        raise NumericError(f"the log-space solve needs a positive target, got {target!r}")
+    _require_positive(target)
     log_target = math.log(target)
     lo: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) below target
     hi: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) above target
     prev = None  # (y, log excess) of the previous probe
     interpolated = False  # whether the current probe is a secant step inside the bracket
-    y = edge - 1.0
+    y = edge - 1.0 if start is None else start
     for _ in range(_MAX_PROBES):
         fy = fn(y)
         if math.isnan(fy):
@@ -182,6 +202,165 @@ def _find_root(
     )
 
 
+def _float_start(seq: SigmaSequence, target: float, ratio: bool = False) -> Optional[float]:
+    """An uncertified root of f'(y) = target, or with ``ratio`` of
+    f'(y)/f(y) - s_min = target, in float64 on the first _START_TERMS
+    exponents (``_StartBlock``), for ``_find_root``'s first probe.
+
+    Halley steps on the log excess, each at most twice Newton's and under
+    ``_find_root``'s limits (at most halving the distance to the edge or
+    doubling it), start from the root of the solved sum's leading term
+    alone, or from edge - 1 if that lies nearer the edge.  None, for
+    ``_find_root``'s own start, for a non-positive target, where
+    ``_start_block`` makes no block, without convergence in _START_STEPS
+    steps, or where the block's last _START_TAIL terms weigh _START_SHARE
+    of it or more: there the cut sum is not the series.  That share grows
+    with y, so it is checked at every step that lands at or below the cut
+    root, where it bounds the root's, and at the root.
+    """
+    if not target > 0.0:
+        return None
+    block = _start_block(seq, seq.generator)
+    if block is None or block.lead[ratio] is None:
+        return None
+    log_target = math.log(target)
+    edge = block.edge
+    lead_log, lead_rate = block.lead[ratio]
+    y = min(edge - 1.0, (log_target - lead_log) / lead_rate)
+    # whether y is edge - 1 or reached from it by limited steps alone: an
+    # edge - 2^k, whose values the block keeps for every target
+    ladder = y == edge - 1.0
+    kept = block.ladders[ratio]
+    for _ in range(_START_STEPS):
+        point = kept.get(y) if ladder else None
+        if point is None:
+            point = block.at(y, ratio)
+            if point is None:
+                return None
+            if ladder:
+                kept[y] = point
+        log_sum, slope, curve, share = point
+        excess = log_sum - log_target
+        done = abs(excess) <= _START_DONE
+        if (excess <= 0.0 or done) and share >= _START_SHARE:
+            return None
+        # Halley's step, at most twice Newton's
+        halley = 1.0 - 0.5 * excess * curve / (slope * slope)
+        step = excess / slope / (halley if halley > 0.5 else 0.5)
+        gap = edge - y
+        if step > gap:  # farther than twice the distance to the edge
+            y = edge - 2.0 * gap
+        elif step < -0.5 * gap:  # more than half way to the edge
+            y = edge - 0.5 * gap
+        else:
+            y -= step
+            ladder = False
+        if done:
+            return y
+    return None
+
+
+class _StartBlock:
+    """A sequence's first exponents as ``_float_start`` solves on them.
+
+    f = g^power, g = sum exp(sigma_n y) over the block's exponents: a box
+    is the cube of its factor's sum (``series._eval_box``), any other
+    sequence its own g.  The sums are scaled by exp(-s_min y) so that no
+    term overflows, and ``rows`` times exp(d y), d_n = sigma_n - s_min,
+    gives the moments sum d^k exp(d y), k = 0..3, and those of k = 0, 1
+    over the last _START_TAIL terms, from which ``at`` reads either
+    equation.  ``lead`` holds per equation the log of the leading term's
+    coefficient and its rate in y (None without a positive term), and
+    ``ladders`` per equation the values (``at``) at the points that every
+    solve from edge - 1 probes.
+    """
+
+    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "lead", "ladders")
+
+    def __init__(self, s: np.ndarray, edge: float, power: int) -> None:
+        self.s_min = s_min = float(s[0])
+        self.s_top = float(s[-1])
+        self.edge = edge
+        self.power = power
+        rows = np.zeros((6, s.size))
+        rows[0] = 1.0
+        self.d = d = np.subtract(s, s_min, out=rows[1])
+        np.multiply(d, d, out=rows[2])
+        np.multiply(rows[2], d, out=rows[3])
+        rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
+        rows.flags.writeable = False
+        self.rows = rows
+        # f' leads with power s_min exp(power s_min y), f'/f - power s_min
+        # with power d_j exp(d_j y), d_j the first positive d
+        j = int(np.argmax(d > 0.0))
+        ratio_lead = (math.log(power * d[j]), float(d[j])) if d[j] > 0.0 else None
+        fprime_lead = (math.log(power * s_min), power * s_min) if s_min > 0.0 else None
+        self.lead = (fprime_lead, ratio_lead)
+        self.ladders: tuple[dict, dict] = ({}, {})
+
+    def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float, float]]:
+        """(log sum, slope, curvature, tail share): the log excess over
+        the target 1 of ln f' or ln(f'/f - s_min), its first two
+        y-derivatives, and the share of the last _START_TAIL terms in g'
+        or g' - s_min g; None where a sum underflows, a value is not
+        finite, the slope is not positive, or d y would overflow."""
+        if not self.s_top * y > -1e300:
+            return None
+        e = self.d * y
+        np.exp(e, out=e)
+        # a product and a row sum, not BLAS: after a BLAS matrix-vector
+        # product the pure-Python certificates that follow ran up to 20 %
+        # slower in a cold process (the log family's near-edge conjugates)
+        m0, m1, m2, m3, t0, t1 = (self.rows * e).sum(axis=1).tolist()
+        shift = 0.0 if ratio else self.s_min
+        # g' - s_min g or g', over exp(s_min y)
+        num, dnum, ddnum = m1 + shift * m0, m2 + shift * m1, m3 + shift * m2
+        if not num > 0.0:
+            return None
+        log_sum = math.log(self.power * num) + shift * y
+        slope = dnum / num
+        curve = ddnum / num - slope * slope
+        slope += shift
+        # f'/f - s_min = power (g'/g - s_min), f' = power g^(power-1) g'
+        weight = -1.0 if ratio else self.power - 1.0  # of ln g
+        if weight:
+            mean = m1 / m0
+            log_sum += weight * (math.log(m0) + shift * y)
+            slope += weight * (mean + shift)
+            curve += weight * (m2 / m0 - mean * mean)
+        if not (slope > 0.0 and math.isfinite(log_sum + curve)):
+            return None
+        return log_sum, slope, curve, (t1 + shift * t0) / num
+
+
+@lru_cache(maxsize=64)
+def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
+    """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
+    last float one (``Rules.last``), of the sequence or of a box's factor;
+    None for an empty domain, a signed sequence or exponents not finite or
+    too large to cube.  ``generator`` keys a custom sequence's exponents,
+    as in ``series._sigma_prefix``."""
+    alpha, edge = seq.family.rules.domain(seq)
+    if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
+        return None
+    power = 1
+    if seq.family.rules.tail == "box":
+        seq, power = box_factor(seq.kappa), 3
+    first = seq.start_index
+    stop = first + _START_TERMS
+    last = seq.family.rules.last
+    if last is not None:
+        stop = min(stop, last(seq, 1) + 1)
+    s = _sigma_prefix(seq, stop)[: stop - first]
+    s_min, s_top = float(s[0]), float(s[-1])
+    big = max(s_top, 1.0)
+    # bounds every moment; inf (products overflow quietly) or NaN for
+    # exponents not finite
+    if not (math.isfinite(s_min) and s.size * s_top * big * big < 2.0 ** 1000):
+        return None
+    return _StartBlock(s, -alpha, power)
+
+
 def solve_fprime(
     seq: SigmaSequence,
     u: float,
@@ -198,6 +377,7 @@ def solve_fprime(
     final residual satisfies |f'(y) - u| <= tol*max(1, u) or an error is
     raised.
     """
+    _require_positive(u)
     di = domain_info(seq)
     eta = 0.25 * tol * max(1.0, u)
 
@@ -205,7 +385,7 @@ def solve_fprime(
         return _best_bracket(seq, y, 1, eta, max_terms).midpoint
 
     cap = BOUNDARY_CAP if di.boundary_class is BoundaryClass.OPEN_BOUNDARY else None
-    y, fy, capped = _find_root(fp, u, 2.0 * eta, -di.alpha, cap)
+    y, fy, capped = _find_root(fp, u, 2.0 * eta, -di.alpha, cap, _float_start(seq, u))
     if capped:
         return y, abs(fy - u)
     final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
@@ -234,6 +414,8 @@ def solve_phi(
     first probe within 0.25*tol*max(1, v) of v, and the root is
     re-certified strictly like ``solve_fprime``'s.
     """
+    s_min = sigma(seq, seq.start_index)
+    _require_positive(v - s_min)
     di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
 
@@ -244,10 +426,14 @@ def solve_phi(
             raise NumericError(f"series underflows at y={y!r} while bracketing")
         return num.midpoint / den.midpoint
 
-    s_min = sigma(seq, seq.start_index)
     cap = None if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE else BOUNDARY_CAP
     y, fy, capped = _find_root(
-        lambda y: ph_best(y) - s_min, v - s_min, 0.25 * tol * max(1.0, v), -di.alpha, cap
+        lambda y: ph_best(y) - s_min,
+        v - s_min,
+        0.25 * tol * max(1.0, v),
+        -di.alpha,
+        cap,
+        _float_start(seq, v - s_min, ratio=True),
     )
     if capped:
         return y, abs(fy + s_min - v)

@@ -190,6 +190,7 @@ def domain_info(
 _U = 2.0 ** -53  # unit roundoff of float64
 _SUBNORMAL = 2.0 ** -1074  # the smallest subnormal float64
 _TINY = sys.float_info.min  # smallest normal float64
+_HUGE = sys.float_info.max  # largest float64
 
 # a tail certificate: (lower, upper) on the sum of the terms after an index,
 # or None while none applies yet
@@ -366,7 +367,16 @@ def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
     Rounding: the lead exponent's parts carry 3 u of each, s1 y that of a
     rounded s1 too; an error x in the exponent of r, 2 u of each part,
     moves ln(1 - r) by x/(1 - r).
+
+    s1 is taken at most 2^1000 / max(1, |y|), also where it is inf, and
+    then delta at most s1, so that s1 y, delta y and the rounding account
+    stay finite: lower values only raise the envelope, the terms falling
+    from s1 on (s1 |y| > q).
     """
+    cap = 2.0 ** 1000 / max(1.0, -y)
+    if s1 > cap:
+        s1 = cap
+        delta = min(delta, cap)
     if q and s1 * -y <= q:
         return None
     growth = q * math.log1p(delta / s1) if q else 0.0
@@ -395,15 +405,12 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     geometric where the increments grow (theta >= 1), else an integral bound."""
     theta = seq.theta
     if theta >= 1.0:
-        # lower s1 and delta only raise the envelope: s1 is taken at most
-        # 2^1000 / max(1, |y|), also where (N+1)^theta overflows, so that
-        # s1 y stays finite, and delta at most s1, so that the rounding of
-        # r stays within that of the lead exponent
-        cap = 2.0 ** 1000 / max(1.0, -y)
         try:
-            s1 = min(float(N + 1) ** theta, cap)
+            s1 = float(N + 1) ** theta
         except OverflowError:
-            s1 = cap
+            s1 = math.inf  # _envelope caps it
+        # delta at most s1, a lower value that only raises the envelope,
+        # keeps the rounding of r within that of the lead exponent
         return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
     b = -y
     if float(N) ** theta * b <= p:
@@ -715,11 +722,17 @@ def _block_sum(
         else:
             s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
         terms = block[lo - first : hi - first]
-        np.multiply(s, y, out=terms)
+        s_top = float(s[-1])
+        widest = max(s_top, -float(s[0])) if seq.signed else s_top  # of |sigma_n|
+        if widest * -y < _HUGE:
+            np.multiply(s, y, out=terms)
+        else:  # some sigma_n y overflows, to an -inf that exp takes to 0
+            with np.errstate(over="ignore"):
+                np.multiply(s, y, out=terms)
         np.exp(terms, out=terms)
         if p:
             terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
-    return float(np.add.reduce(block)), float(s[-1])
+    return float(np.add.reduce(block)), s_top
 
 
 _MEMO_KEYS = 8  # sequences and walks kept per thread; the least recently used go

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,22 @@ class TestCommands:
             doc = parse(captured.out)
             assert doc["truncation_index"] == 10
             assert doc["value"] <= math.exp(-1.0) <= doc["value"] + doc["tail_bound"]
+
+    def test_tail_past_float64_in_sigma_y(self, capsys):
+        # sigma_257 y overflows: the envelope takes s1 at most 2^1000 / |y|,
+        # so the geometric tail stays finite instead of NaN
+        code, out = run_cli(capsys, "eval", "linear", "--y", "-1e307")
+        doc = parse(out)
+        assert code == EXIT_OK and math.isfinite(doc["tail_bound"])
+        assert doc["value"] <= 0.0 < doc["value"] + doc["tail_bound"]
+
+    def test_kernel_overflow_is_quiet(self, capsys):
+        # sigma_n y passes -1.8e308 inside the first block; exp takes the
+        # -inf products to 0 without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "power:127.7", "--y", "-100"])
+        assert (code, capsys.readouterr().err) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("y", ["-5e-1", "-1E+2", "-.5"])
     def test_negative_number_in_exponent_form(self, capsys, y):

@@ -1,5 +1,6 @@
 """Conjugates: closed forms, regimes, plateau affinity, duality probes."""
 
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from gibbs_series import (
     Regime,
     box_conjugate,
     conjugate,
+    custom,
     domain_info,
     eval_series,
     exp_conjugate,
@@ -29,7 +31,7 @@ from gibbs_series import (
     solve_fprime,
     solve_phi,
 )
-from gibbs_series.conjugate import BOUNDARY_CAP, _find_root
+from gibbs_series.conjugate import BOUNDARY_CAP, _find_root, _float_start
 from gibbs_series.scenarios import BoxModel
 
 
@@ -288,8 +290,31 @@ _TARGETS = [
     for spec in ("linear", "power:0.7", "quadratic", "box:1.2")
     for u in (0.2, 0.9, 2.4, 5.0)
 ]
-_FPRIME_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.45, 0.7)]
-_PHI_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.5)]
+# the solves behind the CLI commands whose digits the float start moved, at
+# the CLI's tolerance: conjugate linear --u 2 (and fit linear --u 2),
+# --u 0.5; quadratic --u 1.3; power:1.5 --u 2; box:1 --u 2
+_CLI_FPRIME = [
+    (spec, u, 1e-9)
+    for spec, u in (("linear", 2.0), ("linear", 0.5), ("quadratic", 1.3), ("power:1.5", 2.0), ("box:1", 2.0))
+]
+# boxconj --u 1 --v 4 and --u 2 --v 9 (quadratic at v/(3u)); fit box:1
+# --u 1 --v 4, quadratic --u 1.3 --v 3.1, box:0.31 --u 1 --v 20.5, linear
+# --u 2 --v 5 and --u 1 --v 2, power:1.5 --u 1 --v 3 (at v/u)
+_CLI_PHI = [
+    (spec, v - s_min, 1e-9)
+    for spec, s_min, v in (
+        ("quadratic", 1.0, 4.0 / 3.0),
+        ("quadratic", 1.0, 1.5),
+        ("box:1", 3.0, 4.0),
+        ("quadratic", 1.0, 3.1 / 1.3),
+        ("box:0.31", 3.0 * 0.31, 20.5),
+        ("linear", 1.0, 2.5),
+        ("linear", 1.0, 2.0),
+        ("power:1.5", 1.0, 3.0),
+    )
+]
+_FPRIME_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.45, 0.7)] + _CLI_FPRIME
+_PHI_CASES = _TARGETS + [("logfam:3", u, 1e-9) for u in (0.2, 0.5)] + _CLI_PHI
 
 
 # phi and ln f at interior points; logfam:3 at the tolerance its budget meets
@@ -379,3 +404,50 @@ class TestRootFinder:
         # the first probe at -1 lies below target, the next one is NaN
         with pytest.raises(NumericError, match="NaN"):
             _find_root(lambda y: math.exp(y) if y < -0.9 else math.nan, 0.5, 1e-12, 0.0)
+
+
+class TestFloatStart:
+    @staticmethod
+    def _probes(start=None, edge=0.0):
+        probes = []
+
+        def fn(y):
+            probes.append(y)
+            return math.exp(y - edge)
+
+        _find_root(fn, 0.25, 1e-12, edge, start=start)
+        return probes
+
+    def test_first_probe_is_the_start(self):
+        assert self._probes(start=-1.3)[0] == -1.3
+
+    def test_without_a_start_the_first_probe_is_edge_minus_one(self):
+        assert self._probes()[0] == -1.0
+        assert self._probes(edge=-2.0)[0] == -3.0
+
+    def test_nonpositive_target_raises_before_the_start(self, monkeypatch):
+        module = importlib.import_module("gibbs_series.conjugate")
+        calls = []
+        monkeypatch.setattr(module, "_float_start", lambda *args, **kw: calls.append(args))
+        for solve, target in ((solve_fprime, -1.0), (solve_fprime, 0.0), (solve_phi, 1.0), (solve_phi, 0.5)):
+            with pytest.raises(NumericError, match="positive target"):
+                solve(linear(), target)
+        assert calls == []
+
+    def test_signed_sequence_has_no_start(self):
+        seq = custom(lambda n: n - 3.0, declared_alpha=0.0, declared_gap=1.0)
+        assert seq.signed
+        assert _float_start(seq, 1.0) is None and _float_start(seq, 1.0, ratio=True) is None
+
+    def test_heavy_block_end_has_no_start(self):
+        # near logfam:1.5's edge the block's last 16 terms weigh more than
+        # 1e-6 of it; farther out the same block gives a start
+        seq = logfam(1.5)
+        assert _float_start(seq, 1.0) is None
+        assert _float_start(seq, 1.0, ratio=True) is None
+        assert _float_start(seq, 0.05) < -1.0
+
+    def test_start_is_a_python_float_near_the_root(self):
+        y = _float_start(linear(), 2.0)
+        assert type(y) is float and y == pytest.approx(-math.log(2.0), abs=1e-15)
+        assert type(conjugate(linear(), 2.0).attaining_y) is float

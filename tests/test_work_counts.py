@@ -6,6 +6,8 @@ partial sums or of cached exponents (or computes more for any other reason)
 fails here on any machine.
 """
 
+import importlib
+
 import pytest
 
 from gibbs_series import (
@@ -18,25 +20,32 @@ from gibbs_series import (
     log_f_conjugate,
     logfam,
     min_entropy_moment,
+    parse_sequence,
     quadratic,
     series,
+    sigma,
 )
+
+_conjugate = importlib.import_module("gibbs_series.conjugate")
 
 # (call, most _block_sum calls, most terms summed, most exponents computed,
 # most evaluations: eval_series calls and the relative walks of phi, log_f
 # and the ratio probes, all of which pass through series._evaluate; most
-# series._log_upper_gamma calls, the log family's interior certificates)
+# series._log_upper_gamma calls, the log family's interior certificates).
+# An interior solve's float start lands its first probe within the stop
+# band, so f' and f are each walked once, in one 256-term block, and the
+# re-certification replays the stored walk.
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 8, 2_048, 256, 9, 0),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 2, 512, 256, 3, 0),
     # the fit reads the conjugate's root; its moments reuse the cached sums
     "min_entropy_moment(linear, 2)": (
-        lambda: min_entropy_moment(linear(), 2.0), 8, 2_048, 256, 11, 0
+        lambda: min_entropy_moment(linear(), 2.0), 2, 512, 256, 5, 0
     ),
     # each ratio probe walks f and f' once, to a fraction of their own size
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 14, 3_584, 256, 18, 0),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 12, 3_072, 256, 16, 0),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 2, 512, 256, 6, 0),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 2, 512, 256, 6, 0),
     "log_f_conjugate(quadratic, 2)": (
-        lambda: log_f_conjugate(quadratic(), 2.0), 14, 3_584, 256, 17, 0
+        lambda: log_f_conjugate(quadratic(), 2.0), 2, 512, 256, 5, 0
     ),
     # an interior sum reads the edge's class from the family's rules and
     # sums no term there: three interior blocks meet the integral sandwich
@@ -100,6 +109,7 @@ def test_reference_call_work(name, monkeypatch):
     series._memo.lru.clear()
     series._memo.sigma.clear()
     domain_info.cache_clear()
+    _conjugate._start_block.cache_clear()
     call()
     assert (
         work["blocks"] <= max_blocks
@@ -108,3 +118,29 @@ def test_reference_call_work(name, monkeypatch):
         and work["evals"] <= max_evals
         and work["gammas"] <= max_gammas
     ), work
+
+
+def test_probes_per_solve(monkeypatch):
+    # interior conjugates, log conjugates and fits over four families: the
+    # float start puts nearly every first probe within the stop band
+    find_root = _conjugate._find_root
+    work = {"solves": 0, "probes": 0}
+
+    def counted(fn, *args, **kwargs):
+        work["solves"] += 1
+
+        def probe(y):
+            work["probes"] += 1
+            return fn(y)
+
+        return find_root(probe, *args, **kwargs)
+
+    monkeypatch.setattr(_conjugate, "_find_root", counted)
+    for spec in ("linear", "power:1.3", "quadratic", "box:1"):
+        seq = parse_sequence(spec)
+        s_min = sigma(seq, seq.start_index)
+        for u in (0.3, 1.0, 2.5, 4.0):
+            conjugate(seq, u)
+            log_f_conjugate(seq, s_min + u)
+            fit_gibbs(seq, 1.5, 1.5 * (s_min + u))
+    assert work["solves"] == 48 and work["probes"] <= 1.5 * work["solves"], work
