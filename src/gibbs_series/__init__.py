@@ -2,7 +2,6 @@
 conjugates, and maximum-entropy fitting under moment constraints."""
 
 from .conjugate import (
-    BOUNDARY_CAP,
     ConjugateValue,
     NumericError,
     Regime,

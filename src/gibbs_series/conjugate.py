@@ -56,11 +56,8 @@ __all__ = [
     "box_conjugate",
     "solve_fprime",
     "solve_phi",
-    "BOUNDARY_CAP",
 ]
 
-# closest approach to an open domain edge when searching toward it
-BOUNDARY_CAP = 1e-12
 # probes before _find_root gives up; an interior solve from a float start
 # takes one or two, from edge - 1 four to nine
 _MAX_PROBES = 200
@@ -89,8 +86,8 @@ class Regime(str, Enum):
 class ConjugateValue(NamedTuple):
     """f*(u) with its regime tag and, when the sup is attained, the argmax.
 
-    ``residual`` is the achieved residual of the root equation for
-    interior solutions (nonzero when the optimizer was capped at an open edge).
+    ``residual`` is the certified residual of the root equation for
+    interior solutions.
     """
 
     value: float
@@ -132,26 +129,24 @@ def _find_root(
     target: float,
     band: float,
     edge: float,
-    cap: Optional[float] = None,
     start: Optional[float] = None,
-) -> tuple[float, float, bool]:
+) -> float:
     """Solve fn(y) = target > 0 for fn increasing on (-inf, edge).
 
-    Returns (y, fn(y), capped).  Starts at ``start`` (``_float_start``'s
-    float root), or without one at edge - 1, and takes secant steps on the
-    log excess ln fn(y) - ln target.  For f' that is a log-sum-exp
-    of affine functions of y, convex and nearly linear, so few steps reach
-    the root.  The nearest probes below and above target form a bracket;
-    a step that leaves it, or that follows a secant step inside it which
-    did not halve the log excess, is replaced by bisection.  Before a
-    bracket forms a step may at most halve the distance to the edge
-    (toward it) or double it (away from it).  Stops at the first probe
-    within ``band`` of target, or at the better end of a bracket that float
-    resolution cannot split; there is no stop on the step length.  With
-    ``cap`` (an open edge) the search gets no closer to the edge than
-    ``cap`` and returns capped=True there if fn is still below target.
-    Raises NumericError for a target not positive (before any probe), on
-    a NaN probe, when fn does not cross target, or after _MAX_PROBES probes.
+    Starts at ``start`` (``_float_start``'s float root), or without one at
+    edge - 1, and takes secant steps on the log excess ln fn(y) - ln target.
+    For f' that is a log-sum-exp of affine functions of y, convex and
+    nearly linear, so few steps reach the root.  The nearest probes below
+    and above target form a bracket; a step that leaves it, or that
+    follows a secant step inside it which did not halve the log excess, is
+    replaced by the bracket's midpoint in ln(edge - y).  Before a bracket
+    forms a secant step may at most halve the distance to the edge or
+    double it; without one, or past the edge, a step keeps 1/2, 1/4, 1/16,
+    ... of the distance, so any float distance is reached in ~11 probes.
+    Stops at the first probe within ``band`` of target, or at the better
+    end of a bracket that float resolution cannot split.  Raises
+    NumericError for a target not positive (before any probe), on a NaN
+    probe, when fn does not cross target, or after _MAX_PROBES probes.
     """
     _require_positive(target)
     log_target = math.log(target)
@@ -159,13 +154,14 @@ def _find_root(
     hi: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) above target
     prev = None  # (y, log excess) of the previous probe
     interpolated = False  # whether the current probe is a secant step inside the bracket
+    keep = 0.5  # share of the edge distance kept by the next step without a secant
     y = edge - 1.0 if start is None else start
     for _ in range(_MAX_PROBES):
         fy = fn(y)
         if math.isnan(fy):
             raise NumericError(f"probe fn({y!r}) is NaN while solving for {target!r}")
         if abs(fy - target) <= band:
-            return y, fy, False
+            return y
         if fy < target:
             lo = (y, fy)
         else:
@@ -179,17 +175,20 @@ def _find_root(
         interpolated = False
         if lo is not None and hi is not None:
             if step is None or not lo[0] < step < hi[0] or slow:
-                step = 0.5 * (lo[0] + hi[0])
+                step = edge - math.sqrt(edge - lo[0]) * math.sqrt(edge - hi[0])
             else:
                 interpolated = True
             if not lo[0] < step < hi[0]:
-                return min(lo, hi, key=lambda p: abs(p[1] - target)) + (False,)
+                return min(lo, hi, key=lambda p: abs(p[1] - target))[0]
         elif hi is None:
-            nearest = edge - max(0.5 * (edge - lo[0]), cap or 0.0)
-            step = nearest if step is None or step <= lo[0] else min(step, nearest)
+            gap = edge - lo[0]
+            if step is None or not lo[0] < step < edge:
+                # at most the float nearest the edge
+                step = min(edge - keep * gap, math.nextafter(edge, -math.inf))
+                keep *= keep
+            else:
+                step = min(step, edge - 0.5 * gap)
             if step <= lo[0]:
-                if cap is not None:
-                    return lo + (True,)
                 raise NumericError(
                     f"fn stays below {target!r} up to the edge {edge!r} (last fn={fy!r})"
                 )
@@ -371,23 +370,18 @@ def solve_fprime(
 
     f' is strictly increasing from 0 to gamma, so ``_find_root`` inverts
     it, stopping at the first probe whose midpoint lies within
-    0.5*tol*max(1, u) of u.  Probes closer
-    to a slow boundary than the budget allows degrade to their best
-    bracket midpoint; the returned root is re-certified strictly, so the
-    final residual satisfies |f'(y) - u| <= tol*max(1, u) or an error is
-    raised.
+    0.5*tol*max(1, u) of u.  A probe whose sum exhausts the budget reads
+    its best bracket's midpoint; the returned root is re-certified
+    strictly, so the final residual satisfies |f'(y) - u| <= tol*max(1, u)
+    or an error is raised.
     """
     _require_positive(u)
-    di = domain_info(seq)
     eta = 0.25 * tol * max(1.0, u)
 
     def fp(y: float) -> float:
         return _best_bracket(seq, y, 1, eta, max_terms).midpoint
 
-    cap = BOUNDARY_CAP if di.boundary_class is BoundaryClass.OPEN_BOUNDARY else None
-    y, fy, capped = _find_root(fp, u, 2.0 * eta, -di.alpha, cap, _float_start(seq, u))
-    if capped:
-        return y, abs(fy - u)
+    y = _find_root(fp, u, 2.0 * eta, -domain_info(seq).alpha, _float_start(seq, u))
     final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
     residual = abs(final.midpoint - u) + 0.5 * final.tail_bound
     if residual > tol * max(1.0, u):
@@ -416,7 +410,6 @@ def solve_phi(
     """
     s_min = sigma(seq, seq.start_index)
     _require_positive(v - s_min)
-    di = domain_info(seq)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
 
     def ph_best(y: float) -> float:
@@ -426,17 +419,13 @@ def solve_phi(
             raise NumericError(f"series underflows at y={y!r} while bracketing")
         return num.midpoint / den.midpoint
 
-    cap = None if di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE else BOUNDARY_CAP
-    y, fy, capped = _find_root(
+    y = _find_root(
         lambda y: ph_best(y) - s_min,
         v - s_min,
         0.25 * tol * max(1.0, v),
-        -di.alpha,
-        cap,
+        -domain_info(seq).alpha,
         _float_start(seq, v - s_min, ratio=True),
     )
-    if capped:
-        return y, abs(fy + s_min - v)
     residual = abs(phi(seq, y, tol=rel, max_terms=max_terms) - v) + 0.5 * rel * v
     if residual > tol * max(1.0, v):
         raise NumericError(

@@ -119,11 +119,15 @@ def _attained(
 
     The prefix is cut where its family's rules cut it (at an index, or
     between box levels), the cut doubling from the first of ``rules.cuts``
-    until both certified tails are below ``tail_target`` or it reaches the last.
+    until both certified tails are below ``tail_target`` or it reaches the
+    last, neither past the last float exponent (``rules.last``).
     """
     x0 = 0.0 if x is None else x
     rules = seq.family.rules
     cut, last = rules.cuts(seq)
+    if rules.last is not None:
+        last = min(last, rules.last(seq, 1))
+        cut = min(cut, last)
     mass_t = energy_t = math.inf
     while True:
         m = tail_bound_after(seq, y, 0, cut)
@@ -384,13 +388,9 @@ def plateau_witness(
         def window_moment(lam: float) -> float:
             return float(np.sum(s * np.exp(-s * lam)))
 
-        # the window moment decreases in lam, so solve in -lam below the edge lam = 0
-        neg_lam, _, capped = _find_root(
-            lambda t: window_moment(-t), v_window, 1e-13 * v_window, 0.0, cap=1e-14
-        )
-        if capped:
-            raise WitnessBudgetError("window equation has no root above 1e-14", best)
-        lam = -neg_lam
+        # the window moment decreases in lam, so solve in -lam below the edge
+        # lam = 0, where it is at least sigma_{n_end+1} >= u > v_window
+        lam = -_find_root(lambda t: window_moment(-t), v_window, 1e-13 * v_window, 0.0)
         w = np.exp(-s * lam)
         moment = prefix_moment + float(np.sum(s * w))
         w[-1] += (u - moment) / s[-1]  # exact moment, float-level

@@ -424,13 +424,14 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     a = p + 1.0 / theta
     m = math.ceil(a - 1.0)
     log_b = math.log(b)
-    _, log_gamma, err = _log_upper_gamma(m + 1.0, b * S)
+    z = min(b * S, 2.0 ** 1000)  # Gamma(m + 1, z) falls in z: a lower z raises the bound
+    _, log_gamma, err = _log_upper_gamma(m + 1.0, z)
     log_int = log_gamma - (m + 1) * log_b
     log_pre = (a - 1.0 - m) * math.log(S) - math.log(theta)
     # S = N^theta carries a relative error of u, moving b S by 2 b S u, and
     # d ln Gamma(m + 1, z) / dz lies in [-1, 0]; ln b carries (|ln b| + 1) u
     err += _U * (
-        4.0 * (b * S + a + m)
+        4.0 * (z + a + m)
         + 2.0 * (m + 1) * (abs(log_b) + 1.0)
         + 3.0 * abs(log_pre)
         + 2.0 * abs(log_int)
@@ -475,6 +476,12 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     theta = seq.theta
     if N < seq.start_index or (y == -1.0 and theta <= p + 1):
         return None
+    floor = -1e3 * max(p, 1)
+    if y < floor:
+        # sigma >= 1 on [3, inf), so the tail is below the smallest normal
+        # float; it rises with y, and bounding it at the floor spares the
+        # integrals overflow (and |theta y| gamma steps)
+        return 0.0, _logfam_sandwich(seq, floor, p, N)[1]
     slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
     if slope < p:
         return None
@@ -608,7 +615,7 @@ def _logfam_derivative_integral(
     h = 1.4 eps^(1/(p+2)) (F/F^(p+2))^(1/(p+2)).  F^(p+2)/F = E[sigma^(p+2)]
     under the weight, far above sigma(c)^(p+2) near the edge; its root is
     taken from the third moment of ln x (``_slope_step_scale``) at every p.
-    h is capped at |y + 1|/(4p) to keep y + p h inside the domain.  At p = 1
+    h is at most |y + 1|/(4p) to keep y + p h inside the domain.  At p = 1
     the bracket is then 5-8 eps^(2/3) of F' wide (eps ~ 1e-13) where F's
     own width allows.
     """

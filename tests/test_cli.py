@@ -242,10 +242,51 @@ class TestCommands:
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.err) == (EXIT_OK, "")
+        doc = parse(captured.out)
         if argv[0] == "eval":
-            doc = parse(captured.out)
             assert doc["truncation_index"] == 10
             assert doc["value"] <= math.exp(-1.0) <= doc["value"] + doc["tail_bound"]
+        else:
+            # the root 2^500 exp(2^500 y) = 2 - exp(y) lies ~1e-148 from the
+            # open edge 0; the reference is its 80-digit value
+            assert doc["regime"] == "Interior"
+            assert doc["y"] == pytest.approx(-1.0566427430477518e-148, rel=1e-12)
+            assert doc["residual"] <= 1e-9 * 3
+
+    @pytest.mark.parametrize(
+        "moments, mass, energy",
+        [(("--u", "1.5"), None, 1.5), (("--u", "1.5", "--v", "3"), 1.5, 3.0)],
+        ids=["--u 1.5", "--u 1.5 --v 3"],
+    )
+    def test_fit_past_float64(self, capsys, moments, mass, energy):
+        # the law's prefix stops at index 10, the last float exponent of
+        # power:300; its weights carry the moments up to the certified tails
+        code, out = run_cli(capsys, "fit", "power:300", *moments)
+        doc = parse(out)
+        assert code == EXIT_OK and doc["status"] == "InteriorUnique"
+        pairs = [(w["index"], w["weight"]) for w in doc["weights"]]
+        assert abs(math.fsum(float(n) ** 300 * w for n, w in pairs) - energy) <= 1e-9 * energy
+        if mass is not None:
+            assert abs(math.fsum(w for _, w in pairs) - mass) <= 1e-9 * mass
+        assert max(doc["tail_mass"], doc["tail_energy"]) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "power:0.5", "--y=-1e307"],
+            ["eval", "logfam:2", "--y=-1e307"],
+            ["eval", "logfam:-1", "--y=-1e100", "--p", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_integral_tail_past_float64(self, capsys, argv):
+        # the power integral's b S and the log family's gamma integrals
+        # overflow float64 here: each is bounded where it does not, which
+        # only raises the bound, and every term underflows to 0
+        code, out = run_cli(capsys, *argv)
+        doc = parse(out)
+        assert code == EXIT_OK and 0.0 < doc["tail_bound"] <= 1e-300
+        assert doc["value"] <= 0.0 < doc["value"] + doc["tail_bound"]
 
     def test_tail_past_float64_in_sigma_y(self, capsys):
         # sigma_257 y overflows: the envelope takes s1 at most 2^1000 / |y|,

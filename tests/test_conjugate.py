@@ -31,7 +31,7 @@ from gibbs_series import (
     solve_fprime,
     solve_phi,
 )
-from gibbs_series.conjugate import BOUNDARY_CAP, _find_root, _float_start
+from gibbs_series.conjugate import _find_root, _float_start
 from gibbs_series.scenarios import BoxModel
 
 
@@ -365,28 +365,29 @@ class TestRootFinder:
         y, residual = solve_phi(seq, v, tol=tol)
         self._check_root(mp, lambda t: _phi_ref(mp, spec, t), y, v, residual, tol)
 
-    def test_open_edge_cap(self):
-        # -1/y rises to +inf at the open edge 0; its root at -1e-15 lies
-        # closer to the edge than the cap, where the search stops
-        y, fy, capped = _find_root(lambda y: -1.0 / y, 1e15, 1.0, 0.0, cap=BOUNDARY_CAP)
-        assert capped and y == -BOUNDARY_CAP and fy == -1.0 / y
+    def test_open_edge_root_is_reached(self):
+        # -1/y rises to +inf at the open edge 0; its root at -1e-15 is
+        # reached within the band
+        y = _find_root(lambda y: -1.0 / y, 1e15, 1.0, 0.0)
+        assert abs(-1.0 / y - 1e15) <= 1.0
 
-    def test_steps_toward_the_edge_at_most_halve_its_distance(self):
+    def test_root_at_distance_1e300_from_the_edge_is_reached(self):
         probes = []
 
         def fn(y):
             probes.append(y)
             return -1.0 / y
 
-        _find_root(fn, 1e6, 1e-9, 0.0, cap=BOUNDARY_CAP)
-        # until a probe lands above the target, each keeps at least half
-        # the previous one's distance to the edge
-        first_above = next(i for i, y in enumerate(probes) if -1.0 / y >= 1e6)
-        walk = probes[: first_above + 1]
-        assert len(walk) > 10 and all(b <= 0.5 * a for a, b in zip(walk, walk[1:]))
+        y = _find_root(fn, 1e300, 1e288, 0.0)
+        assert abs(-1.0 / y - 1e300) <= 1e288
+        # steps without a secant keep 1/2, 1/4, 1/16, ... of the edge
+        # distance, so the eleventh probe lies past the root; the bracket's
+        # midpoints in the log of the distance and secant steps do the rest
+        first_above = next(i for i, y in enumerate(probes) if -1.0 / y >= 1e300)
+        assert first_above <= 10 and len(probes) <= 32
 
     def test_closed_edge_without_a_crossing_raises(self):
-        # exp stays below 5 up to the closed edge -1: no cap, no root
+        # exp stays below 5 up to the closed edge -1: no root
         with pytest.raises(NumericError, match="stays below"):
             _find_root(math.exp, 5.0, 1e-12, -1.0)
 
