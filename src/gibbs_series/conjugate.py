@@ -208,27 +208,25 @@ def _float_start(seq: SigmaSequence, target: float, ratio: bool = False) -> Opti
 
     Halley steps on the log excess, each at most twice Newton's and under
     ``_find_root``'s limits (at most halving the distance to the edge or
-    doubling it), start from the root of the solved sum's leading term
-    alone, or from edge - 1 if that lies nearer the edge.  None, for
-    ``_find_root``'s own start, for a non-positive target, where
-    ``_start_block`` makes no block, without convergence in _START_STEPS
-    steps, or where the block's last _START_TAIL terms weigh _START_SHARE
-    of it or more: there the cut sum is not the series.  That share grows
-    with y, so it is checked at every step that lands at or below the cut
-    root, where it bounds the root's, and at the root.
+    doubling it), start from edge - 1.  None, for ``_find_root``'s own
+    start, for a non-positive target, where ``_start_block`` makes no
+    block, without convergence in _START_STEPS steps, or where the block's
+    last _START_TAIL terms weigh _START_SHARE of it or more: there the cut
+    sum is not the series.  That share grows with y, so it is checked at
+    every step that lands at or below the cut root, where it bounds the
+    root's, and at the root.
     """
     if not target > 0.0:
         return None
     block = _start_block(seq, seq.generator)
-    if block is None or block.lead[ratio] is None:
+    if block is None:
         return None
     log_target = math.log(target)
     edge = block.edge
-    lead_log, lead_rate = block.lead[ratio]
-    y = min(edge - 1.0, (log_target - lead_log) / lead_rate)
+    y = edge - 1.0
     # whether y is edge - 1 or reached from it by limited steps alone: an
     # edge - 2^k, whose values the block keeps for every target
-    ladder = y == edge - 1.0
+    ladder = True
     kept = block.ladders[ratio]
     for _ in range(_START_STEPS):
         point = kept.get(y) if ladder else None
@@ -268,13 +266,11 @@ class _StartBlock:
     term overflows, and ``rows`` times exp(d y), d_n = sigma_n - s_min,
     gives the moments sum d^k exp(d y), k = 0..3, and those of k = 0, 1
     over the last _START_TAIL terms, from which ``at`` reads either
-    equation.  ``lead`` holds per equation the log of the leading term's
-    coefficient and its rate in y (None without a positive term), and
-    ``ladders`` per equation the values (``at``) at the points that every
-    solve from edge - 1 probes.
+    equation.  ``ladders`` holds per equation the values (``at``) at the
+    points that every solve probes first.
     """
 
-    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "lead", "ladders")
+    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "ladders")
 
     def __init__(self, s: np.ndarray, edge: float, power: int) -> None:
         self.s_min = s_min = float(s[0])
@@ -289,12 +285,6 @@ class _StartBlock:
         rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
         rows.flags.writeable = False
         self.rows = rows
-        # f' leads with power s_min exp(power s_min y), f'/f - power s_min
-        # with power d_j exp(d_j y), d_j the first positive d
-        j = int(np.argmax(d > 0.0))
-        ratio_lead = (math.log(power * d[j]), float(d[j])) if d[j] > 0.0 else None
-        fprime_lead = (math.log(power * s_min), power * s_min) if s_min > 0.0 else None
-        self.lead = (fprime_lead, ratio_lead)
         self.ladders: tuple[dict, dict] = ({}, {})
 
     def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float, float]]:

@@ -1,8 +1,8 @@
 """Certified evaluation of f^(p)(y) = sum_n sigma_n^p exp(sigma_n y).
 
 Every evaluation returns a bracket: ``value`` is a provable lower bound
-(a partial sum, plus a certified lower integral correction for the log
-family) and ``value + tail_bound`` is a provable upper bound.  The
+(a partial sum, plus a certified lower integral correction where the
+tail is sandwiched) and ``value + tail_bound`` is a provable upper bound.  The
 certificates used are:
 
 * geometric: when increments sigma_{n+1} - sigma_n >= delta > 0 and
@@ -10,20 +10,17 @@ certificates used are:
   geometric envelope (sigma_{N+1} + k*delta)^p exp((sigma_{N+1}+k*delta)y)
   whose ratio r = (1 + delta/sigma_{N+1})^p * exp(delta*y) is < 1, and
   so are box levels kappa s, s > S, of at most s triples each (``_envelope``);
-* integral comparison: for powers n^theta with theta < 1, the tail is
-  bounded by an integral, an upper incomplete gamma function of integer
-  order;
-* integral sandwich for the log family, at the edge y = -1 and in the
-  interior at every order p: for decreasing terms convex from N + 1/2 on
-  (Hermite-Hadamard; sigma is concave from x = e^phi ~ 5.04 on for every
-  theta >= -1), int_{N+1} g + g(N+1)/2 <= tail <= int_{N+1/2} g, a
-  bracket about |g'(N)|/8 wide that is added to the partial sum; the
-  edge integrals are exact log-power integrals, the interior p = 0 ones
-  F = b^-a Gamma(a, b ln c) with a certified upper incomplete gamma
-  function (the even and odd convergents of Legendre's continued
-  fraction), and the interior p >= 1 ones d^p F/dy^p, bracketed to
-  second order in the step by 2p + 2 values of F for each end, since F
-  is a Laplace transform in y and its F^(p+2) is positive;
+* integral sandwich, for the log family (at the edge y = -1 and in the
+  interior at every order p) and powers n^theta, theta < 1: for decreasing
+  terms g convex from N + 1/2 on (Hermite-Hadamard; sigma is concave
+  there), F + g(N+1)/2 <= tail <= F + [g(N+1/2) + g(N+1)]/4 with the one
+  integral F = int_{N+1} g, a bracket about |g'(N)|/8 wide that is added
+  to the partial sum; F is exact log-power integrals at the edge, else
+  b^-a Gamma(a, z) (over theta for powers) with a certified upper
+  incomplete gamma function (the even and odd convergents of Legendre's
+  continued fraction), but for the log family's interior p >= 1 ones,
+  d^p F/dy^p bracketed to second order in the step by values of F, a
+  Laplace transform in y, at 3p + 2 nodes;
 * factorization: the flattened box spectrum satisfies
   f_box(y) = g(y)^3 with g(y) = sum_k exp(kappa k^2 y), so box values come
   from certified brackets of g and its first two derivatives at y, each
@@ -247,9 +244,9 @@ def _abs_weight(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> 
     """Sum of |t_n| (1 + |sigma_n y|) over first <= n < stop (see
     ``_roundoff``), for sequences whose terms need not all be positive."""
     s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
-    sy = np.abs(s * y)
-    terms = np.abs(s ** p * np.exp(s * y))
-    return float(np.dot(terms, 1.0 + sy)) * (1.0 + 4.0 * (stop - first) * _U)
+    weights = np.abs(s * y) + 1.0  # a product and a row sum, not BLAS (n + 1 roundings)
+    weights *= np.abs(s ** p * np.exp(s * y))
+    return float(np.add.reduce(weights)) * (1.0 + 4.0 * (stop - first) * _U)
 
 
 def _up(value: float, rel: float) -> float:
@@ -294,11 +291,12 @@ def _log_upper_gamma(a: float, z: float) -> tuple[float, float, float]:
 
     whose elements are all positive, so its even convergents rise to F and
     its odd ones fall to it (Gil, Segura & Temme, Numerical Methods for
-    Special Functions, 2007, ch. 6).  The forward recurrences for their
-    numerators and denominators add positive products only, so after n
-    steps each is within (1 + 3u)^n of the exact continuant.  The pairs
-    stop once the bracket is that narrow, or after ``_GAMMA_PAIRS`` with a
-    wider but still valid one.  For a >= 1 the recurrence
+    Special Functions, 2007, ch. 6), from 1/(z + 1 - a) and 1/z on.  The
+    forward recurrences for their numerators and denominators add positive
+    products only, so after n steps each is within (1 + 3u)^n of the exact
+    continuant.  The pairs stop once the bracket is that narrow, or with a
+    wider but valid one after ``_GAMMA_PAIRS`` or before a pair that
+    overflows.  For a >= 1 the recurrence
     Gamma(s + 1, z) = s Gamma(s, z) + z^s e^-z climbs from s = a - floor(a)
     in [0, 1), again adding positive terms only.
     """
@@ -307,14 +305,16 @@ def _log_upper_gamma(a: float, z: float) -> tuple[float, float, float]:
     lo = hi = 1.0
     n = 0
     if not (m and s == 0.0):  # Gamma(m, z) needs no fraction
+        lo, hi = 1.0 / (z + (1.0 - s)), 1.0 / z
         # convergents A/B after the first step (1, z): A = 1, B = z
         a_prev, a_cur, b_prev, b_cur = 0.0, 1.0, 1.0, z
         for k in range(1, _GAMMA_PAIRS + 1):
             e = k - s
-            a_prev, a_cur = a_cur, a_cur + e * a_prev  # even step (k - s, 1)
-            b_prev, b_cur = b_cur, b_cur + e * b_prev
-            a_prev, a_cur = a_cur, z * a_cur + k * a_prev  # odd step (k, z)
-            b_prev, b_cur = b_cur, z * b_cur + k * b_prev
+            a_even, b_even = a_cur + e * a_prev, b_cur + e * b_prev  # even step (k - s, 1)
+            a_odd, b_odd = z * a_even + k * a_cur, z * b_even + k * b_cur  # odd step (k, z)
+            if not a_odd + b_odd <= _HUGE:  # an overflow: keep the last finite pair
+                break
+            a_prev, a_cur, b_prev, b_cur = a_even, a_odd, b_even, b_odd
             lo, hi = a_prev / b_prev, a_cur / b_cur
             if b_cur > _RESCALE:  # exact: a power of two
                 a_prev /= _RESCALE
@@ -400,43 +400,28 @@ def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     return _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y)
 
 
+# most gamma steps a power integral climbs (a = p + 1/theta), above the
+# 1 + 1000 max(p, 1) |theta| that the log family's a reaches at its y floor
+_CLIMB_CAP = 1 << 16
+
+
 def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(0, bound) on the tail of sum_{n>N} n^(theta p) exp(y n^theta):
-    geometric where the increments grow (theta >= 1), else an integral bound."""
+    """(lower, upper) on the tail of sum_{n>N} n^(theta p) exp(y n^theta):
+    geometric where the increments grow (theta >= 1), else the integral
+    sandwich (x^theta is concave), or None beyond ``_CLIMB_CAP``."""
     theta = seq.theta
-    if theta >= 1.0:
-        try:
-            s1 = float(N + 1) ** theta
-        except OverflowError:
-            s1 = math.inf  # _envelope caps it
-        # delta at most s1, a lower value that only raises the envelope,
-        # keeps the rounding of r within that of the lead exponent
-        return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
-    b = -y
-    if float(N) ** theta * b <= p:
-        return None
-    # substitute s = x^theta:  (1/theta) * int_S^inf s^(a-1) exp(-b s) ds,
-    # a = p + 1/theta >= 1;  bound s^(a-1) <= S^(a-1-m) s^m with m = ceil(a-1),
-    # whose integral is Gamma(m + 1, b S) / b^(m+1)
-    S = float(N) ** theta
-    if S < 1.0:
-        return None
-    a = p + 1.0 / theta
-    m = math.ceil(a - 1.0)
-    log_b = math.log(b)
-    z = min(b * S, 2.0 ** 1000)  # Gamma(m + 1, z) falls in z: a lower z raises the bound
-    _, log_gamma, err = _log_upper_gamma(m + 1.0, z)
-    log_int = log_gamma - (m + 1) * log_b
-    log_pre = (a - 1.0 - m) * math.log(S) - math.log(theta)
-    # S = N^theta carries a relative error of u, moving b S by 2 b S u, and
-    # d ln Gamma(m + 1, z) / dz lies in [-1, 0]; ln b carries (|ln b| + 1) u
-    err += _U * (
-        4.0 * (z + a + m)
-        + 2.0 * (m + 1) * (abs(log_b) + 1.0)
-        + 3.0 * abs(log_pre)
-        + 2.0 * abs(log_int)
-    )
-    return 0.0, _exp_up(log_pre + log_int, err)
+    if theta < 1.0:
+        if p + 1.0 / theta > _CLIMB_CAP:
+            return None
+        # below y = -2^900 the tail is below the smallest normal float
+        return _sandwich(seq, y, p, N, _power_integral, 1, -2.0 ** 900)
+    try:
+        s1 = float(N + 1) ** theta
+    except OverflowError:
+        s1 = math.inf  # _envelope caps it
+    # delta at most s1, a lower value that only raises the envelope,
+    # keeps the rounding of r within that of the lead exponent
+    return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
 
 
 def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
@@ -450,67 +435,75 @@ def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
 
 
 # ---------------------------------------------------------------------------
-# Integral sandwich for the log family
+# Integral sandwich, for the families whose increments shrink
 # ---------------------------------------------------------------------------
 
-def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(lower, upper) on the log-family tail after N, at the edge y = -1 and
-    in the interior at every order p; None while the terms may still grow.
+def _sandwich(
+    seq: SigmaSequence, y: float, p: int, N: int, integral: Callable, convex_from: int, floor: float
+) -> _Tail:
+    """(lower, upper) on the tail after N from the one integral
+    F = int_{N+1}^inf g, g(x) = sigma(x)^p exp(y sigma(x)), bracketed by
+    ``integral(theta, y, p, N + 1)``; None while the terms may still grow.
+    Below ``floor`` the tail, which rises with y, takes the upper end at
+    the floor, where the integrals' arguments stay finite.
 
-    The terms are g(n) with g(x) = sigma(x)^p exp(y sigma(x)).  Where g
-    decreases from N on, the tail lies between its integrals from N + 1
-    and from N.  Where g is also convex from N + 1/2 on, Hermite-Hadamard
-    narrows that to
+    In s = sigma, h(s) = s^p e^{ys} has h'' = s^(p-2) e^{ys} ((p + ys)^2 -
+    p), so h decreases once |y| s >= p and is also convex once |y| s >= p +
+    sqrt(p).  Where g decreases from N on, the tail lies between F and
+    F + g(N).  Where sigma also increases and is concave from N =
+    ``convex_from`` on, g'' = h'' sigma'^2 + h' sigma'' >= 0, and
+    Hermite-Hadamard, then the chord over [N + 1/2, N + 1], narrow that to
 
-        int_{N+1}^inf g + g(N+1)/2  <=  sum_{n>N} g(n)  <=  int_{N+1/2}^inf g,
+        F + g(N+1)/2 <= sum_{n>N} g(n) <= int_{N+1/2} g <= F + [g(N+1/2) + g(N+1)]/4,
 
-    about |g'(N)|/8 wide instead of g(N).  In s = sigma, h(s) = s^p e^{ys}
-    has h'' = s^(p-2) e^{ys} ((p + ys)^2 - p), so h decreases once |y| s >=
-    p and is also convex once |y| s >= p + sqrt(p).  With L = ln x,
-    sigma'' = -(1 + theta (L + 1)/L^2)/x^2, which for every theta >= -1 is
-    <= 0 once L^2 >= L + 1, i.e. x >= e^phi ~ 5.04 (phi the golden ratio),
-    where sigma also increases; so g'' = h'' sigma'^2 + h' sigma'' >= 0 from
-    N = 5 on.  The upper end is rounded up far enough that subtracting the
-    lower end cannot fall short.
+    about |g'(N)|/8 wide instead of g(N).  The upper end is rounded up far
+    enough that subtracting the lower end cannot fall short.
     """
-    theta = seq.theta
-    if N < seq.start_index or (y == -1.0 and theta <= p + 1):
+    if N < seq.start_index:
         return None
-    floor = -1e3 * max(p, 1)
-    if y < floor:
-        # sigma >= 1 on [3, inf), so the tail is below the smallest normal
-        # float; it rises with y, and bounding it at the floor spares the
-        # integrals overflow (and |theta y| gamma steps)
-        return 0.0, _logfam_sandwich(seq, floor, p, N)[1]
+    below, y = y < floor, max(y, floor)
     slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
     if slope < p:
         return None
-    convex = N >= 5 and slope >= p + math.sqrt(p)
-    lower = _logfam_integral(seq, y, p, N + 1.0, lower=True)
-    if convex:
+    lower, upper = integral(seq.theta, y, p, N + 1.0)
+    if N >= convex_from and slope >= p + math.sqrt(p):
         log_t, err = _log_term(seq, y, p, N + 1)
         lower += 0.5 * _exp_down(log_t, err)
-    upper = _logfam_integral(seq, y, p, N + 0.5 if convex else float(N))
+        upper += 0.25 * (_exp_up(log_t, err) + _exp_up(*_log_term(seq, y, p, N + 0.5)))
+    else:
+        upper += _exp_up(*_log_term(seq, y, p, N))
     # 6 ulps down: this sum's rounding, and the walk's adding the lower end
     # to its partial sum and subtracting its slack
-    return lower * (1.0 - 6.0 * _U), _up(upper, 0.0)
+    return (0.0 if below else lower * (1.0 - 6.0 * _U)), _up(upper, 0.0)
 
 
-def _logfam_integral(seq: SigmaSequence, y: float, p: int, c: float, lower: bool = False) -> float:
-    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded up (or down)."""
+def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+    """The log family's tail (``_sandwich``), at the edge y = -1 and in the
+    interior at every order p; None where the edge sum diverges (theta <=
+    p + 1).  sigma'' = -(1 + theta (L + 1)/L^2)/x^2, L = ln x, is <= 0 for
+    every theta >= -1 once L^2 >= L + 1, i.e. x >= e^phi ~ 5.04 (phi the
+    golden ratio), where sigma also increases: convex from N = 5 on."""
+    if y == -1.0 and seq.theta <= p + 1:
+        return None
+    # below the floor sigma >= 1 on [3, inf) puts the tail below the
+    # smallest normal float, and the gamma steps |theta y| stay bounded
+    return _sandwich(seq, y, p, N, _logfam_integral, 5, -1e3 * max(p, 1))
+
+
+def _logfam_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
+    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded down and up."""
     if y == -1.0:
-        return _logfam_boundary_integral(seq.theta, p, c, lower)
-    if p:
-        return _logfam_derivative_integral(seq.theta, y, p, c, lower)
-    return _logfam_gamma_integral(seq.theta, y, c)[0 if lower else 1]
+        return _logfam_boundary_integral(theta, p, c)
+    return _logfam_derivative_integral(theta, y, p, c) if p else _logfam_gamma_integral(theta, y, c)
 
 
-def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = False) -> float:
-    """Exact integral_c^inf sigma(x)^p exp(-sigma(x)) dx at the domain edge.
+def _logfam_boundary_integral(theta: float, p: int, c: float) -> tuple[float, float]:
+    """Exact integral_c^inf sigma(x)^p exp(-sigma(x)) dx at the domain edge,
+    rounded down and up.
 
     With w = ln x the integrand is (w + theta ln w)^p w^(-theta) dw, which
     expands into exact log-power integrals; requires theta > p + 1 and
-    c > e.  The computed value is rounded up, or down with ``lower``.
+    c > e.
     """
     W = math.log(c)
 
@@ -526,27 +519,20 @@ def _logfam_boundary_integral(theta: float, p: int, c: float, lower: bool = Fals
     # every term is positive (W > 1); each power W^(1-m) carries
     # |(1-m) ln W| u from the exponent, and the recursion a few ulps a level
     rel = _U * (8.0 * (theta + 1.0) * (abs(math.log(W)) + 1.0) + 16.0 * (p + 2) ** 2)
-    return acc * (1.0 - 2.0 * rel) if lower else _up(acc, rel)
+    return acc * (1.0 - 2.0 * rel), _up(acc, rel)
 
 
-def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, float]:
-    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded
-    down and up.
-
-    With t = b ln x it is b^-a Gamma(a, b ln c), a = theta y + 1 and
-    b = -(y + 1).  Besides the error of ``_log_upper_gamma``, the bound
-    carries the rounding of a, b and z = b ln c: d ln Gamma / dz is at
-    most (z + 1 - a)/z for a < 1 and 1 for a >= 1, and d ln Gamma / da, a
-    mean of ln t over t >= z, lies between ln z and ln(z + max(a, 1)).
+def _gamma_integral(a: float, da: float, b: float, z: float) -> tuple[float, float]:
+    """b^-a Gamma(a, z), z > 0, rounded down and up, for an a within ``da``
+    of the exact one and b and z within u and 3 u relative of theirs:
+    d ln Gamma / dz is at most (z + 1 - a)/z for a < 1 and 1 for a >= 1,
+    and d ln Gamma / da, a mean of ln t over t >= z, lies between ln z and
+    ln(z + max(a, 1)).
     """
-    b = -(y + 1.0)
-    a = theta * y + 1.0
-    z = b * math.log(c)
     lo, hi, err = _log_upper_gamma(a, z)
     log_b = math.log(b)
-    d_a = _U * (2.0 * abs(theta * y) + abs(a))
     err += (
-        d_a * (abs(log_b) + abs(math.log(z)) + math.log(z + max(a, 1.0)))
+        da * (abs(log_b) + abs(math.log(z)) + math.log(z + max(a, 1.0)))
         + _U * (
             2.0 * abs(a) * (abs(log_b) + 1.0)  # a ln b, ln b off by (|ln b| + 1) u
             + 3.0 * (z + 1.0 + abs(a))  # z off by 3 z u
@@ -554,6 +540,25 @@ def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, flo
         )
     )
     return _exp_down(lo - a * log_b, err), _exp_up(hi - a * log_b, err)
+
+
+def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, float]:
+    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded
+    down and up: with t = b ln x it is b^-a Gamma(a, b ln c), a = theta y +
+    1 (within (2 |theta y| + |a|) u) and b = -(y + 1)."""
+    b = -(y + 1.0)
+    a = theta * y + 1.0
+    return _gamma_integral(a, _U * (2.0 * abs(theta * y) + abs(a)), b, b * math.log(c))
+
+
+def _power_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
+    """integral_c^inf x^(theta p) exp(y x^theta) dx, 0 < theta < 1, rounded
+    down and up: with s = x^theta, b^-a Gamma(a, b c^theta)/theta for b = -y,
+    a = p + 1/theta (within (a + 1/theta) u) and c^theta within 2 u."""
+    a = p + 1.0 / theta
+    b = -y
+    lo, hi = _gamma_integral(a, _U * (a + 1.0 / theta), b, b * c ** theta)
+    return min(lo / theta, _HUGE) * (1.0 - 2.0 * _U), _up(hi / theta, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -573,11 +578,9 @@ def _stencil(p: int, lower: bool) -> tuple[tuple[int, float], ...]:
     return tuple((j, float(c)) for j, c in coefs.items() if c)
 
 
-def _logfam_derivative_integral(
-    theta: float, y: float, p: int, c: float, lower: bool = False
-) -> float:
+def _logfam_derivative_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
     """integral_c^inf sigma(x)^p x^y (ln x)^(theta y) dx for p >= 1, y < -1,
-    c >= 3, rounded up (or down with ``lower``).
+    c >= 3, rounded down and up.
 
     It is F^(p)(y) for F(y) = integral_c^inf exp(y sigma(x)) dx, which
     ``_logfam_gamma_integral`` certifies.  F is a Laplace transform in y
@@ -594,9 +597,11 @@ def _logfam_derivative_integral(
         F^(p)(y) <= [2 Delta^p F(y) - p nabla^(p+1) F(y)] / (2 h^p),
         F^(p)(y) >= [2 nabla^p F(y) + p nabla^(p+1) F(y - p h)] / (2 h^p),
 
-    whose coefficients ``_stencil`` lists.  At p = 1 they are
-    [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h), (2/3) h^2 F''' above F',
-    and [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h), (5/6) h^2 F''' below.
+    whose coefficients ``_stencil`` lists, over the 3p + 2 nodes y + j h,
+    -2p - 1 <= j <= p, at each of which F is bracketed once.  At p = 1
+    they are [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h), (2/3) h^2 F'''
+    above F', and [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h), (5/6) h^2
+    F''' below.
 
     Each combination takes F's ends crosswise (the upper end for positive
     coefficients of the upper bound and negative ones of the lower bound).
@@ -605,7 +610,7 @@ def _logfam_derivative_integral(
     power of two, so dividing by 2 h^p is exact.  The nodes y + j h must be
     exact floats: y + j h less y is exact (Sterbenz), and differs from j h
     only where a node crosses into the binade below, whose ulp is twice
-    y's.  There each end is taken at the neighbour of y with an even last
+    y's.  There that end is taken at the neighbour of y with an even last
     mantissa bit, from whose multiples of 2 ulp every node is exact: the
     one above y for the upper end and the one below for the lower end, as
     F^(p) increases in y.
@@ -625,27 +630,31 @@ def _logfam_derivative_integral(
         eps, scale = hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)
     step = min(1.4 * eps ** (1.0 / (p + 2)) / scale, -0.25 * (y + 1.0) / p)
     h = math.ldexp(1.0, math.frexp(step)[1] - 1)  # the power of two at or below step
-    stencil = _stencil(p, lower)
-    nodes = [y + j * h for j, _ in stencil]
-    if any(t - y != j * h for t, (j, _) in zip(nodes, stencil)):  # a node across a binade
-        mantissa, exponent = math.frexp(y)
-        even = (math.floor if lower else math.ceil)(math.ldexp(mantissa, 52))
-        neighbour = math.ldexp(even, exponent - 52)
-        if neighbour != y and neighbour < -1.0:
-            return _logfam_derivative_integral(theta, neighbour, p, c, lower)
-        return 0.0 if lower else math.inf
     divisor = 2.0 * h ** p
-    if not (divisor > 0.0 and max(nodes) < -1.0):  # y within a few ulps of the edge
-        return 0.0 if lower else math.inf
-    terms = []
-    for t, (_, coef) in zip(nodes, stencil):
-        ends = (lo, hi) if t == y else _logfam_gamma_integral(theta, t, c)
-        terms.append(coef * ends[(coef > 0.0) != lower])
-    total = math.fsum(terms)
-    err = 8.0 * _U * math.fsum(map(abs, terms))
-    if lower:
-        return max(total - err, 0.0) / divisor * (1.0 - 4.0 * _U)
-    return _up((total + err) / divisor, 0.0)
+    brackets = {0: (lo, hi)}  # F's bracket at each node y + j h
+    ends = []
+    for lower in (True, False):
+        stencil = _stencil(p, lower)
+        end = 0.0 if lower else math.inf  # where no step fits
+        if any(y + j * h - y != j * h for j, _ in stencil):  # a node across a binade
+            mantissa, exponent = math.frexp(y)
+            even = (math.floor if lower else math.ceil)(math.ldexp(mantissa, 52))
+            neighbour = math.ldexp(even, exponent - 52)
+            if neighbour != y and neighbour < -1.0:
+                end = _logfam_derivative_integral(theta, neighbour, p, c)[not lower]
+        elif divisor > 0.0 and y + max(j for j, _ in stencil) * h < -1.0:
+            terms = []
+            for j, coef in stencil:
+                if j not in brackets:
+                    brackets[j] = _logfam_gamma_integral(theta, y + j * h, c)
+                terms.append(coef * brackets[j][(coef > 0.0) != lower])
+            total, err = math.fsum(terms), 8.0 * _U * math.fsum(map(abs, terms))
+            if lower:
+                end = max(total - err, 0.0) / divisor * (1.0 - 4.0 * _U)
+            else:
+                end = _up((total + err) / divisor, 0.0)
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def _slope_step_scale(theta: float, y: float, c: float, F: float) -> float:

@@ -1,7 +1,10 @@
 """Tail certificates are true upper bounds: direct long-sum comparisons,
-and exact high-precision references where a certificate is exact."""
+and exact high-precision references where a certificate is exact or is a
+two-sided sandwich."""
 
+import functools
 import math
+import statistics
 import sys
 from collections import Counter
 
@@ -19,6 +22,7 @@ from gibbs_series import (
     power,
     quadratic,
     sigma_values,
+    series,
     tail_bound_after,
 )
 from gibbs_series.sequences import box_levels
@@ -196,10 +200,10 @@ def test_logfam_boundary_integral_brackets_true_tail():
     from gibbs_series.series import _logfam_boundary_integral
 
     seq, p, N, extent = logfam(3.0), 1, 500, 4_000_000
-    lower = _logfam_boundary_integral(3.0, p, N + 1.0)
-    upper = _logfam_boundary_integral(3.0, p, float(N))
+    lower = _logfam_boundary_integral(3.0, p, N + 1.0)[0]
+    upper = _logfam_boundary_integral(3.0, p, float(N))[1]
     brute = brute_tail(seq, -1.0, p, N, extent=extent)
-    far_upper = _logfam_boundary_integral(3.0, p, float(N + extent))
+    far_upper = _logfam_boundary_integral(3.0, p, float(N + extent))[1]
     from gibbs_series import sigma
 
     assert brute <= upper
@@ -207,3 +211,76 @@ def test_logfam_boundary_integral_brackets_true_tail():
     # sandwich width is at most a single term's size
     s_n = sigma(seq, N)
     assert upper - lower <= s_n ** p * math.exp(-s_n)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_heads(theta, y):
+    """n^theta and exp(y n^theta) for n <= 1000, at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = [mp.mpf(n) ** mp.mpf(theta) for n in range(1, 1001)]
+        return s, [mp.exp(mp.mpf(y) * x) for x in s]
+
+
+def power_tail_reference(theta, y, p, N):
+    """sum_{n>N} n^(theta p) exp(y n^theta), N <= 1000, in 40-digit arithmetic.
+
+    Terms up to n = 1000 are summed directly, and so are later ones while
+    they fall by more than e^-0.05 a step, until they are 1e-33 of the sum.
+    The rest is ``mp.sumem`` (Euler-Maclaurin, to 1e-22 of its first term)
+    with the integral in closed form, b^-a Gamma(a, b c^theta)/theta.
+    Starting it at 1501 instead moves no reference of the grid by more than
+    4e-29 of it.
+    """
+    mp = pytest.importorskip("mpmath")
+    s, e = _power_heads(theta, y)
+    with mp.workdps(40):
+        T, Y = mp.mpf(theta), mp.mpf(y)
+
+        def g(x):
+            t = x ** T
+            return t ** p * mp.exp(Y * t)
+
+        head = mp.fsum(s[n - 1] ** p * e[n - 1] for n in range(N + 1, 1001))
+        n = 1001
+        while True:
+            x = mp.mpf(n)
+            if -Y * T * x ** (T - 1) - p / x < 0.05:
+                break
+            term = g(x)
+            head += term
+            if term < 1e-33 * head:
+                return head
+            n += 1
+        a, b = p + 1 / T, -Y
+        integral = b ** -a * mp.gammainc(a, b * x ** T) / T
+        return head + mp.sumem(
+            g, [n, mp.inf], integral=integral, tol=mp.mpf(10) ** -22 * g(x), adiffs=mp.diffs(g, x)
+        )
+
+
+def test_sublinear_power_tails_contain_reference_on_grid():
+    # theta < 1 tails share the log family's integral sandwich: every
+    # certified bracket contains the 40-digit tail, its lower end is
+    # positive wherever the tail is a normal float, and the median bracket
+    # is well under 1 % of the tail wide
+    mp = pytest.importorskip("mpmath")
+    widths, certified = [], 0
+    for theta in (0.3, 0.5, 0.7, 0.9, 0.99):
+        for y in (-0.05, -0.3, -1.0, -3.0):
+            for p in range(4):
+                for N in (5, 40, 256, 1000):
+                    bounds = series._power_tail(power(theta), y, p, N)
+                    if bounds is None:  # the terms may still grow after N
+                        assert -y * N ** theta <= p
+                        continue
+                    certified += 1
+                    lower, upper = bounds
+                    ref = power_tail_reference(theta, y, p, N)
+                    with mp.workdps(40):
+                        assert mp.mpf(lower) <= ref <= mp.mpf(upper), (theta, y, p, N)
+                        if ref >= sys.float_info.min:
+                            assert lower > 0.0, (theta, y, p, N)
+                            widths.append(float((mp.mpf(upper) - mp.mpf(lower)) / ref))
+    assert certified >= 250 and len(widths) >= 230
+    assert statistics.median(widths) <= 0.01

@@ -420,6 +420,23 @@ class TestOtherFormatsAndErrors:
         assert doc["error"] == "BudgetExceeded"
         assert doc["best_tail_bound"] > 1e-10
 
+    @pytest.mark.parametrize("theta", ["1e-6", "1e-300"])
+    def test_tiny_power_exponent_gives_up_within_seconds(self, theta):
+        # a = p + 1/theta is past the incomplete gamma function's climb cap,
+        # so no tail is certified: the walk sums its 10^7 terms and reports
+        # their finite partial sum
+        done = subprocess.run(
+            [sys.executable, "-m", "gibbs_series.cli", "eval", f"power:{theta}", "--y", "-1"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env=child_env(),
+        )
+        assert done.returncode == EXIT_NUMERIC
+        doc = parse(done.stdout)
+        assert doc["error"] == "BudgetExceeded"
+        assert 0.0 < doc["best_value"] < math.inf
+
     def test_box_budget_exhaustion_names_the_box(self, capsys):
         # the bracket reported is f_box(-0.5) = 0.42749..., not its factor
         code, out = run_cli(capsys, "--tol", "1e-30", "eval", "box:1", "--y", "-0.5")

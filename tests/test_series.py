@@ -122,6 +122,16 @@ class TestBracketing:
         assert ev.value <= brute + far
         assert brute <= ev.value + ev.tail_bound
 
+    def test_logfam_huge_theta_stops_the_fraction_before_overflow(self):
+        # a = theta y + 1 = -2e300: Legendre's convergents overflow after
+        # their first pair, which still brackets the fraction; every term
+        # and the tail are far below the smallest normal float
+        ev = eval_series(logfam(1e300), -2.0)
+        assert -1e-300 < ev.value <= 0.0
+        assert 0.0 < ev.upper <= 2.0 * sys.float_info.min
+        lo, hi, err = series._log_upper_gamma(-2e300, 5.0)
+        assert math.isfinite(lo) and lo <= hi and math.isfinite(err)
+
     def test_logfam_boundary_brackets_nest(self):
         # integral-corrected brackets at two tolerances must be consistent
         loose = eval_series(logfam(3.0), -1.0, 0, tol=1e-6)
