@@ -190,8 +190,9 @@ _TINY = sys.float_info.min  # smallest normal float64
 _HUGE = sys.float_info.max  # largest float64
 
 # a tail certificate: (lower, upper) on the sum of the terms after an index,
-# or None while none applies yet
-_Tail = Optional[tuple[float, float]]
+# None while none applies yet, or (None, floor) with a floor on upper - lower
+# where that floor exceeds the width the caller needs (see ``_sandwich``)
+_Tail = Optional[tuple[Optional[float], float]]
 
 
 def _roundoff(
@@ -395,8 +396,9 @@ def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
     return 0.0, _exp_up(log_c + q * log_s1 + sy - log_gap, err)
 
 
-def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
-    """(0, bound) after index N: the envelope from sigma_{N+1}, or None."""
+def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
+    """(0, bound) after index N: the envelope from sigma_{N+1}, or None.
+    The envelope is cheap, so ``need`` (see ``_sandwich``) is not read."""
     return _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y)
 
 
@@ -405,7 +407,7 @@ def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
 _CLIMB_CAP = 1 << 16
 
 
-def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+def _power_tail(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
     """(lower, upper) on the tail of sum_{n>N} n^(theta p) exp(y n^theta):
     geometric where the increments grow (theta >= 1), else the integral
     sandwich (x^theta is concave), or None beyond ``_CLIMB_CAP``."""
@@ -414,7 +416,7 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
         if p + 1.0 / theta > _CLIMB_CAP:
             return None
         # below y = -2^900 the tail is below the smallest normal float
-        return _sandwich(seq, y, p, N, _power_integral, 1, -2.0 ** 900)
+        return _sandwich(seq, y, p, N, _power_integral, 1, -2.0 ** 900, need)
     try:
         s1 = float(N + 1) ** theta
     except OverflowError:
@@ -424,12 +426,12 @@ def _power_tail(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
     return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
 
 
-def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
+def _box_tail(seq: SigmaSequence, y: float, p: int, S: int, need: float = math.inf) -> _Tail:
     """(0, bound) on the box terms with level s > S, or None: r3(s) <= s
     (at most one m per (k, l), and fewer than s pairs with k^2 + l^2 < s)
     puts them below sum_{s>S} s (kappa s)^p exp(kappa s y), the envelope
     over kappa s with s1 = fl(kappa (S + 1)), q = p + 1, delta = kappa and
-    log_c = -ln kappa."""
+    log_c = -ln kappa; ``need`` is not read, as in ``_geom_tail``."""
     kappa = seq.kappa
     return _envelope(-math.log(kappa), kappa * (S + 1.0), p + 1, kappa, y)
 
@@ -439,7 +441,14 @@ def _box_tail(seq: SigmaSequence, y: float, p: int, S: int) -> _Tail:
 # ---------------------------------------------------------------------------
 
 def _sandwich(
-    seq: SigmaSequence, y: float, p: int, N: int, integral: Callable, convex_from: int, floor: float
+    seq: SigmaSequence,
+    y: float,
+    p: int,
+    N: int,
+    integral: Callable,
+    convex_from: int,
+    floor: float,
+    need: float = math.inf,
 ) -> _Tail:
     """(lower, upper) on the tail after N from the one integral
     F = int_{N+1}^inf g, g(x) = sigma(x)^p exp(y sigma(x)), bracketed by
@@ -458,6 +467,13 @@ def _sandwich(
 
     about |g'(N)|/8 wide instead of g(N).  The upper end is rounded up far
     enough that subtracting the lower end cannot fall short.
+
+    The terms added to F's ends come first.  Their computed difference,
+    [g(N+1/2) + g(N+1)]/4 - g(N+1)/2 or g(N), is at most the computed
+    width upper - lower: the upper end is rounded up from F's upper end
+    plus its term, the lower end down from F's lower end plus its term,
+    and rounding to nearest is monotone.  Where that floor exceeds
+    ``need`` the integral is not computed, and (None, floor) is returned.
     """
     if N < seq.start_index:
         return None
@@ -465,19 +481,24 @@ def _sandwich(
     slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
     if slope < p:
         return None
-    lower, upper = integral(seq.theta, y, p, N + 1.0)
     if N >= convex_from and slope >= p + math.sqrt(p):
         log_t, err = _log_term(seq, y, p, N + 1)
-        lower += 0.5 * _exp_down(log_t, err)
-        upper += 0.25 * (_exp_up(log_t, err) + _exp_up(*_log_term(seq, y, p, N + 0.5)))
+        add_lower = 0.5 * _exp_down(log_t, err)
+        add_upper = 0.25 * (_exp_up(log_t, err) + _exp_up(*_log_term(seq, y, p, N + 0.5)))
     else:
-        upper += _exp_up(*_log_term(seq, y, p, N))
+        add_lower, add_upper = 0.0, _exp_up(*_log_term(seq, y, p, N))
+    gap = add_upper - add_lower
+    if gap > need:
+        return None, gap
+    lower, upper = integral(seq.theta, y, p, N + 1.0)
+    lower += add_lower
+    upper += add_upper
     # 6 ulps down: this sum's rounding, and the walk's adding the lower end
     # to its partial sum and subtracting its slack
     return (0.0 if below else lower * (1.0 - 6.0 * _U)), _up(upper, 0.0)
 
 
-def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
+def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
     """The log family's tail (``_sandwich``), at the edge y = -1 and in the
     interior at every order p; None where the edge sum diverges (theta <=
     p + 1).  sigma'' = -(1 + theta (L + 1)/L^2)/x^2, L = ln x, is <= 0 for
@@ -487,7 +508,7 @@ def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int) -> _Tail:
         return None
     # below the floor sigma >= 1 on [3, inf) puts the tail below the
     # smallest normal float, and the gamma steps |theta y| stay bounded
-    return _sandwich(seq, y, p, N, _logfam_integral, 5, -1e3 * max(p, 1))
+    return _sandwich(seq, y, p, N, _logfam_integral, 5, -1e3 * max(p, 1), need)
 
 
 def _logfam_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
@@ -829,11 +850,25 @@ def _sum_blocks(
     budget message names a boundary tolerance.  A ``signed`` sequence's
     blocks also add their ``_abs_weight``, on which the slack is charged.
 
+    A certificate is only computed where its block could end the walk.
+    Where the walk is absolute and the budget not yet spent, the
+    certificate is told the width ``need`` = max(tol - 2 slack, slack)
+    (1 + 1e-9).  A width above it exceeds the slack, and with 2 slack
+    added exceeds tol by at least 3e-10 tol (max(tol - 2 slack, slack) is
+    at least tol/3), far more than the rounding of either subtraction or
+    sum, so the block can neither stop the walk nor end it at the
+    accumulation floor.  A sandwich whose cheap floor on its width
+    already exceeds ``need`` leaves out its integral and returns that
+    floor only.
+
     The states after each block depend on neither ``tol`` nor ``rel``,
-    which only pick where the walk stops.  They are kept per thread for
-    the last few (seq, generator, y, p, budget) keys, so a repeated or
-    tighter request replays them and sums only the blocks past the last
-    one stored, with the same bits as a walk from the start.
+    which only pick where the walk stops: a state holds its partial sum
+    and either its certificate or, with no lower end, that floor.  They
+    are kept per thread for the last few (seq, generator, y, p, budget)
+    keys, so a repeated or tighter request replays them and sums only the
+    blocks past the last one stored, with the same bits as a walk from the
+    start; a looser one computes a floor-only state's certificate where it
+    now needs one, and stores it once it is computed.
     """
     states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
     rules = seq.family.rules
@@ -856,29 +891,38 @@ def _sum_blocks(
                 if seq.signed:
                     weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
                 n_done = n1
-            lower, upper = certificate(seq, y, p, n_done) or (0.0, math.inf)
-            width = upper - lower
             slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
-            states.append((total, n_done, slack, lower, width, weight))
-        best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
-        target = max(tol, rel * best.value)
-        if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
-            return best
-        if 2.0 * slack > target and width <= slack:
-            raise BudgetExceededError(
-                f"tolerance {target:g} is below the float64 accumulation floor "
-                f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                best,
-            )
-        if n_done >= last:
-            raise BudgetExceededError(
-                f"boundary tolerance {target:g} unreachable within {budget} terms "
-                f"(best width {best.tail_bound:g})"
-                if edge
-                else f"tolerance {target:g} unreachable within {budget} terms "
-                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
-                best,
-            )
+            lower, width = None, 0.0  # no certificate yet, and a floor of 0
+        if lower is None:
+            need = math.inf if rel or n_done >= last else max(tol - 2.0 * slack, slack) * (1.0 + 1e-9)
+            if not width > need:  # else a stored floor: this block cannot end the walk
+                lower, upper = certificate(seq, y, p, n_done, need) or (0.0, math.inf)
+                width = upper if lower is None else upper - lower
+                state = (total, n_done, slack, lower, width, weight)
+                if i < len(states):
+                    states[i] = state
+                else:
+                    states.append(state)
+        if lower is not None:
+            best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
+            target = max(tol, rel * best.value)
+            if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
+                return best
+            if 2.0 * slack > target and width <= slack:
+                raise BudgetExceededError(
+                    f"tolerance {target:g} is below the float64 accumulation floor "
+                    f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
+                    best,
+                )
+            if n_done >= last:
+                raise BudgetExceededError(
+                    f"boundary tolerance {target:g} unreachable within {budget} terms "
+                    f"(best width {best.tail_bound:g})"
+                    if edge
+                    else f"tolerance {target:g} unreachable within {budget} terms "
+                    f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
+                    best,
+                )
         block = min(block * 2, 1_000_000)
 
 

@@ -270,7 +270,7 @@ class TestKernel:
     def test_sum_blocks_adds_block_sums_in_order(self, monkeypatch):
         seq, y, p, budget = logfam(3.0), -1.0, 1, 300_000
 
-        def no_certificate(seq, y, p, n):
+        def no_certificate(seq, y, p, n, need):
             return 0.0, math.inf
 
         series._memo.lru.clear()
@@ -552,6 +552,73 @@ class TestEvaluationMemo:
             clear_memo()
             for tol in order + order:
                 assert outcome(seq, y, p, tol, max_terms) == cold[tol]
+
+    # near the edge, where the probes of conjugate(logfam:2.9, 0.6625) walk
+    NEAR_EDGE = (logfam(2.9), -1.26, 1, 300_000)
+
+    def test_floor_only_states_certify_on_a_looser_replay(self):
+        # a tight walk keeps only a floor on its first blocks' widths; a
+        # looser walk over the same states computes their certificates and
+        # stops where a cold walk does, in either order
+        seq, y, p, budget = self.NEAR_EDGE
+        tols = (1e-11, 1e-9, 1e-7)
+        cold = {}
+        for tol in tols:
+            clear_memo()
+            cold[tol] = outcome(seq, y, p, tol, budget)
+        assert len({c[3] for c in cold.values()}) == 3  # three different stops
+        clear_memo()
+        outcome(seq, y, p, tols[0], budget)
+        (states,) = series._memo.lru.values()
+        stops = (cold[1e-9][3], cold[1e-7][3])
+        assert {s[1] for s in states if s[3] is None} >= set(stops)
+        for tol in tols[1:]:
+            outcome(seq, y, p, tol, budget)
+        assert all(s[3] is not None for s in states if s[1] in stops)  # now stored
+        for order in (tols, tols[::-1]):
+            clear_memo()
+            for tol in order + order:
+                got = outcome(seq, y, p, tol, budget)
+                assert got == cold[tol] and [x.hex() for x in got[1:3]] == [x.hex() for x in cold[tol][1:3]]
+
+    def test_a_certificate_that_raises_stores_nothing(self, monkeypatch):
+        seq, y, p, budget = self.NEAR_EDGE
+        clear_memo()
+        cold = outcome(seq, y, p, 1e-7, budget)
+        outcome(seq, y, p, 1e-11, budget)  # replays the first block, defers the next ones
+        (states,) = series._memo.lru.values()
+        held = list(states)
+
+        def failing(seq, y, p, n, need):
+            raise ArithmeticError("no certificate")
+
+        monkeypatch.setitem(series._TAILS, "logfam", failing)
+        with pytest.raises(ArithmeticError):  # a floor-only state, replayed at 1e-9
+            eval_series(seq, y, p, tol=1e-9, max_terms=budget)
+        assert len(states) == len(held) and all(a is b for a, b in zip(states, held))
+        clear_memo()
+        with pytest.raises(ArithmeticError):  # a fresh block
+            eval_series(seq, y, p, tol=1e-9, max_terms=budget)
+        assert list(series._memo.lru.values()) == [[]]
+        monkeypatch.undo()
+        assert outcome(seq, y, p, 1e-7, budget) == cold
+
+    @pytest.mark.parametrize(
+        "seq,y,p",
+        [(logfam(2.9), -1.26, 1), (logfam(1.5), -2.0, 2), (logfam(-1.0), -1.3, 0), (logfam(3.0), -1.0, 1), (power(0.7), -0.3, 1)],
+        ids=str,
+    )
+    def test_floors_change_no_result(self, seq, y, p, monkeypatch):
+        def walks():
+            clear_memo()
+            return [outcome(seq, y, p, tol, 300_000) for tol in (1e-6, 1e-9, 1e-12)]
+
+        deferred = walks()
+        # every certificate computed, as if no floor were ever enough
+        name = seq.family.rules.tail
+        tail = series._TAILS[name]
+        monkeypatch.setitem(series._TAILS, name, lambda s, y, p, n, need: tail(s, y, p, n))
+        assert walks() == deferred
 
     def test_generator_is_part_of_the_key(self):
         unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)

@@ -32,7 +32,8 @@ _conjugate = importlib.import_module("gibbs_series.conjugate")
 # most evaluations: eval_series calls and the relative walks of phi, log_f
 # and the ratio probes, all of which pass through series._evaluate; most
 # series._log_upper_gamma calls, one per integral of the log family's
-# interior certificates).
+# interior certificates, which a walk only computes after a block whose
+# cheap floor on the certificate's width could still meet the target).
 # An interior solve's float start lands its first probe within the stop
 # band, so f' and f are each walked once, in one 256-term block, and the
 # re-certification replays the stored walk.
@@ -51,20 +52,21 @@ REFERENCE_CALLS = {
     # an interior sum reads the edge's class from the family's rules and
     # sums no term there: three interior blocks meet the integral sandwich
     "eval_series(logfam:1.7229, -1.0886)": (
-        lambda: eval_series(logfam(1.7229), -1.0886), 3, 1_792, 1_792, 1, 3
+        lambda: eval_series(logfam(1.7229), -1.0886), 3, 1_792, 1_792, 1, 1
     ),
     "domain_info(logfam:1.5, 1e-9)": (
         lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0, 0
     ),
     # every probe of the solve ends at the slope's second-order sandwich,
-    # five incomplete gamma evaluations a certificate (one per stencil node)
+    # five incomplete gamma evaluations a certificate (one per stencil node),
+    # computed only after the blocks whose floor does not rule out the stop
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 9, 92
+        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 9, 36
     ),
-    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 9, 148),
+    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 9, 56),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (
-        lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 6
+        lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 1
     ),
     # higher orders meet the same sandwich, one incomplete gamma evaluation
     # at each of the 3p + 2 nodes of a certificate's two stencils
@@ -72,7 +74,7 @@ REFERENCE_CALLS = {
         lambda: eval_series(logfam(3.0), -2.0, 3), 4, 3_840, 3_840, 1, 44
     ),
     "eval_series(logfam:1.5, -2, 2)": (
-        lambda: eval_series(logfam(1.5), -2.0, 2), 3, 1_792, 1_792, 1, 24
+        lambda: eval_series(logfam(1.5), -2.0, 2), 3, 1_792, 1_792, 1, 16
     ),
 }
 
