@@ -363,31 +363,21 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
-CRITERIA = {
-    "1": criterion_1,
-    "2": criterion_2,
-    "3": criterion_3,
-    "4": criterion_4,
-    "5": criterion_5,
-    "6": criterion_6,
-    "7": criterion_7,
-    "8": criterion_8,
-    "9": criterion_9,
-    "10": criterion_10,
-}
-
-_ALIASES = {
-    "geometric": "1",
-    "conjugate": "2",
-    "gibbs-weights": "3",
-    "plateau": "4",
-    "box": "5",
-    "gradient-sum": "6",
-    "alternating-series": "7",
-    "alternating-witness": "8",
-    "fenchel-young": "9",
-    "domain-table": "10",
-}
+# (id, alias, criterion): each id and alias is named once, here
+_TABLE = (
+    ("1", "geometric", criterion_1),
+    ("2", "conjugate", criterion_2),
+    ("3", "gibbs-weights", criterion_3),
+    ("4", "plateau", criterion_4),
+    ("5", "box", criterion_5),
+    ("6", "gradient-sum", criterion_6),
+    ("7", "alternating-series", criterion_7),
+    ("8", "alternating-witness", criterion_8),
+    ("9", "fenchel-young", criterion_9),
+    ("10", "domain-table", criterion_10),
+)
+CRITERIA = {key: criterion for key, _, criterion in _TABLE}
+_ALIASES = {alias: key for key, alias, _ in _TABLE}
 
 
 def run_criterion(claim: str, seed: int = DEFAULT_SEED) -> CriterionResult:

@@ -336,10 +336,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     if seq.family.rules.tail == "box":
         seq, power = box_factor(seq.kappa), 3
     first = seq.start_index
-    stop = first + _START_TERMS
-    last = seq.family.rules.last
-    if last is not None:
-        stop = min(stop, last(seq, 1) + 1)
+    stop = min(first + _START_TERMS, seq.family.rules.last(seq, 1) + 1)
     s = _sigma_prefix(seq, stop)[: stop - first]
     s_min, s_top = float(s[0]), float(s[-1])
     big = max(s_top, 1.0)
@@ -500,6 +497,11 @@ def _log_conjugate(
     return ConjugateValue(rho * y - lf, Regime.INTERIOR, attaining_y=y, residual=residual)
 
 
+def _outside_box_cone(u: float, v: float, kappa: float) -> bool:
+    """Whether (u, v) lies outside the closed cone v >= 3 kappa u >= 0."""
+    return u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u)
+
+
 def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> float:
     """Conjugate of the box free energy h(x, y) = e^x (sum_k e^{kappa y k^2})^3.
 
@@ -508,11 +510,9 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     cone v >= 3 kappa u > 0, with f the unit quadratic series.
     """
     _require_numbers(u=u, v=v)
-    if u < 0 or v < 0:
+    if _outside_box_cone(u, v, kappa):
         return math.inf
     if u == 0:
         return 0.0
-    if v < 3.0 * kappa * u:
-        return math.inf
     lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
     return exp_conjugate(u) + 3.0 * u * lf

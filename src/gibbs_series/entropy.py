@@ -125,9 +125,8 @@ def _attained(
     x0 = 0.0 if x is None else x
     rules = seq.family.rules
     cut, last = rules.cuts(seq)
-    if rules.last is not None:
-        last = min(last, rules.last(seq, 1))
-        cut = min(cut, last)
+    last = min(last, rules.last(seq, 1))
+    cut = min(cut, last)
     mass_t = energy_t = math.inf
     while True:
         m = tail_bound_after(seq, y, 0, cut)

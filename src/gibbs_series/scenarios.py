@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conjugate import box_conjugate
+from .conjugate import _outside_box_cone, box_conjugate
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
@@ -213,7 +213,8 @@ def box_report(
     representing weights.
     """
     h_star = box_conjugate(u, v, tol=tol, kappa=kappa)
-    if u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u):
+    # not h_star == inf: on the cone, u (ln u - 1) overflows from u ~ 2.6e305
+    if _outside_box_cone(u, v, kappa):
         return BoxReport(
             u, v, kappa, "infeasible", h_star, None, None, (None, None),
             notes="outside the closed cone v >= 3*kappa*u >= 0",

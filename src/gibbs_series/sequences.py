@@ -10,6 +10,7 @@ module uses for it.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -127,8 +128,9 @@ class _Rules(NamedTuple):
     # a lower bound on the increments from index N on
     gap: Callable[[SigmaSequence, int], float] = lambda seq, N: 0.0
     # the last index whose terms sigma_n^p exp(sigma_n y) at order p are
-    # floats, if any: a walk sums no further, leaving the rest to the tail
-    last: Optional[Callable[[SigmaSequence, int], int]] = None
+    # floats, which every family answers (sys.maxsize: all are): a walk
+    # sums no further, leaving the rest to the tail
+    last: Callable[[SigmaSequence, int], int] = lambda seq, p: sys.maxsize
     # (e_rel, e_abs) of SigmaSequence.sigma_error
     rounding: Callable[[SigmaSequence], tuple[float, float]] = lambda seq: (0.0, 0.0)
     # alpha of the domain (-inf, -alpha), and the class of its edge

@@ -154,7 +154,7 @@ class BudgetExceededError(RuntimeError):
 # Domain classification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def domain_info(
     seq: SigmaSequence, tol: float = 1e-8, max_terms: Optional[int] = None
 ) -> DomainInfo:
@@ -369,16 +369,16 @@ def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
     rounded s1 too; an error x in the exponent of r, 2 u of each part,
     moves ln(1 - r) by x/(1 - r).
 
-    s1 is taken at most 2^1000 / max(1, |y|), also where it is inf, and
-    then delta at most s1, so that s1 y, delta y and the rounding account
-    stay finite: lower values only raise the envelope, the terms falling
-    from s1 on (s1 |y| > q).
+    s1 is taken at most 2^1000 / max(2^-23, -y), also where it is inf,
+    and then delta at most s1, so that s1, s1 y, delta y and the rounding
+    account stay finite: lower values only raise the envelope, the terms
+    falling from s1 on (s1 |y| > q).
     """
-    cap = 2.0 ** 1000 / max(1.0, -y)
+    cap = 2.0 ** 1000 / max(2.0 ** -23, -y)
     if s1 > cap:
         s1 = cap
         delta = min(delta, cap)
-    if q and s1 * -y <= q:
+    if s1 * -y <= q:
         return None
     growth = q * math.log1p(delta / s1) if q else 0.0
     dy = delta * y
@@ -875,9 +875,7 @@ def _sum_blocks(
     certificate = _TAILS[rules.tail]
     block = 4096 if edge else 256
     start = seq.start_index
-    last = start + budget - 1
-    if rules.last is not None:  # exponents past float64 from some index on
-        last = min(last, rules.last(seq, p))
+    last = min(start + budget - 1, rules.last(seq, p))  # no exponent past float64
     total = weight = s_last = 0.0
     n_done = start - 1
     for i in itertools.count():

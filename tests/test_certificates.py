@@ -81,13 +81,18 @@ CASES = [
         (500.0, -1e-100, 1),
         (1000.0, -1e-200, 0),
         (60.0, -1e-3, 3),
+        # |y| < 1: the envelope's first exponent s1 is capped at 2^1023,
+        # not 2^1000, so that s1 |y| can pass the terms' peak
+        (1000.0, -1e-302, 0),
+        (1000.0, -6.5e-299, 1),
     ],
 )
 def test_power_exponents_past_float64_against_mpmath(theta, y, p):
     """A walk stops at the last index whose terms are floats (n^(theta
     max(p, 1)) < 2^1024); past it the envelope, from exponents and
-    increments past float64, bounds the rest.  Every term after the first
-    is below exp(-10^5), so the first 100 are a 50-digit reference."""
+    increments past float64, bounds the rest.  Every term after the
+    second is below exp(-10^5), so the first 100 are a 50-digit
+    reference."""
     mp = pytest.importorskip("mpmath")
     seq = power(theta)
     ev = eval_series(seq, y, p)
@@ -100,6 +105,22 @@ def test_power_exponents_past_float64_against_mpmath(theta, y, p):
     k = int(theta)
     assert 0.0 < increment_gap(seq, N + 1) <= (N + 2) ** k - (N + 1) ** k
     assert 0.0 < tail_bound_after(seq, y, p, N) <= ev.tail_bound
+
+
+def test_power_whose_third_exponent_passes_float64_fails_honestly():
+    """power:646.4 at y = -1e-320 sums to 3 - 2.6e-12: 3^646.4 lies just
+    past float64, so no float s1 shows that its tail is small.  The walk
+    gives up (a budget error) with a bracket that still holds the sum."""
+    mp = pytest.importorskip("mpmath")
+    theta, y = 646.4, -1e-320
+    try:
+        best = eval_series(power(theta), y, 0)
+    except series.BudgetExceededError as exc:
+        best = exc.best
+    with mp.workdps(40):
+        exact = mp.fsum(mp.exp(mp.mpf(n) ** theta * mp.mpf(y)) for n in range(1, 101))
+        assert 2 < exact < 3
+        assert best.value <= exact <= mp.mpf(best.value) + best.tail_bound
 
 
 @pytest.mark.parametrize("seq,y,p,N", CASES)

@@ -254,18 +254,25 @@ class TestCommands:
             assert doc["residual"] <= 1e-9 * 3
 
     @pytest.mark.parametrize(
-        "moments, mass, energy",
-        [(("--u", "1.5"), None, 1.5), (("--u", "1.5", "--v", "3"), 1.5, 3.0)],
-        ids=["--u 1.5", "--u 1.5 --v 3"],
+        "theta, moments, mass, energy",
+        [
+            (300, ("--u", "1.5"), None, 1.5),
+            (300, ("--u", "1.5", "--v", "3"), 1.5, 3.0),
+            (1000, ("--u", "1", "--v", "1.0001"), 1.0, 1.0001),
+        ],
+        ids=["--u 1.5", "--u 1.5 --v 3", "power:1000 --u 1 --v 1.0001"],
     )
-    def test_fit_past_float64(self, capsys, moments, mass, energy):
+    def test_fit_past_float64(self, capsys, theta, moments, mass, energy):
         # the law's prefix stops at index 10, the last float exponent of
-        # power:300; its weights carry the moments up to the certified tails
-        code, out = run_cli(capsys, "fit", "power:300", *moments)
+        # power:300; its weights carry the moments up to the certified
+        # tails.  For power:1000 the root y ~ -6.55e-299 leaves 2^1000 w_2
+        # ~ 1e-4 on index 2, and the tail after it needs an envelope from
+        # an s1 past 2^1000
+        code, out = run_cli(capsys, "fit", f"power:{theta}", *moments)
         doc = parse(out)
         assert code == EXIT_OK and doc["status"] == "InteriorUnique"
         pairs = [(w["index"], w["weight"]) for w in doc["weights"]]
-        assert abs(math.fsum(float(n) ** 300 * w for n, w in pairs) - energy) <= 1e-9 * energy
+        assert abs(math.fsum(float(n) ** theta * w for n, w in pairs) - energy) <= 1e-9 * energy
         if mass is not None:
             assert abs(math.fsum(w for _, w in pairs) - mass) <= 1e-9 * mass
         assert max(doc["tail_mass"], doc["tail_energy"]) <= 1e-9
@@ -391,6 +398,22 @@ class TestOtherFormatsAndErrors:
         code, out = run_cli(capsys, "--format", "pretty", "domain", "linear")
         assert code == EXIT_OK
         assert "boundary_class: OpenBoundary" in out
+
+    def test_pretty_table(self, capsys):
+        code, out = run_cli(capsys, "--format", "pretty", "table", "box")
+        rows = out.splitlines()
+        assert code == EXIT_OK and len(rows) == 5
+        assert rows[0].startswith("u=1.0 | v=3.0 | classification=ground_state | h_star=-1.0 |")
+        assert "classification=empty_feasible_set" in rows[1]
+
+    def test_eval_beyond_the_edge_exits_2(self, capsys):
+        code, out = run_cli(capsys, "eval", "linear", "--y", "1")
+        assert (code, parse(out)["error"]) == (EXIT_DOMAIN, "OutsideDomain")
+
+    def test_root_past_the_budget_is_a_numeric_error(self, capsys):
+        # within 1000 terms, f'(y) = 1e300 is solved with a residual of 1e300
+        code, out = run_cli(capsys, "--max-terms", "1000", "conjugate", "linear", "--u", "1e300")
+        assert (code, parse(out)["error"]) == (EXIT_NUMERIC, "NumericError")
 
     def test_interior_logfam_conjugate(self, capsys):
         # every probe of f'(y) = u near the edge ends at the slope sandwich

@@ -43,6 +43,10 @@ def entropy_of(weights):
 
 
 class TestGibbsRatio:
+    def test_needs_positive_moment(self):
+        with pytest.raises(ValueError, match="ratio defined for u > 0"):
+            gibbs_ratio(0.0)
+
     def test_half_at_two(self):
         assert gibbs_ratio(2.0) == pytest.approx(0.5, abs=1e-15)
 
@@ -327,6 +331,10 @@ class TestConjugateAgreement:
 
 
 class TestPlateauWitness:
+    def test_requires_positive_eps(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            plateau_witness(logfam(3.0), 3.0, 0.0)
+
     def test_requires_finite_slope(self):
         with pytest.raises(ValueError):
             plateau_witness(linear(), 5.0, 1e-2)
@@ -495,6 +503,10 @@ class TestAlternatingAttainment:
 
 
 class TestAlternatingWitness:
+    def test_requires_positive_eps(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            alternating_witness(2.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
     def test_gap_ladder(self, eps):
         wit = alternating_witness(2.0, 0.0, eps)

@@ -35,6 +35,10 @@ class TestClosedForms:
 
 
 class TestPrimalTruncated:
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError, match="need at least two levels"):
+            primal_truncated(linear(), 1, moment=1.0)
+
     def test_matches_closed_form(self):
         sol = primal_truncated(linear(), 60, moment=2.0)
         assert sol.value == pytest.approx(-1.0 - 2.0 * math.log(2.0), abs=1e-9)

@@ -149,6 +149,12 @@ class TestIncrementGap:
         assert increment_gap(seq, 4) == 2.0
         with pytest.raises(ValueError):
             custom(lambda n: n, declared_alpha=0.0, declared_gap=0.0)
+        with pytest.raises(ValueError, match="declared_alpha must be >= 0"):
+            custom(lambda n: n, declared_alpha=-1.0, declared_gap=1.0)
+
+    def test_below_the_start_index(self):
+        with pytest.raises(SequenceIndexError, match="index 2 below start index 3"):
+            increment_gap(logfam(3.0), 2)
 
 
 def brute_box(s_max):
@@ -326,6 +332,33 @@ class TestHashing:
         ours = power(1.3)
         assert theirs == ours and hash(theirs) == hash(ours)
         assert {ours: "found"}[theirs] == "found"
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_pickle_leaves_the_cached_hash_behind(self, hash_seed):
+        # pickled here with its hash cached, the sequence must equal, hash
+        # like and key a dict like a fresh one in a process salted otherwise
+        seq = logfam(2.5)
+        hash(seq)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gibbs_series.__file__)))
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            "PYTHONHASHSEED": hash_seed,
+        }
+        child = (
+            "import pickle, sys\n"
+            "from gibbs_series import logfam\n"
+            "theirs = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+            "ours = logfam(2.5)\n"
+            "assert theirs == ours and hash(theirs) == hash(ours)\n"
+            "assert {ours: 'found'}[theirs] == 'found'\n"
+        )
+        subprocess.run(
+            [sys.executable, "-c", child, pickle.dumps(seq).hex()],
+            env=env,
+            check=True,
+            timeout=60,
+        )
 
     def test_parameterless_families_are_single_instances(self):
         assert quadratic() is quadratic()

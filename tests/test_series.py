@@ -1,8 +1,10 @@
 """Certified series evaluation: closed forms, brackets, domain rules."""
 
+import gc
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -398,12 +400,54 @@ class TestDomainInfo:
         di = domain_info(logfam(3.5), 1e-9)
         assert di.boundary_class is BoundaryClass.CLOSED_FINITE_SLOPE
 
+    def test_cache_holds_at_most_64_sequences(self):
+        # one entry per sequence, the oldest dropped past 64, and with it a
+        # dropped custom sequence's generator
+        def generator(n):
+            return float(n)
+
+        alive = weakref.ref(generator)
+        domain_info(custom(generator, declared_alpha=0.0, declared_gap=1.0))
+        del generator
+        for k in range(100):
+            domain_info(power(1.0 + k / 128))
+        assert domain_info.cache_info().currsize <= 64
+        gc.collect()
+        assert alive() is None
+
 
 class TestDomainRules:
     def test_empty_domain_eval(self):
         with pytest.raises(DomainError) as exc:
             eval_series(loglog(), -5.0, 0, tol=1e-6)
         assert exc.value.info.empty
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda: log_f_conjugate(loglog(), 2.0), "conjugate undefined for an empty domain"),
+            (lambda: min_entropy_moment(loglog(), 1.0), "entropy problem undefined for an empty domain"),
+            (lambda: fit_gibbs(loglog(), 1.0, 2.0), "entropy problem undefined for an empty domain"),
+        ],
+        ids=["log_f_conjugate", "min_entropy_moment", "fit_gibbs"],
+    )
+    def test_empty_domain_solves(self, solve, message):
+        with pytest.raises(DomainError, match=message) as exc:
+            solve()
+        assert exc.value.info.empty
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p": -1}, "derivative order p must be a nonnegative integer"),
+            ({"p": 1.5}, "derivative order p must be a nonnegative integer"),
+            ({"tol": 0.0}, "tol must be positive"),
+        ],
+        ids=["p=-1", "p=1.5", "tol=0"],
+    )
+    def test_bad_order_or_tolerance(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            eval_series(linear(), -1.0, **kwargs)
 
     def test_beyond_edge(self):
         with pytest.raises(DomainError):
