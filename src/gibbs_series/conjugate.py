@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .series import (
     domain_info,
     eval_series,
     log_f,
-    phi,
 )
 
 __all__ = [
@@ -125,16 +124,16 @@ def _require_positive(target: float) -> None:
 
 
 def _find_root(
-    fn: Callable[[float], float],
+    fn: Callable[[float], tuple[float, Any]],
     target: float,
     band: float,
     edge: float,
     start: Optional[float] = None,
-) -> float:
-    """Solve fn(y) = target > 0 for fn increasing on (-inf, edge).
+) -> tuple[float, Any]:
+    """Solve value = target > 0, fn(y) = (value, payload), value increasing on (-inf, edge).
 
     Starts at ``start`` (``_float_start``'s float root), or without one at
-    edge - 1, and takes secant steps on the log excess ln fn(y) - ln target.
+    edge - 1, and takes secant steps on the log excess ln value - ln target.
     For f' that is a log-sum-exp of affine functions of y, convex and
     nearly linear, so few steps reach the root.  The nearest probes below
     and above target form a bracket; a step that leaves it, or that
@@ -143,29 +142,29 @@ def _find_root(
     forms a secant step may at most halve the distance to the edge or
     double it; without one, or past the edge, a step keeps 1/2, 1/4, 1/16,
     ... of the distance, so any float distance is reached in ~11 probes.
-    Stops at the first probe within ``band`` of target, or at the better
-    end of a bracket that float resolution cannot split.  Raises
-    NumericError for a target not positive (before any probe), on a NaN
-    probe, when fn does not cross target, or after _MAX_PROBES probes.
+    Returns (y, payload) of the first probe within ``band`` of target, or
+    of the better end of a bracket that float resolution cannot split.
+    Raises NumericError for a target not positive (before any probe), on a
+    NaN probe, when value does not cross target, or after _MAX_PROBES probes.
     """
     _require_positive(target)
     log_target = math.log(target)
-    lo: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) below target
-    hi: Optional[tuple[float, float]] = None  # nearest (y, fn(y)) above target
+    lo: Optional[tuple] = None  # nearest (y, value, payload) below target
+    hi: Optional[tuple] = None  # nearest (y, value, payload) above target
     prev = None  # (y, log excess) of the previous probe
     interpolated = False  # whether the current probe is a secant step inside the bracket
     keep = 0.5  # share of the edge distance kept by the next step without a secant
     y = edge - 1.0 if start is None else start
     for _ in range(_MAX_PROBES):
-        fy = fn(y)
+        fy, payload = fn(y)
         if math.isnan(fy):
             raise NumericError(f"probe fn({y!r}) is NaN while solving for {target!r}")
         if abs(fy - target) <= band:
-            return y
+            return y, payload
         if fy < target:
-            lo = (y, fy)
+            lo = (y, fy, payload)
         else:
-            hi = (y, fy)
+            hi = (y, fy, payload)
         excess = math.log(fy) - log_target if fy > 0.0 else -math.inf
         step = None
         if prev is not None and math.isfinite(excess + prev[1]) and excess != prev[1]:
@@ -179,7 +178,8 @@ def _find_root(
             else:
                 interpolated = True
             if not lo[0] < step < hi[0]:
-                return min(lo, hi, key=lambda p: abs(p[1] - target))[0]
+                y, _, payload = min(lo, hi, key=lambda p: abs(p[1] - target))
+                return y, payload
         elif hi is None:
             gap = edge - lo[0]
             if step is None or not lo[0] < step < edge:
@@ -209,15 +209,12 @@ def _float_start(seq: SigmaSequence, target: float, ratio: bool = False) -> Opti
     Halley steps on the log excess, each at most twice Newton's and under
     ``_find_root``'s limits (at most halving the distance to the edge or
     doubling it), start from edge - 1.  None, for ``_find_root``'s own
-    start, for a non-positive target, where ``_start_block`` makes no
-    block, without convergence in _START_STEPS steps, or where the block's
-    last _START_TAIL terms weigh _START_SHARE of it or more: there the cut
-    sum is not the series.  That share grows with y, so it is checked at
-    every step that lands at or below the cut root, where it bounds the
-    root's, and at the root.
+    start, where ``_start_block`` makes no block, without convergence in
+    _START_STEPS steps, or where the block's last _START_TAIL terms weigh
+    _START_SHARE of it or more: there the cut sum is not the series.  That
+    share grows with y, so it is checked at every step that lands at or
+    below the cut root, where it bounds the root's, and at the root.
     """
-    if not target > 0.0:
-        return None
     block = _start_block(seq, seq.generator)
     if block is None:
         return None
@@ -347,6 +344,20 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     return _StartBlock(s, -alpha, power)
 
 
+def _solved(
+    seq: SigmaSequence, found: tuple, limit: float, kind: str, equation: str
+) -> tuple[float, float]:
+    """``_find_root``'s (y, (residual, error)) as (y, residual); raises the
+    stopping probe's budget error, or NumericError for a residual > limit."""
+    y, (residual, error) = found
+    if error is not None:
+        raise error
+    if residual > limit:
+        where = f"for {equation} on {seq.spec_string()} (y={y!r})"
+        raise NumericError(f"{kind} residual {residual:g} exceeds {limit:g} {where}")
+    return y, residual
+
+
 def solve_fprime(
     seq: SigmaSequence,
     u: float,
@@ -355,28 +366,20 @@ def solve_fprime(
 ) -> tuple[float, float]:
     """Solve f'(y) = u on the domain interior; returns (y, residual).
 
-    f' is strictly increasing from 0 to gamma, so ``_find_root`` inverts
-    it, stopping at the first probe whose midpoint lies within
-    0.5*tol*max(1, u) of u.  A probe whose sum exhausts the budget reads
-    its best bracket's midpoint; the returned root is re-certified
-    strictly, so the final residual satisfies |f'(y) - u| <= tol*max(1, u)
-    or an error is raised.
+    f' is strictly increasing from 0 to gamma, so ``_find_root`` inverts it
+    up to the first probe whose midpoint (of its best bracket where the walk
+    exhausts the budget) lies within 0.5*tol*max(1, u) of u.  That bracket
+    certifies |f'(y) - u| <= residual <= tol*max(1, u), or ``_solved`` raises.
     """
     _require_positive(u)
     eta = 0.25 * tol * max(1.0, u)
 
-    def fp(y: float) -> float:
-        return _best_bracket(seq, y, 1, eta, max_terms).midpoint
+    def fp(y: float) -> tuple[float, tuple]:
+        ev, error = _best_bracket(seq, y, 1, eta, max_terms)
+        return ev.midpoint, (abs(ev.midpoint - u) + 0.5 * ev.tail_bound, error)
 
-    y = _find_root(fp, u, 2.0 * eta, -domain_info(seq).alpha, _float_start(seq, u))
-    final = eval_series(seq, y, 1, tol=eta, max_terms=max_terms)
-    residual = abs(final.midpoint - u) + 0.5 * final.tail_bound
-    if residual > tol * max(1.0, u):
-        raise NumericError(
-            f"root residual {residual:g} exceeds {tol * max(1.0, u):g} "
-            f"for f'(y)={u!r} on {seq.spec_string()} (y={y!r})"
-        )
-    return y, residual
+    found = _find_root(fp, u, 2.0 * eta, -domain_info(seq).alpha, _float_start(seq, u))
+    return _solved(seq, found, tol * max(1.0, u), "root", f"f'(y)={u!r}")
 
 
 def solve_phi(
@@ -390,36 +393,25 @@ def solve_phi(
     The ratio increases from s_min, and phi - s_min falls to 0 like
     exp((sigma_2 - sigma_1) y) as y -> -inf, so ``_find_root`` solves
     phi - s_min = v - s_min, whose log is nearly linear where ln phi would
-    flatten.  Each probe walks f and f' once, until their brackets are a
-    fraction of their own certified lower ends wide.  It stops at the
-    first probe within 0.25*tol*max(1, v) of v, and the root is
-    re-certified strictly like ``solve_fprime``'s.
+    flatten.  Each probe walks f' and f once, as ``phi`` does, to a fraction
+    of their own certified lower ends; the first within 0.25*tol*max(1, v)
+    of v gives the residual as in ``solve_fprime`` (f's budget error first).
     """
     s_min = sigma(seq, seq.start_index)
     _require_positive(v - s_min)
     rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
 
-    def ph_best(y: float) -> float:
-        num = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
-        den = _best_bracket(seq, y, 0, 0.0, max_terms, 0.25 * rel)
+    def ph(y: float) -> tuple[float, tuple]:
+        num, num_error = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
+        den, den_error = _best_bracket(seq, y, 0, 0.0, max_terms, 0.25 * rel)
         if num.value <= 0.0 or den.value <= 0.0:
             raise NumericError(f"series underflows at y={y!r} while bracketing")
-        return num.midpoint / den.midpoint
+        ratio = num.midpoint / den.midpoint
+        return ratio - s_min, (abs(ratio - v) + 0.5 * rel * v, den_error or num_error)
 
-    y = _find_root(
-        lambda y: ph_best(y) - s_min,
-        v - s_min,
-        0.25 * tol * max(1.0, v),
-        -domain_info(seq).alpha,
-        _float_start(seq, v - s_min, ratio=True),
-    )
-    residual = abs(phi(seq, y, tol=rel, max_terms=max_terms) - v) + 0.5 * rel * v
-    if residual > tol * max(1.0, v):
-        raise NumericError(
-            f"ratio residual {residual:g} exceeds {tol * max(1.0, v):g} "
-            f"for phi(y)={v!r} on {seq.spec_string()} (y={y!r})"
-        )
-    return y, residual
+    edge, start = -domain_info(seq).alpha, _float_start(seq, v - s_min, ratio=True)
+    found = _find_root(ph, v - s_min, 0.25 * tol * max(1.0, v), edge, start)
+    return _solved(seq, found, tol * max(1.0, v), "ratio", f"phi(y)={v!r}")
 
 
 # ---------------------------------------------------------------------------

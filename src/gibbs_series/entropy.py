@@ -139,7 +139,7 @@ def _attained(
             break
         cut = min(2 * cut, last)
     indices, s = rules.prefix(seq, cut)
-    w = math.exp(x0) * np.exp(s * y)
+    w = _exp_times(x0, np.exp(s * y))
     keep = max(int(np.searchsorted(w == 0.0, True)), 1)  # drop underflowed tail
     return GibbsFit(
         status=FitStatus.INTERIOR_UNIQUE,
@@ -155,8 +155,16 @@ def _attained(
 
 
 def _scaled_up(x: float, tail: float) -> float:
-    """Upper bound on exp(x) * tail; exp(x) carries (|x| + 1) u."""
-    return _up(math.exp(x) * tail, 2.0 ** -53 * (abs(x) + 2.0))
+    """Upper bound on exp(x) tail: exp(x) carries (|x| + 1) u, halved 2 u more (in _up's margin)."""
+    return _up(_exp_times(x, tail), 2.0 ** -53 * (abs(x) + 2.0))
+
+
+def _exp_times(x: float, c):
+    """exp(x) c, as exp(x/2) c exp(x/2) where exp(x) overflows (x > ln(largest float))."""
+    if x <= 709.782712893384:
+        return math.exp(x) * c
+    half = math.exp(0.5 * x)
+    return half * c * half
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +292,7 @@ def fit_gibbs(
     y = cv.attaining_y
     x = math.log(u) - (rho * y - cv.value)  # Fenchel-Young: ln f(y) = rho y - (ln f)*(rho)
     g_mid = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, v), max_terms=max_terms).midpoint
-    return _attained(seq, x, y, u, math.exp(x) * g_mid, tol * max(1.0, u))
+    return _attained(seq, x, y, u, _exp_times(x, g_mid), tol * max(1.0, u))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +397,7 @@ def plateau_witness(
 
         # the window moment decreases in lam, so solve in -lam below the edge
         # lam = 0, where it is at least sigma_{n_end+1} >= u > v_window
-        lam = -_find_root(lambda t: window_moment(-t), v_window, 1e-13 * v_window, 0.0)
+        lam = -_find_root(lambda t: (window_moment(-t), None), v_window, 1e-13 * v_window, 0.0)[0]
         w = np.exp(-s * lam)
         moment = prefix_moment + float(np.sum(s * w))
         w[-1] += (u - moment) / s[-1]  # exact moment, float-level

@@ -1046,12 +1046,12 @@ def _evaluate(
 
 def _best_bracket(
     seq: SigmaSequence, y: float, p: int, tol: float, budget, rel: float = 0.0
-) -> SeriesEval:
-    """``_evaluate``, or on budget exhaustion the best bracket it reached."""
+) -> tuple[SeriesEval, Optional[BudgetExceededError]]:
+    """``_evaluate`` and None, or the best bracket and its budget error."""
     try:
-        return _evaluate(seq, y, p, tol, budget, rel)
+        return _evaluate(seq, y, p, tol, budget, rel), None
     except BudgetExceededError as exc:
-        return exc.best
+        return exc.best, exc
 
 
 def _relative(seq: SigmaSequence, y: float, p: int, rel: float, budget: Optional[int], what: str) -> SeriesEval:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gibbs_series import (
+    BudgetExceededError,
     DomainError,
     FitStatus,
     NumericError,
@@ -368,17 +369,17 @@ class TestRootFinder:
     def test_open_edge_root_is_reached(self):
         # -1/y rises to +inf at the open edge 0; its root at -1e-15 is
         # reached within the band
-        y = _find_root(lambda y: -1.0 / y, 1e15, 1.0, 0.0)
-        assert abs(-1.0 / y - 1e15) <= 1.0
+        y, payload = _find_root(lambda y: (-1.0 / y, y), 1e15, 1.0, 0.0)
+        assert abs(-1.0 / y - 1e15) <= 1.0 and payload == y
 
     def test_root_at_distance_1e300_from_the_edge_is_reached(self):
         probes = []
 
         def fn(y):
             probes.append(y)
-            return -1.0 / y
+            return -1.0 / y, None
 
-        y = _find_root(fn, 1e300, 1e288, 0.0)
+        y, _ = _find_root(fn, 1e300, 1e288, 0.0)
         assert abs(-1.0 / y - 1e300) <= 1e288
         # steps without a secant keep 1/2, 1/4, 1/16, ... of the edge
         # distance, so the eleventh probe lies past the root; the bracket's
@@ -389,22 +390,61 @@ class TestRootFinder:
     def test_closed_edge_without_a_crossing_raises(self):
         # exp stays below 5 up to the closed edge -1: no root
         with pytest.raises(NumericError, match="stays below"):
-            _find_root(math.exp, 5.0, 1e-12, -1.0)
+            _find_root(lambda y: (math.exp(y), None), 5.0, 1e-12, -1.0)
 
     def test_target_never_undershot_raises(self):
         with pytest.raises(NumericError, match="no root"):
-            _find_root(lambda y: 3.0, 1.0, 1e-12, 0.0)
+            _find_root(lambda y: (3.0, None), 1.0, 1e-12, 0.0)
 
     def test_nonpositive_target_raises(self):
         with pytest.raises(NumericError, match="positive target"):
-            _find_root(math.exp, 0.0, 1e-12, 0.0)
+            _find_root(lambda y: (math.exp(y), None), 0.0, 1e-12, 0.0)
         with pytest.raises(NumericError, match="positive target"):
             solve_fprime(linear(), -1.0)
 
     def test_nan_probe_raises(self):
         # the first probe at -1 lies below target, the next one is NaN
         with pytest.raises(NumericError, match="NaN"):
-            _find_root(lambda y: math.exp(y) if y < -0.9 else math.nan, 0.5, 1e-12, 0.0)
+            _find_root(lambda y: (math.exp(y) if y < -0.9 else math.nan, None), 0.5, 1e-12, 0.0)
+
+    def test_unsplittable_bracket_returns_its_better_end_with_its_payload(self):
+        # a jump at -0.5 over target: the bracket closes on two adjacent
+        # floats, and the end nearer target returns its own probe's payload
+        y, payload = _find_root(lambda y: (0.5 if y < -0.5 else 3.0, ("probe", y)), 1.0, 1e-12, 0.0)
+        assert y == math.nextafter(-0.5, -math.inf) and payload == ("probe", y)
+        y, payload = _find_root(lambda y: (0.5 if y < -0.5 else 1.2, ("probe", y)), 1.0, 1e-12, 0.0)
+        assert y == -0.5 and payload == ("probe", y)
+
+    @pytest.mark.parametrize("solve, target", [(solve_fprime, 100.0), (solve_phi, 10.0)])
+    def test_budget_bound_stopping_probe_raises_its_error(self, solve, target):
+        with pytest.raises(BudgetExceededError, match="unreachable within 300 terms") as info:
+            solve(linear(), target, max_terms=300)
+        assert info.value.best.truncation_index == 300
+
+    @pytest.mark.parametrize("max_terms", [20, 100, 300])
+    def test_ratio_solve_raises_the_error_phi_raises_at_its_root(self, max_terms):
+        # at 20 and 100 terms f's walk runs out, at 300 only f''s: the solve
+        # raises the error phi raises at the stopping probe, f's first
+        with pytest.raises(BudgetExceededError) as info:
+            solve_phi(linear(), 10.0, max_terms=max_terms)
+        y = float(str(info.value).rsplit("y=", 1)[1])
+        with pytest.raises(BudgetExceededError) as strict:
+            phi(linear(), y, tol=1.25e-13, max_terms=max_terms)
+        assert str(strict.value) == str(info.value) and strict.value.best == info.value.best
+
+    @pytest.mark.parametrize("spec", ["linear", "power:1.5", "quadratic", "box:1"])
+    def test_residual_is_a_strict_walks_at_the_root(self, spec):
+        # the stopping probe's bracket is the one a strict walk gives
+        seq = parse_sequence(spec)
+        tol = 1e-12
+        for u in (0.3, 2.5):
+            y, residual = solve_fprime(seq, u, tol=tol)
+            ev = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, u))
+            assert residual == abs(ev.midpoint - u) + 0.5 * ev.tail_bound
+            v = sigma(seq, seq.start_index) + u
+            y, residual = solve_phi(seq, v, tol=tol)
+            rel = max(1e-15, 0.125 * tol * max(1.0, v) / v)
+            assert residual == abs(phi(seq, y, tol=rel) - v) + 0.5 * rel * v
 
 
 class TestFloatStart:
@@ -414,7 +454,7 @@ class TestFloatStart:
 
         def fn(y):
             probes.append(y)
-            return math.exp(y - edge)
+            return math.exp(y - edge), None
 
         _find_root(fn, 0.25, 1e-12, edge, start=start)
         return probes

@@ -160,6 +160,16 @@ class TestTwoMoments:
             box_conjugate(1.0, 4.0, tol=1e-12), abs=1e-9
         )
 
+    def test_huge_mass_past_the_exp_overflow(self):
+        # x = ln u - ln f(y) lies past 709.78, where exp(x) alone overflows
+        fit = fit_gibbs(box(1.0), 1e307, 3.1e307)
+        assert fit.status is FitStatus.INTERIOR_UNIQUE and fit.dual_x > 709.79
+        assert fit.achieved[0] == 1e307
+        assert fit.achieved[1] == pytest.approx(3.1e307, rel=1e-12)
+        assert np.all(np.isfinite(fit.weights)) and math.isfinite(fit.tail_energy)
+        assert float(np.sum(fit.weights)) == pytest.approx(1e307, rel=1e-12)
+        assert 0.0 < fit.tail_mass < 1e-12 * 1e307
+
     def test_ratio_below_minimum_infeasible(self):
         fit = fit_gibbs(box(1.0), 1.0, 2.0)
         assert fit.status is FitStatus.INFEASIBLE

@@ -134,6 +134,12 @@ class TestBoxReport:
         assert energy == pytest.approx(4.0, abs=1e-8)
         assert rep.fit.entropy_value == pytest.approx(rep.h_star, abs=1e-7)
 
+    def test_huge_mass_is_interior(self):
+        # the fit's dual x passes 709.78, where exp(x) alone overflows
+        rep = box_report(1e307, 3.1e307)
+        assert rep.classification == "interior" and rep.dual[0] > 709.79
+        assert rep.achieved[1] == pytest.approx(3.1e307, rel=1e-12)
+
     def test_infeasible_cone(self):
         rep = box_report(1.0, 2.0)
         assert rep.classification == "infeasible"

@@ -36,18 +36,18 @@ _conjugate = importlib.import_module("gibbs_series.conjugate")
 # cheap floor on the certificate's width could still meet the target).
 # An interior solve's float start lands its first probe within the stop
 # band, so f' and f are each walked once, in one 256-term block, and the
-# re-certification replays the stored walk.
+# solve reads its residual off that probe's bracket.
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 2, 512, 256, 3, 0),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 2, 512, 256, 2, 0),
     # the fit reads the conjugate's root; its moments reuse the cached sums
     "min_entropy_moment(linear, 2)": (
-        lambda: min_entropy_moment(linear(), 2.0), 2, 512, 256, 5, 0
+        lambda: min_entropy_moment(linear(), 2.0), 2, 512, 256, 4, 0
     ),
     # each ratio probe walks f and f' once, to a fraction of their own size
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 2, 512, 256, 6, 0),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 2, 512, 256, 6, 0),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 2, 512, 256, 4, 0),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 2, 512, 256, 4, 0),
     "log_f_conjugate(quadratic, 2)": (
-        lambda: log_f_conjugate(quadratic(), 2.0), 2, 512, 256, 5, 0
+        lambda: log_f_conjugate(quadratic(), 2.0), 2, 512, 256, 3, 0
     ),
     # an interior sum reads the edge's class from the family's rules and
     # sums no term there: three interior blocks meet the integral sandwich
@@ -61,9 +61,9 @@ REFERENCE_CALLS = {
     # five incomplete gamma evaluations a certificate (one per stencil node),
     # computed only after the blocks whose floor does not rule out the stop
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 9, 36
+        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 8, 36
     ),
-    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 9, 56),
+    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 8, 56),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (
         lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 1
