@@ -499,7 +499,8 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
 
     Case table over (u, v): +inf when u < 0, v < 0, or 0 <= v < 3 kappa u;
     0 when u = 0 <= v; and u(ln u - 1) + 3u (ln f)*(v/(3 kappa u)) on the
-    cone v >= 3 kappa u > 0, with f the unit quadratic series.
+    cone v >= 3 kappa u > 0, with f the unit quadratic series: NumericError
+    where that passes float64 (u (ln u - 1) from u ~ 2.6e305), not +inf.
     """
     _require_numbers(u=u, v=v)
     if _outside_box_cone(u, v, kappa):
@@ -507,4 +508,7 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     if u == 0:
         return 0.0
     lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
-    return exp_conjugate(u) + 3.0 * u * lf
+    value = exp_conjugate(u) + 3.0 * u * lf
+    if not math.isfinite(value):
+        raise NumericError(f"box conjugate at (u, v) = ({u!r}, {v!r}) passed float64: {value!r}")
+    return value

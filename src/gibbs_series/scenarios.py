@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conjugate import _outside_box_cone, box_conjugate
+from .conjugate import NumericError, _outside_box_cone, box_conjugate
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
@@ -212,8 +212,10 @@ def box_report(
     reproduces it); u = 0 < v has conjugate value 0 with no
     representing weights.
     """
-    h_star = box_conjugate(u, v, tol=tol, kappa=kappa)
-    # not h_star == inf: on the cone, u (ln u - 1) overflows from u ~ 2.6e305
+    try:
+        h_star, overflow = box_conjugate(u, v, tol=tol, kappa=kappa), ""
+    except NumericError as exc:  # on the cone, u (ln u - 1) overflows from u ~ 2.6e305
+        h_star, overflow = math.inf, f"h_star: {exc}"
     if _outside_box_cone(u, v, kappa):
         return BoxReport(
             u, v, kappa, "infeasible", h_star, None, None, (None, None),
@@ -233,7 +235,9 @@ def box_report(
     if fit.status is FitStatus.BOUNDARY_SINGLETON:
         return BoxReport(
             u, v, kappa, "ground_state", h_star, fit, None, fit.achieved,
-            notes="all mass on (1,1,1); not produced by any multiplier pair",
+            notes="; ".join(
+                filter(None, ("all mass on (1,1,1); not produced by any multiplier pair", overflow))
+            ),
         )
     dual = (fit.dual_x, fit.dual_y)
-    return BoxReport(u, v, kappa, "interior", h_star, fit, dual, fit.achieved)
+    return BoxReport(u, v, kappa, "interior", h_star, fit, dual, fit.achieved, notes=overflow)

@@ -492,7 +492,9 @@ class _BoxTable:
     while other threads extend it.  ``ensure_count(n)`` grows by whole
     slices of levels, each adding a quarter to the top level (at least
     64), so it may leave more than n triples; ``ensure_level(s_max)``
-    fills up to level s_max in one slice.
+    fills up to level s_max in one slice.  A slice ending at 4 times the
+    top level or beyond holds 7 times the table's triples, so the table is
+    then rebuilt from level 3: cheaper than copying the slice after it.
     """
 
     def __init__(self) -> None:
@@ -516,11 +518,12 @@ class _BoxTable:
         return self.arrays[1]
 
     def _add_levels(self, stop: int) -> None:
-        triples, levels = _triples_in_levels(self._next_s, stop)
-        self.arrays = (
-            _frozen(np.concatenate((self.arrays[0], triples))),
-            _frozen(np.concatenate((self.arrays[1], levels))),
-        )
+        lo = 3 if stop >= 4 * self._next_s else self._next_s
+        triples, levels = _triples_in_levels(lo, stop)
+        if lo > 3:
+            triples = np.concatenate((self.arrays[0], triples))
+            levels = np.concatenate((self.arrays[1], levels))
+        self.arrays = (_frozen(triples), _frozen(levels))
         self._next_s = stop
 
 
@@ -539,8 +542,8 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     Ordered by level, then lexicographically.  Each (k, l) pair with room
     for m >= 1 contributes the run of m between two integer square roots,
     so the work and memory follow the output, not a cube of the range.
-    The runs come out in (k, l, m) order, which a stable sort on the
-    level keeps within each level.
+    Pairs are numbered in (k, l) order and hold one m per level, so one
+    sort of the unique key s * n_pairs + pair gives that order.
     """
     sq = np.arange(1, isqrt(hi - 3) + 1, dtype=np.int64) ** 2
     kl = sq[:, None] + sq[None, :]
@@ -548,13 +551,21 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     r = kl[k, l]
     m_lo = _isqrt(np.maximum(lo - r, 1) - 1) + 1  # least m >= 1, r + m^2 >= lo
     count = np.maximum(_isqrt(hi - 1 - r) - m_lo + 1, 0)
-    starts = np.cumsum(count) - count
-    m = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(starts - m_lo, count)
-    k = np.repeat(k + 1, count)
-    l = np.repeat(l + 1, count)
-    s = k * k + l * l + m * m
-    order = np.argsort(s, kind="stable")
-    return np.column_stack((k, l, m))[order], s[order]
+    n_pairs = len(r)
+    key = np.arange(int(count.sum()), dtype=np.int64)
+    key -= np.repeat(np.cumsum(count) - count - m_lo, count)
+    key *= key  # m^2
+    pair = np.repeat(np.arange(n_pairs, dtype=np.int64), count)
+    key += r[pair]  # s
+    # s < hi and n_pairs < hi, so the key s * n_pairs + pair stays below
+    # hi^2: no int64 overflow for any table that fits in memory
+    key *= n_pairs
+    key += pair
+    key.sort()
+    s, pair = np.divmod(key, n_pairs, out=(key, pair))
+    triples = np.column_stack((k + 1, l + 1, -r))[pair]
+    triples[:, 2] = np.sqrt(triples[:, 2] + s)  # exact for m^2 < 2^53, a square
+    return triples, s
 
 
 _BOX = _BoxTable()

@@ -118,6 +118,11 @@ class TestCommands:
         assert code == EXIT_OK
         assert parse(out)["value"] == "inf"
 
+    def test_boxconj_past_float64_is_a_numeric_error(self, capsys):
+        code, out = run_cli(capsys, "boxconj", "--u", "1e306", "--v", "3e306")
+        assert (code, parse(out)["error"]) == (EXIT_NUMERIC, "NumericError")
+        assert "passed float64" in parse(out)["detail"]
+
     def test_logconj(self, capsys):
         code, out = run_cli(capsys, "logconj", "--v", "1")
         assert code == EXIT_OK

@@ -216,6 +216,14 @@ class TestBoxConjugate:
         vals = [box_conjugate(1.0, v, tol=1e-11) for v in (3.5, 4.0, 4.5)]
         assert vals[1] <= 0.5 * (vals[0] + vals[2]) + 1e-10
 
+    def test_value_past_float64_on_the_cone_raises(self):
+        # u (ln u - 1) overflows from u ~ 2.6e305: not the +inf of infeasibility
+        assert math.isfinite(box_conjugate(1e305, 3e305))
+        for u, v in ((1e306, 3e306), (1e306, 4e306), (1e307, 3.1e307)):
+            with pytest.raises(NumericError, match="passed float64"):
+                box_conjugate(u, v)
+        assert box_conjugate(1e306, 2e306) == math.inf  # below the cone
+
 
 # 50-digit references for (f, f', f''): closed forms and direct sums, and
 # for power and logfam an Euler-Maclaurin split at _EM_CUT whose tail

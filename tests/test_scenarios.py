@@ -140,6 +140,13 @@ class TestBoxReport:
         assert rep.classification == "interior" and rep.dual[0] > 709.79
         assert rep.achieved[1] == pytest.approx(3.1e307, rel=1e-12)
 
+    def test_huge_mass_conjugate_past_float64_is_noted(self):
+        rep = box_report(1e307, 3.1e307)
+        assert rep.h_star == math.inf and "passed float64" in rep.notes
+        rep = box_report(1e306, 3e306)
+        assert rep.classification == "ground_state" and rep.h_star == math.inf
+        assert "passed float64" in rep.notes
+
     def test_infeasible_cone(self):
         rep = box_report(1.0, 2.0)
         assert rep.classification == "infeasible"

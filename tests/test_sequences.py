@@ -1,5 +1,6 @@
 """Exponent-sequence definitions, increment gaps, and box enumeration."""
 
+import functools
 import math
 import os
 import pickle
@@ -171,6 +172,19 @@ def brute_box(s_max):
     return [t[1:] for t in found], [t[0] for t in found]
 
 
+@functools.cache
+def lexsorted_cube_below(s_end):
+    """Every (k, l, m) with level below s_end, cut from the full cube of
+    candidates and lexsorted by (s, k, l, m): the triples and their levels."""
+    top = math.isqrt(s_end - 3)
+    k, l, m = (a.ravel() for a in np.indices((top, top, top)) + 1)
+    s = k * k + l * l + m * m
+    keep = s < s_end
+    k, l, m, s = k[keep], l[keep], m[keep], s[keep]
+    order = np.lexsort((m, l, k, s))
+    return np.column_stack((k, l, m))[order], s[order]
+
+
 class TestEnumerateBox:
     def test_ground_state(self):
         assert enumerate_box(1.0, 1) == [((1, 1, 1), 3.0)]
@@ -237,15 +251,25 @@ class TestEnumerateBox:
     @given(st.integers(3, 4_999), st.integers(1, 4_997))
     def test_triples_in_levels_match_lexsort(self, lo, width):
         hi = min(lo + width, 5_000)
-        top = math.isqrt(hi - 3)
-        k, l, m = (a.ravel() for a in np.indices((top, top, top)) + 1)
-        s = k * k + l * l + m * m
-        keep = (lo <= s) & (s < hi)
-        k, l, m, s = k[keep], l[keep], m[keep], s[keep]
-        order = np.lexsort((m, l, k, s))
+        every, every_level = lexsorted_cube_below(5_000)
+        a, b = np.searchsorted(every_level, (lo, hi))
         triples, levels = sequences._triples_in_levels(lo, hi)
-        assert triples.tolist() == np.column_stack((k, l, m))[order].tolist()
-        assert levels.tolist() == s[order].tolist()
+        assert triples.tolist() == every[a:b].tolist()
+        assert levels.tolist() == every_level[a:b].tolist()
+
+    @pytest.mark.parametrize("lo, hi", [(5_000, 5_300), (20_000, 20_037), (60_000, 60_500)])
+    def test_triples_in_levels_above_level_5000(self, lo, hi):
+        # at [60000, 60500) the sort key s * n_pairs + pair passes 2^31
+        found = []
+        for k in range(1, math.isqrt(hi - 3) + 1):
+            for l in range(1, math.isqrt(hi - 2 - k * k) + 1):
+                r = k * k + l * l
+                m_lo = 1 if r + 1 >= lo else math.isqrt(lo - r - 1) + 1  # least m, r + m^2 >= lo
+                found += [(r + m * m, k, l, m) for m in range(m_lo, math.isqrt(hi - 1 - r) + 1)]
+        found.sort()
+        triples, levels = sequences._triples_in_levels(lo, hi)
+        assert triples.tolist() == [list(t[1:]) for t in found]
+        assert levels.tolist() == [t[0] for t in found]
 
     def test_shared_arrays_are_read_only(self):
         triples, levels = sequences.box_levels(50)
@@ -268,6 +292,22 @@ class TestEnumerateBox:
             tracemalloc.stop()
         assert len(table.levels_array()) == 46_115
         assert retained <= 2 * 2**20
+
+    def test_fill_to_level_2048_peaks_at_most_3_94_mib(self):
+        # 3.94 MiB is the peak of the fill by a stable argsort of the levels
+        # and a gather of the triples; one in-place sort of a unique key
+        # keeps fewer temporaries
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = sequences._BoxTable()
+            table.ensure_level(2048)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(table.levels_array()) == 46_115
+        assert peak <= 3.94 * 2**20
 
     def test_cache_growth_is_thread_safe(self, monkeypatch):
         # fresh caches: the shared one may already hold these levels
