@@ -502,13 +502,18 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     cone v >= 3 kappa u > 0, with f the unit quadratic series: NumericError
     where that passes float64 (u (ln u - 1) from u ~ 2.6e305), not +inf.
     """
+    value = _box_value(u, v, tol, kappa)
+    if not math.isfinite(value) and not _outside_box_cone(u, v, kappa):
+        raise NumericError(f"box conjugate at (u, v) = ({u!r}, {v!r}) passed float64: {value!r}")
+    return value
+
+
+def _box_value(u: float, v: float, tol: float, kappa: float) -> float:
+    """box_conjugate's value, unchecked: not finite where it passes float64."""
     _require_numbers(u=u, v=v)
     if _outside_box_cone(u, v, kappa):
         return math.inf
     if u == 0:
         return 0.0
     lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
-    value = exp_conjugate(u) + 3.0 * u * lf
-    if not math.isfinite(value):
-        raise NumericError(f"box conjugate at (u, v) = ({u!r}, {v!r}) passed float64: {value!r}")
-    return value
+    return exp_conjugate(u) + 3.0 * u * lf

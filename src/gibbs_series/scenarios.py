@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conjugate import NumericError, _outside_box_cone, box_conjugate
+from .conjugate import _box_value, _outside_box_cone
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
@@ -212,10 +212,8 @@ def box_report(
     reproduces it); u = 0 < v has conjugate value 0 with no
     representing weights.
     """
-    try:
-        h_star, overflow = box_conjugate(u, v, tol=tol, kappa=kappa), ""
-    except NumericError as exc:  # on the cone, u (ln u - 1) overflows from u ~ 2.6e305
-        h_star, overflow = math.inf, f"h_star: {exc}"
+    h_star = _box_value(u, v, tol, kappa)
+    # not h_star == inf: on the cone, u (ln u - 1) overflows from u ~ 2.6e305
     if _outside_box_cone(u, v, kappa):
         return BoxReport(
             u, v, kappa, "infeasible", h_star, None, None, (None, None),
@@ -232,12 +230,12 @@ def box_report(
             notes="no weights reach positive energy at zero mass, yet the conjugate value is 0",
         )
     fit = fit_gibbs(box(kappa), u, v, tol=tol)
+    overflow = "" if math.isfinite(h_star) else f"h_star passed float64: {h_star!r}"
     if fit.status is FitStatus.BOUNDARY_SINGLETON:
         return BoxReport(
             u, v, kappa, "ground_state", h_star, fit, None, fit.achieved,
-            notes="; ".join(
-                filter(None, ("all mass on (1,1,1); not produced by any multiplier pair", overflow))
-            ),
+            notes="all mass on (1,1,1); not produced by any multiplier pair"
+            + (f"; {overflow}" if overflow else ""),
         )
     dual = (fit.dual_x, fit.dual_y)
     return BoxReport(u, v, kappa, "interior", h_star, fit, dual, fit.achieved, notes=overflow)

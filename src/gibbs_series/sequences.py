@@ -492,9 +492,7 @@ class _BoxTable:
     while other threads extend it.  ``ensure_count(n)`` grows by whole
     slices of levels, each adding a quarter to the top level (at least
     64), so it may leave more than n triples; ``ensure_level(s_max)``
-    fills up to level s_max in one slice.  A slice ending at 4 times the
-    top level or beyond holds 7 times the table's triples, so the table is
-    then rebuilt from level 3: cheaper than copying the slice after it.
+    fills up to level s_max in one slice.
     """
 
     def __init__(self) -> None:
@@ -518,12 +516,11 @@ class _BoxTable:
         return self.arrays[1]
 
     def _add_levels(self, stop: int) -> None:
-        lo = 3 if stop >= 4 * self._next_s else self._next_s
-        triples, levels = _triples_in_levels(lo, stop)
-        if lo > 3:
-            triples = np.concatenate((self.arrays[0], triples))
-            levels = np.concatenate((self.arrays[1], levels))
-        self.arrays = (_frozen(triples), _frozen(levels))
+        triples, levels = _triples_in_levels(self._next_s, stop)
+        self.arrays = (
+            _frozen(np.concatenate((self.arrays[0], triples))),
+            _frozen(np.concatenate((self.arrays[1], levels))),
+        )
         self._next_s = stop
 
 
@@ -557,8 +554,7 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     key *= key  # m^2
     pair = np.repeat(np.arange(n_pairs, dtype=np.int64), count)
     key += r[pair]  # s
-    # s < hi and n_pairs < hi, so the key s * n_pairs + pair stays below
-    # hi^2: no int64 overflow for any table that fits in memory
+    # key < hi^2 (s, n_pairs < hi): int64 holds it for any table in memory
     key *= n_pairs
     key += pair
     key.sort()
