@@ -1,5 +1,6 @@
 """Scenario wiring: classification table, box model reports, diagnostics."""
 
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from gibbs_series import (
     logfam,
     quadratic,
 )
+from gibbs_series.conjugate import NumericError
 from gibbs_series.scenarios import BoxModel
 
 
@@ -146,6 +148,16 @@ class TestBoxReport:
         rep = box_report(1e306, 3e306)
         assert rep.classification == "ground_state" and rep.h_star == math.inf
         assert "passed float64" in rep.notes
+
+    def test_other_conjugate_errors_reach_the_caller(self, monkeypatch):
+        # only the value passing float64 is noted; a failed solve still raises
+        def fail(*args, **kwargs):
+            raise NumericError("residual over its limit")
+
+        conjugate = importlib.import_module("gibbs_series.conjugate")
+        monkeypatch.setattr(conjugate, "log_f_conjugate", fail)
+        with pytest.raises(NumericError, match="residual over its limit"):
+            box_report(1.0, 4.0)
 
     def test_infeasible_cone(self):
         rep = box_report(1.0, 2.0)
