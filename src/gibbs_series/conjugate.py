@@ -39,10 +39,10 @@ from .series import (
     DomainError,
     _best_bracket,
     _compared,
+    _relative,
     _sigma_prefix,
     domain_info,
     eval_series,
-    log_f,
 )
 
 __all__ = [
@@ -382,6 +382,12 @@ def solve_fprime(
     return _solved(seq, found, tol * max(1.0, u), "root", f"f'(y)={u!r}")
 
 
+def _ratio_rel(tol: float, v: float) -> float:
+    """``solve_phi``'s relative split of ``tol`` at the ratio v: each probe
+    walks f' and f to a quarter of it."""
+    return max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
+
+
 def solve_phi(
     seq: SigmaSequence,
     v: float,
@@ -399,7 +405,7 @@ def solve_phi(
     """
     s_min = sigma(seq, seq.start_index)
     _require_positive(v - s_min)
-    rel = max(1e-15, 0.125 * tol * max(1.0, v) / max(v, 1e-300))
+    rel = _ratio_rel(tol, v)
 
     def ph(y: float) -> tuple[float, tuple]:
         num, num_error = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
@@ -440,8 +446,10 @@ def conjugate(
         if u >= di.gamma - di.gamma_err:
             return ConjugateValue(edge_value, Regime.BOUNDARY_GAMMA, attaining_y=-di.alpha)
     y, residual = solve_fprime(seq, u, tol=tol, max_terms=max_terms)
+    # |f*(u)| = f(y) + |y| u, so f to 0.25 tol max(1, |y| u) keeps the value's
+    # error within 0.125 tol max(1, |f*(u)|)
     f_here = eval_series(
-        seq, y, 0, tol=0.25 * tol * max(1.0, u), max_terms=max_terms
+        seq, y, 0, tol=0.25 * tol * max(1.0, min(u, abs(y) * u)), max_terms=max_terms
     ).midpoint
     return ConjugateValue(y * u - f_here, Regime.INTERIOR, attaining_y=y, residual=residual)
 
@@ -485,13 +493,11 @@ def _log_conjugate(
         if rho >= ratio_sup - ratio_err:
             return ConjugateValue(edge_value, Regime.BOUNDARY_GAMMA, attaining_y=-di.alpha)
     y, residual = solve_phi(seq, rho, tol=tol, max_terms=max_terms)
-    lf = log_f(seq, y, tol=0.25 * tol * max(1.0, rho), max_terms=max_terms)
+    # f to the stopping probe's relative width, a replay of its walk, but
+    # never looser than 0.125 tol (looser where rho < 1/4)
+    rel = min(0.25 * _ratio_rel(tol, rho), 0.125 * tol)
+    lf = math.log(_relative(seq, y, 0, rel, max_terms, "log").midpoint)
     return ConjugateValue(rho * y - lf, Regime.INTERIOR, attaining_y=y, residual=residual)
-
-
-def _outside_box_cone(u: float, v: float, kappa: float) -> bool:
-    """Whether (u, v) lies outside the closed cone v >= 3 kappa u >= 0."""
-    return u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u)
 
 
 def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> float:
@@ -502,18 +508,13 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     cone v >= 3 kappa u > 0, with f the unit quadratic series: NumericError
     where that passes float64 (u (ln u - 1) from u ~ 2.6e305), not +inf.
     """
-    value = _box_value(u, v, tol, kappa)
-    if not math.isfinite(value) and not _outside_box_cone(u, v, kappa):
-        raise NumericError(f"box conjugate at (u, v) = ({u!r}, {v!r}) passed float64: {value!r}")
-    return value
-
-
-def _box_value(u: float, v: float, tol: float, kappa: float) -> float:
-    """box_conjugate's value, unchecked: not finite where it passes float64."""
     _require_numbers(u=u, v=v)
-    if _outside_box_cone(u, v, kappa):
+    if u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u):
         return math.inf
     if u == 0:
         return 0.0
     lf = log_f_conjugate(quadratic(), v / (3.0 * kappa * u), tol=tol)
-    return exp_conjugate(u) + 3.0 * u * lf
+    value = exp_conjugate(u) + 3.0 * u * lf
+    if not math.isfinite(value):
+        raise NumericError(f"box conjugate at (u, v) = ({u!r}, {v!r}) passed float64: {value!r}")
+    return value

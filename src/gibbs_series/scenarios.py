@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .conjugate import _box_value, _outside_box_cone
 from .entropy import FitStatus, GibbsFit, fit_gibbs
 from .oracle import alternating_gradient_series
 from .sequences import (
@@ -206,30 +205,30 @@ def box_report(
 ) -> BoxReport:
     """Classify (u, v) against the cone v >= 3*kappa*u >= 0 and solve.
 
-    Interior targets produce the unique Gibbs law with its multipliers
-    (x, y) satisfying grad h(x, y) = (u, v); the degenerate ray v =
-    3*kappa*u is carried by the ground level alone (no multiplier pair
-    reproduces it); u = 0 < v has conjugate value 0 with no
-    representing weights.
+    One ``fit_gibbs`` on ``box(kappa)`` gives the class and h_star, its
+    entropy value.  Interior targets produce the unique Gibbs law with its
+    multipliers (x, y) satisfying grad h(x, y) = (u, v); the degenerate ray
+    v = 3*kappa*u is carried by the ground level alone (no multiplier pair
+    reproduces it); u = 0 < v has conjugate value 0 with no representing
+    weights.
     """
-    h_star = _box_value(u, v, tol, kappa)
-    # not h_star == inf: on the cone, u (ln u - 1) overflows from u ~ 2.6e305
-    if _outside_box_cone(u, v, kappa):
-        return BoxReport(
-            u, v, kappa, "infeasible", h_star, None, None, (None, None),
-            notes="outside the closed cone v >= 3*kappa*u >= 0",
-        )
-    if u == 0:
-        if v == 0:
+    fit = fit_gibbs(box(kappa), u, v, tol=tol)
+    if fit.status is FitStatus.INFEASIBLE:
+        if u == 0 < v:
             return BoxReport(
-                u, v, kappa, "zero", 0.0, None, None, (0.0, 0.0),
-                notes="all-zero law",
+                u, v, kappa, "empty_feasible_set", 0.0, None, None, (0.0, None),
+                notes="no weights reach positive energy at zero mass, yet the conjugate value is 0",
             )
         return BoxReport(
-            u, v, kappa, "empty_feasible_set", 0.0, None, None, (0.0, None),
-            notes="no weights reach positive energy at zero mass, yet the conjugate value is 0",
+            u, v, kappa, "infeasible", math.inf, None, None, (None, None),
+            notes="outside the closed cone v >= 3*kappa*u >= 0",
         )
-    fit = fit_gibbs(box(kappa), u, v, tol=tol)
+    if u == v == 0:
+        return BoxReport(
+            u, v, kappa, "zero", 0.0, None, None, (0.0, 0.0), notes="all-zero law"
+        )
+    h_star = fit.entropy_value
+    # u (ln u - 1) overflows from u ~ 2.6e305
     overflow = "" if math.isfinite(h_star) else f"h_star passed float64: {h_star!r}"
     if fit.status is FitStatus.BOUNDARY_SINGLETON:
         return BoxReport(

@@ -171,10 +171,10 @@ def domain_info(
     if edge is BoundaryClass.OPEN_BOUNDARY:
         return DomainInfo(alpha, edge, math.inf, math.inf)
     budget = max_terms_budget(max_terms)
-    fb = _sum_blocks(seq, -alpha, 0, tol, budget, edge=True)
+    fb = _sum_blocks(seq, -alpha, 0, tol, budget)
     if edge is BoundaryClass.CLOSED_INFINITE_SLOPE:
         return DomainInfo(alpha, edge, math.inf, fb.midpoint, 0.0, 0.5 * fb.tail_bound)
-    gm = _sum_blocks(seq, -alpha, 1, tol, budget, edge=True)
+    gm = _sum_blocks(seq, -alpha, 1, tol, budget)
     return DomainInfo(
         alpha, edge, gm.midpoint, fb.midpoint, 0.5 * gm.tail_bound, 0.5 * fb.tail_bound
     )
@@ -832,7 +832,6 @@ def _sum_blocks(
     tol: float,
     budget: int,
     rel: float = 0.0,
-    edge: bool = False,
 ) -> SeriesEval:
     """Partial sums in doubling blocks until the certified bracket is at
     most max(tol, rel * its lower end) wide.
@@ -846,7 +845,7 @@ def _sum_blocks(
     stops at the first certified block, for the caller to refuse.  A
     certified width already below the slack with 2 slack above the target
     fails at once: more terms only raise the accumulation floor.  At the
-    domain edge (``edge``) the first block is 4096 terms, not 256, and the
+    domain edge y = -alpha the first block is 4096 terms, not 256, and the
     budget message names a boundary tolerance.  A ``signed`` sequence's
     blocks also add their ``_abs_weight``, on which the slack is charged.
 
@@ -873,6 +872,7 @@ def _sum_blocks(
     states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
     rules = seq.family.rules
     certificate = _TAILS[rules.tail]
+    edge = y == -rules.domain(seq)[0]
     block = 4096 if edge else 256
     start = seq.start_index
     last = min(start + budget - 1, rules.last(seq, p))  # no exponent past float64
@@ -1034,8 +1034,7 @@ def _evaluate(
             raise DomainError(
                 "orders p >= 2 are refused at the domain edge", domain_info(seq), y
             )
-        return _sum_blocks(seq, -alpha, p, tol, budget, rel, edge=True)
-    if seq.family.rules.tail == "box":
+    elif seq.family.rules.tail == "box":
         return _eval_box(seq, y, p, tol, budget, rel)
     return _sum_blocks(seq, y, p, tol, budget, rel)
 

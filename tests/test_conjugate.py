@@ -345,6 +345,71 @@ def test_phi_relative_and_log_f_absolute_against_mpmath(spec, y, tol):
         assert abs(mp.mpf(log_value) - mp.log(f0)) <= tol
 
 
+def _jacobi(mp, b):
+    """(F, dF/db) for F(b) = sum_{k>=1} exp(-b k^2) = f(-b) of the unit
+    quadratic, by Jacobi's transform (DLMF 20.7(viii)):
+    F(b) = (sqrt(pi/b) (1 + 2 sum_{m>=1} exp(-pi^2 m^2/b)) - 1)/2."""
+    dual = mp.nsum(lambda m: mp.exp(-mp.pi ** 2 * m ** 2 / b), [1, mp.inf])
+    d_dual = mp.nsum(lambda m: mp.pi ** 2 * m ** 2 / b ** 2 * mp.exp(-mp.pi ** 2 * m ** 2 / b), [1, mp.inf])
+    root = mp.sqrt(mp.pi / b)
+    return (root * (1 + 2 * dual) - 1) / 2, root * (d_dual - (1 + 2 * dual) / (4 * b))
+
+
+def _jacobi_conjugate(mp, target, ratio):
+    """(sup_y [target y - f(y)], y) of the unit quadratic, or with ``ratio``
+    (sup_y [target y - ln f(y)], y), at 40 digits: the root of -F'(b) =
+    target, or of -F'(b)/F(b) = target, in ln b, with y = -b."""
+    with mp.workdps(40):
+        target = mp.mpf(target)
+
+        def excess(t):
+            value, slope = _jacobi(mp, mp.exp(t))
+            return mp.log(-slope / value if ratio else -slope) - mp.log(target)
+
+        # f' ~ sqrt(pi)/4 b^(-3/2) and f'/f ~ 1/(2 b) for small b
+        guess = 1 / (2 * target) if ratio else (mp.sqrt(mp.pi) / (4 * target)) ** (mp.mpf(2) / 3)
+        b = mp.exp(mp.findroot(excess, mp.log(guess)))
+        value, _ = _jacobi(mp, b)
+        return -b * target - (mp.log(value) if ratio else value), -b
+
+
+# the conjugate's f walk and the log conjugate's ln f read once scaled with
+# u and v/u: value errors of 0.23 at u = 1e15 and 1.14 at v/u = 1e12
+@pytest.mark.parametrize("spec", ["power:2", "quadratic"])
+@pytest.mark.parametrize("u", [1e9, 1e12, 1e15])
+def test_conjugate_at_large_u_against_jacobi(spec, u):
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-9
+    cv = conjugate(parse_sequence(spec), u, tol=tol)
+    ref, y_ref = _jacobi_conjugate(mp, u, ratio=False)
+    assert cv.regime is Regime.INTERIOR
+    assert abs(cv.value - ref) <= tol * max(1.0, abs(ref))
+    assert abs(cv.attaining_y - y_ref) <= tol * abs(y_ref)
+    # f's bracket at the attaining y, at the conjugate's tolerance for it
+    y = cv.attaining_y
+    ev = eval_series(parse_sequence(spec), y, 0, tol=0.25 * tol * max(1.0, min(u, -y * u)))
+    with mp.workdps(40):
+        f_ref, _ = _jacobi(mp, -mp.mpf(y))
+        assert ev.value <= f_ref <= ev.upper
+
+
+@pytest.mark.parametrize("rho", [1e6, 1e9, 1e12])
+def test_log_f_conjugate_at_large_ratio_against_jacobi(rho):
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-9
+    ref, _ = _jacobi_conjugate(mp, rho, ratio=True)
+    assert abs(log_f_conjugate(quadratic(), rho, tol=tol) - ref) <= tol * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("v", [3e9, 3e12])
+def test_box_conjugate_at_large_ratio_against_jacobi(v):
+    # u (ln u - 1) + 3 u (ln f)*(v/(3 u)) at u = 1
+    mp = pytest.importorskip("mpmath")
+    tol = 1e-9
+    ref = 3 * _jacobi_conjugate(mp, v / 3, ratio=True)[0] - 1
+    assert abs(box_conjugate(1.0, v, tol=tol) - ref) <= tol * max(1.0, abs(ref))
+
+
 class TestRootFinder:
     @staticmethod
     def _check_root(mp, equation, y, target, residual, tol):

@@ -134,7 +134,7 @@ class TestBoxReport:
         mass, energy = rep.achieved
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert energy == pytest.approx(4.0, abs=1e-8)
-        assert rep.fit.entropy_value == pytest.approx(rep.h_star, abs=1e-7)
+        assert box_conjugate(1.0, 4.0) == pytest.approx(rep.h_star, abs=1e-7)
 
     def test_huge_mass_is_interior(self):
         # the fit's dual x passes 709.78, where exp(x) alone overflows
@@ -155,9 +155,28 @@ class TestBoxReport:
             raise NumericError("residual over its limit")
 
         conjugate = importlib.import_module("gibbs_series.conjugate")
-        monkeypatch.setattr(conjugate, "log_f_conjugate", fail)
+        monkeypatch.setattr(conjugate, "solve_phi", fail)
         with pytest.raises(NumericError, match="residual over its limit"):
             box_report(1.0, 4.0)
+
+    def test_interior_report_solves_once(self, monkeypatch):
+        conjugate = importlib.import_module("gibbs_series.conjugate")
+        solve_phi, calls = conjugate.solve_phi, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_phi(*args, **kwargs)
+
+        monkeypatch.setattr(conjugate, "solve_phi", counted)
+        assert box_report(1.0, 4.0).classification == "interior"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_kappa_outside_the_box_family_is_a_value_error(self, kappa):
+        # the box fit builds box(kappa) first, whatever (u, v) is
+        for u, v in ((1.0, 4.0), (-1.0, 4.0), (0.0, 0.0)):
+            with pytest.raises(ValueError, match="kappa"):
+                box_report(u, v, kappa=kappa)
 
     def test_infeasible_cone(self):
         rep = box_report(1.0, 2.0)
@@ -195,4 +214,51 @@ class TestBoxReport:
             pytest.approx(1.0, abs=1e-8),
             pytest.approx(7.0, abs=1e-8),
         )
-        assert rep.fit.entropy_value == pytest.approx(rep.h_star, abs=1e-7)
+        assert box_conjugate(1.0, 7.0, kappa=2.0) == pytest.approx(rep.h_star, abs=1e-7)
+
+
+_OUTSIDE = "outside the closed cone v >= 3*kappa*u >= 0"
+_GROUND = "all mass on (1,1,1); not produced by any multiplier pair"
+_OVERFLOW = "h_star passed float64: inf"
+# (u, v, kappa, class, notes): the report's class and notes at each point,
+# as box_report gave them when it also solved box_conjugate
+_BOX_GRID = (
+    (-1.0, 2.0, 1.0, "infeasible", _OUTSIDE),
+    (0.0, -1.0, 1.0, "infeasible", _OUTSIDE),
+    (0.0, 0.0, 1.0, "zero", "all-zero law"),
+    (
+        0.0, 2.0, 1.0, "empty_feasible_set",
+        "no weights reach positive energy at zero mass, yet the conjugate value is 0",
+    ),
+    (1.0, 2.0, 1.0, "infeasible", _OUTSIDE),
+    (1.0, 3.0, 1.0, "ground_state", _GROUND),
+    (1.0, 4.0, 1.0, "interior", ""),
+    (0.3, 0.09, 0.1, "infeasible", _OUTSIDE),
+    (0.3, 3 * 0.1 * 0.3, 0.1, "ground_state", _GROUND),
+    (1.0, 7.0, 2.0, "interior", ""),
+    (1e306, 3e306, 1.0, "ground_state", f"{_GROUND}; {_OVERFLOW}"),
+    (1e307, 3.1e307, 1.0, "interior", _OVERFLOW),
+)
+
+
+@pytest.mark.parametrize("u, v, kappa, cls, notes", _BOX_GRID)
+def test_box_report_grid(u, v, kappa, cls, notes):
+    tol = 1e-9
+    rep = box_report(u, v, kappa=kappa, tol=tol)
+    assert (rep.classification, rep.notes) == (cls, notes)
+    if cls in ("infeasible", "zero", "empty_feasible_set"):
+        h_star = math.inf if cls == "infeasible" else 0.0
+        achieved = {"infeasible": (None, None), "zero": (0.0, 0.0)}.get(cls, (0.0, None))
+        assert (rep.h_star, rep.fit, rep.dual, rep.achieved) == (h_star, None, None, achieved)
+        return
+    fit = fit_gibbs(box(kappa), u, v, tol=tol)
+    assert rep.fit == fit and rep.achieved == fit.achieved
+    assert rep.dual == (None if cls == "ground_state" else (fit.dual_x, fit.dual_y))
+    assert rep.h_star == fit.entropy_value
+    if math.isfinite(rep.h_star):
+        # the conjugate h* it attains, by the unit quadratic's ratio solve
+        conj = box_conjugate(u, v, tol=tol, kappa=kappa)
+        assert abs(rep.h_star - conj) <= 4.0 * tol * max(1.0, u, v)
+    else:
+        with pytest.raises(NumericError, match="passed float64"):
+            box_conjugate(u, v, tol=tol, kappa=kappa)

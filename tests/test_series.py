@@ -19,6 +19,7 @@ from gibbs_series import (
     Regime,
     box,
     box_conjugate,
+    box_report,
     conjugate,
     custom,
     domain_info,
@@ -278,7 +279,7 @@ class TestKernel:
         series._memo.lru.clear()
         monkeypatch.setitem(series._TAILS, "logfam", no_certificate)
         with pytest.raises(BudgetExceededError) as exc:
-            series._sum_blocks(seq, y, p, 1e-9, budget, edge=True)
+            series._sum_blocks(seq, y, p, 1e-9, budget)
         total, first, block = 0.0, seq.start_index, 4096
         stop = seq.start_index + budget
         while first < stop:
@@ -845,6 +846,8 @@ class TestNonFiniteInputs:
         "log_f_conjugate(quadratic, nan)": lambda: log_f_conjugate(quadratic(), math.nan),
         "box_conjugate(nan, 4)": lambda: box_conjugate(math.nan, 4.0),
         "box_conjugate(1, nan)": lambda: box_conjugate(1.0, math.nan),
+        "box_report(nan, 4)": lambda: box_report(math.nan, 4.0),
+        "box_report(1, nan)": lambda: box_report(1.0, math.nan),
         "min_entropy_moment(logfam:3.5, nan)": lambda: min_entropy_moment(logfam(3.5), math.nan),
         "fit_gibbs(linear, 1, nan)": lambda: fit_gibbs(linear(), 1.0, math.nan),
         "fit_gibbs(linear, nan, 1)": lambda: fit_gibbs(linear(), math.nan, 1.0),
@@ -852,6 +855,8 @@ class TestNonFiniteInputs:
         "log_f_conjugate(quadratic, inf)": lambda: log_f_conjugate(quadratic(), math.inf),
         "box_conjugate(inf, 4)": lambda: box_conjugate(math.inf, 4.0),
         "box_conjugate(1, inf)": lambda: box_conjugate(1.0, math.inf),
+        "box_report(inf, 4)": lambda: box_report(math.inf, 4.0),
+        "box_report(1, inf)": lambda: box_report(1.0, math.inf),
         "min_entropy_moment(logfam:3.5, inf)": lambda: min_entropy_moment(logfam(3.5), math.inf),
         "fit_gibbs(linear, 1, inf)": lambda: fit_gibbs(linear(), 1.0, math.inf),
         "fit_gibbs(linear, inf, 1)": lambda: fit_gibbs(linear(), math.inf, 1.0),

@@ -12,6 +12,7 @@ import pytest
 
 from gibbs_series import (
     box,
+    box_report,
     conjugate,
     domain_info,
     eval_series,
@@ -46,6 +47,8 @@ REFERENCE_CALLS = {
     # each ratio probe walks f and f' once, to a fraction of their own size
     "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 2, 512, 256, 4, 0),
     "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 2, 512, 256, 4, 0),
+    # one box fit, read for both the class and h*: no second ratio solve
+    "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 2, 512, 256, 4, 0),
     "log_f_conjugate(quadratic, 2)": (
         lambda: log_f_conjugate(quadratic(), 2.0), 2, 512, 256, 3, 0
     ),
