@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sequences import SigmaSequence, box_factor, quadratic, sigma
+from .sequences import SigmaSequence, box, box_factor, quadratic, sigma
 from .series import (
     BoundaryClass,
     DomainError,
@@ -507,7 +507,9 @@ def box_conjugate(u: float, v: float, tol: float = 1e-9, kappa: float = 1.0) -> 
     0 when u = 0 <= v; and u(ln u - 1) + 3u (ln f)*(v/(3 kappa u)) on the
     cone v >= 3 kappa u > 0, with f the unit quadratic series: NumericError
     where that passes float64 (u (ln u - 1) from u ~ 2.6e305), not +inf.
+    A kappa outside the box family (``box``) is a ValueError.
     """
+    box(kappa)
     _require_numbers(u=u, v=v)
     if u < 0 or v < 0 or (u > 0 and v < 3.0 * kappa * u):
         return math.inf

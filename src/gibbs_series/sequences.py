@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -212,13 +211,11 @@ def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
 
 
 def _box_sigma(seq: SigmaSequence, n: int) -> float:
-    _BOX.ensure_count(n)
-    return seq.kappa * int(_BOX.levels_array()[n - 1])
+    return seq.kappa * int(_box_table_holding(n)[1][n - 1])
 
 
 def _box_values(seq: SigmaSequence, ns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    _BOX.ensure_count(int(ns.max()) if ns.size else 0)
-    x = _BOX.levels_array()[ns - 1].astype(np.float64)
+    x = _box_table_holding(int(ns.max(initial=0)))[1][ns - 1].astype(np.float64)
     x *= seq.kappa
     return x
 
@@ -289,7 +286,7 @@ class Family(_Described):
         rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level
-    # (``_BoxTable``); repeated levels leave no increment gap.  Sums
+    # (``_box_table``); repeated levels leave no increment gap.  Sums
     # factor as g(y)^3 (``series._eval_box``), and tails and materialized
     # prefixes are cut between levels: there a cut is a level, not an index
     BOX = "box", _Rules(
@@ -480,50 +477,6 @@ def parse_sequence(spec: str) -> SigmaSequence:
 # Box spectrum enumeration
 # ---------------------------------------------------------------------------
 
-class _BoxTable:
-    """Growing cache of the flattened box spectrum (kappa = 1 levels).
-
-    ``arrays`` is the pair (triples, levels) of read-only int64 arrays:
-    triples[i] = (k, l, m), k,l,m >= 1, shape (n, 3), sorted by
-    s = k^2+l^2+m^2 ascending with lexicographic tie-break, and levels[i]
-    its integer s.  The cache only ever grows, under a lock, and each
-    growth replaces the pair in one assignment, so a reader never pairs
-    arrays of two sizes and a prefix a caller has ensured stays valid
-    while other threads extend it.  ``ensure_count(n)`` grows by whole
-    slices of levels, each adding a quarter to the top level (at least
-    64), so it may leave more than n triples; ``ensure_level(s_max)``
-    fills up to level s_max in one slice.
-    """
-
-    def __init__(self) -> None:
-        self.arrays = (_frozen(np.empty((0, 3), np.int64)), _frozen(np.empty(0, np.int64)))
-        self._next_s = 3
-        self._lock = threading.Lock()
-
-    def ensure_count(self, n: int) -> None:
-        with self._lock:
-            while len(self.levels_array()) < n:
-                # a slice adds about 40% to the triple count, so its
-                # transient arrays stay a fraction of the table
-                self._add_levels(self._next_s + max(64, self._next_s >> 2))
-
-    def ensure_level(self, s_max: int) -> None:
-        with self._lock:
-            if self._next_s <= s_max:
-                self._add_levels(s_max + 1)
-
-    def levels_array(self) -> np.ndarray:
-        return self.arrays[1]
-
-    def _add_levels(self, stop: int) -> None:
-        triples, levels = _triples_in_levels(self._next_s, stop)
-        self.arrays = (
-            _frozen(np.concatenate((self.arrays[0], triples))),
-            _frozen(np.concatenate((self.arrays[1], levels))),
-        )
-        self._next_s = stop
-
-
 def _isqrt(a: np.ndarray) -> np.ndarray:
     """Elementwise floor(sqrt(a)) of a nonnegative int64 array."""
     r = np.sqrt(a.astype(np.float64)).astype(np.int64)
@@ -564,7 +517,34 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return triples, s
 
 
-_BOX = _BoxTable()
+def _level(s_max: int) -> int:
+    """The least power of two >= s_max, at least 4 so that its table holds level 3."""
+    return 1 << (max(s_max, 3) - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _box_table(s_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box spectrum to level ``s_max``, a power of two (``_level``):
+    ``_triples_in_levels(3, s_max + 1)`` as read-only int64 arrays.
+
+    Each table is a prefix of the next.  It depends on its level alone
+    and is never written, so a caller keeps the arrays it got, and threads
+    need no lock: two that miss together build the same bits.  Doubling
+    the level multiplies the triples by about 2^1.5, so all the tables of
+    a process hold at most about 1.55 times the largest.
+    """
+    triples, levels = _triples_in_levels(3, s_max + 1)
+    return _frozen(triples), _frozen(levels)
+
+
+def _box_table_holding(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least table (``_box_table``) with at least ``n`` triples."""
+    # a triple of level s owns the unit cube below it, which lies in the
+    # octant ball of radius sqrt(s): no level below (6 n / pi)^(2/3) holds n
+    s_max = _level(int((6.0 * n / math.pi) ** (2.0 / 3.0)))
+    while len(_box_table(s_max)[1]) < n:
+        s_max *= 2
+    return _box_table(s_max)
 
 
 def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int], float]]:
@@ -574,12 +554,10 @@ def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int],
     Ties break lexicographically; the output is deterministic and, up to
     the last emitted level, gap-free.
     """
+    box(kappa)  # the family's check of kappa
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not kappa > 0:
-        raise ValueError("kappa must be > 0")
-    _BOX.ensure_count(budget)
-    triples, levels = _BOX.arrays
+    triples, levels = _box_table_holding(budget)
     return [
         (tuple(trip), kappa * s)
         for trip, s in zip(triples[:budget].tolist(), levels[:budget].tolist())
@@ -588,9 +566,9 @@ def enumerate_box(kappa: float, budget: int) -> list[tuple[tuple[int, int, int],
 
 def box_levels(s_max: int) -> tuple[np.ndarray, np.ndarray]:
     """All triples with level <= s_max, an (n, 3) int64 array, and their
-    integer levels: read-only views of the shared table."""
-    _BOX.ensure_level(s_max)
-    triples, levels = _BOX.arrays
+    integer levels: read-only views of the table of the least power of
+    two >= s_max (``_level``)."""
+    triples, levels = _box_table(_level(s_max))
     cut = int(np.searchsorted(levels, s_max, side="right"))
     return triples[:cut], levels[:cut]
 

@@ -10,7 +10,7 @@ gap of any finite-support witness for the slow log family decays like
 
 import pytest
 
-from gibbs_series import acceptance
+from gibbs_series import acceptance, sequences
 
 
 def _run(cid: str):
@@ -57,3 +57,11 @@ def test_criterion_09_fenchel_young_sweep():
 
 def test_criterion_10_domain_table():
     _run("10")
+
+
+def test_parallel_run_matches_serial_from_an_empty_box_table():
+    # the worker threads share the caches, and the one that runs
+    # criterion 5 fills the box table
+    serial = acceptance.run_all(jobs=1)
+    sequences._box_table.cache_clear()
+    assert acceptance.run_all(jobs=2) == serial

@@ -138,13 +138,13 @@ class TestTwoMoments:
 
     def test_fit_indices_are_read_only_table_rows(self):
         fit = fit_gibbs(box(1.0), 1.0, 4.0, tol=1e-10)
-        table = sequences._BOX.arrays[0]
+        table = sequences._box_table_holding(len(fit.weights))[0]
         assert fit.indices.shape == (len(fit.weights), 3)
         assert np.array_equal(fit.indices, table[: len(fit.weights)])
         before = table[: len(fit.weights)].tolist()
         with pytest.raises(ValueError):
             fit.indices[0, 0] = 7
-        assert sequences._BOX.arrays[0][: len(fit.weights)].tolist() == before
+        assert table[: len(fit.weights)].tolist() == before
         for seq in (linear(), power(1.5)):
             fit = min_entropy_moment(seq, 1.5)
             first = seq.start_index

@@ -12,6 +12,7 @@ from gibbs_series import (
     box_conjugate,
     box_report,
     domain_info,
+    enumerate_box,
     eval_series,
     example1_table,
     example2_table,
@@ -171,12 +172,18 @@ class TestBoxReport:
         assert box_report(1.0, 4.0).classification == "interior"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
     def test_kappa_outside_the_box_family_is_a_value_error(self, kappa):
-        # the box fit builds box(kappa) first, whatever (u, v) is
+        # the box fit, the box conjugate and the enumeration check kappa
+        # as box(kappa) does, first, whatever (u, v) is
+        family = "box family needs finite kappa > 0"
         for u, v in ((1.0, 4.0), (-1.0, 4.0), (0.0, 0.0)):
-            with pytest.raises(ValueError, match="kappa"):
+            with pytest.raises(ValueError, match=family):
                 box_report(u, v, kappa=kappa)
+            with pytest.raises(ValueError, match=family):
+                box_conjugate(u, v, kappa=kappa)
+        with pytest.raises(ValueError, match=family):
+            enumerate_box(kappa, 3)
 
     def test_infeasible_cone(self):
         rep = box_report(1.0, 2.0)

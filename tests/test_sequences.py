@@ -225,27 +225,44 @@ class TestEnumerateBox:
 
     def test_table_matches_brute_to_level_3000(self):
         triples, levels = brute_box(3000)
-        table = sequences._BoxTable()
-        table.ensure_level(3000)
-        assert table.arrays[0].tolist() == [list(t) for t in triples]
-        assert table.levels_array().tolist() == levels
+        table = sequences.box_levels(3000)
+        assert table[0].tolist() == [list(t) for t in triples]
+        assert table[1].tolist() == levels
 
     def test_growth_steps_do_not_change_the_prefix(self):
         triples, levels = brute_box(3000)
-        by_count, by_level, mixed = (sequences._BoxTable() for _ in range(3))
+        by_count, by_level, mixed = [], [], []
         for n in (1, 7, 4, 950, 12_345, 60_000):
-            by_count.ensure_count(n)
-            assert len(by_count.arrays[0]) >= n
+            by_count.append(sequences._box_table_holding(n))
+            assert len(by_count[-1][0]) >= n
         for s_max in (5, 100, 99, 101, 1777, 3000):
-            by_level.ensure_level(s_max)
-            assert s_max < by_level._next_s
+            by_level.append(sequences.box_levels(s_max))
+            assert len(by_level[-1][1]) == sum(s <= s_max for s in levels)
         for step, arg in (("count", 3), ("level", 40), ("count", 2_000), ("level", 1_023)):
-            getattr(mixed, f"ensure_{step}")(arg)
-        mixed.ensure_count(30_000)
-        for table in (by_count, by_level, mixed):
-            n = min(len(table.arrays[0]), len(triples))
-            assert table.arrays[0][:n].tolist() == [list(t) for t in triples[:n]]
-            assert table.levels_array().tolist()[:n] == levels[:n]
+            read = sequences._box_table_holding if step == "count" else sequences.box_levels
+            mixed.append(read(arg))
+        mixed.append(sequences._box_table_holding(30_000))
+        for table in by_count + by_level + mixed:
+            n = min(len(table[0]), len(triples))
+            assert table[0][:n].tolist() == [list(t) for t in triples[:n]]
+            assert table[1].tolist()[:n] == levels[:n]
+
+    def test_levels_cut_the_least_power_of_two_table(self, monkeypatch):
+        every, every_level = lexsorted_cube_below(2_050)
+        asked = []
+        table = sequences._box_table
+        monkeypatch.setattr(sequences, "_box_table", lambda s_max: asked.append(s_max) or table(s_max))
+        for s_max in (0, 1, 2, 3, 4, 5, 63, 64, 65, 2047, 2048, 2049):
+            cut = np.searchsorted(every_level, s_max, side="right")
+            triples, levels = sequences.box_levels(s_max)
+            assert triples.tolist() == every[:cut].tolist()
+            assert levels.tolist() == every_level[:cut].tolist()
+        assert asked == [4, 4, 4, 4, 4, 8, 64, 64, 128, 2048, 2048, 4096]
+        for k in range(2, 12):
+            small, large = table(2**k), table(2 ** (k + 1))
+            assert small[1][-1] <= 2**k < large[1][len(small[1])]
+            assert np.array_equal(large[0][: len(small[0])], small[0])
+            assert np.array_equal(large[1][: len(small[1])], small[1])
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(3, 4_999), st.integers(1, 4_997))
@@ -273,48 +290,47 @@ class TestEnumerateBox:
 
     def test_shared_arrays_are_read_only(self):
         triples, levels = sequences.box_levels(50)
-        before = [a.tolist() for a in sequences._BOX.arrays]
-        for array, row in ((triples, 0), (levels, 0), (sequences._BOX.arrays[0], 1)):
+        table = sequences._box_table(64)
+        before = [a.tolist() for a in table]
+        for array, row in ((triples, 0), (levels, 0), (table[0], 1)):
             with pytest.raises(ValueError):
                 array[row] = 9
-        assert [a[: len(b)].tolist() for a, b in zip(sequences._BOX.arrays, before)] == before
+        assert [a.tolist() for a in sequences._box_table(64)] == before
 
     def test_table_retains_under_2mb_to_level_2048(self):
         # int64 triples and levels, 32 bytes per triple: 1.41 MiB for the
         # 46,115 triples to level 2048
+        sequences._box_table.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            table = sequences._BoxTable()
-            table.ensure_level(2048)
+            triples, levels = sequences.box_levels(2048)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert len(table.levels_array()) == 46_115
+        assert len(levels) == 46_115
         assert retained <= 2 * 2**20
 
     def test_fill_to_level_2048_peaks_at_most_3_94_mib(self):
         # 3.94 MiB is the peak of the fill by a stable argsort of the levels
         # and a gather of the triples; one in-place sort of a unique key
         # keeps fewer temporaries
+        sequences._box_table.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            table = sequences._BoxTable()
-            table.ensure_level(2048)
+            triples, levels = sequences.box_levels(2048)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(table.levels_array()) == 46_115
+        assert len(levels) == 46_115
         assert peak <= 3.94 * 2**20
 
-    def test_cache_growth_is_thread_safe(self, monkeypatch):
-        # fresh caches: the shared one may already hold these levels
-        reference = sequences._BoxTable()
-        reference.ensure_count(8000)
-        table = sequences._BoxTable()
-        monkeypatch.setattr(sequences, "_BOX", table)
+    def test_cache_growth_is_thread_safe(self):
+        # an empty cache, so the threads build the tables they read
+        reference = sequences._box_table_holding(8000)
+        sequences._box_table.cache_clear()
         budgets = (500, 2000, 8000, 2000)
         start = threading.Barrier(len(budgets))
 
@@ -330,12 +346,13 @@ class TestEnumerateBox:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        n = len(table.arrays[0])
-        triples = reference.arrays[0].tolist()
-        levels = reference.levels_array().tolist()
-        assert n >= 8000 and len(table.levels_array()) == n
-        assert table.arrays[0].tolist() == triples[:n]
-        assert table.levels_array().tolist() == levels[:n]
+        table = sequences._box_table_holding(8000)
+        n = len(table[0])
+        triples = reference[0].tolist()
+        levels = reference[1].tolist()
+        assert n >= 8000 and len(table[1]) == n
+        assert table[0].tolist() == triples[:n]
+        assert table[1].tolist() == levels[:n]
         for budget, got in zip(budgets, results):
             assert got == [
                 (tuple(t), float(s)) for t, s in zip(triples[:budget], levels[:budget])
@@ -480,7 +497,7 @@ def exact_sigma(mp, seq, n):
     if seq.family is Family.LOGLOG:
         return mp.log(mp.log(n))
     if seq.family is Family.BOX:
-        return mp.mpf(seq.kappa) * int(sequences._BOX.levels_array()[n - 1])
+        return mp.mpf(seq.kappa) * int(sequences._box_table_holding(n)[1][n - 1])
     if seq.family is Family.QUADRATIC:
         return mp.mpf(n) ** 2
     assert seq.family is Family.LINEAR

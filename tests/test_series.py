@@ -58,7 +58,8 @@ def plain_sigma(seq, ns):
         lx = np.log(x)
         return lx + seq.theta * np.log(lx)
     if seq.family is Family.BOX:
-        return seq.kappa * sequences._BOX.levels_array()[ns - 1].astype(np.float64)
+        levels = sequences._box_table_holding(int(ns.max()))[1]
+        return seq.kappa * levels[ns - 1].astype(np.float64)
     assert seq.family is Family.LINEAR
     return x
 
@@ -258,10 +259,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("count", [1000, series._CHUNK, 1_000_037])
     @pytest.mark.parametrize("seq,y", KERNEL_CASES, ids=str)
-    def test_block_sum_matches_plain_sum(self, seq, y, count, monkeypatch):
+    def test_block_sum_matches_plain_sum(self, seq, y, count, request):
         if seq.family is Family.BOX:
-            # a fresh table, so the million-triple one is dropped afterwards
-            monkeypatch.setattr(sequences, "_BOX", sequences._BoxTable())
+            # the million-triple table is dropped afterwards
+            request.addfinalizer(sequences._box_table.cache_clear)
         first = seq.start_index + 5
         stop = first + count
         for p in (0, 1, 2):

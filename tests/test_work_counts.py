@@ -23,6 +23,7 @@ from gibbs_series import (
     min_entropy_moment,
     parse_sequence,
     quadratic,
+    sequences,
     series,
     sigma,
 )
@@ -82,6 +83,13 @@ REFERENCE_CALLS = {
 }
 
 
+def _clear_memos():
+    series._memo.lru.clear()
+    series._memo.sigma.clear()
+    domain_info.cache_clear()
+    _conjugate._start_block.cache_clear()
+
+
 @pytest.mark.parametrize("name", REFERENCE_CALLS)
 def test_reference_call_work(name, monkeypatch):
     call, max_blocks, max_terms, max_sigmas, max_evals, max_gammas = REFERENCE_CALLS[name]
@@ -112,10 +120,7 @@ def test_reference_call_work(name, monkeypatch):
     monkeypatch.setattr(series, "sigma_values", counted_sigmas)
     monkeypatch.setattr(series, "_evaluate", counted_evaluate)
     monkeypatch.setattr(series, "_log_upper_gamma", counted_gamma)
-    series._memo.lru.clear()
-    series._memo.sigma.clear()
-    domain_info.cache_clear()
-    _conjugate._start_block.cache_clear()
+    _clear_memos()
     call()
     assert (
         work["blocks"] <= max_blocks
@@ -150,3 +155,22 @@ def test_probes_per_solve(monkeypatch):
             log_f_conjugate(seq, s_min + u)
             fit_gibbs(seq, 1.5, 1.5 * (s_min + u))
     assert work["solves"] == 48 and work["probes"] <= 1.5 * work["solves"], work
+
+
+def test_cold_box_fit_builds_no_table_past_its_cut(monkeypatch):
+    # the ground level is read off the level-4 table (1 triple) and the
+    # weights off the level-2048 one (46,115), the fit's cut
+    build = sequences._triples_in_levels
+    work = {"tables": 0, "triples": 0}
+
+    def counted(lo, hi):
+        triples, levels = build(lo, hi)
+        work["tables"] += 1
+        work["triples"] += len(levels)
+        return triples, levels
+
+    monkeypatch.setattr(sequences, "_triples_in_levels", counted)
+    _clear_memos()
+    sequences._box_table.cache_clear()
+    fit_gibbs(box(0.2627), 1.0, 20.7037)
+    assert work["tables"] <= 2 and work["triples"] <= 46_116, work
