@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ from .series import (
     DomainError,
     _best_bracket,
     _compared,
+    _SIGMA_PREFIX,
     _relative,
     _sigma_prefix,
     domain_info,
@@ -58,13 +59,16 @@ __all__ = [
 ]
 
 # probes before _find_root gives up; an interior solve from a float start
-# takes one or two, from edge - 1 four to nine
+# takes one or two, the log family's near its edge too (its start adds a
+# float tail model), and four to nine from edge - 1, where no start is made
 _MAX_PROBES = 200
-# the float start (``_float_start``): exponents it reads, steps it takes at
-# most, and its rejection rule, the block's last _START_TAIL terms weighing
-# under _START_SHARE of the block
+# the float start (``_float_start``): exponents it reads without a tail
+# model, steps it takes at most, and its rejection rule there, the block's
+# last _START_TAIL terms weighing under _START_SHARE of the block
 _START_TERMS, _START_STEPS = 256, 40
 _START_TAIL, _START_SHARE = 16, 1e-6
+# the most a tail model's error estimate may be, relative to a moment
+_START_AGREE = 1e-10
 # a log excess at which one more Halley step leaves ~1e-15 of it
 _START_DONE = 1e-5
 
@@ -128,24 +132,26 @@ def _find_root(
     target: float,
     band: float,
     edge: float,
-    start: Optional[float] = None,
+    start: Optional[tuple[float, float]] = None,
 ) -> tuple[float, Any]:
     """Solve value = target > 0, fn(y) = (value, payload), value increasing on (-inf, edge).
 
-    Starts at ``start`` (``_float_start``'s float root), or without one at
-    edge - 1, and takes secant steps on the log excess ln value - ln target.
-    For f' that is a log-sum-exp of affine functions of y, convex and
-    nearly linear, so few steps reach the root.  The nearest probes below
-    and above target form a bracket; a step that leaves it, or that
-    follows a secant step inside it which did not halve the log excess, is
-    replaced by the bracket's midpoint in ln(edge - y).  Before a bracket
-    forms a secant step may at most halve the distance to the edge or
-    double it; without one, or past the edge, a step keeps 1/2, 1/4, 1/16,
-    ... of the distance, so any float distance is reached in ~11 probes.
-    Returns (y, payload) of the first probe within ``band`` of target, or
-    of the better end of a bracket that float resolution cannot split.
-    Raises NumericError for a target not positive (before any probe), on a
-    NaN probe, when value does not cross target, or after _MAX_PROBES probes.
+    Starts at ``start`` (``_float_start``'s float root and the slope of the
+    log excess there), or without one at edge - 1, and takes secant steps
+    on the log excess ln value - ln target; a first probe from a start that
+    misses takes a Newton step on the start's slope instead.  For f' that
+    is a log-sum-exp of affine functions of y, convex and nearly linear, so
+    few steps reach the root.  The nearest probes below and above target
+    form a bracket; a step that leaves it, or that follows a secant step
+    inside it which did not halve the log excess, is replaced by the
+    bracket's midpoint in ln(edge - y).  Before a bracket forms a step may
+    at most halve the distance to the edge or double it; without a step,
+    or past the edge, a step keeps 1/2, 1/4, 1/16, ... of the distance, so
+    any float distance is reached in ~11 probes.  Returns (y, payload) of
+    the first probe within ``band`` of target, or of the better end of a
+    bracket that float resolution cannot split.  Raises NumericError for a
+    target not positive (before any probe), on a NaN probe, when value does
+    not cross target, or after _MAX_PROBES probes.
     """
     _require_positive(target)
     log_target = math.log(target)
@@ -154,7 +160,7 @@ def _find_root(
     prev = None  # (y, log excess) of the previous probe
     interpolated = False  # whether the current probe is a secant step inside the bracket
     keep = 0.5  # share of the edge distance kept by the next step without a secant
-    y = edge - 1.0 if start is None else start
+    y, slope = (edge - 1.0, None) if start is None else start
     for _ in range(_MAX_PROBES):
         fy, payload = fn(y)
         if math.isnan(fy):
@@ -169,6 +175,8 @@ def _find_root(
         step = None
         if prev is not None and math.isfinite(excess + prev[1]) and excess != prev[1]:
             step = y - excess * (y - prev[0]) / (excess - prev[1])
+        elif prev is None and slope is not None:  # the first probe, from a start
+            step = y - excess / slope
         slow = interpolated and abs(excess) > 0.5 * abs(prev[1])
         prev = (y, excess)
         interpolated = False
@@ -201,19 +209,23 @@ def _find_root(
     )
 
 
-def _float_start(seq: SigmaSequence, target: float, ratio: bool = False) -> Optional[float]:
+def _float_start(
+    seq: SigmaSequence, target: float, ratio: bool = False
+) -> Optional[tuple[float, float]]:
     """An uncertified root of f'(y) = target, or with ``ratio`` of
-    f'(y)/f(y) - s_min = target, in float64 on the first _START_TERMS
-    exponents (``_StartBlock``), for ``_find_root``'s first probe.
+    f'(y)/f(y) - s_min = target, in float64 (``_StartBlock``), and the
+    slope of the log excess there, for ``_find_root``'s first probe.
 
     Halley steps on the log excess, each at most twice Newton's and under
     ``_find_root``'s limits (at most halving the distance to the edge or
     doubling it), start from edge - 1.  None, for ``_find_root``'s own
-    start, where ``_start_block`` makes no block, without convergence in
-    _START_STEPS steps, or where the block's last _START_TAIL terms weigh
-    _START_SHARE of it or more: there the cut sum is not the series.  That
-    share grows with y, so it is checked at every step that lands at or
-    below the cut root, where it bounds the root's, and at the root.
+    start, where ``_start_block`` makes no block, where the block has no
+    value at a step (``_StartBlock.at``), or without convergence in
+    _START_STEPS steps.  A block without a tail model also gives none where
+    its last _START_TAIL terms weigh _START_SHARE of it or more: there the
+    cut sum is not the series.  That share grows with y, so it is checked
+    at every step that lands at or below the cut root, where it bounds the
+    root's, and at the root.
     """
     block = _start_block(seq, seq.generator)
     if block is None:
@@ -250,46 +262,58 @@ def _float_start(seq: SigmaSequence, target: float, ratio: bool = False) -> Opti
             y -= step
             ladder = False
         if done:
-            return y
+            return y, slope
     return None
 
 
 class _StartBlock:
     """A sequence's first exponents as ``_float_start`` solves on them.
 
-    f = g^power, g = sum exp(sigma_n y) over the block's exponents: a box
-    is the cube of its factor's sum (``series._eval_box``), any other
-    sequence its own g.  The sums are scaled by exp(-s_min y) so that no
-    term overflows, and ``rows`` times exp(d y), d_n = sigma_n - s_min,
-    gives the moments sum d^k exp(d y), k = 0..3, and those of k = 0, 1
-    over the last _START_TAIL terms, from which ``at`` reads either
-    equation.  ``ladders`` holds per equation the values (``at``) at the
+    f = g^power, g = sum exp(sigma_n y) over the block's exponents and,
+    where the family has one, its float model of the terms past them
+    (``tail``, the rules' ``float_tail``): a box is the cube of its
+    factor's sum (``series._eval_box``), any other sequence its own g.
+    The sums are scaled by exp(-s_min y) so that no term overflows, and
+    ``at`` reads either equation from the moments sum d^k exp(d y), k =
+    0..3, d_n = sigma_n - s_min.  Without a tail model ``rows`` times
+    exp(d y) gives them, and those of k = 0, 1 over the last _START_TAIL
+    terms.  ``ladders`` holds per equation the values (``at``) at the
     points that every solve probes first.
     """
 
-    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "ladders")
+    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "tail", "ladders")
 
-    def __init__(self, s: np.ndarray, edge: float, power: int) -> None:
+    def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
         self.s_min = s_min = float(s[0])
         self.s_top = float(s[-1])
         self.edge = edge
         self.power = power
-        rows = np.zeros((6, s.size))
-        rows[0] = 1.0
-        self.d = d = np.subtract(s, s_min, out=rows[1])
-        np.multiply(d, d, out=rows[2])
-        np.multiply(rows[2], d, out=rows[3])
-        rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
-        rows.flags.writeable = False
-        self.rows = rows
+        self.tail = tail
+        self.rows = None
+        if tail is None:
+            rows = np.zeros((6, s.size))
+            rows[0] = 1.0
+            d = np.subtract(s, s_min, out=rows[1])
+            np.multiply(d, d, out=rows[2])
+            np.multiply(rows[2], d, out=rows[3])
+            rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
+            rows.flags.writeable = False
+            self.rows = rows
+        else:
+            d = np.subtract(s, s_min)
+            d.flags.writeable = False
+        self.d = d
         self.ladders: tuple[dict, dict] = ({}, {})
 
     def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float, float]]:
         """(log sum, slope, curvature, tail share): the log excess over
         the target 1 of ln f' or ln(f'/f - s_min), its first two
         y-derivatives, and the share of the last _START_TAIL terms in g'
-        or g' - s_min g; None where a sum underflows, a value is not
-        finite, the slope is not positive, or d y would overflow."""
+        or g' - s_min g (0 with a tail model); None where a sum underflows,
+        a value is not finite, the slope is not positive, d y would
+        overflow, or the tail model has no value or its error estimate
+        exceeds _START_AGREE of the moments k = 0, 1, which set the value
+        (the others only steer the steps)."""
         if not self.s_top * y > -1e300:
             return None
         e = self.d * y
@@ -297,7 +321,24 @@ class _StartBlock:
         # a product and a row sum, not BLAS: after a BLAS matrix-vector
         # product the pure-Python certificates that follow ran up to 20 %
         # slower in a cold process (the log family's near-edge conjugates)
-        m0, m1, m2, m3, t0, t1 = (self.rows * e).sum(axis=1).tolist()
+        if self.tail is None:
+            m0, m1, m2, m3, t0, t1 = (self.rows * e).sum(axis=1).tolist()
+        else:
+            model = self.tail(y)
+            if model is None:
+                return None
+            tail, err = model
+            # d^k exp(d y) formed per call, not kept as rows: rows of
+            # 4,096 terms would hold 128 KB per sequence
+            terms = np.empty((4, e.size))
+            terms[0] = e
+            for k in range(1, 4):
+                np.multiply(terms[k - 1], self.d, out=terms[k])
+            sums = terms.sum(axis=1) + tail
+            if not (err[:2] <= _START_AGREE * sums[:2]).all():
+                return None
+            m0, m1, m2, m3 = sums.tolist()
+            t0 = t1 = 0.0
         shift = 0.0 if ratio else self.s_min
         # g' - s_min g or g', over exp(s_min y)
         num, dnum, ddnum = m1 + shift * m0, m2 + shift * m1, m3 + shift * m2
@@ -321,19 +362,23 @@ class _StartBlock:
 
 @lru_cache(maxsize=64)
 def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
-    """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
-    last float one (``Rules.last``), of the sequence or of a box's factor;
-    None for an empty domain, a signed sequence or exponents not finite or
-    too large to cube.  ``generator`` keys a custom sequence's exponents,
-    as in ``series._sigma_prefix``."""
+    """The ``_StartBlock`` of the first exponents, cut at the last float
+    one (``Rules.last``), of the sequence or of a box's factor: the first
+    _SIGMA_PREFIX (the ones ``series`` caches) where the family has a
+    float tail model, else the first _START_TERMS.  None for an empty
+    domain, a signed sequence or exponents not finite or too large to
+    cube.  ``generator`` keys a custom sequence's exponents, as in
+    ``series._sigma_prefix``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
     power = 1
     if seq.family.rules.tail == "box":
         seq, power = box_factor(seq.kappa), 3
+    rules = seq.family.rules
     first = seq.start_index
-    stop = min(first + _START_TERMS, seq.family.rules.last(seq, 1) + 1)
+    terms = _START_TERMS if rules.float_tail is None else _SIGMA_PREFIX
+    stop = min(first + terms, rules.last(seq, 1) + 1)
     s = _sigma_prefix(seq, stop)[: stop - first]
     s_min, s_top = float(s[0]), float(s[-1])
     big = max(s_top, 1.0)
@@ -341,7 +386,8 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     # exponents not finite
     if not (math.isfinite(s_min) and s.size * s_top * big * big < 2.0 ** 1000):
         return None
-    return _StartBlock(s, -alpha, power)
+    tail = None if rules.float_tail is None else partial(rules.float_tail, seq, stop - 1, s_min)
+    return _StartBlock(s, -alpha, power, tail)
 
 
 def _solved(

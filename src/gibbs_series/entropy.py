@@ -141,7 +141,7 @@ def _attained(
     indices, s = rules.prefix(seq, cut)
     w = _exp_times(x0, np.exp(s * y))
     keep = max(int(np.searchsorted(w == 0.0, True)), 1)  # drop underflowed tail
-    return GibbsFit(
+    return _noted(GibbsFit(
         status=FitStatus.INTERIOR_UNIQUE,
         dual_x=x,
         dual_y=y,
@@ -151,7 +151,16 @@ def _attained(
         tail_energy=energy_t,
         achieved=(mass, energy),
         entropy_value=(x0 - 1.0) * mass + y * energy,
-    )
+    ))
+
+
+def _noted(fit: GibbsFit) -> GibbsFit:
+    """``fit``, its reason ending in a note where its entropy value passed
+    float64 (``scenarios.box_report`` repeats the note)."""
+    if math.isfinite(fit.entropy_value):
+        return fit
+    note = f"entropy passed float64: {fit.entropy_value!r}"
+    return fit._replace(reason=f"{fit.reason}; {note}" if fit.reason else note)
 
 
 def _scaled_up(x: float, tail: float) -> float:
@@ -274,21 +283,21 @@ def fit_gibbs(
         )
     if cv.regime is Regime.ZERO:
         # unique minimal level carries everything; not a Gibbs law
-        return GibbsFit(
+        return _noted(GibbsFit(
             status=FitStatus.BOUNDARY_SINGLETON,
             indices=_frozen(np.array([seq.family.rules.ground(seq)])),
             weights=np.array([u]),
             achieved=(u, u * s_min),
             entropy_value=exp_conjugate(u),
             reason="ratio at the minimal exponent: all mass on the ground level",
-        )
+        ))
     if cv.regime is Regime.PLATEAU:
-        return GibbsFit(
+        return _noted(GibbsFit(
             status=FitStatus.PLATEAU_NON_ATTAINED,
             entropy_value=exp_conjugate(u) + u * cv.value,
             achieved=(u, v),
             reason="ratio beyond the attainable range; infimum not attained",
-        )
+        ))
     y = cv.attaining_y
     x = math.log(u) - (rho * y - cv.value)  # Fenchel-Young: ln f(y) = rho y - (ln f)*(rho)
     g_mid = eval_series(seq, y, 1, tol=0.25 * tol * max(1.0, v), max_terms=max_terms).midpoint

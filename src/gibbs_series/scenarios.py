@@ -228,8 +228,9 @@ def box_report(
             u, v, kappa, "zero", 0.0, None, None, (0.0, 0.0), notes="all-zero law"
         )
     h_star = fit.entropy_value
-    # u (ln u - 1) overflows from u ~ 2.6e305
-    overflow = "" if math.isfinite(h_star) else f"h_star passed float64: {h_star!r}"
+    # the fit's last note where h_star passed float64 (u (ln u - 1)
+    # overflows from u ~ 2.6e305)
+    overflow = "" if math.isfinite(h_star) else fit.reason.rpartition("; ")[2]
     if fit.status is FitStatus.BOUNDARY_SINGLETON:
         return BoxReport(
             u, v, kappa, "ground_state", h_star, fit, None, fit.achieved,

@@ -135,6 +135,10 @@ class _Rules(NamedTuple):
     # alpha of the domain (-inf, -alpha), and the class of its edge
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
     tail: str = "geometric"
+    # a float model of the terms after an index, which the float start
+    # (``conjugate._StartBlock``) adds to its first exponents; without one
+    # the start reads a short block and refuses where its end is heavy
+    float_tail: Optional[Callable] = None
     ground: Callable = lambda seq: seq.start_index
     cuts: Callable = lambda seq: (seq.start_index + 31, seq.start_index + _PREFIX_CAP - 1)
     prefix: Callable = lambda seq, cut: _index_prefix(seq, cut)
@@ -210,6 +214,66 @@ def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
     return 1.0, BoundaryClass.CLOSED_FINITE_SLOPE
 
 
+@lru_cache(maxsize=None)
+def _exp_sinh() -> tuple[np.ndarray, np.ndarray]:
+    """The exp-sinh rule on [0, inf) (Takahasi and Mori): nodes x =
+    exp(pi/2 sinh t) at t = j/32, |t| <= 4, and their trapezoid weights
+    dx/dt / 32; the even nodes make the rule of step 1/16.  The first node
+    lies 2e-19 from 0, the last 4e18 beyond it.  Built on first use, and
+    with math: numpy's sinh and cosh loops would page in 256 KB that
+    nothing else uses."""
+    ts = [j / 32.0 for j in range(-128, 129)]
+    x = np.array([math.exp(0.5 * math.pi * math.sinh(t)) for t in ts])
+    return x, np.array([math.pi / 64.0 * math.cosh(t) for t in ts]) * x
+
+
+def _logfam_float_tail(
+    seq: SigmaSequence, N: int, s: float, y: float
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Uncertified sum_{n>N} d_n^k exp(y d_n), d_n = sigma_n - s, k = 0..3,
+    and an estimate of its quadrature error; None unless y < -1.
+
+    With g(x) = d(x)^k exp(y d(x)), the sum is int_{N+1/2}^inf g +
+    g'(N+1/2)/24 up to a term in g''' (Euler-Maclaurin for the midpoint
+    sum, DLMF 2.10).  In w = ln x, g dx = d^k exp(y d + w) dw with d = w +
+    theta ln w - s, which falls like exp((y + 1) w) w^(theta y).  The
+    integral over w >= W = ln(N + 1/2) takes the exp-sinh rule at w = W +
+    c x, c = 1/(|y + 1| + |theta y|/W), for theta >= 0 the length on which
+    the integrand falls by e at W.  The error estimate is the rule's
+    difference from the one of twice the step, plus the last node's share,
+    the scale of what the rule cuts off where the integrand falls slowly.
+    """
+    if not y < -1.0:
+        return None
+    theta = seq.theta
+    W = math.log(N + 0.5)
+    c = 1.0 / (abs(theta * y) / W - (y + 1.0))
+    x, weights = _exp_sinh()
+    w = x * c
+    w += W
+    d = np.log(w)
+    d *= theta
+    d += w
+    d -= s
+    parts = np.empty((4, w.size))
+    g = np.multiply(d, y, out=parts[0])
+    g += w
+    np.exp(g, out=g)
+    g *= weights
+    g *= c
+    for k in range(1, 4):
+        np.multiply(parts[k - 1], d, out=parts[k])
+    fine = parts.sum(axis=1)
+    err = np.abs(fine - 2.0 * parts[:, ::2].sum(axis=1))
+    err += parts[:, -1]
+    # g_k'(N + 1/2) = sigma' (k d^(k-1) + y d^k) exp(y d), sigma' = (1 + theta/W)/x
+    d = W + theta * math.log(W) - s
+    k = np.arange(4.0)
+    powers = d ** k
+    fine += (1.0 + theta / W) / (N + 0.5) * math.exp(y * d) / 24.0 * (y + k / d) * powers
+    return fine, err
+
+
 def _box_sigma(seq: SigmaSequence, n: int) -> float:
     return seq.kappa * int(_box_table_holding(n)[1][n - 1])
 
@@ -268,6 +332,7 @@ class Family(_Described):
         rounding=lambda seq: (19.0, 4.0 * max(abs(seq.theta), 1.0)),
         domain=_logfam_domain,
         tail="logfam",
+        float_tail=_logfam_float_tail,
     )
     # sigma_n = ln(ln n), n >= 3: terms (ln n)^y decay slower than 1/n for
     # every y, so the domain is empty
@@ -506,13 +571,15 @@ def _triples_in_levels(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     key -= np.repeat(np.cumsum(count) - count - m_lo, count)
     key *= key  # m^2
     pair = np.repeat(np.arange(n_pairs, dtype=np.int64), count)
-    key += r[pair]  # s
+    key += np.take(r, pair)  # s
     # key < hi^2 (s, n_pairs < hi): int64 holds it for any table in memory
     key *= n_pairs
     key += pair
     key.sort()
     s, pair = np.divmod(key, n_pairs, out=(key, pair))
-    triples = np.column_stack((k + 1, l + 1, -r))[pair]
+    # np.take gathers rows faster than fancy indexing (level 2048's 46,115
+    # in a fresh process: 0.7-0.8 ms, against 1.0-1.2 ms)
+    triples = np.take(np.column_stack((k + 1, l + 1, -r)), pair, axis=0)
     triples[:, 2] = np.sqrt(triples[:, 2] + s)  # exact for m^2 < 2^53, a square
     return triples, s
 

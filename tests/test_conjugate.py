@@ -32,7 +32,7 @@ from gibbs_series import (
     solve_fprime,
     solve_phi,
 )
-from gibbs_series.conjugate import _find_root, _float_start
+from gibbs_series.conjugate import _START_AGREE, _find_root, _float_start, _start_block
 from gibbs_series.scenarios import BoxModel
 
 
@@ -533,7 +533,15 @@ class TestFloatStart:
         return probes
 
     def test_first_probe_is_the_start(self):
-        assert self._probes(start=-1.3)[0] == -1.3
+        assert self._probes(start=(-1.3, 1.0))[0] == -1.3
+
+    def test_a_missed_start_takes_a_newton_step_on_its_slope(self):
+        # the log excess y - ln 0.25 has slope 1, so Newton's step is the root
+        assert self._probes(start=(-1.3, 1.0)) == [-1.3, pytest.approx(math.log(0.25), abs=1e-15)]
+        # from a slope 4 times too steep the secant takes over
+        probes = self._probes(start=(-1.0, 4.0))
+        assert probes[1] == pytest.approx(-1.0 - (-1.0 - math.log(0.25)) / 4.0, abs=1e-15)
+        assert len(probes) <= 5
 
     def test_without_a_start_the_first_probe_is_edge_minus_one(self):
         assert self._probes()[0] == -1.0
@@ -554,14 +562,49 @@ class TestFloatStart:
         assert _float_start(seq, 1.0) is None and _float_start(seq, 1.0, ratio=True) is None
 
     def test_heavy_block_end_has_no_start(self):
-        # near logfam:1.5's edge the block's last 16 terms weigh more than
-        # 1e-6 of it; farther out the same block gives a start
-        seq = logfam(1.5)
+        # near power:0.3's edge 0 the block's last 16 terms weigh more than
+        # 1e-6 of it; farther out the same block gives a start.  The log
+        # family's tail model gives one near its edge (TestTailModel)
+        seq = power(0.3)
         assert _float_start(seq, 1.0) is None
         assert _float_start(seq, 1.0, ratio=True) is None
-        assert _float_start(seq, 0.05) < -1.0
+        assert _float_start(seq, 0.05, ratio=True)[0] < 0.0
+        assert _float_start(logfam(1.5), 1.0)[0] < -1.0
 
     def test_start_is_a_python_float_near_the_root(self):
-        y = _float_start(linear(), 2.0)
+        y, slope = _float_start(linear(), 2.0)
         assert type(y) is float and y == pytest.approx(-math.log(2.0), abs=1e-15)
+        assert type(slope) is float and slope > 0.0
         assert type(conjugate(linear(), 2.0).attaining_y) is float
+
+
+class TestTailModel:
+    # the log family's float start adds a float model of the terms past its
+    # first 4096 (the rules' float_tail) to them: near the edge its f' and
+    # f'/f lie in certified brackets, and it gives no value where its two
+    # quadratures disagree
+    @pytest.mark.parametrize("theta", [1.5, 2.2, 2.9, 4.5])
+    def test_model_lies_in_certified_brackets(self, theta):
+        seq = logfam(theta)
+        block = _start_block(seq, None)
+        s_min = sigma(seq, seq.start_index)
+        for y in (-1.45, -1.3, -1.25):
+            fp = eval_series(seq, y, 1, tol=1e-9)
+            f = eval_series(seq, y, 0, tol=1e-9)
+            model = math.exp(block.at(y, False)[0])
+            assert fp.value - 1e-12 <= model <= fp.upper + 1e-12
+            ratio = math.exp(block.at(y, True)[0]) + s_min
+            assert fp.value / f.upper - 1e-12 <= ratio <= fp.upper / f.value + 1e-12
+
+    def test_no_value_where_the_quadratures_disagree(self):
+        seq = logfam(2.2)
+        block = _start_block(seq, None)
+        y = -1.0001
+        tail, err = block.tail(y)
+        m1 = float(np.sum(block.d * np.exp(block.d * y))) + tail[1]
+        assert err[1] > _START_AGREE * m1
+        assert block.at(y, False) is None and block.at(y, True) is None
+        # f' = 5 ~1e-3 inside the edge: Halley's steps reach that refusal
+        assert _float_start(seq, 5.0) is None
+        # no model at the edge, where the tail of f' diverges
+        assert block.tail(-1.0) is None and block.at(-1.0, False) is None

@@ -170,6 +170,20 @@ class TestTwoMoments:
         assert float(np.sum(fit.weights)) == pytest.approx(1e307, rel=1e-12)
         assert 0.0 < fit.tail_mass < 1e-12 * 1e307
 
+    def test_entropy_past_float64_is_flagged(self):
+        # (x - 1) u + y v passes float64 at this mass, and so does u (ln u - 1)
+        # on the ground ray; a finite entropy leaves the reason alone
+        fit = fit_gibbs(box(1.0), 1e307, 3.1e307)
+        assert fit.entropy_value == math.inf and fit.reason == "entropy passed float64: inf"
+        fit = fit_gibbs(box(1.0), 1e306, 3e306)
+        assert fit.status is FitStatus.BOUNDARY_SINGLETON and fit.entropy_value == math.inf
+        assert fit.reason == (
+            "ratio at the minimal exponent: all mass on the ground level; "
+            "entropy passed float64: inf"
+        )
+        assert fit_gibbs(box(1.0), 1e305, 4e305).reason == ""
+        assert fit_gibbs(box(1.0), 1e305, 3e305).reason.endswith("ground level")
+
     def test_ratio_below_minimum_infeasible(self):
         fit = fit_gibbs(box(1.0), 1.0, 2.0)
         assert fit.status is FitStatus.INFEASIBLE

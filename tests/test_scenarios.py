@@ -150,6 +150,13 @@ class TestBoxReport:
         assert rep.classification == "ground_state" and rep.h_star == math.inf
         assert "passed float64" in rep.notes
 
+    def test_overflow_note_is_the_fits(self):
+        # the report repeats the note its fit ends its reason with
+        for u, v in ((1e307, 3.1e307), (1e306, 3e306)):
+            rep = box_report(u, v)
+            note = rep.fit.reason.rpartition("; ")[2]
+            assert note == "entropy passed float64: inf" and rep.notes.endswith(note)
+
     def test_other_conjugate_errors_reach_the_caller(self, monkeypatch):
         # only the value passing float64 is noted; a failed solve still raises
         def fail(*args, **kwargs):
@@ -226,7 +233,7 @@ class TestBoxReport:
 
 _OUTSIDE = "outside the closed cone v >= 3*kappa*u >= 0"
 _GROUND = "all mass on (1,1,1); not produced by any multiplier pair"
-_OVERFLOW = "h_star passed float64: inf"
+_OVERFLOW = "entropy passed float64: inf"  # the fit's note
 # (u, v, kappa, class, notes): the report's class and notes at each point,
 # as box_report gave them when it also solved box_conjugate
 _BOX_GRID = (

@@ -61,13 +61,15 @@ REFERENCE_CALLS = {
     "domain_info(logfam:1.5, 1e-9)": (
         lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0, 0
     ),
-    # every probe of the solve ends at the slope's second-order sandwich,
-    # five incomplete gamma evaluations a certificate (one per stencil node),
-    # computed only after the blocks whose floor does not rule out the stop
+    # near the edge the float start reads the first 4096 exponents and a
+    # float model of the rest, so the solve stops at its first probe, whose
+    # walk ends at the slope's second-order sandwich: five incomplete gamma
+    # evaluations a certificate (one per stencil node), computed only after
+    # the blocks whose floor does not rule out the stop
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 22, 18_944, 4_096, 8, 36
+        lambda: conjugate(logfam(2.9), 0.6625), 7, 10_752, 4_096, 2, 6
     ),
-    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 33, 44_032, 20_480, 8, 56),
+    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 9, 13_824, 8_192, 2, 11),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (
         lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 1
@@ -131,17 +133,32 @@ def test_reference_call_work(name, monkeypatch):
     ), work
 
 
+# (theta, (u, u'), (v, v')): f' = u at y = -1.4 and u' at y = -1.25, f'/f = v
+# at y = -1.4 and v' at y = -1.3, rounded; the parent commit's solves took
+# 5 to 8 probes each here, from edge - 1
+_NEAR_EDGE = (
+    (1.5, (0.9696, 1.7235), (2.331, 2.6209)),
+    (2.2, (0.6161, 0.9962), (2.1103, 2.3035)),
+    (2.5, (0.53, 0.8335), (2.0486, 2.2157)),
+    (2.825, (0.4601, 0.7065), (1.9974, 2.1425)),
+    (2.9, (0.4466, 0.6824), (1.9875, 2.1283)),
+    (2.975, (0.4338, 0.6599), (1.9783, 2.115)),
+    (3.5, (0.3621, 0.5367), (1.9286, 2.042)),
+    (4.5, (0.2776, 0.399), (1.8867, 1.9715)),
+)
+
+
 def test_probes_per_solve(monkeypatch):
     # interior conjugates, log conjugates and fits over four families: the
     # float start puts nearly every first probe within the stop band
     find_root = _conjugate._find_root
-    work = {"solves": 0, "probes": 0}
+    probes = []
 
     def counted(fn, *args, **kwargs):
-        work["solves"] += 1
+        probes.append(0)
 
         def probe(y):
-            work["probes"] += 1
+            probes[-1] += 1
             return fn(y)
 
         return find_root(probe, *args, **kwargs)
@@ -154,7 +171,17 @@ def test_probes_per_solve(monkeypatch):
             conjugate(seq, u)
             log_f_conjugate(seq, s_min + u)
             fit_gibbs(seq, 1.5, 1.5 * (s_min + u))
-    assert work["solves"] == 48 and work["probes"] <= 1.5 * work["solves"], work
+    assert len(probes) == 48 and sum(probes) <= 1.5 * len(probes), probes
+    # near the log family's edge the start adds a float model of the terms
+    # past its first 4096 exponents, and lands as it does elsewhere
+    probes.clear()
+    for theta, us, vs in _NEAR_EDGE:
+        seq = logfam(theta)
+        for u, v in zip(us, vs):
+            conjugate(seq, u)
+            log_f_conjugate(seq, v)
+            fit_gibbs(seq, 1.5, 1.5 * v)
+    assert len(probes) == 48 and max(probes) <= 2, probes
 
 
 def test_cold_box_fit_builds_no_table_past_its_cut(monkeypatch):
