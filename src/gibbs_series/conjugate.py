@@ -39,7 +39,6 @@ from .series import (
     DomainError,
     _best_bracket,
     _compared,
-    _SIGMA_PREFIX,
     _relative,
     _sigma_prefix,
     domain_info,
@@ -62,9 +61,9 @@ __all__ = [
 # takes one or two, the log family's near its edge too (its start adds a
 # float tail model), and four to nine from edge - 1, where no start is made
 _MAX_PROBES = 200
-# the float start (``_float_start``): exponents it reads without a tail
-# model, steps it takes at most, and its rejection rule there, the block's
-# last _START_TAIL terms weighing under _START_SHARE of the block
+# the float start (``_float_start``): exponents it reads (a tail model adds
+# the rest), steps it takes at most, and its rejection rule without a
+# model, the block's last _START_TAIL terms weighing under _START_SHARE of it
 _START_TERMS, _START_STEPS = 256, 40
 _START_TAIL, _START_SHARE = 16, 1e-6
 # the most a tail model's error estimate may be, relative to a moment
@@ -275,34 +274,24 @@ class _StartBlock:
     factor's sum (``series._eval_box``), any other sequence its own g.
     The sums are scaled by exp(-s_min y) so that no term overflows, and
     ``at`` reads either equation from the moments sum d^k exp(d y), k =
-    0..3, d_n = sigma_n - s_min.  Without a tail model ``rows`` times
-    exp(d y) gives them, and those of k = 0, 1 over the last _START_TAIL
-    terms.  ``ladders`` holds per equation the values (``at``) at the
-    points that every solve probes first.
+    0..3, d_n = sigma_n - s_min (``rows[1]``): ``rows`` times exp(d y)
+    gives them, and those of k = 0, 1 over the last _START_TAIL terms, to
+    which a tail model adds its moments.  ``ladders`` holds per equation
+    the values (``at``) at the points that every solve probes first.
     """
 
-    __slots__ = ("rows", "d", "s_min", "s_top", "edge", "power", "tail", "ladders")
+    __slots__ = ("rows", "s_min", "s_top", "edge", "power", "tail", "ladders")
 
     def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
-        self.s_min = s_min = float(s[0])
-        self.s_top = float(s[-1])
-        self.edge = edge
-        self.power = power
-        self.tail = tail
-        self.rows = None
-        if tail is None:
-            rows = np.zeros((6, s.size))
-            rows[0] = 1.0
-            d = np.subtract(s, s_min, out=rows[1])
-            np.multiply(d, d, out=rows[2])
-            np.multiply(rows[2], d, out=rows[3])
-            rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
-            rows.flags.writeable = False
-            self.rows = rows
-        else:
-            d = np.subtract(s, s_min)
-            d.flags.writeable = False
-        self.d = d
+        self.s_min, self.s_top = float(s[0]), float(s[-1])
+        self.edge, self.power, self.tail = edge, power, tail
+        self.rows = rows = np.zeros((6, s.size))
+        rows[0] = 1.0
+        d = np.subtract(s, self.s_min, out=rows[1])
+        np.multiply(d, d, out=rows[2])
+        np.multiply(rows[2], d, out=rows[3])
+        rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
+        rows.flags.writeable = False
         self.ladders: tuple[dict, dict] = ({}, {})
 
     def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float, float]]:
@@ -316,29 +305,21 @@ class _StartBlock:
         (the others only steer the steps)."""
         if not self.s_top * y > -1e300:
             return None
-        e = self.d * y
+        e = self.rows[1] * y
         np.exp(e, out=e)
         # a product and a row sum, not BLAS: after a BLAS matrix-vector
         # product the pure-Python certificates that follow ran up to 20 %
         # slower in a cold process (the log family's near-edge conjugates)
-        if self.tail is None:
-            m0, m1, m2, m3, t0, t1 = (self.rows * e).sum(axis=1).tolist()
-        else:
-            model = self.tail(y)
-            if model is None:
+        sums = (self.rows * e).sum(axis=1)
+        if self.tail is not None:
+            if (model := self.tail(y)) is None:
                 return None
             tail, err = model
-            # d^k exp(d y) formed per call, not kept as rows: rows of
-            # 4,096 terms would hold 128 KB per sequence
-            terms = np.empty((4, e.size))
-            terms[0] = e
-            for k in range(1, 4):
-                np.multiply(terms[k - 1], self.d, out=terms[k])
-            sums = terms.sum(axis=1) + tail
+            sums[:4] += tail
+            sums[4:] = 0.0  # the block's end is not its tail
             if not (err[:2] <= _START_AGREE * sums[:2]).all():
                 return None
-            m0, m1, m2, m3 = sums.tolist()
-            t0 = t1 = 0.0
+        m0, m1, m2, m3, t0, t1 = sums.tolist()
         shift = 0.0 if ratio else self.s_min
         # g' - s_min g or g', over exp(s_min y)
         num, dnum, ddnum = m1 + shift * m0, m2 + shift * m1, m3 + shift * m2
@@ -362,12 +343,11 @@ class _StartBlock:
 
 @lru_cache(maxsize=64)
 def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
-    """The ``_StartBlock`` of the first exponents, cut at the last float
-    one (``Rules.last``), of the sequence or of a box's factor: the first
-    _SIGMA_PREFIX (the ones ``series`` caches) where the family has a
-    float tail model, else the first _START_TERMS.  None for an empty
-    domain, a signed sequence or exponents not finite or too large to
-    cube.  ``generator`` keys a custom sequence's exponents, as in
+    """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
+    last float one (``Rules.last``), of the sequence or of a box's factor,
+    with the family's float tail model after them where it has one.  None
+    for an empty domain, a signed sequence or exponents not finite or too
+    large to cube.  ``generator`` keys a custom sequence's exponents, as in
     ``series._sigma_prefix``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
@@ -377,8 +357,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
         seq, power = box_factor(seq.kappa), 3
     rules = seq.family.rules
     first = seq.start_index
-    terms = _START_TERMS if rules.float_tail is None else _SIGMA_PREFIX
-    stop = min(first + terms, rules.last(seq, 1) + 1)
+    stop = min(first + _START_TERMS, rules.last(seq, 1) + 1)
     s = _sigma_prefix(seq, stop)[: stop - first]
     s_min, s_top = float(s[0]), float(s[-1])
     big = max(s_top, 1.0)
@@ -456,8 +435,8 @@ def solve_phi(
     def ph(y: float) -> tuple[float, tuple]:
         num, num_error = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
         den, den_error = _best_bracket(seq, y, 0, 0.0, max_terms, 0.25 * rel)
-        if num.value <= 0.0 or den.value <= 0.0:
-            raise NumericError(f"series underflows at y={y!r} while bracketing")
+        if not (num.value > 0.0 and 0.0 < den.value <= den.upper < math.inf):
+            raise NumericError(f"series underflows or passes float64 at y={y!r} while bracketing")
         ratio = num.midpoint / den.midpoint
         return ratio - s_min, (abs(ratio - v) + 0.5 * rel * v, den_error or num_error)
 

@@ -136,8 +136,8 @@ class _Rules(NamedTuple):
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
     tail: str = "geometric"
     # a float model of the terms after an index, which the float start
-    # (``conjugate._StartBlock``) adds to its first exponents; without one
-    # the start reads a short block and refuses where its end is heavy
+    # (``conjugate._StartBlock``) adds to the sums of its first 256
+    # exponents; without one it refuses where that block's end is heavy
     float_tail: Optional[Callable] = None
     ground: Callable = lambda seq: seq.start_index
     cuts: Callable = lambda seq: (seq.start_index + 31, seq.start_index + _PREFIX_CAP - 1)
@@ -217,14 +217,14 @@ def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
 @lru_cache(maxsize=None)
 def _exp_sinh() -> tuple[np.ndarray, np.ndarray]:
     """The exp-sinh rule on [0, inf) (Takahasi and Mori): nodes x =
-    exp(pi/2 sinh t) at t = j/32, |t| <= 4, and their trapezoid weights
-    dx/dt / 32; the even nodes make the rule of step 1/16.  The first node
+    exp(pi/2 sinh t) at t = j/64, |t| <= 4, and their trapezoid weights
+    dx/dt / 64; the even nodes make the rule of step 1/32.  The first node
     lies 2e-19 from 0, the last 4e18 beyond it.  Built on first use, and
     with math: numpy's sinh and cosh loops would page in 256 KB that
     nothing else uses."""
-    ts = [j / 32.0 for j in range(-128, 129)]
+    ts = [j / 64.0 for j in range(-256, 257)]
     x = np.array([math.exp(0.5 * math.pi * math.sinh(t)) for t in ts])
-    return x, np.array([math.pi / 64.0 * math.cosh(t) for t in ts]) * x
+    return x, np.array([math.pi / 128.0 * math.cosh(t) for t in ts]) * x
 
 
 def _logfam_float_tail(
@@ -348,6 +348,9 @@ class Family(_Described):
         sigma=lambda seq, n: float(n) ** 2 * (seq.kappa or 1.0),
         values=lambda seq, ns, x: np.multiply(np.multiply(x, x, out=x), seq.kappa or 1.0, out=x),
         gap=lambda seq, N: math.nextafter(seq.kappa * (2 * N + 1), 0) if seq.kappa else 2.0 * N + 1,
+        # (kappa n^2)^max(p, 1) < 2^1024 up to n = 2^(511.5 / max(p, 1)) / kappa^(1/2),
+        # a factor 2 to spare for the rounding, as in _power_last
+        last=lambda seq, p: int(2.0 ** min(511.5 / max(p, 1) - 0.5 * math.log2(seq.kappa or 1.0), 1023.0)),
         rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level

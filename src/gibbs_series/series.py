@@ -752,6 +752,7 @@ def _block_sum(
     """
     block = np.empty(stop - first)
     start = seq.start_index
+    widest = 0.0  # the largest |sigma_n|: the last one where all are positive
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         if hi - start <= _SIGMA_PREFIX:
@@ -760,7 +761,7 @@ def _block_sum(
             s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
         terms = block[lo - first : hi - first]
         s_top = float(s[-1])
-        widest = max(s_top, -float(s[0])) if seq.signed else s_top  # of |sigma_n|
+        widest = max(widest, s_top, -float(s[0])) if seq.signed else s_top
         if widest * -y < _HUGE:
             np.multiply(s, y, out=terms)
         else:  # some sigma_n y overflows, to an -inf that exp takes to 0
@@ -769,7 +770,15 @@ def _block_sum(
         np.exp(terms, out=terms)
         if p:
             terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
-    return float(np.add.reduce(block)), s_top
+    # log2 of the count times the largest term, widest^p (times exp(widest |y|), 1.45 > 1/ln 2,
+    # where a sigma_n is negative): from 1023 on the sum may pass float64, to the inf _sum_blocks reports
+    reach = (stop - first).bit_length() + p * math.frexp(widest)[1] - (1.45 * widest * y if seq.signed else 0.0)
+    if reach < 1023.0:
+        total = float(np.add.reduce(block))
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.add.reduce(block))
+    return total, s_top
 
 
 _MEMO_KEYS = 8  # sequences and walks kept per thread; the least recently used go
@@ -844,10 +853,12 @@ def _sum_blocks(
     relative walk whose lower end is not positive (the sum underflows)
     stops at the first certified block, for the caller to refuse.  A
     certified width already below the slack with 2 slack above the target
-    fails at once: more terms only raise the accumulation floor.  At the
-    domain edge y = -alpha the first block is 4096 terms, not 256, and the
-    budget message names a boundary tolerance.  A ``signed`` sequence's
-    blocks also add their ``_abs_weight``, on which the slack is charged.
+    fails at once: more terms only raise the accumulation floor.  So does
+    a block whose partial sum passes float64, with the bracket [2^1023,
+    inf].  At the domain edge y = -alpha the first block is 4096 terms,
+    not 256, and the budget message names a boundary tolerance.  A
+    ``signed`` sequence's blocks also add their ``_abs_weight``, on which
+    the slack is charged.
 
     A certificate is only computed where its block could end the walk.
     Where the walk is absolute and the budget not yet spent, the
@@ -886,6 +897,9 @@ def _sum_blocks(
             if n1 > n_done:
                 block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
                 total += block_total
+                if total == math.inf:  # from 2^1023: a factor 2 spares the rounding
+                    passed = f"partial sum passed float64 after index {n1} for {seq.spec_string()} at y={y!r}"
+                    raise BudgetExceededError(passed, SeriesEval(2.0 ** 1023, n1, math.inf))
                 if seq.signed:
                     weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
                 n_done = n1
@@ -928,6 +942,17 @@ def _sum_blocks(
 _CUBE = (((1.0, 3, 0, 0),), ((3.0, 2, 1, 0),), ((6.0, 1, 2, 0), (3.0, 2, 0, 1)))
 
 
+def _cube(g: list[float], p: int) -> float:
+    """(g^3)^(p) from the factor ends (g, g', g''); inf where a float ** passes float64."""
+    total = 0.0
+    try:
+        for c, a, b, d in _CUBE[p]:
+            total += c * g[0] ** a * g[1] ** b * g[2] ** d
+    except OverflowError:
+        return math.inf
+    return total
+
+
 def _eval_box(
     seq: SigmaSequence, y: float, p: int, tol: float, budget: int, rel: float = 0.0
 ) -> SeriesEval:
@@ -960,13 +985,12 @@ def _eval_box(
                 factor, failed = exc.best, exc
             low[j], high[j] = max(factor.value, 0.0), factor.upper
             n_max = max(n_max, factor.truncation_index)
-        lo = hi = 0.0
-        for c, a, b, d in _CUBE[p]:
-            lo += c * low[0] ** a * low[1] ** b * low[2] ** d
-            hi += c * high[0] ** a * high[1] ** b * high[2] ** d
+        lo, hi = _cube(low, p), _cube(high, p)
         # the factors' upper ends, powers, products and sum: at most 10 u
         # of an end, inside the 20 u taken, as _up(hi, 6 u) takes it
         lo = lo * (1.0 - 20.0 * _U) if lo >= _TINY else 0.0
+        if lo == math.inf:  # as a factor walk past float64 keeps it
+            lo = 2.0 ** 1023
         best = SeriesEval(lo, n_max, _up(_up(hi, 6.0 * _U) - lo, 0.0))
         target = max(tol, rel * lo)
         if best.tail_bound <= target or (rel and lo <= 0.0):

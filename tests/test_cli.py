@@ -316,6 +316,37 @@ class TestCommands:
             code = main(["eval", "power:127.7", "--y", "-100"])
         assert (code, capsys.readouterr().err) == (EXIT_OK, "")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            ("eval power:50 --y=-1.1125369292536007e-308 --p 1", "partial sum passed float64"),
+            # a box factor whose partial sum passes float64 at k = 1792
+            ("eval box:1e300 --y=-1e-310 --p 1", "partial sum passed float64"),
+            # a factor's (kappa k^2)^2 passes float64 from k = 1 on: its g''
+            # walk sums no term, and the product's g'^2 passes float64
+            ("eval box:1e300 --y=-1e-310 --p 2", "box bracket did not reach"),
+        ],
+    )
+    def test_sum_past_float64_is_budget_bound(self, capsys, argv, detail):
+        # the partial sum passes float64: the walk stops at that block,
+        # quietly, with the bracket [2^1023, inf]
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_NUMERIC, "")
+        doc = parse(captured.out)
+        assert detail in doc["detail"]
+        assert (doc["best_value"], doc["best_tail_bound"]) == (2.0 ** 1023, "inf")
+
+    @pytest.mark.filterwarnings("error")
+    def test_root_whose_probes_pass_float64(self, capsys):
+        # probes near the edge 0 read +inf, above u, and the solve steps back
+        code = main(["conjugate", "power:50", "--u", "1e300"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        doc = parse(captured.out)
+        assert doc["regime"] == "Interior" and doc["residual"] <= 1e-9 * 1e300
+
     @pytest.mark.parametrize("y", ["-5e-1", "-1E+2", "-.5"])
     def test_negative_number_in_exponent_form(self, capsys, y):
         # argparse takes a dash-led token for an option unless it reads as

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gibbs_series import (
     FitStatus,
     NumericError,
     Regime,
+    SeriesEval,
     box_conjugate,
     conjugate,
     custom,
@@ -505,6 +507,28 @@ class TestRootFinder:
             phi(linear(), y, tol=1.25e-13, max_terms=max_terms)
         assert str(strict.value) == str(info.value) and strict.value.best == info.value.best
 
+    @pytest.mark.filterwarnings("error")
+    def test_probes_past_float64_step_back(self):
+        # f' of power:50 passes float64 from y ~ -1e-308 on: a probe there
+        # reads +inf, above u, and the solve steps back to a certified root
+        y, residual = solve_fprime(power(50.0), 1e300, tol=1e-9)
+        assert -1e-290 < y < 0.0 and residual <= 1e-9 * 1e300
+
+    def test_ratio_probe_without_a_finite_f_raises(self, monkeypatch):
+        # f's walk passes float64 at every probe: there is no ratio to read
+        module = importlib.import_module("gibbs_series.conjugate")
+        best_bracket = module._best_bracket
+
+        def f_passes_float64(seq, y, p, *args):
+            if p:
+                return best_bracket(seq, y, p, *args)
+            best = SeriesEval(2.0 ** 1023, 1, math.inf)
+            return best, BudgetExceededError("partial sum passed float64", best)
+
+        monkeypatch.setattr(module, "_best_bracket", f_passes_float64)
+        with pytest.raises(NumericError, match="passes float64"):
+            solve_phi(linear(), 2.0)
+
     @pytest.mark.parametrize("spec", ["linear", "power:1.5", "quadratic", "box:1"])
     def test_residual_is_a_strict_walks_at_the_root(self, spec):
         # the stopping probe's bracket is the one a strict walk gives
@@ -578,33 +602,51 @@ class TestFloatStart:
         assert type(conjugate(linear(), 2.0).attaining_y) is float
 
 
+def _best(seq, y, p):
+    """f^(p)(y) to 1e-9, or the best bracket of the term budget."""
+    try:
+        return eval_series(seq, y, p, tol=1e-9)
+    except BudgetExceededError as exc:
+        return exc.best
+
+
 class TestTailModel:
     # the log family's float start adds a float model of the terms past its
-    # first 4096 (the rules' float_tail) to them: near the edge its f' and
+    # first 256 (the rules' float_tail) to them: near the edge its f' and
     # f'/f lie in certified brackets, and it gives no value where its two
     # quadratures disagree
-    @pytest.mark.parametrize("theta", [1.5, 2.2, 2.9, 4.5])
+    @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.5, 2.2, 2.9, 4.5])
     def test_model_lies_in_certified_brackets(self, theta):
         seq = logfam(theta)
         block = _start_block(seq, None)
         s_min = sigma(seq, seq.start_index)
-        for y in (-1.45, -1.3, -1.25):
-            fp = eval_series(seq, y, 1, tol=1e-9)
-            f = eval_series(seq, y, 0, tol=1e-9)
+        # theta <= 0.5 converges too slowly there for 1e-9 in 10^7 terms:
+        # the model is checked against the budget's best bracket
+        bracket = _best if theta <= 0.5 else partial(eval_series, tol=1e-9)
+        for y in (-1.3, -1.1) if theta <= 0.5 else (-1.45, -1.3, -1.25):
+            fp, f = bracket(seq, y, 1), bracket(seq, y, 0)
             model = math.exp(block.at(y, False)[0])
             assert fp.value - 1e-12 <= model <= fp.upper + 1e-12
             ratio = math.exp(block.at(y, True)[0]) + s_min
             assert fp.value / f.upper - 1e-12 <= ratio <= fp.upper / f.value + 1e-12
 
     def test_no_value_where_the_quadratures_disagree(self):
-        seq = logfam(2.2)
+        seq = logfam(1.5)
         block = _start_block(seq, None)
-        y = -1.0001
+        y = -1.000003
         tail, err = block.tail(y)
-        m1 = float(np.sum(block.d * np.exp(block.d * y))) + tail[1]
+        d = block.rows[1]
+        m1 = float(np.sum(d * np.exp(d * y))) + tail[1]
         assert err[1] > _START_AGREE * m1
         assert block.at(y, False) is None and block.at(y, True) is None
-        # f' = 5 ~1e-3 inside the edge: Halley's steps reach that refusal
-        assert _float_start(seq, 5.0) is None
+        # f' = 1000 ~1e-5 inside the edge: Halley's steps reach that refusal
+        assert _float_start(seq, 1000.0) is None
         # no model at the edge, where the tail of f' diverges
         assert block.tail(-1.0) is None and block.at(-1.0, False) is None
+
+    def test_one_block_layout_for_every_family(self):
+        # the model adds to the row sums of the same 256-exponent table
+        # that a family without one reads
+        rows = _start_block(logfam(2.9), None).rows
+        assert rows.shape == _start_block(linear(), None).rows.shape == (6, 256)
+        assert not rows.flags.writeable

@@ -488,6 +488,18 @@ class TestParsing:
         assert 0.0 < increment_gap(seq, 20) <= 21 ** 300 - 20 ** 300
 
 
+@pytest.mark.parametrize("kappa", [1e300, 1e295])
+def test_quadratic_walk_stops_at_the_last_float_term(kappa):
+    # the last k whose terms (kappa k^2)^p exp(kappa k^2 y) are floats,
+    # with a factor 2 to spare; the unit quadratic's lies past any budget
+    seq = sequences.box_factor(kappa)
+    for p in range(4):
+        n, q = seq.family.rules.last(seq, p), max(p, 1)
+        assert n == 0 or q * math.log2(sigma(seq, n)) < 1023.0
+        assert q * math.log2(sigma(seq, n + 1)) >= 1022.0
+        assert quadratic().family.rules.last(quadratic(), p) >= 2 ** 62
+
+
 def exact_sigma(mp, seq, n):
     """sigma_n in mpmath's working precision, from the sequence's own floats."""
     if seq.family is Family.POWER:

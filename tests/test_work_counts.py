@@ -11,6 +11,7 @@ import importlib
 import pytest
 
 from gibbs_series import (
+    BudgetExceededError,
     box,
     box_report,
     conjugate,
@@ -61,7 +62,7 @@ REFERENCE_CALLS = {
     "domain_info(logfam:1.5, 1e-9)": (
         lambda: domain_info(logfam(1.5), 1e-9), 1, 4_096, 4_096, 0, 0
     ),
-    # near the edge the float start reads the first 4096 exponents and a
+    # near the edge the float start reads the first 256 exponents and a
     # float model of the rest, so the solve stops at its first probe, whose
     # walk ends at the slope's second-order sandwich: five incomplete gamma
     # evaluations a certificate (one per stencil node), computed only after
@@ -148,9 +149,8 @@ _NEAR_EDGE = (
 )
 
 
-def test_probes_per_solve(monkeypatch):
-    # interior conjugates, log conjugates and fits over four families: the
-    # float start puts nearly every first probe within the stop band
+def _count_probes(monkeypatch) -> list:
+    """The probes of each ``_find_root`` call from now on, in a list."""
     find_root = _conjugate._find_root
     probes = []
 
@@ -164,6 +164,13 @@ def test_probes_per_solve(monkeypatch):
         return find_root(probe, *args, **kwargs)
 
     monkeypatch.setattr(_conjugate, "_find_root", counted)
+    return probes
+
+
+def test_probes_per_solve(monkeypatch):
+    # interior conjugates, log conjugates and fits over four families: the
+    # float start puts nearly every first probe within the stop band
+    probes = _count_probes(monkeypatch)
     for spec in ("linear", "power:1.3", "quadratic", "box:1"):
         seq = parse_sequence(spec)
         s_min = sigma(seq, seq.start_index)
@@ -173,7 +180,7 @@ def test_probes_per_solve(monkeypatch):
             fit_gibbs(seq, 1.5, 1.5 * (s_min + u))
     assert len(probes) == 48 and sum(probes) <= 1.5 * len(probes), probes
     # near the log family's edge the start adds a float model of the terms
-    # past its first 4096 exponents, and lands as it does elsewhere
+    # past its first 256 exponents, and lands as it does elsewhere
     probes.clear()
     for theta, us, vs in _NEAR_EDGE:
         seq = logfam(theta)
@@ -182,6 +189,25 @@ def test_probes_per_solve(monkeypatch):
             log_f_conjugate(seq, v)
             fit_gibbs(seq, 1.5, 1.5 * v)
     assert len(probes) == 48 and max(probes) <= 2, probes
+
+
+@pytest.mark.parametrize(
+    "solve, theta, target",
+    [
+        (conjugate, 1.5, 34.1),
+        (log_f_conjugate, 1.5, 18.23),
+        (conjugate, 2.2, 5.444),
+        (log_f_conjugate, 2.2, 6.05),
+    ],
+)
+def test_budget_bound_near_edge_solve_fails_at_once(monkeypatch, solve, theta, target):
+    # roots 3e-4 to 3e-3 inside the edge, where no walk of the default
+    # budget certifies the stop band: the start lands there, so the solve
+    # raises its probe's budget error after at most two probes
+    probes = _count_probes(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        solve(logfam(theta), target)
+    assert len(probes) == 1 and probes[0] <= 2, probes
 
 
 def test_cold_box_fit_builds_no_table_past_its_cut(monkeypatch):
