@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sequences import SigmaSequence, box, box_factor, quadratic, sigma
+from .sequences import SigmaSequence, _float_tail, box, box_factor, quadratic, sigma
 from .series import (
     BoundaryClass,
     DomainError,
@@ -58,16 +58,15 @@ __all__ = [
 ]
 
 # probes before _find_root gives up; an interior solve from a float start
-# takes one or two, the log family's near its edge too (its start adds a
-# float tail model), and four to nine from edge - 1, where no start is made
+# takes one or two, and up to about twenty from edge - 1, where none is made
 _MAX_PROBES = 200
 # the float start (``_float_start``): exponents it reads (a tail model adds
-# the rest), steps it takes at most, and its rejection rule without a
-# model, the block's last _START_TAIL terms weighing under _START_SHARE of it
+# the rest) and steps it takes at most
 _START_TERMS, _START_STEPS = 256, 40
-_START_TAIL, _START_SHARE = 16, 1e-6
-# the most a tail model's error estimate may be, relative to a moment
-_START_AGREE = 1e-10
+# the most a tail model's error estimate may be, relative to a moment, and
+# the share of one below which the terms past the block are left out, too
+# small to move a bit of it
+_START_AGREE, _START_SKIP = 1e-10, 2.0 ** -60
 # a log excess at which one more Halley step leaves ~1e-15 of it
 _START_DONE = 1e-5
 
@@ -220,11 +219,7 @@ def _float_start(
     doubling it), start from edge - 1.  None, for ``_find_root``'s own
     start, where ``_start_block`` makes no block, where the block has no
     value at a step (``_StartBlock.at``), or without convergence in
-    _START_STEPS steps.  A block without a tail model also gives none where
-    its last _START_TAIL terms weigh _START_SHARE of it or more: there the
-    cut sum is not the series.  That share grows with y, so it is checked
-    at every step that lands at or below the cut root, where it bounds the
-    root's, and at the root.
+    _START_STEPS steps.
     """
     block = _start_block(seq, seq.generator)
     if block is None:
@@ -244,11 +239,9 @@ def _float_start(
                 return None
             if ladder:
                 kept[y] = point
-        log_sum, slope, curve, share = point
+        log_sum, slope, curve = point
         excess = log_sum - log_target
         done = abs(excess) <= _START_DONE
-        if (excess <= 0.0 or done) and share >= _START_SHARE:
-            return None
         # Halley's step, at most twice Newton's
         halley = 1.0 - 0.5 * excess * curve / (slope * slope)
         step = excess / slope / (halley if halley > 0.5 else 0.5)
@@ -268,16 +261,16 @@ def _float_start(
 class _StartBlock:
     """A sequence's first exponents as ``_float_start`` solves on them.
 
-    f = g^power, g = sum exp(sigma_n y) over the block's exponents and,
-    where the family has one, its float model of the terms past them
-    (``tail``, the rules' ``float_tail``): a box is the cube of its
-    factor's sum (``series._eval_box``), any other sequence its own g.
-    The sums are scaled by exp(-s_min y) so that no term overflows, and
-    ``at`` reads either equation from the moments sum d^k exp(d y), k =
-    0..3, d_n = sigma_n - s_min (``rows[1]``): ``rows`` times exp(d y)
-    gives them, and those of k = 0, 1 over the last _START_TAIL terms, to
-    which a tail model adds its moments.  ``ladders`` holds per equation
-    the values (``at``) at the points that every solve probes first.
+    f = g^power, g = sum exp(sigma_n y) over the block's exponents and the
+    terms past them: a box is the cube of its factor's sum
+    (``series._eval_box``), any other sequence its own g.  The sums are
+    scaled by exp(-s_min y) so that no term overflows, and ``at`` reads
+    either equation from the moments sum d^k exp(d y), k = 0..3, d_n =
+    sigma_n - s_min: the read-only ``rows`` d^k times exp(d y) give the
+    block's, and ``tail``, the family's float model of the terms past it
+    (``sequences._float_tail``; None for exponents without a formula),
+    adds theirs.  ``ladders`` holds per equation the values (``at``) at the
+    points that every solve probes first.
     """
 
     __slots__ = ("rows", "s_min", "s_top", "edge", "power", "tail", "ladders")
@@ -285,25 +278,25 @@ class _StartBlock:
     def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
         self.s_min, self.s_top = float(s[0]), float(s[-1])
         self.edge, self.power, self.tail = edge, power, tail
-        self.rows = rows = np.zeros((6, s.size))
+        self.rows = rows = np.empty((4, s.size))
         rows[0] = 1.0
         d = np.subtract(s, self.s_min, out=rows[1])
         np.multiply(d, d, out=rows[2])
         np.multiply(rows[2], d, out=rows[3])
-        rows[4:, -_START_TAIL:] = rows[:2, -_START_TAIL:]
         rows.flags.writeable = False
         self.ladders: tuple[dict, dict] = ({}, {})
 
-    def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float, float]]:
-        """(log sum, slope, curvature, tail share): the log excess over
-        the target 1 of ln f' or ln(f'/f - s_min), its first two
-        y-derivatives, and the share of the last _START_TAIL terms in g'
-        or g' - s_min g (0 with a tail model); None where a sum underflows,
-        a value is not finite, the slope is not positive, d y would
-        overflow, or the tail model has no value or its error estimate
-        exceeds _START_AGREE of the moments k = 0, 1, which set the value
-        (the others only steer the steps)."""
-        if not self.s_top * y > -1e300:
+    def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float]]:
+        """(log sum, slope, curvature): the log excess over the target 1 of
+        ln f' or ln(f'/f - s_min), and its first two y-derivatives.  The
+        tail model adds the terms past the block unless its last term,
+        times its size and 1 + d there, is below _START_SKIP of the moments
+        k = 0, 1, which set the value (the others only steer the steps).
+        None outside the domain, where a sum underflows, a value is not
+        finite, the slope is not positive or d y would overflow, and where
+        the terms past the block count but there is no model or its error
+        estimate exceeds _START_AGREE of the moments k = 0, 1."""
+        if not (y < self.edge and self.s_top * y > -1e300):
             return None
         e = self.rows[1] * y
         np.exp(e, out=e)
@@ -311,15 +304,14 @@ class _StartBlock:
         # product the pure-Python certificates that follow ran up to 20 %
         # slower in a cold process (the log family's near-edge conjugates)
         sums = (self.rows * e).sum(axis=1)
-        if self.tail is not None:
-            if (model := self.tail(y)) is None:
+        if e[-1] * e.size * (1.0 + self.s_top - self.s_min) >= _START_SKIP * min(sums[0], sums[1]):
+            if self.tail is None:
                 return None
-            tail, err = model
-            sums[:4] += tail
-            sums[4:] = 0.0  # the block's end is not its tail
+            tail, err = self.tail(y)
+            sums += tail
             if not (err[:2] <= _START_AGREE * sums[:2]).all():
                 return None
-        m0, m1, m2, m3, t0, t1 = sums.tolist()
+        m0, m1, m2, m3 = sums.tolist()
         shift = 0.0 if ratio else self.s_min
         # g' - s_min g or g', over exp(s_min y)
         num, dnum, ddnum = m1 + shift * m0, m2 + shift * m1, m3 + shift * m2
@@ -338,17 +330,17 @@ class _StartBlock:
             curve += weight * (m2 / m0 - mean * mean)
         if not (slope > 0.0 and math.isfinite(log_sum + curve)):
             return None
-        return log_sum, slope, curve, (t1 + shift * t0) / num
+        return log_sum, slope, curve
 
 
 @lru_cache(maxsize=64)
 def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
     last float one (``Rules.last``), of the sequence or of a box's factor,
-    with the family's float tail model after them where it has one.  None
-    for an empty domain, a signed sequence or exponents not finite or too
-    large to cube.  ``generator`` keys a custom sequence's exponents, as in
-    ``series._sigma_prefix``."""
+    with the family's float tail model after them where its rules give
+    its exponents in w = ln x.  None for an empty domain, a signed
+    sequence or exponents not finite or too large to cube.  ``generator``
+    keys a custom sequence's exponents, as in ``series._sigma_prefix``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
@@ -365,7 +357,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     # exponents not finite
     if not (math.isfinite(s_min) and s.size * s_top * big * big < 2.0 ** 1000):
         return None
-    tail = None if rules.float_tail is None else partial(rules.float_tail, seq, stop - 1, s_min)
+    tail = None if rules.in_w is None else partial(_float_tail, seq, stop - 1, s_min)
     return _StartBlock(s, -alpha, power, tail)
 
 

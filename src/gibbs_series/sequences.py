@@ -135,10 +135,10 @@ class _Rules(NamedTuple):
     # alpha of the domain (-inf, -alpha), and the class of its edge
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
     tail: str = "geometric"
-    # a float model of the terms after an index, which the float start
-    # (``conjugate._StartBlock``) adds to the sums of its first 256
-    # exponents; without one it refuses where that block's end is heavy
-    float_tail: Optional[Callable] = None
+    # the exponents as a formula in w = ln x, which the float start's tail
+    # model (``_float_tail``) integrates: sigma(seq, w) on floats and float
+    # arrays, and d sigma/dw from w and sigma; None for exponents without one
+    in_w: Optional[tuple[Callable, Callable]] = None
     ground: Callable = lambda seq: seq.start_index
     cuts: Callable = lambda seq: (seq.start_index + 31, seq.start_index + _PREFIX_CAP - 1)
     prefix: Callable = lambda seq, cut: _index_prefix(seq, cut)
@@ -227,50 +227,50 @@ def _exp_sinh() -> tuple[np.ndarray, np.ndarray]:
     return x, np.array([math.pi / 128.0 * math.cosh(t) for t in ts]) * x
 
 
-def _logfam_float_tail(
-    seq: SigmaSequence, N: int, s: float, y: float
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _float_tail(seq: SigmaSequence, N: int, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
     """Uncertified sum_{n>N} d_n^k exp(y d_n), d_n = sigma_n - s, k = 0..3,
-    and an estimate of its quadrature error; None unless y < -1.
+    and an estimate of its quadrature error, from the exponents in w = ln x
+    that the family's rules give (``in_w``), at a y inside the domain.
 
     With g(x) = d(x)^k exp(y d(x)), the sum is int_{N+1/2}^inf g +
     g'(N+1/2)/24 up to a term in g''' (Euler-Maclaurin for the midpoint
-    sum, DLMF 2.10).  In w = ln x, g dx = d^k exp(y d + w) dw with d = w +
-    theta ln w - s, which falls like exp((y + 1) w) w^(theta y).  The
-    integral over w >= W = ln(N + 1/2) takes the exp-sinh rule at w = W +
-    c x, c = 1/(|y + 1| + |theta y|/W), for theta >= 0 the length on which
-    the integrand falls by e at W.  The error estimate is the rule's
-    difference from the one of twice the step, plus the last node's share,
-    the scale of what the rule cuts off where the integrand falls slowly.
+    sum, DLMF 2.10).  In w, g dx = d^k exp(y d + w) dw.  The integral over
+    w >= W = ln(N + 1/2) takes the exp-sinh rule at w = W + c x, c =
+    1/max(r, 1/8), r = |y| (1 + |sigma_w - 1|) - 1 at W: where sigma_w >= 1
+    the rate at which the integrand falls there, and for the log family at
+    theta < 0 (sigma_w < 1) a length short of its far and broad peak.  The
+    error estimate is the rule's difference from the one of twice the step,
+    plus the last node's share, the scale of what the rule cuts off where
+    the integrand falls slowly; it is large where the integrand peaks far
+    past W.  Exponents past float64 at far nodes give terms of 0.
     """
-    if not y < -1.0:
-        return None
-    theta = seq.theta
+    sigma_w, slope_w = seq.family.rules.in_w
     W = math.log(N + 0.5)
-    c = 1.0 / (abs(theta * y) / W - (y + 1.0))
+    sigma_W = sigma_w(seq, W)
+    slope = slope_w(seq, W, sigma_W)
+    c = 1.0 / max(abs(y) * (1.0 + abs(slope - 1.0)) - 1.0, 0.125)
     x, weights = _exp_sinh()
-    w = x * c
-    w += W
-    d = np.log(w)
-    d *= theta
-    d += w
-    d -= s
+    w = x * c + W
     parts = np.empty((4, w.size))
-    g = np.multiply(d, y, out=parts[0])
-    g += w
-    np.exp(g, out=g)
-    g *= weights
-    g *= c
-    for k in range(1, 4):
-        np.multiply(parts[k - 1], d, out=parts[k])
-    fine = parts.sum(axis=1)
-    err = np.abs(fine - 2.0 * parts[:, ::2].sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by the caller
+        d = sigma_w(seq, w)
+        d -= s
+        g = np.multiply(d, y, out=parts[0])
+        g += w
+        np.exp(g, out=g)
+        g *= weights
+        g *= c
+        if d[-1] == math.inf:  # exponents past float64, whose terms are 0
+            d[g == 0.0] = 0.0
+        for k in range(1, 4):
+            np.multiply(parts[k - 1], d, out=parts[k])
+        fine = parts.sum(axis=1)
+        err = np.abs(fine - 2.0 * parts[:, ::2].sum(axis=1))
     err += parts[:, -1]
-    # g_k'(N + 1/2) = sigma' (k d^(k-1) + y d^k) exp(y d), sigma' = (1 + theta/W)/x
-    d = W + theta * math.log(W) - s
+    # g_k'(N + 1/2) = sigma_w / x (k d^(k-1) + y d^k) exp(y d)
+    d = sigma_W - s
     k = np.arange(4.0)
-    powers = d ** k
-    fine += (1.0 + theta / W) / (N + 0.5) * math.exp(y * d) / 24.0 * (y + k / d) * powers
+    fine += slope / (N + 0.5) * math.exp(y * d) / 24.0 * (y + k / d) * d ** k
     return fine, err
 
 
@@ -308,6 +308,7 @@ class Family(_Described):
         sigma=lambda seq, n: float(n),
         values=lambda seq, ns, x: x,
         gap=lambda seq, N: 1.0,
+        in_w=(lambda seq, w: np.exp(w), lambda seq, w, s: s),
     )
     # sigma_n = n**theta, theta > 0; increments grow from theta = 1 on,
     # below which tails take an integral bound
@@ -319,6 +320,7 @@ class Family(_Described):
         last=_power_last,
         rounding=lambda seq: (2.0, 0.0),
         tail="power",
+        in_w=(lambda seq, w: np.exp(seq.theta * w), lambda seq, w, s: seq.theta * s),
     )
     # sigma_n = ln(n (ln n)**theta), n >= 3, theta >= -1 (below, sigma
     # would be negative or decreasing near n = 3); increments shrink to 0
@@ -332,7 +334,7 @@ class Family(_Described):
         rounding=lambda seq: (19.0, 4.0 * max(abs(seq.theta), 1.0)),
         domain=_logfam_domain,
         tail="logfam",
-        float_tail=_logfam_float_tail,
+        in_w=(lambda seq, w: w + seq.theta * np.log(w), lambda seq, w, s: 1.0 + seq.theta / w),
     )
     # sigma_n = ln(ln n), n >= 3: terms (ln n)^y decay slower than 1/n for
     # every y, so the domain is empty
@@ -352,6 +354,7 @@ class Family(_Described):
         # a factor 2 to spare for the rounding, as in _power_last
         last=lambda seq, p: int(2.0 ** min(511.5 / max(p, 1) - 0.5 * math.log2(seq.kappa or 1.0), 1023.0)),
         rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
+        in_w=(lambda seq, w: (seq.kappa or 1.0) * np.exp(2.0 * w), lambda seq, w, s: 2.0 * s),
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level
     # (``_box_table``); repeated levels leave no increment gap.  Sums

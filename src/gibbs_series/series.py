@@ -856,8 +856,9 @@ def _sum_blocks(
     fails at once: more terms only raise the accumulation floor.  So does
     a block whose partial sum passes float64, with the bracket [2^1023,
     inf].  At the domain edge y = -alpha the first block is 4096 terms,
-    not 256, and the budget message names a boundary tolerance.  A
-    ``signed`` sequence's blocks also add their ``_abs_weight``, on which
+    not 256, and the budget message names a boundary tolerance; a walk cut
+    at the last float exponent (``Rules.last``) names it, not the budget.
+    A ``signed`` sequence's blocks also add their ``_abs_weight``, on which
     the slack is charged.
 
     A certificate is only computed where its block could end the walk.
@@ -927,11 +928,14 @@ def _sum_blocks(
                     best,
                 )
             if n_done >= last:
+                within = f"within {budget} terms"
+                if last < start + budget - 1:
+                    within = f"by index {last}, the last float exponent"
                 raise BudgetExceededError(
-                    f"boundary tolerance {target:g} unreachable within {budget} terms "
+                    f"boundary tolerance {target:g} unreachable {within} "
                     f"(best width {best.tail_bound:g})"
                     if edge
-                    else f"tolerance {target:g} unreachable within {budget} terms "
+                    else f"tolerance {target:g} unreachable {within} "
                     f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
                     best,
                 )

@@ -338,6 +338,17 @@ class TestCommands:
         assert detail in doc["detail"]
         assert (doc["best_value"], doc["best_tail_bound"]) == (2.0 ** 1023, "inf")
 
+    def test_walk_cut_at_the_last_float_exponent_names_it(self, capsys):
+        # power:300's fourth term at p = 2 passes float64 (4^600), so the
+        # walk stops at index 3 far inside the term budget, and says so
+        code = main(["eval", "power:300", "--y=-1e-300", "--p", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_NUMERIC, "")
+        doc = parse(captured.out)
+        assert "unreachable by index 3, the last float exponent" in doc["detail"]
+        assert "10000000 terms" not in doc["detail"]
+        assert math.isfinite(doc["best_value"]) and doc["best_tail_bound"] == "inf"
+
     @pytest.mark.filterwarnings("error")
     def test_root_whose_probes_pass_float64(self, capsys):
         # probes near the edge 0 read +inf, above u, and the solve steps back

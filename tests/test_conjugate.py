@@ -36,6 +36,8 @@ from gibbs_series import (
 )
 from gibbs_series.conjugate import _START_AGREE, _find_root, _float_start, _start_block
 from gibbs_series.scenarios import BoxModel
+from gibbs_series.sequences import box_factor
+from gibbs_series.series import _best_bracket
 
 
 class TestExpConjugate:
@@ -585,15 +587,30 @@ class TestFloatStart:
         assert seq.signed
         assert _float_start(seq, 1.0) is None and _float_start(seq, 1.0, ratio=True) is None
 
-    def test_heavy_block_end_has_no_start(self):
-        # near power:0.3's edge 0 the block's last 16 terms weigh more than
-        # 1e-6 of it; farther out the same block gives a start.  The log
-        # family's tail model gives one near its edge (TestTailModel)
+    def test_terms_past_the_block_take_the_tail_model(self, monkeypatch):
+        # near power:0.3's edge 0 the terms past its first 256 exponents
+        # count, and the tail model adds them, as the log family's does
+        # near its edge: the solve stops at its first probe
         seq = power(0.3)
+        assert _float_start(seq, 1.0)[0] == pytest.approx(-2.1676, abs=1e-4)
+        assert _float_start(seq, 1.0, ratio=True)[0] < 0.0
+        assert _float_start(logfam(1.5), 1.0)[0] < -1.0
+        module = importlib.import_module("gibbs_series.conjugate")
+        find_root, probes = module._find_root, []
+        monkeypatch.setattr(
+            module, "_find_root", lambda fn, *args: find_root(lambda y: probes.append(y) or fn(y), *args)
+        )
+        conjugate(seq, 1.0)
+        assert len(probes) == 1
+
+    def test_custom_sequence_has_no_start_where_its_block_end_counts(self):
+        # exponents without a formula have no tail model: a start only
+        # where the block's last term shows the rest negligible
+        seq = custom(lambda n: n ** 0.3, declared_alpha=0.0, declared_gap=1e-3)
         assert _float_start(seq, 1.0) is None
         assert _float_start(seq, 1.0, ratio=True) is None
-        assert _float_start(seq, 0.05, ratio=True)[0] < 0.0
-        assert _float_start(logfam(1.5), 1.0)[0] < -1.0
+        seq = custom(float, declared_alpha=0.0, declared_gap=1.0)
+        assert _float_start(seq, 2.0) == _float_start(linear(), 2.0) is not None
 
     def test_start_is_a_python_float_near_the_root(self):
         y, slope = _float_start(linear(), 2.0)
@@ -611,10 +628,10 @@ def _best(seq, y, p):
 
 
 class TestTailModel:
-    # the log family's float start adds a float model of the terms past its
-    # first 256 (the rules' float_tail) to them: near the edge its f' and
-    # f'/f lie in certified brackets, and it gives no value where its two
-    # quadratures disagree
+    # the float start adds a float model of the terms past its first 256
+    # exponents to them (sequences._float_tail): near the log family's edge
+    # its f' and f'/f lie in certified brackets, and it gives no value
+    # where its two quadratures disagree
     @pytest.mark.parametrize("theta", [-1.0, 0.5, 1.5, 2.2, 2.9, 4.5])
     def test_model_lies_in_certified_brackets(self, theta):
         seq = logfam(theta)
@@ -630,6 +647,29 @@ class TestTailModel:
             ratio = math.exp(block.at(y, True)[0]) + s_min
             assert fp.value / f.upper - 1e-12 <= ratio <= fp.upper / f.value + 1e-12
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["linear", "power:0.3", "power:0.5", "power:0.8", "power:1.3", "power:2", "power:3",
+         "quadratic", "box_factor:0.5"],
+    )
+    def test_model_of_every_family_lies_in_certified_brackets(self, spec):
+        # one model reads each family's exponents in w = ln x: wherever it
+        # gives a value, from the block's first terms to roots ~1e-7 from
+        # the edge, f' and f'/f lie within _START_AGREE of the brackets
+        name, _, kappa = spec.partition(":")
+        seq = box_factor(float(kappa)) if name == "box_factor" else parse_sequence(spec)
+        block = _start_block(seq, None)
+        s_min = sigma(seq, seq.start_index)
+        lo, hi = 1.0 - _START_AGREE, 1.0 + _START_AGREE
+        for y in (-3.0, -1.0, -0.3, -0.1, -0.03, -1e-2, -1e-3, -1e-4, -1e-5, -1e-6, -1e-7):
+            fp = _best_bracket(seq, y, 1, 0.0, None, 1e-12)[0]
+            f = _best_bracket(seq, y, 0, 0.0, None, 1e-12)[0]
+            if (point := block.at(y, False)) is not None:
+                assert fp.value * lo <= math.exp(point[0]) <= fp.upper * hi, y
+            if (point := block.at(y, True)) is not None:
+                ratio = math.exp(point[0]) + s_min
+                assert fp.value / f.upper * lo <= ratio <= fp.upper / f.value * hi, y
+
     def test_no_value_where_the_quadratures_disagree(self):
         seq = logfam(1.5)
         block = _start_block(seq, None)
@@ -641,12 +681,13 @@ class TestTailModel:
         assert block.at(y, False) is None and block.at(y, True) is None
         # f' = 1000 ~1e-5 inside the edge: Halley's steps reach that refusal
         assert _float_start(seq, 1000.0) is None
-        # no model at the edge, where the tail of f' diverges
-        assert block.tail(-1.0) is None and block.at(-1.0, False) is None
+        # no value at the edge, where the tail of f' diverges
+        assert block.at(-1.0, False) is None and block.at(-1.0, True) is None
 
     def test_one_block_layout_for_every_family(self):
-        # the model adds to the row sums of the same 256-exponent table
-        # that a family without one reads
-        rows = _start_block(logfam(2.9), None).rows
-        assert rows.shape == _start_block(linear(), None).rows.shape == (6, 256)
-        assert not rows.flags.writeable
+        # the model adds to the row sums of the same 256-exponent table,
+        # d^k for k = 0..3, that every family reads
+        for seq in (logfam(2.9), linear()):
+            rows = _start_block(seq, None).rows
+            assert rows.shape == (4, 256)
+            assert not rows.flags.writeable

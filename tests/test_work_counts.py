@@ -23,6 +23,7 @@ from gibbs_series import (
     logfam,
     min_entropy_moment,
     parse_sequence,
+    power,
     quadratic,
     sequences,
     series,
@@ -71,6 +72,12 @@ REFERENCE_CALLS = {
         lambda: conjugate(logfam(2.9), 0.6625), 7, 10_752, 4_096, 2, 6
     ),
     "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 9, 13_824, 8_192, 2, 11),
+    # a root 2.5e-5 from the edge 0, where the terms past the first 256
+    # exponents hold 92 % of f: the start's tail model adds them, so one
+    # probe walks f' and the value walks f
+    "conjugate(power:1.3, 1e8)": (
+        lambda: conjugate(power(1.3), 1e8), 16, 130_560, 126_720, 2, 0
+    ),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (
         lambda: eval_series(logfam(-1.0), -1.3), 6, 16_128, 16_128, 1, 1
@@ -167,6 +174,29 @@ def _count_probes(monkeypatch) -> list:
     return probes
 
 
+# (solve, sequence, u): conjugate at u, log_f_conjugate at s_min + u;
+# roots whose terms past the first 256 exponents count, so that the float
+# start adds its tail model to them.  The parent commit's starts were
+# refused here, and its solves took 7 to 21 probes from edge - 1
+_PAST_THE_BLOCK = (
+    (conjugate, "power:0.3", 1.0),
+    (conjugate, "linear", 1e3),
+    (conjugate, "linear", 1e6),
+    (conjugate, "power:0.5", 1e3),
+    (conjugate, "power:0.5", 1e6),
+    (conjugate, "power:0.8", 1e3),
+    (conjugate, "power:0.8", 1e6),
+    (conjugate, "power:1.3", 1e6),
+    (conjugate, "power:1.3", 1e8),
+    (conjugate, "power:2", 1e6),
+    (conjugate, "power:2", 1e9),
+    (conjugate, "quadratic", 1e6),
+    (conjugate, "quadratic", 1e9),
+    (conjugate, "box:1", 1e9),
+    (log_f_conjugate, "box:1", 1e5),
+)
+
+
 def test_probes_per_solve(monkeypatch):
     # interior conjugates, log conjugates and fits over four families: the
     # float start puts nearly every first probe within the stop band
@@ -189,6 +219,12 @@ def test_probes_per_solve(monkeypatch):
             log_f_conjugate(seq, v)
             fit_gibbs(seq, 1.5, 1.5 * v)
     assert len(probes) == 48 and max(probes) <= 2, probes
+    # past the first 256 exponents the same model serves every family
+    probes.clear()
+    for solve, spec, u in _PAST_THE_BLOCK:
+        seq = parse_sequence(spec)
+        solve(seq, u if solve is conjugate else sigma(seq, seq.start_index) + u)
+    assert probes == [1] * len(_PAST_THE_BLOCK), probes
 
 
 @pytest.mark.parametrize(
