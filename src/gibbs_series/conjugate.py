@@ -64,9 +64,9 @@ _MAX_PROBES = 200
 # the rest) and steps it takes at most
 _START_TERMS, _START_STEPS = 256, 40
 # the most a tail model's error estimate may be, relative to a moment, and
-# the share of one below which the terms past the block are left out, too
-# small to move a bit of it
-_START_AGREE, _START_SKIP = 1e-10, 2.0 ** -60
+# the share of one below which the terms past the block are left out: a
+# quarter, as where increments shrink they fall slower than its last ratio
+_START_AGREE, _START_SKIP = 1e-10, 2.5e-11
 # a log excess at which one more Halley step leaves ~1e-15 of it
 _START_DONE = 1e-5
 
@@ -273,10 +273,10 @@ class _StartBlock:
     points that every solve probes first.
     """
 
-    __slots__ = ("rows", "s_min", "s_top", "edge", "power", "tail", "ladders")
+    __slots__ = ("rows", "s_min", "s_top", "s_gap", "edge", "power", "tail", "ladders")
 
     def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
-        self.s_min, self.s_top = float(s[0]), float(s[-1])
+        self.s_min, self.s_top, self.s_gap = float(s[0]), float(s[-1]), float(s[-1] - s[-2])
         self.edge, self.power, self.tail = edge, power, tail
         self.rows = rows = np.empty((4, s.size))
         rows[0] = 1.0
@@ -289,13 +289,13 @@ class _StartBlock:
     def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float]]:
         """(log sum, slope, curvature): the log excess over the target 1 of
         ln f' or ln(f'/f - s_min), and its first two y-derivatives.  The
-        tail model adds the terms past the block unless its last term,
-        times its size and 1 + d there, is below _START_SKIP of the moments
-        k = 0, 1, which set the value (the others only steer the steps).
-        None outside the domain, where a sum underflows, a value is not
-        finite, the slope is not positive or d y would overflow, and where
-        the terms past the block count but there is no model or its error
-        estimate exceeds _START_AGREE of the moments k = 0, 1."""
+        tail model adds the terms past the block unless its last term times
+        1 + d and the geometric series on its last ratio (at most its size)
+        is below _START_SKIP of the moments k = 0, 1, which set the value
+        (k = 2, 3 only steer).  None outside the domain, where a sum
+        underflows, a value is not finite, the slope is not positive or d y
+        would overflow, and where the terms past the block count but there
+        is no model or its error estimate exceeds _START_AGREE of those."""
         if not (y < self.edge and self.s_top * y > -1e300):
             return None
         e = self.rows[1] * y
@@ -304,7 +304,8 @@ class _StartBlock:
         # product the pure-Python certificates that follow ran up to 20 %
         # slower in a cold process (the log family's near-edge conjugates)
         sums = (self.rows * e).sum(axis=1)
-        if e[-1] * e.size * (1.0 + self.s_top - self.s_min) >= _START_SKIP * min(sums[0], sums[1]):
+        count = 1.0 / max(math.expm1(min(-y * self.s_gap, 700.0)), 1.0 / e.size)  # q / (1 - q)
+        if e[-1] * count * (1.0 + self.s_top - self.s_min) >= _START_SKIP * min(sums[0], sums[1]):
             if self.tail is None:
                 return None
             tail, err = self.tail(y)
@@ -337,10 +338,10 @@ class _StartBlock:
 def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
     last float one (``Rules.last``), of the sequence or of a box's factor,
-    with the family's float tail model after them where its rules give
-    its exponents in w = ln x.  None for an empty domain, a signed
-    sequence or exponents not finite or too large to cube.  ``generator``
-    keys a custom sequence's exponents, as in ``series._sigma_prefix``."""
+    with the family's float tail model after them where its rules give its
+    exponents in w = ln x.  None for an empty domain, a signed sequence, a
+    single exponent or exponents not finite or too large to cube.
+    ``generator`` keys a custom sequence's exponents, as in ``_sigma_prefix``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
@@ -355,7 +356,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     big = max(s_top, 1.0)
     # bounds every moment; inf (products overflow quietly) or NaN for
     # exponents not finite
-    if not (math.isfinite(s_min) and s.size * s_top * big * big < 2.0 ** 1000):
+    if not (math.isfinite(s_min) and 1 < s.size and s.size * s_top * big * big < 2.0 ** 1000):
         return None
     tail = None if rules.in_w is None else partial(_float_tail, seq, stop - 1, s_min)
     return _StartBlock(s, -alpha, power, tail)

@@ -253,8 +253,7 @@ def _float_tail(seq: SigmaSequence, N: int, s: float, y: float) -> tuple[np.ndar
     w = x * c + W
     parts = np.empty((4, w.size))
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by the caller
-        d = sigma_w(seq, w)
-        d -= s
+        d = sigma_w(seq, w) - s
         g = np.multiply(d, y, out=parts[0])
         g += w
         np.exp(g, out=g)

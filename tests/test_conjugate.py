@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -669,6 +670,38 @@ class TestTailModel:
             if (point := block.at(y, True)) is not None:
                 ratio = math.exp(point[0]) + s_min
                 assert fp.value / f.upper * lo <= ratio <= fp.upper / f.value * hi, y
+
+    def test_no_model_where_the_block_end_shows_the_rest_negligible(self, monkeypatch):
+        # interior power:theta < 1 solves at moderate u: the terms past the
+        # block, as a geometric series on its last ratio, lie below
+        # _START_SKIP of its sums, so the model does not run and each solve
+        # still stops at its first probe; power:0.3 at u = 1 needs the model
+        module = importlib.import_module("gibbs_series.conjugate")
+        find_root, probes = module._find_root, []
+        monkeypatch.setattr(
+            module, "_find_root", lambda fn, *args: find_root(lambda y: probes.append(y) or fn(y), *args)
+        )
+        for theta, solve, model in (
+            (0.672, lambda seq: conjugate(seq, 3.0628870134569177), False),
+            (0.672, lambda seq: log_f_conjugate(seq, 2.4129733629288257), False),
+            (0.841, lambda seq: fit_gibbs(seq, 0.8990979599865017, 4.04292387555691), False),
+            (0.3, lambda seq: conjugate(seq, 1.0), True),
+        ):
+            seq = power(theta)
+            block = _start_block(seq, None)
+            tail, runs = block.tail, []
+            monkeypatch.setattr(block, "tail", lambda y, tail=tail, runs=runs: runs.append(y) or tail(y))
+            probes.clear()
+            solve(seq)
+            assert len(probes) == 1 and bool(runs) == model, theta
+
+    def test_no_start_from_a_single_exponent(self):
+        # power:2000's second exponent passes float64: a block of one
+        # exponent makes no start, and no warning
+        assert _start_block(power(2000.0), None) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conjugate(power(2000.0), 0.5).attaining_y == pytest.approx(-math.log(2.0))
 
     def test_no_value_where_the_quadratures_disagree(self):
         seq = logfam(1.5)
