@@ -8,6 +8,7 @@ Each criterion returns a CriterionResult with a stable ``details`` dict
 from __future__ import annotations
 
 import math
+import random
 import time
 from typing import Optional
 
@@ -46,6 +47,17 @@ from .series import _evaluate, domain_info, eval_series
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20260810
+
+
+def _draws(seed: int) -> random.Random:
+    """The standard library's Mersenne Twister seeded with ``seed`` >= 0,
+    the sample points of criteria 6 and 9.  Scalar draws need nothing
+    from numpy.random, whose first use would load its extension modules;
+    a negative seed is refused, as ``random`` would take its absolute
+    value and repeat another seed's points."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed)
 
 
 class CriterionResult:
@@ -212,22 +224,23 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Term-by-term derivative sum: central differences with h=1e-5 agree
     with the analytic series to 1e-6 at 20 random interior points per
-    target (unit-gap, square-exponent, and the 2-D box free energy)."""
-    rng = np.random.default_rng(seed)
+    target (unit-gap, square-exponent, and the 2-D box free energy), drawn
+    by ``random.Random(seed).uniform`` (``_draws``)."""
+    rng = _draws(seed)
     worst = {"linear": 0.0, "quadratic": 0.0, "box2d": 0.0}
     for _ in range(20):
-        y = float(rng.uniform(-2.5, -0.25))
+        y = rng.uniform(-2.5, -0.25)
         worst["linear"] = max(
             worst["linear"], check_gradient_sum(linear(), y, h=1e-5).abs_gap
         )
     for _ in range(20):
-        y = float(rng.uniform(-2.5, -0.2))
+        y = rng.uniform(-2.5, -0.2)
         worst["quadratic"] = max(
             worst["quadratic"], check_gradient_sum(quadratic(), y, h=1e-5).abs_gap
         )
     for _ in range(20):
-        x = float(rng.uniform(-1.0, 1.0))
-        y = float(rng.uniform(-2.0, -0.3))
+        x = rng.uniform(-1.0, 1.0)
+        y = rng.uniform(-2.0, -0.3)
         worst["box2d"] = max(
             worst["box2d"], check_gradient_sum_2d(x, y, h=1e-5).abs_gap
         )
@@ -299,17 +312,18 @@ def _cycle_families() -> list[SigmaSequence]:
 
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Fenchel-Young sweep over 1000 random (sequence, y, u) samples: no
-    gap below -1e-10, equality cases within 1e-8."""
-    rng = np.random.default_rng(seed)
+    """Fenchel-Young sweep over 1000 random (sequence, y, u) samples, drawn
+    by ``random.Random(seed).uniform`` (``_draws``): no gap below -1e-10,
+    equality cases within 1e-8."""
+    rng = _draws(seed)
     families = _cycle_families()
     min_gap = math.inf
     max_equality_gap = 0.0
     for i in range(1000):
         seq = families[i % len(families)]
-        y = float(rng.uniform(-4.0, -0.3))
+        y = rng.uniform(-4.0, -0.3)
         if i % 10 < 7:
-            u = float(rng.uniform(0.0, 5.0))
+            u = rng.uniform(0.0, 5.0)
         else:  # equality case: u on the derivative graph
             u = _evaluate(seq, y, 1, 1e-12, None, 1e-12).midpoint
         rep = check_fenchel_young(seq, y, u)

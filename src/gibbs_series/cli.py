@@ -169,6 +169,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, as ``acceptance`` takes it."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The parser, built on first use and shared by every later call."""
@@ -181,7 +192,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--format", choices=("json", "csv", "pretty"), default="json", dest="fmt"
     )
-    p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=acceptance.DEFAULT_SEED)
     p.add_argument(
         "--max-weights", type=int, default=50, help="materialized weights printed"
     )

@@ -138,8 +138,10 @@ def _attained(
         if cut >= last:
             break
         cut = min(2 * cut, last)
-    indices, s = rules.prefix(seq, cut)
-    w = _exp_times(x0, np.exp(s * y))
+    # the prefix's exponents are its own array: the weights take its place
+    indices, w = rules.prefix(seq, cut)
+    w *= y
+    _scale_by_exp(x0, np.exp(w, out=w))
     keep = max(int(np.searchsorted(w == 0.0, True)), 1)  # drop underflowed tail
     return _noted(GibbsFit(
         status=FitStatus.INTERIOR_UNIQUE,
@@ -168,12 +170,25 @@ def _scaled_up(x: float, tail: float) -> float:
     return _up(_exp_times(x, tail), 2.0 ** -53 * (abs(x) + 2.0))
 
 
+_LN_MAX = 709.782712893384  # ln(largest float): exp(x) overflows past it
+
+
 def _exp_times(x: float, c):
-    """exp(x) c, as exp(x/2) c exp(x/2) where exp(x) overflows (x > ln(largest float))."""
-    if x <= 709.782712893384:
+    """exp(x) c, as exp(x/2) c exp(x/2) where exp(x) overflows (x > ``_LN_MAX``)."""
+    if x <= _LN_MAX:
         return math.exp(x) * c
     half = math.exp(0.5 * x)
     return half * c * half
+
+
+def _scale_by_exp(x: float, a: np.ndarray) -> None:
+    """``a`` times exp(x) in place, rounded as ``_exp_times`` rounds it."""
+    if x <= _LN_MAX:
+        a *= math.exp(x)
+    else:
+        half = math.exp(0.5 * x)
+        a *= half
+        a *= half
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,22 @@ class TestUsageErrors:
         assert main(["verify", "criterion-zero"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed=-1", "verify", "6"], "argument --seed: must be >= 0, got -1"),
+            (["--seed", "-1", "verify", "1"], "argument --seed: must be >= 0, got -1"),
+            (["--seed", "x", "verify", "1"], "argument --seed: invalid int value: 'x'"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_seed(self, capsys, argv, message):
+        # a negative seed would draw the points of its absolute value
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: gibbs-series")
+        assert captured.err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [["conjugate", "linear", "--u", "2"], ["fit", "linear", "--u", "2"]],
         ids=" ".join,

@@ -1,6 +1,7 @@
 """Entropy minimization: Gibbs laws, plateau and alternating witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,36 @@ class TestTwoMoments:
             with pytest.raises(ValueError):
                 fit.indices[0] = 7
         assert fit_gibbs(linear(), 1.0, 1.0).indices.tolist() == [1]
+
+    def test_cold_box_fit_peaks_at_most_2_mib(self):
+        # the fill of the 46,115 triples to level 2048 peaks at 1.87 MiB;
+        # the weights then take the place of the prefix's exponents, so
+        # the 1.41 MiB table and one 0.35 MiB array stay below it
+        sequences._box_table.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit = fit_gibbs(box(0.2627), 1.0, 20.7037)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fit.status is FitStatus.INTERIOR_UNIQUE
+        assert len(fit.weights) == 46_115
+        assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("seq, v", [(box(0.2627), 20.7037), (linear(), 4.0)], ids=["box", "linear"])
+    def test_repeated_fits_leave_the_tables_alone(self, seq, v):
+        # the weights are formed in place in the prefix's own exponents,
+        # never in the cached box table the exponents are read from
+        first = fit_gibbs(seq, 1.0, v)
+        table = [a.copy() for a in sequences._box_table_holding(46_115)]
+        second = fit_gibbs(seq, 1.0, v)
+        assert first == second
+        assert np.array_equal(first.weights, second.weights)
+        assert not np.shares_memory(first.weights, second.weights)
+        after = sequences._box_table_holding(46_115)
+        assert all(np.array_equal(a, b) for a, b in zip(table, after))
 
     def test_box_interior_duality(self):
         fit = fit_gibbs(box(1.0), 1.0, 4.0, tol=1e-10)
