@@ -36,9 +36,9 @@ import numpy as np
 from .sequences import SigmaSequence, _float_tail, box, box_factor, quadratic, sigma
 from .series import (
     BoundaryClass,
-    DomainError,
     _best_bracket,
     _compared,
+    _edge,
     _relative,
     _sigma_prefix,
     domain_info,
@@ -388,15 +388,20 @@ def solve_fprime(
     up to the first probe whose midpoint (of its best bracket where the walk
     exhausts the budget) lies within 0.5*tol*max(1, u) of u.  That bracket
     certifies |f'(y) - u| <= residual <= tol*max(1, u), or ``_solved`` raises.
+    A budget-bound first probe from the float start whose bracket holds u
+    raises its budget error at once: no later probe could tell the root's side.
     """
     _require_positive(u)
     eta = 0.25 * tol * max(1.0, u)
+    start = _float_start(seq, u)
 
     def fp(y: float) -> tuple[float, tuple]:
         ev, error = _best_bracket(seq, y, 1, eta, max_terms)
+        if error is not None and start and y == start[0] and ev.value <= u <= ev.upper:
+            raise error
         return ev.midpoint, (abs(ev.midpoint - u) + 0.5 * ev.tail_bound, error)
 
-    found = _find_root(fp, u, 2.0 * eta, -domain_info(seq).alpha, _float_start(seq, u))
+    found = _find_root(fp, u, 2.0 * eta, -seq.family.rules.domain(seq)[0], start)
     return _solved(seq, found, tol * max(1.0, u), "root", f"f'(y)={u!r}")
 
 
@@ -419,21 +424,27 @@ def solve_phi(
     phi - s_min = v - s_min, whose log is nearly linear where ln phi would
     flatten.  Each probe walks f' and f once, as ``phi`` does, to a fraction
     of their own certified lower ends; the first within 0.25*tol*max(1, v)
-    of v gives the residual as in ``solve_fprime`` (f's budget error first).
+    of v gives the residual as in ``solve_fprime`` (f's budget error first,
+    and at once from the start where the ratio's bracket holds v).
     """
     s_min = sigma(seq, seq.start_index)
     _require_positive(v - s_min)
     rel = _ratio_rel(tol, v)
+    start = _float_start(seq, v - s_min, ratio=True)
 
     def ph(y: float) -> tuple[float, tuple]:
         num, num_error = _best_bracket(seq, y, 1, 0.0, max_terms, 0.25 * rel)
         den, den_error = _best_bracket(seq, y, 0, 0.0, max_terms, 0.25 * rel)
         if not (num.value > 0.0 and 0.0 < den.value <= den.upper < math.inf):
             raise NumericError(f"series underflows or passes float64 at y={y!r} while bracketing")
+        error = den_error or num_error
+        at_start = error is not None and start and y == start[0]
+        if at_start and num.value / den.upper <= v <= num.upper / den.value:
+            raise error
         ratio = num.midpoint / den.midpoint
-        return ratio - s_min, (abs(ratio - v) + 0.5 * rel * v, den_error or num_error)
+        return ratio - s_min, (abs(ratio - v) + 0.5 * rel * v, error)
 
-    edge, start = -domain_info(seq).alpha, _float_start(seq, v - s_min, ratio=True)
+    edge = -seq.family.rules.domain(seq)[0]
     found = _find_root(ph, v - s_min, 0.25 * tol * max(1.0, v), edge, start)
     return _solved(seq, found, tol * max(1.0, v), "ratio", f"phi(y)={v!r}")
 
@@ -450,14 +461,13 @@ def conjugate(
 ) -> ConjugateValue:
     """f*(u) with regime dispatch; see the module docstring for the cases."""
     _require_numbers(u=u)
-    di = domain_info(seq)
-    if di.empty:
-        raise DomainError("conjugate undefined for an empty domain", di)
+    edge = _edge(seq, "conjugate undefined for an empty domain")[1]
     if u < 0:
         return ConjugateValue(math.inf, Regime.NEGATIVE_U)
     if u == 0:
         return ConjugateValue(0.0, Regime.ZERO)
-    if math.isfinite(di.gamma):
+    if edge is BoundaryClass.CLOSED_FINITE_SLOPE:  # gamma and f(-alpha) are finite
+        di = domain_info(seq)
         edge_value = -di.alpha * u - di.f_at_boundary
         if u > di.gamma + di.gamma_err:
             return ConjugateValue(edge_value, Regime.PLATEAU, attaining_y=-di.alpha)
@@ -492,16 +502,15 @@ def _log_conjugate(
     """(ln f)*(v/u) for u > 0, tagged by the ratio rule of the module
     docstring; ZERO has no attaining y, the edge regimes attain at -alpha."""
     _require_numbers(v=v)
-    di = domain_info(seq)
-    if di.empty:
-        raise DomainError("conjugate undefined for an empty domain", di)
+    edge = _edge(seq, "conjugate undefined for an empty domain")[1]
     s_min = sigma(seq, seq.start_index)
     if v < s_min * u:
         return ConjugateValue(math.inf, Regime.INFINITE)
     rho = v / u
     if rho <= s_min + 1e-13 * max(1.0, s_min):  # absorbs the rounding of v/u
         return ConjugateValue(0.0, Regime.ZERO)
-    if math.isfinite(di.gamma):
+    if edge is BoundaryClass.CLOSED_FINITE_SLOPE:
+        di = domain_info(seq)
         f_edge = di.f_at_boundary
         ratio_sup = di.gamma / f_edge
         ratio_err = di.gamma_err / f_edge + di.gamma * di.f_boundary_err / f_edge ** 2

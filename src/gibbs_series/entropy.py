@@ -25,6 +25,7 @@ import numpy as np
 
 from .conjugate import Regime, _find_root, _log_conjugate, _require_numbers, conjugate, exp_conjugate
 from .sequences import (
+    BoundaryClass,
     SigmaSequence,
     VarsigmaSequence,
     _frozen,
@@ -34,12 +35,12 @@ from .sequences import (
     varsigma_power,
 )
 from .series import (
-    DomainError,
     domain_info,
     eval_series,
     max_terms_budget,
     tail_bound_after,
     _compared,
+    _edge,
     _up,
 )
 
@@ -210,9 +211,7 @@ def min_entropy_moment(
     affine plateau that no summable law attains.
     """
     _require_numbers(u=u)
-    di = domain_info(seq)
-    if di.empty:
-        raise DomainError("entropy problem undefined for an empty domain", di)
+    _edge(seq, "entropy problem undefined for an empty domain")
     cv = conjugate(seq, u, tol=tol, max_terms=max_terms)
     if cv.regime is Regime.NEGATIVE_U:
         return GibbsFit(
@@ -234,7 +233,8 @@ def min_entropy_moment(
             reason="moment exceeds the boundary slope; infimum not attained",
         )
     y = cv.attaining_y
-    if cv.regime is Regime.BOUNDARY_GAMMA:  # the edge law's moments are the domain's
+    if cv.regime is Regime.BOUNDARY_GAMMA:  # (a finite slope) the edge law's moments are the domain's
+        di = domain_info(seq)
         f_mid, g_mid = di.f_at_boundary, di.gamma
     else:
         f_mid = eval_series(seq, y, 0, tol=0.25 * tol * max(1.0, u), max_terms=max_terms).midpoint
@@ -259,9 +259,7 @@ def fit_gibbs(
     attainable range leave a finite but non-attained infimum.
     """
     _require_numbers(u=u, v=v)
-    di = domain_info(seq)
-    if di.empty:
-        raise DomainError("entropy problem undefined for an empty domain", di)
+    _edge(seq, "entropy problem undefined for an empty domain")
     if u < 0 or v < 0:
         return GibbsFit(
             status=FitStatus.INFEASIBLE,
@@ -355,31 +353,30 @@ def plateau_witness(
 ) -> PlateauWitness:
     """eps-optimal finite weights for the plateau regime u >= gamma.
 
-    Requires a finite boundary slope (gamma < inf).  The prefix sits at
-    the boundary multiplier alpha; a window of q further terms runs at a
-    smaller multiplier lam_q solving sum_window sigma_k exp(-sigma_k lam)
-    = u - prefix moment, and q grows until the measured entropy gap
-    drops below eps.  The gap of this construction (indeed of any
-    finite-support witness for these slowly decaying exponents) shrinks
-    only like 1/log(support), so small eps values exhaust any realistic
-    budget: the search then raises WitnessBudgetError carrying the best
-    witness found.
+    Requires a finite boundary slope, the class of ``rules.domain``,
+    before gamma is summed.  The prefix sits at the boundary multiplier
+    alpha; a window of q further terms runs at a smaller multiplier lam_q
+    solving sum_window sigma_k exp(-sigma_k lam) = u - prefix moment, and
+    q grows until the measured entropy gap drops below eps.  The gap of
+    this construction (indeed of any finite-support witness for these
+    slowly decaying exponents) shrinks only like 1/log(support), so small
+    eps values exhaust any realistic budget: the search then raises
+    WitnessBudgetError carrying the best witness found.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    di = domain_info(seq)
-    if not math.isfinite(di.gamma):
+    if seq.family.rules.domain(seq)[1] is not BoundaryClass.CLOSED_FINITE_SLOPE:
         raise ValueError(
             f"{seq.spec_string()} has an infinite boundary slope: every moment "
             "is attained and no plateau exists"
         )
+    di = domain_info(seq)
     if u < di.gamma - di.gamma_err:
         raise ValueError(
             f"moment {u!r} is below the boundary slope {di.gamma:g}; "
             "the minimum is attained, use min_entropy_moment"
         )
     budget = max_terms_budget(max_terms)
-    alpha = di.alpha
     start = seq.start_index
     target = conjugate(seq, u).value
 
@@ -395,7 +392,7 @@ def plateau_witness(
 
     ks_prefix = np.arange(start, n_end + 1, dtype=np.int64)
     s_prefix = sigma_values(seq, ks_prefix)
-    w_prefix = np.exp(-s_prefix * alpha)
+    w_prefix = np.exp(-s_prefix * di.alpha)
     prefix_moment = float(np.sum(s_prefix * w_prefix))
     prefix_entropy = float(np.sum(w_prefix * (np.log(w_prefix) - 1.0)))
     v_window = u - prefix_moment

@@ -158,12 +158,12 @@ class BudgetExceededError(RuntimeError):
 def domain_info(
     seq: SigmaSequence, tol: float = 1e-8, max_terms: Optional[int] = None
 ) -> DomainInfo:
-    """Classify the domain of f for a sequence.
+    """Classify the domain of f for a sequence, with certified edge values.
 
-    The edge and its class are the family's (``rules.domain``).  ``tol``
-    only affects the certified accuracy of the finite boundary values
-    (log family with fast-decaying boundary terms), which are summed
-    within ``max_terms`` (default: the global term budget).
+    The edge and its class are the family's (``rules.domain``), which every
+    evaluation, solve and fit reads itself.  ``tol`` only affects the
+    certified accuracy of the finite boundary values gamma and f(-alpha),
+    summed within ``max_terms`` (default: the global term budget).
     """
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN:
@@ -178,6 +178,25 @@ def domain_info(
     return DomainInfo(
         alpha, edge, gm.midpoint, fb.midpoint, 0.5 * gm.tail_bound, 0.5 * fb.tail_bound
     )
+
+
+def _refused(seq: SigmaSequence, message: str, y: Optional[float]) -> DomainError:
+    """DomainError with ``domain_info``'s record, or, where its edge sums
+    exceed the budget, the rules' edge and class with NaN values."""
+    try:
+        info = domain_info(seq)
+    except BudgetExceededError:
+        info = DomainInfo(*seq.family.rules.domain(seq), math.nan, math.nan)
+    return DomainError(message, info, y)
+
+
+def _edge(seq: SigmaSequence, empty: str, y: Optional[float] = None) -> tuple[float, BoundaryClass]:
+    """The edge alpha and its class (``rules.domain``); ``_refused`` with the
+    message ``empty`` for an empty domain."""
+    alpha, edge = seq.family.rules.domain(seq)
+    if edge is BoundaryClass.EMPTY_DOMAIN:
+        raise _refused(seq, empty, y)
+    return alpha, edge
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +264,9 @@ def _abs_weight(seq: SigmaSequence, y: float, p: int, first: int, stop: int) -> 
     """Sum of |t_n| (1 + |sigma_n y|) over first <= n < stop (see
     ``_roundoff``), for sequences whose terms need not all be positive."""
     s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
-    weights = np.abs(s * y) + 1.0  # a product and a row sum, not BLAS (n + 1 roundings)
-    weights *= np.abs(s ** p * np.exp(s * y))
+    with np.errstate(over="ignore"):  # to an inf weight, where exp(sigma_n y) passes float64
+        weights = np.abs(s * y) + 1.0  # a product and a row sum, not BLAS (n + 1 roundings)
+        weights *= np.abs(s ** p * np.exp(s * y))
     return float(np.add.reduce(weights)) * (1.0 + 4.0 * (stop - first) * _U)
 
 
@@ -752,7 +772,9 @@ def _block_sum(
     """
     block = np.empty(stop - first)
     start = seq.start_index
+    signed = seq.signed
     widest = 0.0  # the largest |sigma_n|: the last one where all are positive
+    top = 0.0  # where one is negative, log2 of a bound on the largest term
     for lo in range(first, stop, _CHUNK):
         hi = min(lo + _CHUNK, stop)
         if hi - start <= _SIGMA_PREFIX:
@@ -761,19 +783,24 @@ def _block_sum(
             s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
         terms = block[lo - first : hi - first]
         s_top = float(s[-1])
-        widest = max(widest, s_top, -float(s[0])) if seq.signed else s_top
-        if widest * -y < _HUGE:
+        widest = max(widest, s_top, -float(s[0])) if signed else s_top
+        if signed:  # widest^p exp(widest |y|), 1.45 > 1/ln 2
+            top = p * math.frexp(widest)[1] - 1.45 * widest * y
+        if widest * -y < _HUGE and top < 1023.0:
             np.multiply(s, y, out=terms)
-        else:  # some sigma_n y overflows, to an -inf that exp takes to 0
+            np.exp(terms, out=terms)
+            if p:
+                terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
+        else:  # some sigma_n y overflows, to an -inf that exp takes to 0, or a signed
+            # sequence's term may pass float64, to the inf _sum_blocks reports
             with np.errstate(over="ignore"):
                 np.multiply(s, y, out=terms)
-        np.exp(terms, out=terms)
-        if p:
-            terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
-    # log2 of the count times the largest term, widest^p (times exp(widest |y|), 1.45 > 1/ln 2,
-    # where a sigma_n is negative): from 1023 on the sum may pass float64, to the inf _sum_blocks reports
-    reach = (stop - first).bit_length() + p * math.frexp(widest)[1] - (1.45 * widest * y if seq.signed else 0.0)
-    if reach < 1023.0:
+                np.exp(terms, out=terms)
+                if p:
+                    terms *= s ** p if p > 1 else s
+    # log2 of the count times the largest term, widest^p where all are positive:
+    # from 1023 on the sum may pass float64, to the inf _sum_blocks reports
+    if (stop - first).bit_length() + (top if signed else p * math.frexp(widest)[1]) < 1023.0:
         total = float(np.add.reduce(block))
     else:
         with np.errstate(over="ignore"):
@@ -855,7 +882,8 @@ def _sum_blocks(
     certified width already below the slack with 2 slack above the target
     fails at once: more terms only raise the accumulation floor.  So does
     a block whose partial sum passes float64, with the bracket [2^1023,
-    inf].  At the domain edge y = -alpha the first block is 4096 terms,
+    inf], or value -inf and tail bound inf where a signed sum passes
+    -2^1023.  At the domain edge y = -alpha the first block is 4096 terms,
     not 256, and the budget message names a boundary tolerance; a walk cut
     at the last float exponent (``Rules.last``) names it, not the budget.
     A ``signed`` sequence's blocks also add their ``_abs_weight``, on which
@@ -898,9 +926,10 @@ def _sum_blocks(
             if n1 > n_done:
                 block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
                 total += block_total
-                if total == math.inf:  # from 2^1023: a factor 2 spares the rounding
+                if abs(total) == math.inf:  # from 2^1023: a factor 2 spares the rounding
                     passed = f"partial sum passed float64 after index {n1} for {seq.spec_string()} at y={y!r}"
-                    raise BudgetExceededError(passed, SeriesEval(2.0 ** 1023, n1, math.inf))
+                    low = 2.0 ** 1023 if total > 0.0 else -math.inf
+                    raise BudgetExceededError(passed, SeriesEval(low, n1, math.inf))
                 if seq.signed:
                     weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
                 n_done = n1
@@ -1041,27 +1070,17 @@ def _evaluate(
         raise ValueError("tol must be positive")
     p = int(p)
     budget = max_terms_budget(max_terms)
-    # edge and class from the rules; domain_info (an edge sum) only for refusals
-    alpha, edge = seq.family.rules.domain(seq)
-    if edge is BoundaryClass.EMPTY_DOMAIN:
-        raise DomainError("empty effective domain", domain_info(seq), y)
+    # edge and class from the rules; a refusal's record is summed on the way out
+    alpha, edge = _edge(seq, "empty effective domain", y)
     if y > -alpha:
-        raise DomainError(
-            f"y={y!r} is beyond the domain edge -{alpha:g}", domain_info(seq), y
-        )
+        raise _refused(seq, f"y={y!r} is beyond the domain edge -{alpha:g}", y)
     if y == -alpha:
         if edge is BoundaryClass.OPEN_BOUNDARY:
-            raise DomainError(
-                f"domain is open at the edge -{alpha:g}", domain_info(seq), y
-            )
+            raise _refused(seq, f"domain is open at the edge -{alpha:g}", y)
         if edge is BoundaryClass.CLOSED_INFINITE_SLOPE and p > 0:
-            raise DomainError(
-                "derivatives are unbounded at an infinite-slope edge", domain_info(seq), y
-            )
+            raise _refused(seq, "derivatives are unbounded at an infinite-slope edge", y)
         if p > 1:
-            raise DomainError(
-                "orders p >= 2 are refused at the domain edge", domain_info(seq), y
-            )
+            raise _refused(seq, "orders p >= 2 are refused at the domain edge", y)
     elif seq.family.rules.tail == "box":
         return _eval_box(seq, y, p, tol, budget, rel)
     return _sum_blocks(seq, y, p, tol, budget, rel)
@@ -1086,11 +1105,7 @@ def _relative(seq: SigmaSequence, y: float, p: int, rel: float, budget: Optional
     where that end is not positive, the sum underflowing."""
     ev = _evaluate(seq, y, p, 0.0, budget, rel)
     if ev.value <= 0.0:
-        raise DomainError(
-            f"series underflows at y={y!r}; {what} undefined in float64",
-            domain_info(seq),
-            y,
-        )
+        raise _refused(seq, f"series underflows at y={y!r}; {what} undefined in float64", y)
     return ev
 
 

@@ -65,6 +65,20 @@ class TestCommands:
         assert code == EXIT_DOMAIN
         assert parse(out)["error"] == "EmptyDomain"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("eval", "logfam:1.0000001", "--y", "0.5"), EXIT_DOMAIN),
+            (("conjugate", "logfam:1.0000001", "--u", "1"), EXIT_OK),
+            (("witness", "logfam:1.0000001", "--u", "3", "--eps", "0.1"), EXIT_USAGE),
+        ],
+        ids=["eval", "conjugate", "witness"],
+    )
+    def test_next_to_theta_1_reads_the_edge_class_from_the_rules(self, capsys, argv, code):
+        # the edge sum f(-1) of logfam:1.0000001 to 1e-8 exceeds the term
+        # budget; none of these calls needs it, so none exits 3
+        assert run_cli(capsys, *argv)[0] == code
+
     def test_eval_value(self, capsys):
         code, out = run_cli(capsys, "eval", "linear", "--y", "-0.6931471805599453")
         doc = parse(out)

@@ -57,6 +57,15 @@ class TestExpConjugate:
 
 
 class TestRegimes:
+    def test_interior_root_next_to_theta_1(self):
+        # logfam:1.0000001's edge sum f(-1) to 1e-8 needs more than the term
+        # budget, but its root at y ~ -1.52 reads no edge value
+        seq = logfam(1.0000001)
+        cv = conjugate(seq, 1.0)
+        assert cv.regime is Regime.INTERIOR and cv.residual <= 1e-9
+        y, residual = solve_fprime(seq, 1.0, tol=1e-9)
+        assert y == cv.attaining_y and residual <= 1e-9
+
     def test_interior_closed_form(self):
         cv = conjugate(linear(), 2.0, tol=1e-12)
         assert cv.regime is Regime.INTERIOR

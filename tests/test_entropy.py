@@ -67,6 +67,12 @@ class TestSingleMoment:
         for n in range(1, 20):
             assert fit.weights[n - 1] == pytest.approx(0.5 ** n, abs=1e-12)
 
+    def test_interior_fit_next_to_theta_1(self):
+        # logfam:1.0000001's edge sum f(-1) to 1e-8 needs more than the term
+        # budget; the fit's root at y ~ -1.52 reads no edge value
+        fit = min_entropy_moment(logfam(1.0000001), 1.0)
+        assert fit.status is FitStatus.INTERIOR_UNIQUE
+
     def test_zero_moment(self):
         fit = min_entropy_moment(quadratic(), 0.0)
         assert fit.status is FitStatus.INTERIOR_UNIQUE
@@ -393,6 +399,12 @@ class TestPlateauWitness:
     def test_requires_finite_slope(self):
         with pytest.raises(ValueError):
             plateau_witness(linear(), 5.0, 1e-2)
+
+    def test_requires_finite_slope_from_the_rules(self):
+        # the class is the family's: no edge sum, which next to theta = 1
+        # would exceed the term budget before the usage error
+        with pytest.raises(ValueError, match="infinite boundary slope"):
+            plateau_witness(logfam(1.0000001), 3.0, 0.1)
 
     def test_requires_plateau_moment(self):
         seq = logfam(3.0)

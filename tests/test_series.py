@@ -4,6 +4,7 @@ import gc
 import math
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -495,6 +496,16 @@ class TestDomainRules:
         assert exc.value.info == domain_info(logfam(3.0))
         assert math.isfinite(exc.value.info.gamma)
 
+    def test_refusal_past_the_edge_budget_carries_the_rules_record(self):
+        # next to theta = 1 the edge sum f(-1) to 1e-8 needs more than the
+        # 10^7-term budget: the refusal carries the rules' edge and class
+        # with NaN edge values instead of raising that sum's budget error
+        with pytest.raises(DomainError, match="beyond the domain edge") as exc:
+            eval_series(logfam(1.0000001), 0.5)
+        info = exc.value.info
+        assert (info.alpha, info.boundary_class) == (1.0, BoundaryClass.CLOSED_INFINITE_SLOPE)
+        assert math.isnan(info.gamma) and math.isnan(info.f_at_boundary)
+
     def test_edge_refusal_carries_its_class(self):
         with pytest.raises(DomainError) as exc:
             eval_series(logfam(1.5), -1.0, 1)
@@ -527,6 +538,18 @@ class TestDomainRules:
             ev = eval_series(seq, y, p, tol=1e-12 * abs(float(ref)))
             assert ev.value <= ref <= mp.mpf(ev.value) + ev.tail_bound
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("y", [-0.9, -1.0])
+    def test_signed_sum_past_float64_is_refused_quietly(self, y, p):
+        # sigma_n = n - 800: exp(-799 y) passes float64, and at odd p the
+        # leading terms are negative, so the partial sum runs to -inf
+        seq = custom(lambda n: n - 800.0, declared_alpha=0.0, declared_gap=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="passed float64") as exc:
+                eval_series(seq, y, p)
+        assert math.copysign(1.0, exc.value.best.value) == (-1.0 if p % 2 else 1.0)
+
 
 class TestLogF:
     def test_log_f_matches_eval(self):
@@ -551,6 +574,12 @@ class TestLogF:
         with pytest.raises(DomainError, match="underflows"):
             fn(linear(), -800.0)
         assert len(blocks) <= 1, blocks
+
+    def test_underflow_refused_where_the_edge_sum_exceeds_the_budget(self):
+        # the refusal's record cannot sum f(-1) of logfam:1.0000001 within
+        # the budget; the underflow is still what the call reports
+        with pytest.raises(DomainError, match="underflows"):
+            phi(logfam(1.0000001), -800.0)
 
 
 def clear_memo():

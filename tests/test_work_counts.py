@@ -238,12 +238,30 @@ def test_probes_per_solve(monkeypatch):
 )
 def test_budget_bound_near_edge_solve_fails_at_once(monkeypatch, solve, theta, target):
     # roots 3e-4 to 3e-3 inside the edge, where no walk of the default
-    # budget certifies the stop band: the start lands there, so the solve
-    # raises its probe's budget error after at most two probes
+    # budget certifies the stop band: the start lands there, and its
+    # bracket holds the target, so the solve raises that probe's budget error
     probes = _count_probes(monkeypatch)
     with pytest.raises(BudgetExceededError):
         solve(logfam(theta), target)
-    assert len(probes) == 1 and probes[0] <= 2, probes
+    assert probes == [1], probes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fit_gibbs(linear(), 1.0, 1000.0, max_terms=1000),
+        lambda: conjugate(linear(), 1e8, max_terms=1000),
+    ],
+    ids=["fit_gibbs(linear, 1, 1000)", "conjugate(linear, 1e8)"],
+)
+def test_budget_bound_start_ends_its_solve(monkeypatch, call):
+    # 1000 terms bracket neither root to its band, and the start's bracket
+    # holds the target: no later probe could tell the root's side (the
+    # parent commit's solves took 9 and 19 probes here)
+    probes = _count_probes(monkeypatch)
+    with pytest.raises(BudgetExceededError):
+        call()
+    assert probes == [1], probes
 
 
 def test_cold_box_fit_builds_no_table_past_its_cut(monkeypatch):
