@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sequences import SigmaSequence, _float_tail, box, box_factor, quadratic, sigma
+from .sequences import Family, SigmaSequence, _float_tail, box, box_factor, quadratic, sigma
 from .series import (
     BoundaryClass,
     _best_bracket,
@@ -346,7 +346,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
     power = 1
-    if seq.family.rules.tail == "box":
+    if seq.family is Family.BOX:
         seq, power = box_factor(seq.kappa), 3
     rules = seq.family.rules
     first = seq.start_index
@@ -390,6 +390,7 @@ def solve_fprime(
     certifies |f'(y) - u| <= residual <= tol*max(1, u), or ``_solved`` raises.
     A budget-bound first probe from the float start whose bracket holds u
     raises its budget error at once: no later probe could tell the root's side.
+    So does a probe whose sum passed float64 toward -inf, its midpoint NaN.
     """
     _require_positive(u)
     eta = 0.25 * tol * max(1.0, u)
@@ -397,7 +398,8 @@ def solve_fprime(
 
     def fp(y: float) -> tuple[float, tuple]:
         ev, error = _best_bracket(seq, y, 1, eta, max_terms)
-        if error is not None and start and y == start[0] and ev.value <= u <= ev.upper:
+        held = start and y == start[0] and ev.value <= u <= ev.upper
+        if error is not None and (held or math.isnan(ev.midpoint)):
             raise error
         return ev.midpoint, (abs(ev.midpoint - u) + 0.5 * ev.tail_bound, error)
 

@@ -29,6 +29,7 @@ from .sequences import (
     SigmaSequence,
     VarsigmaSequence,
     _frozen,
+    _up,
     linear,
     sigma,
     sigma_values,
@@ -41,7 +42,6 @@ from .series import (
     tail_bound_after,
     _compared,
     _edge,
-    _up,
 )
 
 __all__ = [

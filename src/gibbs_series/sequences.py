@@ -3,14 +3,21 @@
 A sequence ``sigma_1 <= sigma_2 <= ...`` defines the series
 ``f(y) = sum_n exp(sigma_n * y)``.  Each family is described once, by the
 ``rules`` its ``Family`` member carries: its parameter, exponents,
-increments, rounding, domain, and the tail certificate the series
-module uses for it.
+increments, rounding, domain, and tail certificate, the callable that
+bounds the terms after an index for the series walk: a geometric
+envelope where the increments keep a positive floor (``_envelope``), an
+integral sandwich where they shrink (``_sandwich``).  Each certificate is
+formed in the log domain, widened by a bound on the rounding of its
+exponent, and never returned below the smallest normal float (or, for a
+lower end, rounded down).  ``_float_tail`` is the float start's
+uncertified model of the same terms.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -103,6 +110,543 @@ def _spec(family: _Described, value: Optional[float]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Tails: each family's certificate (``_Rules.tail``), and the float model
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53  # unit roundoff of float64
+_TINY = sys.float_info.min  # smallest normal float64
+_HUGE = sys.float_info.max  # largest float64
+
+# a tail certificate: (lower, upper) on the sum of the terms after an index,
+# None while none applies yet, or (None, floor) with a floor on upper - lower
+# where that floor exceeds the width the caller needs (see ``_sandwich``)
+_Tail = Optional[tuple[Optional[float], float]]
+
+
+def _up(value: float, rel: float) -> float:
+    """Round a computed upper bound outward.
+
+    ``rel`` bounds the relative error of ``value``; the factor also covers
+    the rounding of the product itself.  A result below the smallest
+    normal float is replaced by that float, which provably exceeds it, so
+    a certificate never underflows to 0 or loses precision as a subnormal.
+    """
+    return max(value * (1.0 + 2.0 * (rel + 4.0 * _U)), _TINY)
+
+
+def _exp_up(log_value: float, err: float) -> float:
+    """Upper bound on exp(t) for every t within ``err`` of ``log_value``."""
+    if log_value + err > 709.0:
+        return math.inf
+    return _up(math.exp(log_value), err)
+
+
+def _exp_down(log_value: float, err: float) -> float:
+    """Lower bound on exp(t) for every t within ``err`` of ``log_value``;
+    0 where that is below the normal floats."""
+    low = log_value - err
+    if low < -700.0:
+        return 0.0
+    return math.exp(min(low, 709.0)) * (1.0 - 4.0 * _U)
+
+
+_GAMMA_PAIRS = 4000  # continued-fraction steps, in pairs, per evaluation
+_RESCALE = 2.0 ** 600
+
+
+def _log_upper_gamma(a: float, z: float) -> tuple[float, float, float]:
+    """Certified ln Gamma(a, z), the upper incomplete gamma function, z > 0.
+
+    Returns (lo, hi, err) with lo - err <= ln Gamma(a, z) <= hi + err for
+    the a and z given.  For a < 1, Gamma(a, z) = z^a e^-z F with Legendre's
+    continued fraction
+
+        F = 1/(z + (1-a)/(1 + 1/(z + (2-a)/(1 + 2/(z + ...)))))
+
+    whose elements are all positive, so its even convergents rise to F and
+    its odd ones fall to it (Gil, Segura & Temme, Numerical Methods for
+    Special Functions, 2007, ch. 6), from 1/(z + 1 - a) and 1/z on.  The
+    forward recurrences for their numerators and denominators add positive
+    products only, so after n steps each is within (1 + 3u)^n of the exact
+    continuant.  The pairs stop once the bracket is that narrow, or with a
+    wider but valid one after ``_GAMMA_PAIRS`` or before a pair that
+    overflows.  For a >= 1 the recurrence
+    Gamma(s + 1, z) = s Gamma(s, z) + z^s e^-z climbs from s = a - floor(a)
+    in [0, 1), again adding positive terms only.
+    """
+    m = math.floor(a) if a >= 1.0 else 0
+    s = a - m  # exact
+    lo = hi = 1.0
+    n = 0
+    if not (m and s == 0.0):  # Gamma(m, z) needs no fraction
+        lo, hi = 1.0 / (z + (1.0 - s)), 1.0 / z
+        # convergents A/B after the first step (1, z): A = 1, B = z
+        a_prev, a_cur, b_prev, b_cur = 0.0, 1.0, 1.0, z
+        for k in range(1, _GAMMA_PAIRS + 1):
+            e = k - s
+            a_even, b_even = a_cur + e * a_prev, b_cur + e * b_prev  # even step (k - s, 1)
+            a_odd, b_odd = z * a_even + k * a_cur, z * b_even + k * b_cur  # odd step (k, z)
+            if not a_odd + b_odd <= _HUGE:  # an overflow: keep the last finite pair
+                break
+            a_prev, a_cur, b_prev, b_cur = a_even, a_odd, b_even, b_odd
+            lo, hi = a_prev / b_prev, a_cur / b_cur
+            if b_cur > _RESCALE:  # exact: a power of two
+                a_prev /= _RESCALE
+                a_cur /= _RESCALE
+                b_prev /= _RESCALE
+                b_cur /= _RESCALE
+            if hi <= lo * (1.0 + 16.0 * k * _U):
+                break
+        n = 2 * k + 1
+    h_lo, h_hi = math.log(lo), math.log(hi)
+    # each convergent within (6n + 1) u relative, and its logarithm's rounding
+    err = _U * (6.0 * n + 4.0 + max(abs(h_lo), abs(h_hi)))
+    log_z = math.log(z)
+    if m:
+        # Gamma(s + k, z) = z^(s+k) e^-z H_k with H_0 = F and
+        # H_(k+1) = ((s + k) H_k + 1) / z, climbed in logarithms
+        h_lo, e_lo = _climb_gamma(s, m, log_z, h_lo)
+        h_hi, e_hi = _climb_gamma(s, m, log_z, h_hi)
+        err += max(e_lo, e_hi)
+    base = a * log_z - z
+    err += _U * (3.0 * z + 4.0 * abs(a * log_z) + 2.0 * max(abs(h_lo), abs(h_hi)) + 4.0)
+    return base + h_lo, base + h_hi, err
+
+
+def _climb_gamma(s: float, m: int, log_z: float, h: float) -> tuple[float, float]:
+    """ln H_m from h = ln H_0 (see ``_log_upper_gamma``) and its added error.
+
+    Each step is a softplus of ln(s + k) + ln H_k, whose slope is below 1,
+    less ln z, so errors carry over unamplified and each step adds its own.
+    """
+    err = 0.0
+    for k in range(m):
+        if s + k == 0.0:
+            h = -log_z  # H_1 = 1/z, whatever H_0 is
+        else:
+            t = math.log(s + k) + h
+            sp = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
+            h_new = sp - log_z
+            err += _U * (2.0 * (abs(t) + abs(sp) + abs(h_new) + abs(log_z)) + 6.0)
+            h = h_new
+    return h, err
+
+
+def _envelope(log_c: float, s1: float, q: int, delta: float, y: float) -> _Tail:
+    """(0, bound) on sum_{k>=0} e^log_c (s1 + k delta)^q exp((s1 + k delta) y),
+    the bound being its first term over 1 - r, r = (1 + delta/s1)^q
+    exp(delta y) the largest ratio of consecutive terms; None while the
+    terms may still grow (s1 |y| <= q) or r > 1 - 1e-12.
+
+    Rounding: the lead exponent's parts carry 3 u of each, s1 y that of a
+    rounded s1 too; an error x in the exponent of r, 2 u of each part,
+    moves ln(1 - r) by x/(1 - r).
+
+    s1 is taken at most 2^1000 / max(2^-23, -y), also where it is inf,
+    and then delta at most s1, so that s1, s1 y, delta y and the rounding
+    account stay finite: lower values only raise the envelope, the terms
+    falling from s1 on (s1 |y| > q).
+    """
+    cap = 2.0 ** 1000 / max(2.0 ** -23, -y)
+    if s1 > cap:
+        s1 = cap
+        delta = min(delta, cap)
+    if s1 * -y <= q:
+        return None
+    growth = q * math.log1p(delta / s1) if q else 0.0
+    dy = delta * y
+    one_minus_r = -math.expm1(dy + growth)
+    if not one_minus_r > 1e-12:
+        return None
+    sy = s1 * y
+    log_s1 = math.log(s1) if q else 0.0
+    log_gap = math.log(one_minus_r)  # <= 0
+    err = _U * (
+        3.0 * (abs(log_c) + abs(sy) + q * (abs(log_s1) + 1.0) - log_gap)
+        + 2.0 * (growth - dy) / one_minus_r
+        + 12.0
+    )
+    return 0.0, _exp_up(log_c + q * log_s1 + sy - log_gap, err)
+
+
+def _geom_tail(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
+    """(0, bound) after index N: the envelope from sigma_{N+1}, or None.
+    The envelope is cheap, so ``need`` (see ``_sandwich``) is not read."""
+    return _envelope(0.0, sigma(seq, N + 1), p, increment_gap(seq, N + 1), y)
+
+
+# most gamma steps a power integral climbs (a = p + 1/theta), above the
+# 1 + 1000 max(p, 1) |theta| that the log family's a reaches at its y floor
+_CLIMB_CAP = 1 << 16
+
+
+def _power_tail(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
+    """(lower, upper) on the tail of sum_{n>N} n^(theta p) exp(y n^theta):
+    geometric where the increments grow (theta >= 1), else the integral
+    sandwich (x^theta is concave), or None beyond ``_CLIMB_CAP``."""
+    theta = seq.theta
+    if theta < 1.0:
+        if p + 1.0 / theta > _CLIMB_CAP:
+            return None
+        # below y = -2^900 the tail is below the smallest normal float
+        return _sandwich(seq, y, p, N, _power_integral, 1, -2.0 ** 900, need)
+    try:
+        s1 = float(N + 1) ** theta
+    except OverflowError:
+        s1 = math.inf  # _envelope caps it
+    # delta at most s1, a lower value that only raises the envelope,
+    # keeps the rounding of r within that of the lead exponent
+    return _envelope(0.0, s1, p, min(increment_gap(seq, N + 1), s1), y)
+
+
+def _box_tail(seq: SigmaSequence, y: float, p: int, S: int, need: float = math.inf) -> _Tail:
+    """(0, bound) on the box terms with level s > S, or None: r3(s) <= s
+    (at most one m per (k, l), and fewer than s pairs with k^2 + l^2 < s)
+    puts them below sum_{s>S} s (kappa s)^p exp(kappa s y), the envelope
+    over kappa s with s1 = fl(kappa (S + 1)), q = p + 1, delta = kappa and
+    log_c = -ln kappa; ``need`` is not read, as in ``_geom_tail``."""
+    kappa = seq.kappa
+    return _envelope(-math.log(kappa), kappa * (S + 1.0), p + 1, kappa, y)
+
+
+# ---------------------------------------------------------------------------
+# Integral sandwich, for the families whose increments shrink
+# ---------------------------------------------------------------------------
+
+def _sandwich(
+    seq: SigmaSequence,
+    y: float,
+    p: int,
+    N: int,
+    integral: Callable,
+    convex_from: int,
+    floor: float,
+    need: float = math.inf,
+) -> _Tail:
+    """(lower, upper) on the tail after N from the one integral
+    F = int_{N+1}^inf g, g(x) = sigma(x)^p exp(y sigma(x)), bracketed by
+    ``integral(theta, y, p, N + 1)``; None while the terms may still grow.
+    Below ``floor`` the tail, which rises with y, takes the upper end at
+    the floor, where the integrals' arguments stay finite.
+
+    In s = sigma, h(s) = s^p e^{ys} has h'' = s^(p-2) e^{ys} ((p + ys)^2 -
+    p), so h decreases once |y| s >= p and is also convex once |y| s >= p +
+    sqrt(p).  Where g decreases from N on, the tail lies between F and
+    F + g(N).  Where sigma also increases and is concave from N =
+    ``convex_from`` on, g'' = h'' sigma'^2 + h' sigma'' >= 0, and
+    Hermite-Hadamard, then the chord over [N + 1/2, N + 1], narrow that to
+
+        F + g(N+1)/2 <= sum_{n>N} g(n) <= int_{N+1/2} g <= F + [g(N+1/2) + g(N+1)]/4,
+
+    about |g'(N)|/8 wide instead of g(N).  The upper end is rounded up far
+    enough that subtracting the lower end cannot fall short.
+
+    The terms added to F's ends come first.  Their computed difference,
+    [g(N+1/2) + g(N+1)]/4 - g(N+1)/2 or g(N), is at most the computed
+    width upper - lower: the upper end is rounded up from F's upper end
+    plus its term, the lower end down from F's lower end plus its term,
+    and rounding to nearest is monotone.  Where that floor exceeds
+    ``need`` the integral is not computed, and (None, floor) is returned.
+    """
+    if N < seq.start_index:
+        return None
+    below, y = y < floor, max(y, floor)
+    slope = -y * sigma(seq, N) * (1.0 - 1e-9)  # far above sigma's rounding
+    if slope < p:
+        return None
+    if N >= convex_from and slope >= p + math.sqrt(p):
+        log_t, err = _log_term(seq, y, p, N + 1)
+        add_lower = 0.5 * _exp_down(log_t, err)
+        add_upper = 0.25 * (_exp_up(log_t, err) + _exp_up(*_log_term(seq, y, p, N + 0.5)))
+    else:
+        add_lower, add_upper = 0.0, _exp_up(*_log_term(seq, y, p, N))
+    gap = add_upper - add_lower
+    if gap > need:
+        return None, gap
+    lower, upper = integral(seq.theta, y, p, N + 1.0)
+    lower += add_lower
+    upper += add_upper
+    # 6 ulps down: this sum's rounding, and the walk's adding the lower end
+    # to its partial sum and subtracting its slack
+    return (0.0 if below else lower * (1.0 - 6.0 * _U)), _up(upper, 0.0)
+
+
+def _logfam_sandwich(seq: SigmaSequence, y: float, p: int, N: int, need: float = math.inf) -> _Tail:
+    """The log family's tail (``_sandwich``), at the edge y = -1 and in the
+    interior at every order p; None where the edge sum diverges (theta <=
+    p + 1).  sigma'' = -(1 + theta (L + 1)/L^2)/x^2, L = ln x, is <= 0 for
+    every theta >= -1 once L^2 >= L + 1, i.e. x >= e^phi ~ 5.04 (phi the
+    golden ratio), where sigma also increases: convex from N = 5 on."""
+    if y == -1.0 and seq.theta <= p + 1:
+        return None
+    # below the floor sigma >= 1 on [3, inf) puts the tail below the
+    # smallest normal float, and the gamma steps |theta y| stay bounded
+    return _sandwich(seq, y, p, N, _logfam_integral, 5, -1e3 * max(p, 1), need)
+
+
+def _logfam_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
+    """integral_c^inf sigma(x)^p exp(y sigma(x)) dx, rounded down and up."""
+    if y == -1.0:
+        return _logfam_boundary_integral(theta, p, c)
+    return _logfam_derivative_integral(theta, y, p, c) if p else _logfam_gamma_integral(theta, y, c)
+
+
+def _logfam_boundary_integral(theta: float, p: int, c: float) -> tuple[float, float]:
+    """Exact integral_c^inf sigma(x)^p exp(-sigma(x)) dx at the domain edge,
+    rounded down and up.
+
+    With w = ln x the integrand is (w + theta ln w)^p w^(-theta) dw, which
+    expands into exact log-power integrals; requires theta > p + 1 and
+    c > e.
+    """
+    W = math.log(c)
+
+    def A(j: int, m: float) -> float:
+        # integral_W^inf (ln w)^j w^(-m) dw, m > 1
+        if j == 0:
+            return W ** (1.0 - m) / (m - 1.0)
+        return (math.log(W) ** j * W ** (1.0 - m)) / (m - 1.0) + j / (m - 1.0) * A(j - 1, m)
+
+    acc = 0.0
+    for j in range(p + 1):
+        acc += math.comb(p, j) * theta ** j * A(j, theta - p + j)
+    # every term is positive (W > 1); each power W^(1-m) carries
+    # |(1-m) ln W| u from the exponent, and the recursion a few ulps a level
+    rel = _U * (8.0 * (theta + 1.0) * (abs(math.log(W)) + 1.0) + 16.0 * (p + 2) ** 2)
+    return acc * (1.0 - 2.0 * rel), _up(acc, rel)
+
+
+def _gamma_integral(a: float, da: float, b: float, z: float) -> tuple[float, float]:
+    """b^-a Gamma(a, z), z > 0, rounded down and up, for an a within ``da``
+    of the exact one and b and z within u and 3 u relative of theirs:
+    d ln Gamma / dz is at most (z + 1 - a)/z for a < 1 and 1 for a >= 1,
+    and d ln Gamma / da, a mean of ln t over t >= z, lies between ln z and
+    ln(z + max(a, 1)).
+    """
+    lo, hi, err = _log_upper_gamma(a, z)
+    log_b = math.log(b)
+    err += (
+        da * (abs(log_b) + abs(math.log(z)) + math.log(z + max(a, 1.0)))
+        + _U * (
+            2.0 * abs(a) * (abs(log_b) + 1.0)  # a ln b, ln b off by (|ln b| + 1) u
+            + 3.0 * (z + 1.0 + abs(a))  # z off by 3 z u
+            + 2.0 * (abs(a * log_b) + max(abs(lo), abs(hi)))
+        )
+    )
+    return _exp_down(lo - a * log_b, err), _exp_up(hi - a * log_b, err)
+
+
+def _logfam_gamma_integral(theta: float, y: float, c: float) -> tuple[float, float]:
+    """integral_c^inf x^y (ln x)^(theta y) dx for y < -1, c >= 3, rounded
+    down and up: with t = b ln x it is b^-a Gamma(a, b ln c), a = theta y +
+    1 (within (2 |theta y| + |a|) u) and b = -(y + 1)."""
+    b = -(y + 1.0)
+    a = theta * y + 1.0
+    return _gamma_integral(a, _U * (2.0 * abs(theta * y) + abs(a)), b, b * math.log(c))
+
+
+def _power_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
+    """integral_c^inf x^(theta p) exp(y x^theta) dx, 0 < theta < 1, rounded
+    down and up: with s = x^theta, b^-a Gamma(a, b c^theta)/theta for b = -y,
+    a = p + 1/theta (within (a + 1/theta) u) and c^theta within 2 u."""
+    a = p + 1.0 / theta
+    b = -y
+    lo, hi = _gamma_integral(a, _U * (a + 1.0 / theta), b, b * c ** theta)
+    return min(lo / theta, _HUGE) * (1.0 - 2.0 * _U), _up(hi / theta, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _stencil(p: int, lower: bool) -> tuple[tuple[int, float], ...]:
+    """Pairs (j, coefficient) of the combination of F(y + j h) that is at
+    least 2 h^p F^(p)(y), or with ``lower`` at most it (see
+    ``_logfam_derivative_integral``); zero coefficients are left out."""
+    # (q, top, weight): weight times the backward difference nabla^q F(y + top h)
+    if lower:  # 2 nabla^p F(y) + p nabla^(p+1) F(y - p h)
+        parts = ((p, 0, 2), (p + 1, -p, p))
+    else:  # 2 Delta^p F(y) - p nabla^(p+1) F(y), Delta^p F(y) = nabla^p F(y + p h)
+        parts = ((p, p, 2), (p + 1, 0, -p))
+    coefs = Counter()
+    for q, top, weight in parts:
+        for k in range(q + 1):
+            coefs[top - k] += weight * (-1) ** k * math.comb(q, k)
+    return tuple((j, float(c)) for j, c in coefs.items() if c)
+
+
+def _logfam_derivative_integral(theta: float, y: float, p: int, c: float) -> tuple[float, float]:
+    """integral_c^inf sigma(x)^p x^y (ln x)^(theta y) dx for p >= 1, y < -1,
+    c >= 3, rounded down and up.
+
+    It is F^(p)(y) for F(y) = integral_c^inf exp(y sigma(x)) dx, which
+    ``_logfam_gamma_integral`` certifies.  F is a Laplace transform in y
+    and sigma > 0 on [3, inf), so every F^(k) = int sigma^k exp(y sigma)
+    is positive and increasing (Widder, The Laplace Transform, 1941,
+    ch. IV); only F^(p+2) >= 0 is used.  With a step h and the forward and
+    backward differences Delta and nabla, Delta^p F(y) / h^p is the mean of
+    F^(p) on [y, y + p h] under a B-spline of mass 1 and mean p h/2.  F^(p)
+    is convex, so that mean is at least F^(p)(y) + (p h/2) F^(p+1)(y), and
+    F^(p+1)(y) is at least nabla^(p+1) F(y) / h^(p+1), a mean of F^(p+1)
+    left of y.  Likewise F^(p)(y) >= F^(p)(y - t) + t F^(p+1)(y - p h) for
+    t <= p h, averaged under the spline of nabla^p F(y).  So
+
+        F^(p)(y) <= [2 Delta^p F(y) - p nabla^(p+1) F(y)] / (2 h^p),
+        F^(p)(y) >= [2 nabla^p F(y) + p nabla^(p+1) F(y - p h)] / (2 h^p),
+
+    whose coefficients ``_stencil`` lists, over the 3p + 2 nodes y + j h,
+    -2p - 1 <= j <= p, at each of which F is bracketed once.  At p = 1
+    they are [2F(y+h) - 3F(y) + 2F(y-h) - F(y-2h)] / (2h), (2/3) h^2 F'''
+    above F', and [2F(y) - F(y-h) - 2F(y-2h) + F(y-3h)] / (2h), (5/6) h^2
+    F''' below.
+
+    Each combination takes F's ends crosswise (the upper end for positive
+    coefficients of the upper bound and negative ones of the lower bound).
+    The products carry at most u each and ``math.fsum`` rounds the sum
+    once, so 8 u of the sum of |terms| covers both with margin; h is a
+    power of two, so dividing by 2 h^p is exact.  The nodes y + j h must be
+    exact floats: y + j h less y is exact (Sterbenz), and differs from j h
+    only where a node crosses into the binade below, whose ulp is twice
+    y's.  There that end is taken at the neighbour of y with an even last
+    mantissa bit, from whose multiples of 2 ulp every node is exact: the
+    one above y for the upper end and the one below for the lower end, as
+    F^(p) increases in y.
+
+    The width is about h^2 F^(p+2) from the curvature plus eps F / h^p
+    times the coefficients from F's relative bracket width eps, least near
+    h = 1.4 eps^(1/(p+2)) (F/F^(p+2))^(1/(p+2)).  F^(p+2)/F = E[sigma^(p+2)]
+    under the weight, far above sigma(c)^(p+2) near the edge; its root is
+    taken from the third moment of ln x (``_slope_step_scale``) at every p.
+    h is at most |y + 1|/(4p) to keep y + p h inside the domain.  At p = 1
+    the bracket is then 5-8 eps^(2/3) of F' wide (eps ~ 1e-13) where F's
+    own width allows.
+    """
+    lo, hi = _logfam_gamma_integral(theta, y, c)
+    eps, scale = math.inf, 1.0
+    if lo > 0.0:
+        eps, scale = hi / lo - 1.0, _slope_step_scale(theta, y, c, lo)
+    step = min(1.4 * eps ** (1.0 / (p + 2)) / scale, -0.25 * (y + 1.0) / p)
+    h = math.ldexp(1.0, math.frexp(step)[1] - 1)  # the power of two at or below step
+    divisor = 2.0 * h ** p
+    brackets = {0: (lo, hi)}  # F's bracket at each node y + j h
+    ends = []
+    for lower in (True, False):
+        stencil = _stencil(p, lower)
+        end = 0.0 if lower else math.inf  # where no step fits
+        if any(y + j * h - y != j * h for j, _ in stencil):  # a node across a binade
+            mantissa, exponent = math.frexp(y)
+            even = (math.floor if lower else math.ceil)(math.ldexp(mantissa, 52))
+            neighbour = math.ldexp(even, exponent - 52)
+            if neighbour != y and neighbour < -1.0:
+                end = _logfam_derivative_integral(theta, neighbour, p, c)[not lower]
+        elif divisor > 0.0 and y + max(j for j, _ in stencil) * h < -1.0:
+            terms = []
+            for j, coef in stencil:
+                if j not in brackets:
+                    brackets[j] = _logfam_gamma_integral(theta, y + j * h, c)
+                terms.append(coef * brackets[j][(coef > 0.0) != lower])
+            total, err = math.fsum(terms), 8.0 * _U * math.fsum(map(abs, terms))
+            if lower:
+                end = max(total - err, 0.0) / divisor * (1.0 - 4.0 * _U)
+            else:
+                end = _up((total + err) / divisor, 0.0)
+        ends.append(end)
+    return ends[0], ends[1]
+
+
+def _slope_step_scale(theta: float, y: float, c: float, F: float) -> float:
+    """sigma at w = E[w^3]^(1/3), w = ln x under the weight exp(y sigma(x))
+    on [c, inf), given F > 0, the integral of that weight: the scale of
+    F'''/F = E[sigma^3] on which ``_logfam_derivative_integral`` sizes its
+    step.
+
+    In t = b w the weight is t^(a-1) e^-t on [z, inf), so E[t^3] is the
+    product of R_j = Gamma(a+j+1, z)/Gamma(a+j, z) = a + j + r_j, j < 3,
+    with r_j = z^(a+j) e^-z/Gamma(a+j, z): r_0 from F = b^-a Gamma(a, z),
+    and r_(j+1) = z r_j/R_j.  Each R_j is a mean of t >= z, so it is held
+    at z or above against cancellation.  Only the width depends on it.
+    """
+    b = -(y + 1.0)
+    a = theta * y + 1.0
+    z = b * math.log(c)
+    r = math.exp(a * math.log(z) - z - math.log(F) - a * math.log(b))
+    t3 = 1.0
+    for j in range(3):
+        ratio = max(a + j + r, z)
+        t3 *= ratio
+        r *= z / ratio
+    w = t3 ** (1.0 / 3.0) / b
+    return w + theta * math.log(w)
+
+
+def _log_term(seq: SigmaSequence, y: float, p: int, n: int) -> tuple[float, float]:
+    """ln(sigma_n^p exp(sigma_n y)) and a bound on its error (sigma_n >= 1)."""
+    s = sigma(seq, n)
+    e_rel, e_abs, _ = seq.sigma_error
+    log_s = math.log(s) if p else 0.0
+    err = (abs(y) + p / s) * (e_rel * s + e_abs) * _U + _U * 2.0 * (
+        abs(y * s) + p * abs(log_s) + 1.0
+    )
+    return p * log_s + y * s, err
+
+
+@lru_cache(maxsize=None)
+def _exp_sinh() -> tuple[np.ndarray, np.ndarray]:
+    """The exp-sinh rule on [0, inf) (Takahasi and Mori): nodes x =
+    exp(pi/2 sinh t) at t = j/64, |t| <= 4, and their trapezoid weights
+    dx/dt / 64; the even nodes make the rule of step 1/32.  The first node
+    lies 2e-19 from 0, the last 4e18 beyond it.  Built on first use, and
+    with math: numpy's sinh and cosh loops would page in 256 KB that
+    nothing else uses."""
+    ts = [j / 64.0 for j in range(-256, 257)]
+    x = np.array([math.exp(0.5 * math.pi * math.sinh(t)) for t in ts])
+    return x, np.array([math.pi / 128.0 * math.cosh(t) for t in ts]) * x
+
+
+def _float_tail(seq: SigmaSequence, N: int, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Uncertified sum_{n>N} d_n^k exp(y d_n), d_n = sigma_n - s, k = 0..3,
+    and an estimate of its quadrature error, from the exponents in w = ln x
+    that the family's rules give (``in_w``), at a y inside the domain.
+
+    With g(x) = d(x)^k exp(y d(x)), the sum is int_{N+1/2}^inf g +
+    g'(N+1/2)/24 up to a term in g''' (Euler-Maclaurin for the midpoint
+    sum, DLMF 2.10).  In w, g dx = d^k exp(y d + w) dw.  The integral over
+    w >= W = ln(N + 1/2) takes the exp-sinh rule at w = W + c x, c =
+    1/max(r, 1/8), r = |y| (1 + |sigma_w - 1|) - 1 at W: where sigma_w >= 1
+    the rate at which the integrand falls there, and for the log family at
+    theta < 0 (sigma_w < 1) a length short of its far and broad peak.  The
+    error estimate is the rule's difference from the one of twice the step,
+    plus the last node's share, the scale of what the rule cuts off where
+    the integrand falls slowly; it is large where the integrand peaks far
+    past W.  Exponents past float64 at far nodes give terms of 0.
+    """
+    sigma_w, slope_w = seq.family.rules.in_w
+    W = math.log(N + 0.5)
+    sigma_W = sigma_w(seq, W)
+    slope = slope_w(seq, W, sigma_W)
+    c = 1.0 / max(abs(y) * (1.0 + abs(slope - 1.0)) - 1.0, 0.125)
+    x, weights = _exp_sinh()
+    w = x * c + W
+    parts = np.empty((4, w.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by the caller
+        d = sigma_w(seq, w) - s
+        g = np.multiply(d, y, out=parts[0])
+        g += w
+        np.exp(g, out=g)
+        g *= weights
+        g *= c
+        if d[-1] == math.inf:  # exponents past float64, whose terms are 0
+            d[g == 0.0] = 0.0
+        for k in range(1, 4):
+            np.multiply(parts[k - 1], d, out=parts[k])
+        fine = parts.sum(axis=1)
+        err = np.abs(fine - 2.0 * parts[:, ::2].sum(axis=1))
+    err += parts[:, -1]
+    # g_k'(N + 1/2) = sigma_w / x (k d^(k-1) + y d^k) exp(y d)
+    d = sigma_W - s
+    k = np.arange(4.0)
+    fine += slope / (N + 0.5) * math.exp(y * d) / 24.0 * (y + k / d) * d ** k
+    return fine, err
+
+
+# ---------------------------------------------------------------------------
 # Exponent families
 # ---------------------------------------------------------------------------
 
@@ -110,8 +654,8 @@ class _Rules(NamedTuple):
     """Everything the library knows of one exponent family.
 
     The callables take the sequence, which holds the parameter.  ``tail``
-    names the tail certificate after an index (the series module's
-    ``_TAILS``); "box" also selects the cube factorization of f.  A
+    is the certificate callable on the terms after an index (``_Tail``),
+    which the series walk calls after each block.  A
     materialized weight prefix runs from ``ground`` to a cut that doubles
     from the first of ``cuts`` up to the last (see ``prefix``).
     """
@@ -134,7 +678,7 @@ class _Rules(NamedTuple):
     rounding: Callable[[SigmaSequence], tuple[float, float]] = lambda seq: (0.0, 0.0)
     # alpha of the domain (-inf, -alpha), and the class of its edge
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
-    tail: str = "geometric"
+    tail: Callable[..., _Tail] = _geom_tail  # (seq, y, p, N, need)
     # the exponents as a formula in w = ln x, which the float start's tail
     # model (``_float_tail``) integrates: sigma(seq, w) on floats and float
     # arrays, and d sigma/dw from w and sigma; None for exponents without one
@@ -216,65 +760,6 @@ def _logfam_domain(seq: SigmaSequence) -> tuple[float, BoundaryClass]:
     return 1.0, BoundaryClass.CLOSED_FINITE_SLOPE
 
 
-@lru_cache(maxsize=None)
-def _exp_sinh() -> tuple[np.ndarray, np.ndarray]:
-    """The exp-sinh rule on [0, inf) (Takahasi and Mori): nodes x =
-    exp(pi/2 sinh t) at t = j/64, |t| <= 4, and their trapezoid weights
-    dx/dt / 64; the even nodes make the rule of step 1/32.  The first node
-    lies 2e-19 from 0, the last 4e18 beyond it.  Built on first use, and
-    with math: numpy's sinh and cosh loops would page in 256 KB that
-    nothing else uses."""
-    ts = [j / 64.0 for j in range(-256, 257)]
-    x = np.array([math.exp(0.5 * math.pi * math.sinh(t)) for t in ts])
-    return x, np.array([math.pi / 128.0 * math.cosh(t) for t in ts]) * x
-
-
-def _float_tail(seq: SigmaSequence, N: int, s: float, y: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uncertified sum_{n>N} d_n^k exp(y d_n), d_n = sigma_n - s, k = 0..3,
-    and an estimate of its quadrature error, from the exponents in w = ln x
-    that the family's rules give (``in_w``), at a y inside the domain.
-
-    With g(x) = d(x)^k exp(y d(x)), the sum is int_{N+1/2}^inf g +
-    g'(N+1/2)/24 up to a term in g''' (Euler-Maclaurin for the midpoint
-    sum, DLMF 2.10).  In w, g dx = d^k exp(y d + w) dw.  The integral over
-    w >= W = ln(N + 1/2) takes the exp-sinh rule at w = W + c x, c =
-    1/max(r, 1/8), r = |y| (1 + |sigma_w - 1|) - 1 at W: where sigma_w >= 1
-    the rate at which the integrand falls there, and for the log family at
-    theta < 0 (sigma_w < 1) a length short of its far and broad peak.  The
-    error estimate is the rule's difference from the one of twice the step,
-    plus the last node's share, the scale of what the rule cuts off where
-    the integrand falls slowly; it is large where the integrand peaks far
-    past W.  Exponents past float64 at far nodes give terms of 0.
-    """
-    sigma_w, slope_w = seq.family.rules.in_w
-    W = math.log(N + 0.5)
-    sigma_W = sigma_w(seq, W)
-    slope = slope_w(seq, W, sigma_W)
-    c = 1.0 / max(abs(y) * (1.0 + abs(slope - 1.0)) - 1.0, 0.125)
-    x, weights = _exp_sinh()
-    w = x * c + W
-    parts = np.empty((4, w.size))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by the caller
-        d = sigma_w(seq, w) - s
-        g = np.multiply(d, y, out=parts[0])
-        g += w
-        np.exp(g, out=g)
-        g *= weights
-        g *= c
-        if d[-1] == math.inf:  # exponents past float64, whose terms are 0
-            d[g == 0.0] = 0.0
-        for k in range(1, 4):
-            np.multiply(parts[k - 1], d, out=parts[k])
-        fine = parts.sum(axis=1)
-        err = np.abs(fine - 2.0 * parts[:, ::2].sum(axis=1))
-    err += parts[:, -1]
-    # g_k'(N + 1/2) = sigma_w / x (k d^(k-1) + y d^k) exp(y d)
-    d = sigma_W - s
-    k = np.arange(4.0)
-    fine += slope / (N + 0.5) * math.exp(y * d) / 24.0 * (y + k / d) * d ** k
-    return fine, err
-
-
 def _box_sigma(seq: SigmaSequence, n: int) -> float:
     return seq.kappa * int(_box_table_holding(n)[1][n - 1])
 
@@ -322,7 +807,7 @@ class Family(_Described):
         gap=_power_gap,
         last=_power_last,
         rounding=lambda seq: (2.0, 0.0),
-        tail="power",
+        tail=_power_tail,
         in_w=(lambda seq, w: np.exp(seq.theta * w), lambda seq, w, s: seq.theta * s),
     )
     # sigma_n = ln(n (ln n)**theta), n >= 3, theta >= -1 (below, sigma
@@ -336,7 +821,7 @@ class Family(_Described):
         start=3,
         rounding=lambda seq: (19.0, 4.0 * max(abs(seq.theta), 1.0)),
         domain=_logfam_domain,
-        tail="logfam",
+        tail=_logfam_sandwich,
         in_w=(lambda seq, w: w + seq.theta * np.log(w), lambda seq, w, s: 1.0 + seq.theta / w),
     )
     # sigma_n = ln(ln n), n >= 3: terms (ln n)^y decay slower than 1/n for
@@ -369,7 +854,7 @@ class Family(_Described):
         param="kappa",
         default=1.0,
         rounding=lambda seq: (1.0, 0.0),
-        tail="box",
+        tail=_box_tail,
         ground=lambda seq: (1, 1, 1),
         cuts=lambda seq: (8, 4096),
         prefix=_box_prefix,

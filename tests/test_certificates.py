@@ -13,16 +13,19 @@ import pytest
 
 from gibbs_series import (
     Family,
+    SequenceIndexError,
     box,
     custom,
     eval_series,
     increment_gap,
     linear,
     logfam,
+    loglog,
     power,
     quadratic,
-    sigma_values,
+    sequences,
     series,
+    sigma_values,
     tail_bound_after,
 )
 from gibbs_series.sequences import box_levels
@@ -187,6 +190,20 @@ def test_tail_bound_none_before_decay(seq=quadratic()):
     assert tail_bound_after(quadratic(), -1e-6, 1, 5) is None
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [linear(), power(0.5), power(1.3), logfam(3.0), loglog(), quadratic(), box(1.0), custom(lambda n: n, 0.0, 1.0, 4)],
+    ids=str,
+)
+def test_tail_below_the_start_is_refused_in_every_family(seq):
+    # N = start - 1 asks for the whole sum; below that no index is left out
+    start = seq.start_index
+    for N in (start - 2, start - 6):
+        with pytest.raises(SequenceIndexError):
+            tail_bound_after(seq, -1.5, 1, N)
+    tail_bound_after(seq, -1.5, 1, start - 1)
+
+
 def test_boundary_tail_needs_decreasing_terms():
     # logfam:4 starts at n = 3; for p = 1 the integral from x = 2 spans
     # x where sigma < 1 and the terms grow, and it is below the tail
@@ -218,7 +235,7 @@ def test_custom_gap_certificate():
 def test_logfam_boundary_integral_brackets_true_tail():
     # exact integrals from N and N+1 sandwich the boundary tail; a brute
     # window sum plus an upper bound on its own far tail closes the check
-    from gibbs_series.series import _logfam_boundary_integral
+    from gibbs_series.sequences import _logfam_boundary_integral
 
     seq, p, N, extent = logfam(3.0), 1, 500, 4_000_000
     lower = _logfam_boundary_integral(3.0, p, N + 1.0)[0]
@@ -291,7 +308,7 @@ def test_sublinear_power_tails_contain_reference_on_grid():
         for y in (-0.05, -0.3, -1.0, -3.0):
             for p in range(4):
                 for N in (5, 40, 256, 1000):
-                    bounds = series._power_tail(power(theta), y, p, N)
+                    bounds = sequences._power_tail(power(theta), y, p, N)
                     if bounds is None:  # the terms may still grow after N
                         assert -y * N ** theta <= p
                         continue
@@ -331,11 +348,11 @@ def test_sandwich_floor_never_exceeds_its_width():
             for p in range(4):
                 for N in (3, 4, 5, 6, 40, 257, 4_097, 65_537, 1_000_000):
                     cases += 1
-                    positive += floor_within_width(series._logfam_sandwich, logfam(theta), y, p, N)
+                    positive += floor_within_width(sequences._logfam_sandwich, logfam(theta), y, p, N)
     for theta in (0.3, 0.5, 0.7, 0.9, 0.99):
         for y in (-0.05, -0.3, -1.0, -3.0):
             for p in range(4):
                 for N in (1, 5, 40, 256, 1_000, 1_000_000):
                     cases += 1
-                    positive += floor_within_width(series._power_tail, power(theta), y, p, N)
+                    positive += floor_within_width(sequences._power_tail, power(theta), y, p, N)
     assert positive >= 0.8 * cases, (positive, cases)

@@ -526,6 +526,18 @@ class TestRootFinder:
         y, residual = solve_fprime(power(50.0), 1e300, tol=1e-9)
         assert -1e-290 < y < 0.0 and residual <= 1e-9 * 1e300
 
+    @pytest.mark.filterwarnings("error")
+    def test_probe_past_float64_toward_minus_inf_raises_its_budget_error(self):
+        # exp(800 - n) passes float64 at y = -1 and the leading terms of f'
+        # are negative: the probe's bracket (-inf, tail inf) has a NaN
+        # midpoint, so the solve raises the probe's own error
+        with pytest.raises(BudgetExceededError, match="passed float64") as info:
+            conjugate(custom(lambda n: n - 800.0, 0.0, 1.0), 1.0)
+        assert info.value.best.value == -math.inf
+        # an infinite midpoint, [2^1023, inf], still has a side
+        cv = conjugate(power(50.0), 1e300)
+        assert cv.regime is Regime.INTERIOR and math.isfinite(cv.value)
+
     def test_ratio_probe_without_a_finite_f_raises(self, monkeypatch):
         # f's walk passes float64 at every probe: there is no ratio to read
         module = importlib.import_module("gibbs_series.conjugate")

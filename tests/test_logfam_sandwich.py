@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from gibbs_series import BudgetExceededError, conjugate, eval_series, logfam, series
+from gibbs_series import BudgetExceededError, conjugate, eval_series, logfam, sequences
 
 mp = pytest.importorskip("mpmath")
 
@@ -162,7 +162,7 @@ class TestUpperGamma:
     @pytest.mark.parametrize("a", [float(a) for a in np.linspace(-4.0, 3.0, 15)] + [-2.25, -0.88, 0.999999])
     def test_enclosure(self, a):
         for z in [float(z) for z in np.geomspace(0.05, 50.0, 12)] + [0.73, 3.8]:
-            lo, hi, err = series._log_upper_gamma(a, z)
+            lo, hi, err = sequences._log_upper_gamma(a, z)
             with mp.workdps(30):
                 ref = mp.log(mp.gammainc(mp.mpf(a), mp.mpf(z)))
             assert lo - err <= ref <= hi + err, (a, z)
@@ -171,7 +171,7 @@ class TestUpperGamma:
     def test_large_arguments_stay_finite(self):
         # a far below 0 and z far above 700, as deep in the interior
         for a, z in ((-1499.0, 4000.0), (-0.5, 5000.0), (400.5, 3.0), (-179.0, 216.7)):
-            lo, hi, err = series._log_upper_gamma(a, z)
+            lo, hi, err = sequences._log_upper_gamma(a, z)
             ref = log_upper_gamma_reference(a, z)
             assert lo - err <= ref <= hi + err, (a, z)
 
@@ -180,7 +180,7 @@ class TestUpperGamma:
         # both rounded ends of integral_c^inf x^y (ln x)^(theta y) dx
         for y in (-1.05, -1.3, -2.5, -40.0):
             for c in (3.0, 258.5, 4099.0):
-                lo, hi = series._logfam_gamma_integral(theta, y, c)
+                lo, hi = sequences._logfam_gamma_integral(theta, y, c)
                 with mp.workdps(40):
                     th, yy = mp.mpf(theta), mp.mpf(y)
                     a, b = th * yy + 1, -(yy + 1)
@@ -298,7 +298,7 @@ def test_slope_integral_brackets_quadrature(theta, y):
     # second-order combinations of the certified p = 0 integral bracket its
     # y-derivative
     for c in (258.5, 4099.0, 2.0 ** 20):
-        lo, hi = series._logfam_derivative_integral(theta, y, 1, c)
+        lo, hi = sequences._logfam_derivative_integral(theta, y, 1, c)
         with mp.workdps(40):
             ref = interior_integral(theta, y, 1, mp.log(c))
         assert 0.0 < lo <= ref <= hi, c
@@ -318,13 +318,13 @@ def test_slope_integral_contains_reference_on_grid(theta):
     for p in (1, 2, 3):
         for y in (-1.0005, -1.05, -1.3, -6.0, -20.0, binade):
             for c in (5.5, 258.5, 1794.5, 4099.0, 2.0 ** 20):
-                lo, hi = series._logfam_derivative_integral(theta, y, p, c)
+                lo, hi = sequences._logfam_derivative_integral(theta, y, p, c)
                 with mp.workdps(40):
                     ref = gamma_derivative(theta, y, p, mp.log(c))
                     assert 0.0 <= lo <= ref <= hi < math.inf, (p, y, c)
                 assert p > 1 or lo > 0.0, (y, c)
                 if y == binade:
-                    lo2, hi2 = series._logfam_derivative_integral(theta, -2.0, p, c)
+                    lo2, hi2 = sequences._logfam_derivative_integral(theta, -2.0, p, c)
                     assert hi - lo <= 2.0 * (hi2 - lo2), (p, c)
 
 
@@ -332,7 +332,7 @@ def test_slope_integral_next_to_the_edge():
     # within an ulp of y = -1 no step fits: the ends give up, not fail
     y = math.nextafter(-1.0, -2.0)
     for p in (1, 2):
-        assert series._logfam_derivative_integral(2.0, y, p, 300.5) == (0.0, math.inf)
+        assert sequences._logfam_derivative_integral(2.0, y, p, 300.5) == (0.0, math.inf)
 
 
 def test_one_ulp_inside_the_edge_is_an_interior_point():
@@ -393,7 +393,7 @@ def test_sandwich_is_a_fraction_of_a_term_wide():
     # comparison left g(N)
     seq, N = logfam(1.5), 4098
     for y in (-1.0, -1.3):
-        lower, upper = series._logfam_sandwich(seq, y, 0, N)
+        lower, upper = sequences._logfam_sandwich(seq, y, 0, N)
         width = upper - lower
         term = N ** y * math.log(N) ** (1.5 * y)
         assert 0.0 < lower and 0.0 < width < term / N, y

@@ -134,7 +134,7 @@ class TestBracketing:
         ev = eval_series(logfam(1e300), -2.0)
         assert -1e-300 < ev.value <= 0.0
         assert 0.0 < ev.upper <= 2.0 * sys.float_info.min
-        lo, hi, err = series._log_upper_gamma(-2e300, 5.0)
+        lo, hi, err = sequences._log_upper_gamma(-2e300, 5.0)
         assert math.isfinite(lo) and lo <= hi and math.isfinite(err)
 
     def test_logfam_boundary_brackets_nest(self):
@@ -279,7 +279,7 @@ class TestKernel:
             return 0.0, math.inf
 
         series._memo.lru.clear()
-        monkeypatch.setitem(series._TAILS, "logfam", no_certificate)
+        monkeypatch.setattr(Family.LOGFAM, "rules", Family.LOGFAM.rules._replace(tail=no_certificate))
         with pytest.raises(BudgetExceededError) as exc:
             series._sum_blocks(seq, y, p, 1e-9, budget)
         total, first, block = 0.0, seq.start_index, 4096
@@ -667,7 +667,7 @@ class TestEvaluationMemo:
         def failing(seq, y, p, n, need):
             raise ArithmeticError("no certificate")
 
-        monkeypatch.setitem(series._TAILS, "logfam", failing)
+        monkeypatch.setattr(Family.LOGFAM, "rules", Family.LOGFAM.rules._replace(tail=failing))
         with pytest.raises(ArithmeticError):  # a floor-only state, replayed at 1e-9
             eval_series(seq, y, p, tol=1e-9, max_terms=budget)
         assert len(states) == len(held) and all(a is b for a, b in zip(states, held))
@@ -690,9 +690,8 @@ class TestEvaluationMemo:
 
         deferred = walks()
         # every certificate computed, as if no floor were ever enough
-        name = seq.family.rules.tail
-        tail = series._TAILS[name]
-        monkeypatch.setitem(series._TAILS, name, lambda s, y, p, n, need: tail(s, y, p, n))
+        rules = seq.family.rules
+        monkeypatch.setattr(seq.family, "rules", rules._replace(tail=lambda s, y, p, n, need: rules.tail(s, y, p, n)))
         assert walks() == deferred
 
     def test_generator_is_part_of_the_key(self):
