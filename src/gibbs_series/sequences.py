@@ -9,8 +9,10 @@ envelope where the increments keep a positive floor (``_envelope``), an
 integral sandwich where they shrink (``_sandwich``).  Each certificate is
 formed in the log domain, widened by a bound on the rounding of its
 exponent, and never returned below the smallest normal float (or, for a
-lower end, rounded down).  ``_float_tail`` is the float start's
-uncertified model of the same terms.
+lower end, rounded down).  ``linear``, ``quadratic`` and the box factors
+also bracket their whole sum in closed form (``_Rules.whole``), which the
+walk returns before its first block where it is narrow enough.
+``_float_tail`` is the float start's uncertified model of the same terms.
 """
 
 from __future__ import annotations
@@ -307,6 +309,168 @@ def _box_tail(seq: SigmaSequence, y: float, p: int, S: int, need: float = math.i
     log_c = -ln kappa; ``need`` is not read, as in ``_geom_tail``."""
     kappa = seq.kappa
     return _envelope(-math.log(kappa), kappa * (S + 1.0), p + 1, kappa, y)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the whole sum (``_Rules.whole``), orders p <= 3
+# ---------------------------------------------------------------------------
+
+# the Eulerian polynomials A_0..A_3 (DLMF 26.14), whose coefficients are
+# palindromic, so one tuple serves Horner's rule from either end
+_EULERIAN = ((1.0,), (1.0,), (1.0, 1.0), (1.0, 4.0, 1.0))
+
+
+def _li_neg(p: int, z: float, d: float) -> float:
+    """Li_{-p}(z) = sum_{n>=1} n^p z^n = z A_p(z)/d^(p+1), d = 1 - z, for
+    |z| < 1 and p <= 3 (DLMF 25.12(ii)), as computed in floats."""
+    a = 0.0
+    for c in _EULERIAN[p]:
+        a = a * z + c
+    return z * a / d ** (p + 1)
+
+
+def _down(value: float, rel: float) -> float:
+    """Round a computed lower bound outward, as ``_up`` rounds an upper one."""
+    return value * (1.0 - 2.0 * (rel + 4.0 * _U))
+
+
+def _linear_whole(seq: SigmaSequence, y: float, p: int) -> Optional[tuple[float, float]]:
+    """(lower, upper) on sum_{n>=1} n^p z^n = Li_{-p}(z), z = e^y, p <= 3
+    (``_li_neg``); None at higher orders, for a sequence not starting at 1,
+    or where z or d^(p+1), d = 1 - z, is below the normal floats.
+
+    Rounding: z = exp(y) and d = -expm1(y) are each within an ulp, 2 u
+    relative.  A_p has positive coefficients and z > 0, so Horner's rule
+    carries 2 u of z and 2 u of its own a degree, at most 4 (p - 1) u at
+    p >= 1; z A_p adds 3 u, d^(p+1) (2 p + 4) u from d and the pow, and the
+    quotient u: at most (6 p + 8) u in all.  The bracket takes twice that.
+    """
+    if p > 3 or seq.start_index != 1:
+        return None
+    z = math.exp(y)
+    d = -math.expm1(y)
+    if z < _TINY or d ** (p + 1) < _TINY:
+        return None
+    value = _li_neg(p, z, d)
+    rel = (6.0 * p + 8.0) * _U
+    return _down(value, rel), _up(value, rel)
+
+
+_JACOBI_B = 1.0  # b = kappa |y| up to which the quadratic sum takes Jacobi's form
+_PI2 = math.pi * math.pi
+_SQRT_PI = math.sqrt(math.pi)
+# (-1)^p P_p(t) by falling powers of t, P_p the polynomials with
+# d^p/db^p [b^(-1/2) e^(-a/b)] = b^(-1/2-p) e^(-t) P_p(t), t = a/b
+_JACOBI_P = (
+    (1.0,),
+    (-1.0, 0.5),
+    (1.0, -3.0, 0.75),
+    (-1.0, 7.5, -11.25, 1.875),
+)
+
+
+def _quadratic_whole(seq: SigmaSequence, y: float, p: int) -> Optional[tuple[float, float]]:
+    """(lower, upper) on g^(p)(y), g(y) = sum_{k>=1} exp(kappa k^2 y), p <= 3,
+    kappa = 1 for ``quadratic``; None at higher orders, for a sequence not
+    starting at 1, or where a term leaves the floats (``_quadratic_jacobi``,
+    ``_quadratic_direct``).  b = kappa |y| is within u of the exact one;
+    up to ``_JACOBI_B`` the sum takes Jacobi's form, beyond it is summed."""
+    if p > 3 or seq.start_index != 1:
+        return None
+    kappa = seq.kappa or 1.0
+    b = kappa * -y
+    try:
+        if b <= _JACOBI_B:
+            return _quadratic_jacobi(kappa, b, p)
+        return _quadratic_direct(seq, kappa, y, b, p)
+    except OverflowError:  # a power past float64
+        return None
+
+
+def _quadratic_jacobi(kappa: float, b: float, p: int) -> Optional[tuple[float, float]]:
+    """Jacobi's imaginary transformation (DLMF 20.7(viii)),
+
+        sum_{k>=1} e^(-b k^2) = (sqrt(pi/b) (1 + 2 sum_{m>=1} e^(-pi^2 m^2/b)) - 1)/2,
+
+    differentiated p times in y = -b/kappa term by term: g^(p) is
+    kappa^p sqrt(pi)/2 b^(-1/2-p) S, less 1/2 at p = 0, with S = |P_p(0)| +
+    2 sum_m e^(-t_m) (-1)^p P_p(t_m), t_m = pi^2 m^2/b (``_JACOBI_P``);
+    None for b below the normal floats.
+
+    The dual terms m = 1, 2 are kept.  For b <= 1 every t_m is at least
+    pi^2, where e^(-t) t^j falls for j <= 4, so their share of S is
+    largest at b = 1: 2 % at p = 3.  The rest, m >= 3, is below 4 e^(-9
+    pi^2) (9 pi^2)^3 22 < 1e-30 of S (consecutive terms fall by more than
+    half, and |P_p(t)| <= 22 t^3 for t >= 1), and a term whose e^(-t) is
+    below the normal floats (t > 708) below 1e-300 of it: both are taken
+    as u.  Rounding, to first order: pi^2 carries 1.7 u, so t_m is within
+    5 u, and a dual term within (5 t + 3 + 7 deg P_p) u of 2 e^(-t) Q_p(t),
+    Q_p taking the |coefficients| of P_p: at most 8 u of S, at p = 3 and t
+    = pi^2.  b^(-1/2-p) carries (p + 1/2) u from b and 2 u of the pow, and
+    kappa^p, sqrt(pi)/2, the products and the sum S 9 u more: at most 23 u
+    at p = 3.  At p = 0 subtracting 1/2 amplifies the 12 u of the rest by
+    h/(h - 1) <= 2.3, h = 2 g + 1 >= sqrt(pi), to 29 u with its own
+    rounding.  The bracket takes twice 32 u.
+    """
+    if b < _TINY:
+        return None
+    poly = _JACOBI_P[p]
+    s = abs(poly[-1])
+    for m in (1.0, 2.0):
+        t = _PI2 * m * m / b
+        if t > 708.0:
+            break
+        a = 0.0
+        for c in poly:
+            a = a * t + c
+        s += 2.0 * math.exp(-t) * a
+    value = (kappa ** p * 0.5 * _SQRT_PI) * b ** -(p + 0.5) * s
+    if not p:
+        value -= 0.5
+    if not value < _HUGE:
+        return None
+    rel = 32.0 * _U
+    return _down(value, rel), _up(value, rel)
+
+
+def _quadratic_direct(
+    seq: SigmaSequence, kappa: float, y: float, b: float, p: int
+) -> Optional[tuple[float, float]]:
+    """The terms (kappa k^2)^p e^(kappa k^2 y) summed from k = 1 until they
+    fall (k^2 b > p) and one is below 2^-60 of the sum, the envelope after
+    the last (``_geom_tail``) bounding the rest; None where the first term
+    is below 2^-900, so that no term summed is subnormal, or the sum is not
+    finite.
+
+    Rounding: kappa k^2 is within e_rel u (``SigmaSequence.sigma_error``;
+    k^2 is exact) and its product with y within u more, so the exp
+    argument x_k is within (e_rel + 1) |x_k| u, which moves the term by
+    that much relative; exp, the power and the product add (5 + p e_rel) u,
+    and adding the K terms (K - 1) u of the sum: at most u ((e_rel + 1)
+    sum t_k |x_k| + (4 + p e_rel + K) sum t_k).  The slack takes 1 %
+    and 4 u more, which covers subtracting it and the upper end's sum.
+    """
+    total = weight = 0.0
+    k = 0
+    while True:
+        k += 1
+        s = kappa * (k * k)
+        x = s * y
+        term = math.exp(x) * s ** p
+        if k == 1 and not term >= 2.0 ** -900:
+            return None
+        total += term
+        weight -= term * x
+        if k * k * b > p and term <= total * 2.0 ** -60:
+            break
+    if not total < _HUGE:
+        return None
+    tail = _geom_tail(seq, y, p, k)
+    if tail is None:
+        return None
+    e_rel = seq.sigma_error[0]
+    slack = _U * ((e_rel + 1.01) * weight + (8.0 + p * e_rel + k) * total)
+    return total - slack, _up(total + slack + tail[1], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +819,8 @@ class _Rules(NamedTuple):
 
     The callables take the sequence, which holds the parameter.  ``tail``
     is the certificate callable on the terms after an index (``_Tail``),
-    which the series walk calls after each block.  A
+    which the series walk calls after each block, and ``whole`` the closed
+    form of the whole sum, which it reads before the first.  A
     materialized weight prefix runs from ``ground`` to a cut that doubles
     from the first of ``cuts`` up to the last (see ``prefix``).
     """
@@ -679,6 +844,9 @@ class _Rules(NamedTuple):
     # alpha of the domain (-inf, -alpha), and the class of its edge
     domain: Callable = lambda seq: (0.0, BoundaryClass.OPEN_BOUNDARY)
     tail: Callable[..., _Tail] = _geom_tail  # (seq, y, p, N, need)
+    # (lower, upper) on the whole sum f^(p)(y) in closed form, or None, for
+    # the series walk to return before its first block; None: no closed form
+    whole: Optional[Callable[[SigmaSequence, float, int], Optional[tuple[float, float]]]] = None
     # the exponents as a formula in w = ln x, which the float start's tail
     # model (``_float_tail``) integrates: sigma(seq, w) on floats and float
     # arrays, and d sigma/dw from w and sigma; None for exponents without one
@@ -796,6 +964,7 @@ class Family(_Described):
         sigma=lambda seq, n: float(n),
         values=lambda seq, ns, x: x,
         gap=lambda seq, N: 1.0,
+        whole=_linear_whole,
         in_w=(lambda seq, w: np.exp(w), lambda seq, w, s: s),
     )
     # sigma_n = n**theta, theta > 0; increments grow from theta = 1 on,
@@ -842,6 +1011,7 @@ class Family(_Described):
         # a factor 2 to spare for the rounding, as in _power_last
         last=lambda seq, p: int(2.0 ** min(511.5 / max(p, 1) - 0.5 * math.log2(seq.kappa or 1.0), 1023.0)),
         rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
+        whole=_quadratic_whole,
         in_w=(lambda seq, w: (seq.kappa or 1.0) * np.exp(2.0 * w), lambda seq, w, s: 2.0 * s),
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level

@@ -5,11 +5,12 @@ Every evaluation returns a bracket: ``value`` is a provable lower bound
 tail is sandwiched) and ``value + tail_bound`` is a provable upper bound.
 The walk (``_sum_blocks``) sums doubling blocks of terms and bounds the
 rest after each with the family's tail certificate (``rules.tail``, which
-``sequences`` defines).  Box values come from the factorization f_box(y)
-= g(y)^3, g(y) = sum_k exp(kappa k^2 y): certified brackets of g and its
-first two derivatives at y, each walked to 1/4 of its own lower end and,
-where the product misses its target, once more to a width that provably
-meets it (``_eval_box``).
+``sequences`` defines), unless the family's closed form of the whole sum
+(``rules.whole``) already meets its target.  Box values come from the
+factorization f_box(y) = g(y)^3, g(y) = sum_k exp(kappa k^2 y): certified
+brackets of g and its first two derivatives at y, each walked to 1/4 of
+its own lower end and, where the product misses its target, once more to
+a width that provably meets it (``_eval_box``).
 
 Floating-point error is folded into the bracket: reported values are
 shifted down by the rounding slack and ``tail_bound`` widens by twice of
@@ -101,7 +102,12 @@ class DomainInfo(NamedTuple):
 
 
 class SeriesEval(NamedTuple):
-    """Certified bracket for f^(p)(y): true value in [value, value+tail_bound]."""
+    """Certified bracket for f^(p)(y): true value in [value, value+tail_bound].
+
+    ``truncation_index`` is the last index summed (for the box, the largest
+    of its factors'): start_index - 1 where a closed form of the whole sum
+    (``_Rules.whole``) gave the bracket and no term was summed.
+    """
 
     value: float
     truncation_index: int
@@ -383,6 +389,12 @@ def _sum_blocks(
     """Partial sums in doubling blocks until the certified bracket is at
     most max(tol, rel * its lower end) wide.
 
+    Away from the domain edge a family with a closed form of the whole sum
+    (``rules.whole``) returns its bracket first, with truncation index
+    start_index - 1, where that bracket meets the target and, for a
+    relative walk, has a positive lower end.  Everywhere else the walk
+    below runs, and fails, as it would without the closed form.
+
     After each block the family's certificate (``rules.tail``) bounds the
     terms after index N (width inf while it returns None).  The computed
     partial is accurate to +-slack, so the bracket is [partial + lower -
@@ -420,10 +432,17 @@ def _sum_blocks(
     start; a looser one computes a floor-only state's certificate where it
     now needs one, and stores it once it is computed.
     """
-    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
     rules = seq.family.rules
-    certificate = rules.tail
     edge = y == -rules.domain(seq)[0]
+    if rules.whole is not None and not edge:
+        bounds = rules.whole(seq, y, p)
+        if bounds is not None:
+            lower, upper = bounds
+            best = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
+            if best.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
+                return best
+    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
+    certificate = rules.tail
     block = 4096 if edge else 256
     start = seq.start_index
     last = min(start + budget - 1, rules.last(seq, p))  # no exponent past float64

@@ -487,7 +487,7 @@ class TestOtherFormatsAndErrors:
         code, out = run_cli(capsys, "eval", "linear", "--y", "1")
         assert (code, parse(out)["error"]) == (EXIT_DOMAIN, "OutsideDomain")
 
-    def test_root_past_the_budget_is_a_numeric_error(self, capsys):
+    def test_root_past_the_budget_is_a_numeric_error(self, capsys, walked):
         # within 1000 terms, f'(y) = 1e300 is solved with a residual of 1e300
         code, out = run_cli(capsys, "--max-terms", "1000", "conjugate", "linear", "--u", "1e300")
         assert (code, parse(out)["error"]) == (EXIT_NUMERIC, "NumericError")

@@ -108,7 +108,7 @@ class TestRegimes:
             fp = eval_series(seq, cv.attaining_y, 1, tol=1e-13).midpoint
             assert fp == pytest.approx(u, abs=1e-10)
 
-    def test_extreme_target_fails_honestly(self):
+    def test_extreme_target_fails_honestly(self, walked):
         # the argmax for u = 1e30 sits closer to the open edge than any
         # certifiable evaluation point (~1e12 terms would be needed), so
         # the solver reports the budget or the residual instead of a
@@ -503,13 +503,13 @@ class TestRootFinder:
         assert y == -0.5 and payload == ("probe", y)
 
     @pytest.mark.parametrize("solve, target", [(solve_fprime, 100.0), (solve_phi, 10.0)])
-    def test_budget_bound_stopping_probe_raises_its_error(self, solve, target):
+    def test_budget_bound_stopping_probe_raises_its_error(self, solve, target, walked):
         with pytest.raises(BudgetExceededError, match="unreachable within 300 terms") as info:
             solve(linear(), target, max_terms=300)
         assert info.value.best.truncation_index == 300
 
     @pytest.mark.parametrize("max_terms", [20, 100, 300])
-    def test_ratio_solve_raises_the_error_phi_raises_at_its_root(self, max_terms):
+    def test_ratio_solve_raises_the_error_phi_raises_at_its_root(self, max_terms, walked):
         # at 20 and 100 terms f's walk runs out, at 300 only f''s: the solve
         # raises the error phi raises at the stopping probe, f's first
         with pytest.raises(BudgetExceededError) as info:

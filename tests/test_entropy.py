@@ -568,6 +568,39 @@ class TestAlternatingAttainment:
         assert not att.convergent
         assert att.value is None
 
+    @pytest.mark.parametrize("spec", ["power:2", "power:2.5", "power:3"])
+    @pytest.mark.parametrize("u", [2.0, 1e2, 1e4, 1e6])
+    def test_value_within_tol_or_raises(self, u, spec):
+        # q = gibbs_ratio(u) nears 1 as u grows, where the terms peak far
+        # above the sum: the Eulerian closed form serves k = 2 and 3, and a
+        # summed value whose float64 floor passes tol is refused
+        mp = pytest.importorskip("mpmath")
+        k = float(spec.partition(":")[2])
+        try:
+            att = alternating_attainment(u, parse_varsigma(spec), tol=1e-12)
+        except WitnessBudgetError as exc:
+            assert k != int(k) and "rounding floor" in str(exc)
+            return
+        with mp.workdps(40):
+            q = mp.mpf(att.ratio)
+            if k == int(k):
+                ref = mp.polylog(-int(k), -q)
+            else:
+                ref = mp.nsum(lambda n: (-1) ** n * n ** k * q ** n, [1, mp.inf])
+            assert abs(att.value - ref) <= 1e-12
+
+    def test_integer_powers_take_the_closed_form_bits(self):
+        # sum (-1)^n n^k q^n = -q A_k(-q)/(1 + q)^(k+1): A_2 = 1 + z, A_3 = 1 + 4z + z^2
+        q = gibbs_ratio(1e4)
+        assert alternating_attainment(1e4, parse_varsigma("power:2")).value == (
+            -q * (1.0 - q) / (1.0 + q) ** 3
+        )
+        assert alternating_attainment(1e4, parse_varsigma("power:3")).value == (
+            -q * ((-q + 4.0) * -q + 1.0) / (1.0 + q) ** 4
+        )
+        with pytest.raises(WitnessBudgetError, match="rounding floor"):
+            alternating_attainment(1e4, parse_varsigma("power:2"), tol=1e-16)
+
 
 class TestAlternatingWitness:
     def test_requires_positive_eps(self):

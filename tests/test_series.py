@@ -110,7 +110,7 @@ class TestBracketing:
             (quadratic(), -0.6, 3),
         ],
     )
-    def test_value_brackets_bigger_truncation(self, seq, y, p):
+    def test_value_brackets_bigger_truncation(self, seq, y, p, walked):
         ev = eval_series(seq, y, p, tol=1e-10)
         n_terms = 10 * (ev.truncation_index - seq.start_index + 1)
         brute = brute_partial(seq, y, p, n_terms)
@@ -160,7 +160,7 @@ class TestBracketing:
         assert ev.value - 1e-12 <= brute <= ev.value + ev.tail_bound
 
     @pytest.mark.parametrize("p", [0, 1, 2])
-    def test_box_brackets_contain_theta_reference(self, p, monkeypatch):
+    def test_box_brackets_contain_theta_reference(self, p, monkeypatch, walked):
         # g(z) = sum_{k>=1} exp(k^2 z) = (theta_3(0, e^z) - 1)/2, taken for
         # |z| < pi through Jacobi's transformation theta_3(0, e^z) =
         # sqrt(pi/-z) theta_3(0, e^(pi^2/z)), and f_box^(p)(y) =
@@ -521,7 +521,7 @@ class TestDomainRules:
         assert best.tail_bound > 1e-10
 
     @pytest.mark.parametrize("seq", [linear(), logfam(3.0)], ids=str)
-    def test_zero_budget_exceeded(self, seq):
+    def test_zero_budget_exceeded(self, seq, walked):
         # no block fits the budget: the walk fails before summing a term
         with pytest.raises(BudgetExceededError):
             eval_series(seq, -1.02, 0, max_terms=0)
@@ -714,7 +714,7 @@ class TestEvaluationMemo:
         ],
         ids=str,
     )
-    def test_budgets_keep_their_own_walks(self, seq, y, p, tol, budgets):
+    def test_budgets_keep_their_own_walks(self, seq, y, p, tol, budgets, walked):
         cold = {}
         for budget in budgets:
             clear_memo()
@@ -725,7 +725,7 @@ class TestEvaluationMemo:
             for budget in order:
                 assert outcome(seq, y, p, tol, budget) == cold[budget]
 
-    def test_threads_keep_their_own_memo(self):
+    def test_threads_keep_their_own_memo(self, walked):
         jobs = [
             (seq, y, p, tol, 300_000)
             for seq, y in ((linear(), -1e-3), (power(0.7), -1.3), (logfam(3.0), -1.0), (box(0.8), -1.3))
@@ -763,7 +763,7 @@ class TestEvaluationMemo:
         for _, (_, prefixes) in results:
             assert len(prefixes) == 4  # each thread cached the exponents of its four sequences
 
-    def test_memo_holds_a_fixed_number_of_keys(self):
+    def test_memo_holds_a_fixed_number_of_keys(self, walked):
         clear_memo()
         ys = [-0.5 - 0.01 * k for k in range(3 * series._MEMO_KEYS)]
         for y in ys:

@@ -38,25 +38,34 @@ _conjugate = importlib.import_module("gibbs_series.conjugate")
 # sequences._log_upper_gamma calls, one per integral of the log family's
 # interior certificates, which a walk only computes after a block whose
 # cheap floor on the certificate's width could still meet the target).
-# An interior solve's float start lands its first probe within the stop
-# band, so f' and f are each walked once, in one 256-term block, and the
-# solve reads its residual off that probe's bracket.
+# An interior solve's float start reads the first 256 exponents and lands
+# its first probe within the stop band.  The sums of linear, quadratic and
+# the box factors have closed forms (``_Rules.whole``), so f' and f are
+# each bracketed once without a block, and the solve reads its residual
+# off that probe's bracket.
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 2, 512, 256, 2, 0),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 0, 0, 256, 2, 0),
     # the fit reads the conjugate's root; its moments reuse the cached sums
     "min_entropy_moment(linear, 2)": (
-        lambda: min_entropy_moment(linear(), 2.0), 2, 512, 256, 4, 0
+        lambda: min_entropy_moment(linear(), 2.0), 0, 0, 256, 4, 0
     ),
-    # each ratio probe walks f and f' once, to a fraction of their own size
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 2, 512, 256, 4, 0),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 2, 512, 256, 4, 0),
+    # each ratio probe brackets f and f' once, to a fraction of their own size
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 0, 0, 256, 4, 0),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 0, 0, 256, 4, 0),
     # one box fit, read for both the class and h*: no second ratio solve
-    "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 2, 512, 256, 4, 0),
+    "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 0, 0, 256, 4, 0),
     "log_f_conjugate(quadratic, 2)": (
-        lambda: log_f_conjugate(quadratic(), 2.0), 2, 512, 256, 3, 0
+        lambda: log_f_conjugate(quadratic(), 2.0), 0, 0, 256, 3, 0
     ),
-    # an interior sum reads the edge's class from the family's rules and
-    # sums no term there: three interior blocks meet the integral sandwich
+    # interior sums in closed form sum no block and compute no exponent:
+    # the Eulerian form of linear, Jacobi's form of the quadratic sum and of
+    # a box factor at kappa |y| <= 1, and the few direct terms beyond
+    "eval_series(linear, -0.5, 3)": (lambda: eval_series(linear(), -0.5, 3), 0, 0, 0, 1, 0),
+    "eval_series(quadratic, -0.05, 1)": (
+        lambda: eval_series(quadratic(), -0.05, 1), 0, 0, 0, 1, 0
+    ),
+    "eval_series(box:1, -0.5, 2)": (lambda: eval_series(box(1.0), -0.5, 2), 0, 0, 0, 1, 0),
+    "eval_series(box:0.8, -2, 2)": (lambda: eval_series(box(0.8), -2.0, 2), 0, 0, 0, 1, 0),
     "eval_series(logfam:1.7229, -1.0886)": (
         lambda: eval_series(logfam(1.7229), -1.0886), 3, 1_792, 1_792, 1, 1
     ),
@@ -256,7 +265,7 @@ def test_budget_bound_near_edge_solve_fails_at_once(monkeypatch, solve, theta, t
     ],
     ids=["fit_gibbs(linear, 1, 1000)", "conjugate(linear, 1e8)"],
 )
-def test_budget_bound_start_ends_its_solve(monkeypatch, call):
+def test_budget_bound_start_ends_its_solve(monkeypatch, call, walked):
     # 1000 terms bracket neither root to its band, and the start's bracket
     # holds the target: no later probe could tell the root's side (the
     # parent commit's solves took 9 and 19 probes here)
