@@ -522,8 +522,8 @@ def _log_conjugate(
         if rho >= ratio_sup - ratio_err:
             return ConjugateValue(edge_value, Regime.BOUNDARY_GAMMA, attaining_y=-di.alpha)
     y, residual = solve_phi(seq, rho, tol=tol, max_terms=max_terms)
-    # f to the stopping probe's relative width, a replay of its walk, but
-    # never looser than 0.125 tol (looser where rho < 1/4)
+    # f to the stopping probe's relative width, whose finished walk is kept,
+    # but never looser than 0.125 tol (looser where rho < 1/4)
     rel = min(0.25 * _ratio_rel(tol, rho), 0.125 * tol)
     lf = math.log(_relative(seq, y, 0, rel, max_terms, "log").midpoint)
     return ConjugateValue(rho * y - lf, Regime.INTERIOR, attaining_y=y, residual=residual)

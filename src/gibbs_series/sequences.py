@@ -120,9 +120,9 @@ _TINY = sys.float_info.min  # smallest normal float64
 _HUGE = sys.float_info.max  # largest float64
 
 # a tail certificate: (lower, upper) on the sum of the terms after an index,
-# None while none applies yet, or (None, floor) with a floor on upper - lower
-# where that floor exceeds the width the caller needs (see ``_sandwich``)
-_Tail = Optional[tuple[Optional[float], float]]
+# or None while none applies yet or, for a sandwich, while a floor on
+# upper - lower exceeds the width the caller needs (see ``_sandwich``)
+_Tail = Optional[tuple[float, float]]
 
 
 def _up(value: float, rel: float) -> float:
@@ -510,7 +510,7 @@ def _sandwich(
     width upper - lower: the upper end is rounded up from F's upper end
     plus its term, the lower end down from F's lower end plus its term,
     and rounding to nearest is monotone.  Where that floor exceeds
-    ``need`` the integral is not computed, and (None, floor) is returned.
+    ``need`` the integral is not computed, and None is returned.
     """
     if N < seq.start_index:
         return None
@@ -524,9 +524,8 @@ def _sandwich(
         add_upper = 0.25 * (_exp_up(log_t, err) + _exp_up(*_log_term(seq, y, p, N + 0.5)))
     else:
         add_lower, add_upper = 0.0, _exp_up(*_log_term(seq, y, p, N))
-    gap = add_upper - add_lower
-    if gap > need:
-        return None, gap
+    if add_upper - add_lower > need:
+        return None
     lower, upper = integral(seq.theta, y, p, N + 1.0)
     lower += add_lower
     upper += add_upper

@@ -6,11 +6,12 @@ tail is sandwiched) and ``value + tail_bound`` is a provable upper bound.
 The walk (``_sum_blocks``) sums doubling blocks of terms and bounds the
 rest after each with the family's tail certificate (``rules.tail``, which
 ``sequences`` defines), unless the family's closed form of the whole sum
-(``rules.whole``) already meets its target.  Box values come from the
-factorization f_box(y) = g(y)^3, g(y) = sum_k exp(kappa k^2 y): certified
-brackets of g and its first two derivatives at y, each walked to 1/4 of
-its own lower end and, where the product misses its target, once more to
-a width that provably meets it (``_eval_box``).
+(``rules.whole``) already meets its target; the process keeps its last
+finished walks (``_walk``).  Box values come from the factorization
+f_box(y) = g(y)^3, g(y) = sum_k exp(kappa k^2 y): certified brackets of
+g and its first two derivatives at y, each walked to 1/4 of its own
+lower end and, where the product misses its target, once more to a
+width that provably meets it (``_eval_box``).
 
 Floating-point error is folded into the bracket: reported values are
 shifted down by the rounding slack and ``tail_bound`` widens by twice of
@@ -21,7 +22,6 @@ summation and each term's rounded exponent, whose error grows like
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -171,13 +171,19 @@ def domain_info(
 
 
 def _refused(seq: SigmaSequence, message: str, y: Optional[float]) -> DomainError:
-    """DomainError with ``domain_info``'s record, or, where its edge sums
-    exceed the budget, the rules' edge and class with NaN values."""
+    """DomainError with the sequence's ``_record``."""
+    return DomainError(message, _record(seq), y)
+
+
+@lru_cache(maxsize=64)
+def _record(seq: SigmaSequence) -> DomainInfo:
+    """``domain_info``'s record, or, where its edge sums exceed the budget,
+    the rules' edge and class with NaN values; cached like ``domain_info``,
+    so that a refusal repeated in one process walks no edge sum again."""
     try:
-        info = domain_info(seq)
+        return domain_info(seq)
     except BudgetExceededError:
-        info = DomainInfo(*seq.family.rules.domain(seq), math.nan, math.nan)
-    return DomainError(message, info, y)
+        return DomainInfo(*seq.family.rules.domain(seq), math.nan, math.nan)
 
 
 def _edge(seq: SigmaSequence, empty: str, y: Optional[float] = None) -> tuple[float, BoundaryClass]:
@@ -325,32 +331,17 @@ def _block_sum(
     return total, s_top
 
 
-_MEMO_KEYS = 8  # sequences and walks kept per thread; the least recently used go
+_MEMO_KEYS = 8  # sequences whose exponent prefixes each thread keeps
 
 
 class _Memo(threading.local):
-    """Each thread's block states by walk key, and its exponent prefixes by
-    sequence, least recently used first."""
+    """Each thread's exponent prefixes by sequence, least recently used first."""
 
     def __init__(self) -> None:
-        self.lru: OrderedDict[tuple, list] = OrderedDict()
         self.sigma: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 _memo = _Memo()
-
-
-def _recent(cache: OrderedDict, key: tuple, new: Callable[[], object]):
-    """``cache[key]``, now the most recent entry; if absent a ``new()`` one,
-    the least recently used going once ``_MEMO_KEYS`` are held."""
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = new()
-        if len(cache) > _MEMO_KEYS:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return value
 
 
 def _sigma_prefix(seq: SigmaSequence, stop: int) -> np.ndarray:
@@ -359,23 +350,24 @@ def _sigma_prefix(seq: SigmaSequence, stop: int) -> np.ndarray:
     Walks at many y over one sequence need the same leading exponents, so
     each thread keeps them for its last ``_MEMO_KEYS`` sequences, keyed
     like the walks on the generator object too, and extends a prefix only
-    by the indices it lacks.  ``stop - start_index`` is at most
-    ``_SIGMA_PREFIX``: 32 KB a sequence.
+    by the indices it lacks; the least recently used sequence goes first.
+    ``stop - start_index`` is at most ``_SIGMA_PREFIX``: 32 KB a sequence.
     """
     key = (seq, seq.generator)
-    prefix = _recent(_memo.sigma, key, _no_sigma)
+    cache = _memo.sigma
+    prefix = cache.pop(key, None)  # put back below as the most recent
+    if prefix is None:
+        prefix = np.empty(0)
     have = seq.start_index + prefix.size
     if have < stop:
         prefix = np.concatenate(
             (prefix, sigma_values(seq, np.arange(have, stop, dtype=np.int64)))
         )
         prefix.flags.writeable = False
-        _memo.sigma[key] = prefix
+    cache[key] = prefix
+    if len(cache) > _MEMO_KEYS:
+        cache.popitem(last=False)
     return prefix
-
-
-def _no_sigma() -> np.ndarray:
-    return np.empty(0)
 
 
 def _sum_blocks(
@@ -392,8 +384,27 @@ def _sum_blocks(
     Away from the domain edge a family with a closed form of the whole sum
     (``rules.whole``) returns its bracket first, with truncation index
     start_index - 1, where that bracket meets the target and, for a
-    relative walk, has a positive lower end.  Everywhere else the walk
-    below runs, and fails, as it would without the closed form.
+    relative walk, has a positive lower end.  Everywhere else the block
+    walk (``_walk``) runs, and fails, as it would without the closed form.
+    """
+    rules = seq.family.rules
+    if rules.whole is not None and y != -rules.domain(seq)[0]:
+        bounds = rules.whole(seq, y, p)
+        if bounds is not None:
+            lower, upper = bounds
+            best = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
+            if best.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
+                return best
+    return _walk(seq, seq.generator, y, p, tol, budget, rel)
+
+
+@lru_cache(maxsize=256)
+def _walk(
+    seq: SigmaSequence, generator: Optional[Callable], y: float, p: int, tol: float, budget: int, rel: float
+) -> SeriesEval:
+    """``_sum_blocks``'s walk from the first term.  The process keeps its
+    last 256 finished walks, keyed on the generator too, which a custom
+    sequence does not compare; a walk that fails is walked again.
 
     After each block the family's certificate (``rules.tail``) bounds the
     terms after index N (width inf while it returns None).  The computed
@@ -412,92 +423,61 @@ def _sum_blocks(
     A ``signed`` sequence's blocks also add their ``_abs_weight``, on which
     the slack is charged.
 
-    A certificate is only computed where its block could end the walk.
-    Where the walk is absolute and the budget not yet spent, the
+    A sandwich's integral is only computed where its block could end the
+    walk.  Where the walk is absolute and the budget not yet spent, the
     certificate is told the width ``need`` = max(tol - 2 slack, slack)
     (1 + 1e-9).  A width above it exceeds the slack, and with 2 slack
     added exceeds tol by at least 3e-10 tol (max(tol - 2 slack, slack) is
     at least tol/3), far more than the rounding of either subtraction or
     sum, so the block can neither stop the walk nor end it at the
     accumulation floor.  A sandwich whose cheap floor on its width
-    already exceeds ``need`` leaves out its integral and returns that
-    floor only.
-
-    The states after each block depend on neither ``tol`` nor ``rel``,
-    which only pick where the walk stops: a state holds its partial sum
-    and either its certificate or, with no lower end, that floor.  They
-    are kept per thread for the last few (seq, generator, y, p, budget)
-    keys, so a repeated or tighter request replays them and sums only the
-    blocks past the last one stored, with the same bits as a walk from the
-    start; a looser one computes a floor-only state's certificate where it
-    now needs one, and stores it once it is computed.
+    already exceeds ``need`` leaves out its integral and returns None.
     """
     rules = seq.family.rules
     edge = y == -rules.domain(seq)[0]
-    if rules.whole is not None and not edge:
-        bounds = rules.whole(seq, y, p)
-        if bounds is not None:
-            lower, upper = bounds
-            best = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
-            if best.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
-                return best
-    states = _recent(_memo.lru, (seq, seq.generator, y, p, budget), list)
-    certificate = rules.tail
     block = 4096 if edge else 256
     start = seq.start_index
     last = min(start + budget - 1, rules.last(seq, p))  # no exponent past float64
     total = weight = s_last = 0.0
     n_done = start - 1
-    for i in itertools.count():
-        if i < len(states):  # a block an earlier call already summed
-            total, n_done, slack, lower, width, weight = states[i]
-        else:
-            n1 = min(n_done + block, last)
-            if n1 > n_done:
-                block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
-                total += block_total
-                if abs(total) == math.inf:  # from 2^1023: a factor 2 spares the rounding
-                    passed = f"partial sum passed float64 after index {n1} for {seq.spec_string()} at y={y!r}"
-                    low = 2.0 ** 1023 if total > 0.0 else -math.inf
-                    raise BudgetExceededError(passed, SeriesEval(low, n1, math.inf))
-                if seq.signed:
-                    weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
-                n_done = n1
-            slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
-            lower, width = None, 0.0  # no certificate yet, and a floor of 0
-        if lower is None:
-            need = math.inf if rel or n_done >= last else max(tol - 2.0 * slack, slack) * (1.0 + 1e-9)
-            if not width > need:  # else a stored floor: this block cannot end the walk
-                lower, upper = certificate(seq, y, p, n_done, need) or (0.0, math.inf)
-                width = upper if lower is None else upper - lower
-                state = (total, n_done, slack, lower, width, weight)
-                if i < len(states):
-                    states[i] = state
-                else:
-                    states.append(state)
-        if lower is not None:
-            best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
-            target = max(tol, rel * best.value)
-            if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
-                return best
-            if 2.0 * slack > target and width <= slack:
-                raise BudgetExceededError(
-                    f"tolerance {target:g} is below the float64 accumulation floor "
-                    f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                    best,
-                )
-            if n_done >= last:
-                within = f"within {budget} terms"
-                if last < start + budget - 1:
-                    within = f"by index {last}, the last float exponent"
-                raise BudgetExceededError(
-                    f"boundary tolerance {target:g} unreachable {within} "
-                    f"(best width {best.tail_bound:g})"
-                    if edge
-                    else f"tolerance {target:g} unreachable {within} "
-                    f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
-                    best,
-                )
+    while True:
+        n1 = min(n_done + block, last)
+        if n1 > n_done:
+            block_total, s_last = _block_sum(seq, y, p, n_done + 1, n1 + 1)
+            total += block_total
+            if abs(total) == math.inf:  # from 2^1023: a factor 2 spares the rounding
+                passed = f"partial sum passed float64 after index {n1} for {seq.spec_string()} at y={y!r}"
+                low = 2.0 ** 1023 if total > 0.0 else -math.inf
+                raise BudgetExceededError(passed, SeriesEval(low, n1, math.inf))
+            if seq.signed:
+                weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
+            n_done = n1
+        slack = _roundoff(seq, y, p, total, n_done - start + 1, s_last, weight)
+        need = math.inf if rel or n_done >= last else max(tol - 2.0 * slack, slack) * (1.0 + 1e-9)
+        lower, upper = rules.tail(seq, y, p, n_done, need) or (0.0, math.inf)
+        width = upper - lower
+        best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
+        target = max(tol, rel * best.value)
+        if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
+            return best
+        if 2.0 * slack > target and width <= slack:
+            raise BudgetExceededError(
+                f"tolerance {target:g} is below the float64 accumulation floor "
+                f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
+                best,
+            )
+        if n_done >= last:
+            within = f"within {budget} terms"
+            if last < start + budget - 1:
+                within = f"by index {last}, the last float exponent"
+            raise BudgetExceededError(
+                f"boundary tolerance {target:g} unreachable {within} "
+                f"(best width {best.tail_bound:g})"
+                if edge
+                else f"tolerance {target:g} unreachable {within} "
+                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
+                best,
+            )
         block = min(block * 2, 1_000_000)
 
 
@@ -530,14 +510,15 @@ def _eval_box(
     the target, L' being below the true value and so below H, while r is
     far above the 40 u by which both ends are rounded outward.  A factor
     walk that fails ends the evaluation: the box's BudgetExceededError
-    carries the product of the factors' best brackets.
+    carries the narrower of the passes' products of the factors' best
+    brackets.
     """
     if p > 2:
         raise ValueError(
             "box series evaluation supports derivative orders 0..2 "
             "(higher orders of the cubed factor are not implemented)"
         )
-    r = 0.25
+    r, narrowest = 0.25, None
     for _ in range(2):
         low, high = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
         n_max, failed = 0, None
@@ -558,13 +539,15 @@ def _eval_box(
         target = max(tol, rel * lo)
         if best.tail_bound <= target or (rel and lo <= 0.0):
             return best
+        if narrowest is None or best.tail_bound < narrowest.tail_bound:
+            narrowest = best
         if failed is not None:
             break
         r = min(0.25, target / (4.0 * hi))
     raise BudgetExceededError(
         f"box bracket did not reach tol={target:g} for {seq.spec_string()} at y={y!r}"
         + ("" if failed is None else f" (a factor: {failed})"),
-        best,
+        narrowest,
     )
 
 

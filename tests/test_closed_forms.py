@@ -95,7 +95,7 @@ def test_walk_runs_where_the_closed_form_misses_the_target(monkeypatch):
     # absolute 1e-9 is out of reach: the walk runs, and fails as it does
     # without the closed form, with the same message and best bracket
     def failure():
-        series._memo.lru.clear()
+        series._walk.cache_clear()
         with pytest.raises(BudgetExceededError) as info:
             eval_series(linear(), -1e-6, 0, tol=1e-9, max_terms=100_000)
         return str(info.value), info.value.best

@@ -183,7 +183,7 @@ class TestBracketing:
             for z in (-1e-5, -3e-4, -1e-3, -0.05, -0.7, -4.0):
                 y = z / kappa
                 for tol, rel in ((1e-9, 0.0), (0.0, 1e-11)):
-                    series._memo.lru.clear()
+                    series._walk.cache_clear()
                     walks.clear()
                     try:
                         ev = series._evaluate(box(kappa), y, p, tol, None, rel)
@@ -229,6 +229,20 @@ class TestBracketing:
             eval_series(box(1.0), -0.5, p, tol=1e-30)
         best = info.value.best
         assert best.value <= ev.upper and ev.value <= best.upper
+
+    def test_box_budget_failure_keeps_the_narrower_pass(self):
+        # 1e-9 of a sum near 5.6e18 is out of reach; the first pass's product
+        # is 2.8e5 wide, the retry's, from factor walks that fail, 100 times
+        # wider, and the error carries the first, which holds the sum
+        mp = pytest.importorskip("mpmath")
+        with pytest.raises(BudgetExceededError) as info:
+            eval_series(box(0.25), -1e-12, 0, tol=1e-9)
+        best = info.value.best
+        assert best.tail_bound < 3e5
+        with mp.workdps(40):
+            z = mp.mpf(0.25) * mp.mpf(-1e-12)
+            g = (mp.sqrt(mp.pi / -z) * mp.jtheta(3, 0, mp.exp(mp.pi ** 2 / z)) - 1) / 2
+            assert mp.mpf(best.value) <= g ** 3 <= mp.mpf(best.value) + mp.mpf(best.tail_bound)
 
     def test_roundoff_floor_fails_fast(self):
         # absolute tolerance below the float64 accumulation floor
@@ -278,7 +292,7 @@ class TestKernel:
         def no_certificate(seq, y, p, n, need):
             return 0.0, math.inf
 
-        series._memo.lru.clear()
+        series._walk.cache_clear()
         monkeypatch.setattr(Family.LOGFAM, "rules", Family.LOGFAM.rules._replace(tail=no_certificate))
         with pytest.raises(BudgetExceededError) as exc:
             series._sum_blocks(seq, y, p, 1e-9, budget)
@@ -506,6 +520,19 @@ class TestDomainRules:
         assert (info.alpha, info.boundary_class) == (1.0, BoundaryClass.CLOSED_INFINITE_SLOPE)
         assert math.isnan(info.gamma) and math.isnan(info.f_at_boundary)
 
+    def test_refusal_past_the_edge_budget_walks_once(self, monkeypatch):
+        # the record whose edge sum exceeds the budget is kept for the
+        # process: a second refusal sums no block
+        series._record.cache_clear()
+        with pytest.raises(DomainError):
+            eval_series(logfam(1.0000001), 0.5)
+        blocks = []
+        kernel = series._block_sum
+        monkeypatch.setattr(series, "_block_sum", lambda *args: blocks.append(args) or kernel(*args))
+        with pytest.raises(DomainError, match="beyond the domain edge") as exc:
+            eval_series(logfam(1.0000001), 0.5)
+        assert not blocks and math.isnan(exc.value.info.f_at_boundary)
+
     def test_edge_refusal_carries_its_class(self):
         with pytest.raises(DomainError) as exc:
             eval_series(logfam(1.5), -1.0, 1)
@@ -583,8 +610,8 @@ class TestLogF:
 
 
 def clear_memo():
-    """Drop this thread's stored block walks and exponent prefixes."""
-    series._memo.lru.clear()
+    """Drop the finished walks and this thread's exponent prefixes."""
+    series._walk.cache_clear()
     series._memo.sigma.clear()
 
 
@@ -613,7 +640,7 @@ def memo_cases():
 
 
 class TestEvaluationMemo:
-    """Replayed block walks give the bits of a walk from the start."""
+    """Cached walks give the bits of a walk from the start."""
 
     @pytest.mark.parametrize("max_terms", [300_000, 2_000])
     @pytest.mark.parametrize("seq,y,p", memo_cases(), ids=str)
@@ -627,56 +654,6 @@ class TestEvaluationMemo:
             clear_memo()
             for tol in order + order:
                 assert outcome(seq, y, p, tol, max_terms) == cold[tol]
-
-    # near the edge, where the probes of conjugate(logfam:2.9, 0.6625) walk
-    NEAR_EDGE = (logfam(2.9), -1.26, 1, 300_000)
-
-    def test_floor_only_states_certify_on_a_looser_replay(self):
-        # a tight walk keeps only a floor on its first blocks' widths; a
-        # looser walk over the same states computes their certificates and
-        # stops where a cold walk does, in either order
-        seq, y, p, budget = self.NEAR_EDGE
-        tols = (1e-11, 1e-9, 1e-7)
-        cold = {}
-        for tol in tols:
-            clear_memo()
-            cold[tol] = outcome(seq, y, p, tol, budget)
-        assert len({c[3] for c in cold.values()}) == 3  # three different stops
-        clear_memo()
-        outcome(seq, y, p, tols[0], budget)
-        (states,) = series._memo.lru.values()
-        stops = (cold[1e-9][3], cold[1e-7][3])
-        assert {s[1] for s in states if s[3] is None} >= set(stops)
-        for tol in tols[1:]:
-            outcome(seq, y, p, tol, budget)
-        assert all(s[3] is not None for s in states if s[1] in stops)  # now stored
-        for order in (tols, tols[::-1]):
-            clear_memo()
-            for tol in order + order:
-                got = outcome(seq, y, p, tol, budget)
-                assert got == cold[tol] and [x.hex() for x in got[1:3]] == [x.hex() for x in cold[tol][1:3]]
-
-    def test_a_certificate_that_raises_stores_nothing(self, monkeypatch):
-        seq, y, p, budget = self.NEAR_EDGE
-        clear_memo()
-        cold = outcome(seq, y, p, 1e-7, budget)
-        outcome(seq, y, p, 1e-11, budget)  # replays the first block, defers the next ones
-        (states,) = series._memo.lru.values()
-        held = list(states)
-
-        def failing(seq, y, p, n, need):
-            raise ArithmeticError("no certificate")
-
-        monkeypatch.setattr(Family.LOGFAM, "rules", Family.LOGFAM.rules._replace(tail=failing))
-        with pytest.raises(ArithmeticError):  # a floor-only state, replayed at 1e-9
-            eval_series(seq, y, p, tol=1e-9, max_terms=budget)
-        assert len(states) == len(held) and all(a is b for a, b in zip(states, held))
-        clear_memo()
-        with pytest.raises(ArithmeticError):  # a fresh block
-            eval_series(seq, y, p, tol=1e-9, max_terms=budget)
-        assert list(series._memo.lru.values()) == [[]]
-        monkeypatch.undo()
-        assert outcome(seq, y, p, 1e-7, budget) == cold
 
     @pytest.mark.parametrize(
         "seq,y,p",
@@ -726,6 +703,8 @@ class TestEvaluationMemo:
                 assert outcome(seq, y, p, tol, budget) == cold[budget]
 
     def test_threads_keep_their_own_memo(self, walked):
+        # four threads share the finished walks and give the serial results;
+        # the exponent prefixes stay per thread
         jobs = [
             (seq, y, p, tol, 300_000)
             for seq, y in ((linear(), -1e-3), (power(0.7), -1.3), (logfam(3.0), -1.0), (box(0.8), -1.3))
@@ -736,6 +715,7 @@ class TestEvaluationMemo:
         for job in jobs:
             clear_memo()
             serial.append(outcome(*job))
+        clear_memo()
         start = threading.Barrier(4)
 
         def run(shift):
@@ -744,8 +724,7 @@ class TestEvaluationMemo:
             order = jobs[shift:] + jobs[:shift]
             start.wait(timeout=60)
             got = [outcome(*job) for job in order]
-            caches = (series._memo.lru, series._memo.sigma)
-            return (got[-shift:] + got[:-shift] if shift else got), caches
+            return (got[-shift:] + got[:-shift] if shift else got), series._memo.sigma
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -757,20 +736,8 @@ class TestEvaluationMemo:
             sys.setswitchinterval(interval)
         for got, _ in results:
             assert got == serial
-        memos = [memo for _, memo in results] + [(series._memo.lru, series._memo.sigma)]
-        for held in zip(*memos):  # walks, then exponent prefixes
-            assert len({id(cache) for cache in held}) == len(held)
-        for _, (_, prefixes) in results:
-            assert len(prefixes) == 4  # each thread cached the exponents of its four sequences
-
-    def test_memo_holds_a_fixed_number_of_keys(self, walked):
-        clear_memo()
-        ys = [-0.5 - 0.01 * k for k in range(3 * series._MEMO_KEYS)]
-        for y in ys:
-            eval_series(linear(), y, 0, tol=1e-9)
-            assert len(series._memo.lru) <= series._MEMO_KEYS
-        kept = [key[2] for key in series._memo.lru]
-        assert kept == ys[-series._MEMO_KEYS:]  # least recently used leave first
+        prefixes = [held for _, held in results] + [series._memo.sigma]
+        assert len({id(held) for held in prefixes}) == len(prefixes)
 
 
 def families():

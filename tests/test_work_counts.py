@@ -1,9 +1,9 @@
 """Work-count gate: evaluations, blocks, terms, exponents and incomplete
-gamma certificates the reference calls compute from a cold memo.
+gamma certificates the reference calls compute from cold caches.
 
 The counts are deterministic, so a change that silently drops the reuse of
-partial sums or of cached exponents (or computes more for any other reason)
-fails here on any machine.
+finished walks or of cached exponents (or computes more for any other
+reason) fails here on any machine.
 """
 
 import importlib
@@ -52,6 +52,14 @@ REFERENCE_CALLS = {
     # each ratio probe brackets f and f' once, to a fraction of their own size
     "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 0, 0, 256, 4, 0),
     "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 0, 0, 256, 4, 0),
+    # power sums have no closed form: each walk starts from the first term,
+    # and a walk to a tighter target than a finished one sums its blocks again
+    "fit_gibbs(power:1.5, 1, 4)": (
+        lambda: fit_gibbs(power(1.5), 1.0, 4.0), 3, 768, 256, 4, 0
+    ),
+    "min_entropy_moment(power:0.7, 2)": (
+        lambda: min_entropy_moment(power(0.7), 2.0), 3, 768, 256, 4, 9
+    ),
     # one box fit, read for both the class and h*: no second ratio solve
     "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 0, 0, 256, 4, 0),
     "log_f_conjugate(quadratic, 2)": (
@@ -103,9 +111,10 @@ REFERENCE_CALLS = {
 
 
 def _clear_memos():
-    series._memo.lru.clear()
+    series._walk.cache_clear()
     series._memo.sigma.clear()
     domain_info.cache_clear()
+    series._record.cache_clear()
     _conjugate._start_block.cache_clear()
 
 
