@@ -211,19 +211,24 @@ def _float_start(
     seq: SigmaSequence, target: float, ratio: bool = False
 ) -> Optional[tuple[float, float]]:
     """An uncertified root of f'(y) = target, or with ``ratio`` of
-    f'(y)/f(y) - s_min = target, in float64 (``_StartBlock``), and the
-    slope of the log excess there, for ``_find_root``'s first probe.
+    f'(y)/f(y) - s_min = target, in float64 (``_Start``), and the slope of
+    the log excess there, for ``_find_root``'s first probe.
 
-    Halley steps on the log excess, each at most twice Newton's and under
-    ``_find_root``'s limits (at most halving the distance to the edge or
-    doubling it), start from edge - 1.  None, for ``_find_root``'s own
-    start, where ``_start_block`` makes no block, where the block has no
-    value at a step (``_StartBlock.at``), or without convergence in
+    Where the start inverts the equation exactly (``_Start.root``) that y
+    is the root; elsewhere Halley steps on the log excess, each at most
+    twice Newton's and under ``_find_root``'s limits (at most halving the
+    distance to the edge or doubling it), start from edge - 1.  None, for
+    ``_find_root``'s own start, where ``_start_block`` makes no start, where
+    it has no value at a step (``_Start.at``), or without convergence in
     _START_STEPS steps.
     """
     block = _start_block(seq, seq.generator)
     if block is None:
         return None
+    y = block.root(target, ratio)
+    if y is not None:
+        point = block.at(y, ratio)
+        return None if point is None else (y, point[1])
     log_target = math.log(target)
     edge = block.edge
     y = edge - 1.0
@@ -258,61 +263,36 @@ def _float_start(
     return None
 
 
-class _StartBlock:
-    """A sequence's first exponents as ``_float_start`` solves on them.
+class _Start:
+    """What ``_float_start`` solves on: f = g^power, with g the sequence's
+    own sum or, for a box, the sum of its factor (``series._eval_box``).
 
-    f = g^power, g = sum exp(sigma_n y) over the block's exponents and the
-    terms past them: a box is the cube of its factor's sum
-    (``series._eval_box``), any other sequence its own g.  The sums are
-    scaled by exp(-s_min y) so that no term overflows, and ``at`` reads
-    either equation from the moments sum d^k exp(d y), k = 0..3, d_n =
-    sigma_n - s_min: the read-only ``rows`` d^k times exp(d y) give the
-    block's, and ``tail``, the family's float model of the terms past it
-    (``sequences._float_tail``; None for exponents without a formula),
-    adds theirs.  ``ladders`` holds per equation the values (``at``) at the
-    points that every solve probes first.
+    ``moments`` gives m_k = sum d^k exp(d y), k = 0..3, d_n = sigma_n -
+    s_min, over the whole sequence (scaled by exp(-s_min y), so that no
+    term overflows), or None; ``at`` reads either equation from them.
+    ``ladders`` holds per equation the values (``at``) at the points that
+    every solve probes first.
     """
 
-    __slots__ = ("rows", "s_min", "s_top", "s_gap", "edge", "power", "tail", "ladders")
+    __slots__ = ("s_min", "edge", "power", "ladders")
 
-    def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
-        self.s_min, self.s_top, self.s_gap = float(s[0]), float(s[-1]), float(s[-1] - s[-2])
-        self.edge, self.power, self.tail = edge, power, tail
-        self.rows = rows = np.empty((4, s.size))
-        rows[0] = 1.0
-        d = np.subtract(s, self.s_min, out=rows[1])
-        np.multiply(d, d, out=rows[2])
-        np.multiply(rows[2], d, out=rows[3])
-        rows.flags.writeable = False
+    def __init__(self, s_min: float, edge: float, power: int) -> None:
+        self.s_min, self.edge, self.power = s_min, edge, power
         self.ladders: tuple[dict, dict] = ({}, {})
+
+    def root(self, target: float, ratio: bool) -> Optional[float]:
+        """The exact root of ``_float_start``'s equation, or None."""
+        return None
 
     def at(self, y: float, ratio: bool) -> Optional[tuple[float, float, float]]:
         """(log sum, slope, curvature): the log excess over the target 1 of
-        ln f' or ln(f'/f - s_min), and its first two y-derivatives.  The
-        tail model adds the terms past the block unless its last term times
-        1 + d and the geometric series on its last ratio (at most its size)
-        is below _START_SKIP of the moments k = 0, 1, which set the value
-        (k = 2, 3 only steer).  None outside the domain, where a sum
-        underflows, a value is not finite, the slope is not positive or d y
-        would overflow, and where the terms past the block count but there
-        is no model or its error estimate exceeds _START_AGREE of those."""
-        if not (y < self.edge and self.s_top * y > -1e300):
+        ln f' or ln(f'/f - s_min), and its first two y-derivatives.  None
+        outside the domain, without moments, where a value is not finite or
+        the slope is not positive."""
+        sums = self.moments(y) if y < self.edge else None
+        if sums is None:
             return None
-        e = self.rows[1] * y
-        np.exp(e, out=e)
-        # a product and a row sum, not BLAS: after a BLAS matrix-vector
-        # product the pure-Python certificates that follow ran up to 20 %
-        # slower in a cold process (the log family's near-edge conjugates)
-        sums = (self.rows * e).sum(axis=1)
-        count = 1.0 / max(math.expm1(min(-y * self.s_gap, 700.0)), 1.0 / e.size)  # q / (1 - q)
-        if e[-1] * count * (1.0 + self.s_top - self.s_min) >= _START_SKIP * min(sums[0], sums[1]):
-            if self.tail is None:
-                return None
-            tail, err = self.tail(y)
-            sums += tail
-            if not (err[:2] <= _START_AGREE * sums[:2]).all():
-                return None
-        m0, m1, m2, m3 = sums.tolist()
+        m0, m1, m2, m3 = sums
         shift = 0.0 if ratio else self.s_min
         # g' - s_min g or g', over exp(s_min y)
         num, dnum, ddnum = m1 + shift * m0, m2 + shift * m1, m3 + shift * m2
@@ -334,14 +314,77 @@ class _StartBlock:
         return log_sum, slope, curve
 
 
+class _StartBlock(_Start):
+    """A sequence's first exponents as a ``_Start``: the read-only ``rows``
+    d^k times exp(d y) give the block's moments, and ``tail``, the
+    family's float model of the terms past it (``sequences._float_tail``;
+    None for exponents without a formula), adds theirs."""
+
+    __slots__ = ("rows", "s_top", "s_gap", "tail")
+
+    def __init__(self, s: np.ndarray, edge: float, power: int, tail: Optional[Callable]) -> None:
+        super().__init__(float(s[0]), edge, power)
+        self.s_top, self.s_gap, self.tail = float(s[-1]), float(s[-1] - s[-2]), tail
+        self.rows = rows = np.empty((4, s.size))
+        rows[0] = 1.0
+        d = np.subtract(s, self.s_min, out=rows[1])
+        np.multiply(d, d, out=rows[2])
+        np.multiply(rows[2], d, out=rows[3])
+        rows.flags.writeable = False
+
+    def moments(self, y: float) -> Optional[list]:
+        """The tail model adds the terms past the block unless its last
+        term times 1 + d and the geometric series on its last ratio (at
+        most its size) is below _START_SKIP of the moments k = 0, 1, which
+        set the value (k = 2, 3 only steer).  None where d y would
+        overflow, and where the terms past the block count but there is no
+        model or its error estimate exceeds _START_AGREE of those."""
+        if not self.s_top * y > -1e300:
+            return None
+        e = self.rows[1] * y
+        np.exp(e, out=e)
+        # a product and a row sum, not BLAS: after a BLAS matrix-vector
+        # product the pure-Python certificates that follow ran up to 20 %
+        # slower in a cold process (the log family's near-edge conjugates)
+        sums = (self.rows * e).sum(axis=1)
+        count = 1.0 / max(math.expm1(min(-y * self.s_gap, 700.0)), 1.0 / e.size)  # q / (1 - q)
+        if e[-1] * count * (1.0 + self.s_top - self.s_min) >= _START_SKIP * min(sums[0], sums[1]):
+            if self.tail is None:
+                return None
+            tail, err = self.tail(y)
+            sums += tail
+            if not (err[:2] <= _START_AGREE * sums[:2]).all():
+                return None
+        return sums.tolist()
+
+
+class _ClosedStart(_Start):
+    """A ``_Start`` whose moments the family's rules give in closed form
+    (``Rules.model``), and whose equation they may invert (``Rules.root``)."""
+
+    __slots__ = ("seq", "rules")
+
+    def __init__(self, seq: SigmaSequence, edge: float, power: int) -> None:
+        super().__init__(sigma(seq, seq.start_index), edge, power)
+        self.seq, self.rules = seq, seq.family.rules
+
+    def moments(self, y: float) -> Optional[tuple]:
+        return self.rules.model(self.seq, y)
+
+    def root(self, target: float, ratio: bool) -> Optional[float]:
+        return None if self.rules.root is None else self.rules.root(self.seq, target, ratio)
+
+
 @lru_cache(maxsize=64)
-def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
-    """The ``_StartBlock`` of the first _START_TERMS exponents, cut at the
-    last float one (``Rules.last``), of the sequence or of a box's factor,
-    with the family's float tail model after them where its rules give its
-    exponents in w = ln x.  None for an empty domain, a signed sequence, a
-    single exponent or exponents not finite or too large to cube.
-    ``generator`` keys a custom sequence's exponents, as in ``_sigma_prefix``."""
+def _start_block(seq: SigmaSequence, generator) -> Optional[_Start]:
+    """The ``_Start`` of the sequence or of a box's factor: its closed-form
+    moments where its rules have them (``Rules.model``), else the
+    ``_StartBlock`` of its first _START_TERMS exponents, cut at the last
+    float one (``Rules.last``), with the family's float tail model after
+    them where its rules give its exponents in w = ln x.  None for an
+    empty domain, a signed sequence, a single exponent or exponents not
+    finite or too large to cube.  ``generator`` keys a custom sequence's
+    exponents, as in ``_sigma_prefix``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
@@ -349,6 +392,8 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_StartBlock]:
     if seq.family is Family.BOX:
         seq, power = box_factor(seq.kappa), 3
     rules = seq.family.rules
+    if rules.model is not None:
+        return _ClosedStart(seq, -alpha, power)
     first = seq.start_index
     stop = min(first + _START_TERMS, rules.last(seq, 1) + 1)
     s = _sigma_prefix(seq, stop)[: stop - first]

@@ -11,8 +11,10 @@ formed in the log domain, widened by a bound on the rounding of its
 exponent, and never returned below the smallest normal float (or, for a
 lower end, rounded down).  ``linear``, ``quadratic`` and the box factors
 also bracket their whole sum in closed form (``_Rules.whole``), which the
-walk returns before its first block where it is narrow enough.
-``_float_tail`` is the float start's uncertified model of the same terms.
+walk returns before its first block where it is narrow enough.  The
+float start reads their moments in closed form as well (``_Rules.model``,
+and ``_Rules.root`` where it inverts exactly); for the other families
+``_float_tail`` is its uncertified model of the terms past its block.
 """
 
 from __future__ import annotations
@@ -414,6 +416,16 @@ def _quadratic_jacobi(kappa: float, b: float, p: int) -> Optional[tuple[float, f
     """
     if b < _TINY:
         return None
+    value = _jacobi_value(kappa, b, p)
+    if not value < _HUGE:
+        return None
+    rel = 32.0 * _U
+    return _down(value, rel), _up(value, rel)
+
+
+def _jacobi_value(kappa: float, b: float, p: int) -> float:
+    """``_quadratic_jacobi``'s g^(p) as computed in floats, b > 0;
+    OverflowError where kappa^p or b^(-1/2-p) passes float64."""
     poly = _JACOBI_P[p]
     s = abs(poly[-1])
     for m in (1.0, 2.0):
@@ -425,12 +437,7 @@ def _quadratic_jacobi(kappa: float, b: float, p: int) -> Optional[tuple[float, f
             a = a * t + c
         s += 2.0 * math.exp(-t) * a
     value = (kappa ** p * 0.5 * _SQRT_PI) * b ** -(p + 0.5) * s
-    if not p:
-        value -= 0.5
-    if not value < _HUGE:
-        return None
-    rel = 32.0 * _U
-    return _down(value, rel), _up(value, rel)
+    return value - 0.5 if not p else value
 
 
 def _quadratic_direct(
@@ -471,6 +478,88 @@ def _quadratic_direct(
     e_rel = seq.sigma_error[0]
     slack = _U * ((e_rel + 1.01) * weight + (8.0 + p * e_rel + k) * total)
     return total - slack, _up(total + slack + tail[1], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The float start's moments in closed form (``_Rules.model``), uncertified
+# ---------------------------------------------------------------------------
+
+_Moments = Optional[tuple[float, float, float, float]]
+
+
+def _linear_model(seq: SigmaSequence, y: float) -> _Moments:
+    """sum_{j>=0} j^k z^j, k = 0..3, z = e^y: the moments sum d^k exp(d y),
+    d = n - start, at any start; 1/d and Li_{-k}(z) (``_li_neg``), d = 1 -
+    z = -expm1(y).  None where d^4 is below the normal floats."""
+    z = math.exp(y)
+    d = -math.expm1(y)
+    if d ** 4 < _TINY:
+        return None
+    return 1.0 / d, _li_neg(1, z, d), _li_neg(2, z, d), _li_neg(3, z, d)
+
+
+def _linear_root(seq: SigmaSequence, target: float, ratio: bool) -> Optional[float]:
+    """The y where f'(y) = target, or with ``ratio`` f'(y)/f(y) - 1 =
+    target, for linear from 1: z = e^y solves z/(1 - z)^2 = u at its
+    smaller root z = 2u/(2u + 1 + r), r = sqrt(4u + 1), and z/(1 - z) = t at
+    z = t/(1 + t).  Where z > 1/2, y is log1p(-(1 - z)), 1 - z being (1 +
+    r)/(2u + 1 + r) or 1/(1 + t) with no cancellation.  None for another
+    start, or where 4u passes float64."""
+    if seq.start_index != 1:
+        return None
+    if ratio:
+        return math.log(target / (1.0 + target)) if target <= 1.0 else -math.log1p(1.0 / target)
+    r = math.sqrt(4.0 * target + 1.0)
+    if r == math.inf:
+        return None
+    den = 2.0 * target + 1.0 + r
+    z = 2.0 * target / den
+    return math.log(z) if z <= 0.5 else math.log1p(-(1.0 + r) / den)
+
+
+def _quadratic_model(seq: SigmaSequence, y: float) -> _Moments:
+    """The moments sum d^k exp(d y), k = 0..3, d = kappa (k^2 - 1), of
+    ``quadratic`` and the box factors from 1.  With b = kappa |y| <=
+    ``_JACOBI_B`` they are e^b sum_i C(k, i) (-kappa)^(k-i) g^(i) from
+    Jacobi's g^(i) (``_jacobi_value``); beyond it the terms are summed
+    until each moment's is below 2^-60 of it: b > 1 puts the peaks of d^j
+    exp(d y), j <= 3, below d = 3 kappa, so from k = 2 on they fall.  None
+    for another start or where b, a power or a moment leaves the floats."""
+    if seq.start_index != 1:
+        return None
+    kappa = seq.kappa or 1.0
+    b = kappa * -y
+    if b <= _JACOBI_B:
+        if b < _TINY:
+            return None
+        try:
+            g0, g1, g2, g3 = [_jacobi_value(kappa, b, p) for p in range(4)]
+        except OverflowError:
+            return None
+        c, scale = -kappa, math.exp(b)
+        return (
+            scale * g0,
+            scale * (g1 + c * g0),
+            scale * (g2 + c * (2.0 * g1 + c * g0)),
+            scale * (g3 + c * (3.0 * g2 + c * (3.0 * g1 + c * g0))),
+        )
+    m0 = m1 = m2 = m3 = 0.0
+    k = 0
+    while True:
+        k += 1
+        d = kappa * (k * k - 1)
+        e = math.exp(d * y)
+        t1 = d * e
+        t2 = d * t1
+        t3 = d * t2
+        m0 += e
+        m1 += t1
+        m2 += t2
+        m3 += t3
+        if not m3 <= _HUGE:  # inf, or NaN from an exponent past float64
+            return None
+        if e <= 2.0 ** -60 * m0 and t1 <= 2.0 ** -60 * m1 and t2 <= 2.0 ** -60 * m2 and t3 <= 2.0 ** -60 * m3:
+            return m0, m1, m2, m3
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +935,14 @@ class _Rules(NamedTuple):
     # (lower, upper) on the whole sum f^(p)(y) in closed form, or None, for
     # the series walk to return before its first block; None: no closed form
     whole: Optional[Callable[[SigmaSequence, float, int], Optional[tuple[float, float]]]] = None
-    # the exponents as a formula in w = ln x, which the float start's tail
+    # the float start's moments sum d^k exp(d y), k = 0..3, d = sigma_n -
+    # s_min, over the whole sequence in closed form, or None where it has
+    # none at y; None: the start reads its numpy block of first exponents
+    model: Optional[Callable[[SigmaSequence, float], _Moments]] = None
+    # the y where f' = target, or with ratio f'/f - s_min = target, where
+    # the model inverts exactly, or None: (seq, target, ratio)
+    root: Optional[Callable[[SigmaSequence, float, bool], Optional[float]]] = None
+    # for the block, the exponents as a formula in w = ln x, which its tail
     # model (``_float_tail``) integrates: sigma(seq, w) on floats and float
     # arrays, and d sigma/dw from w and sigma; None for exponents without one
     in_w: Optional[tuple[Callable, Callable]] = None
@@ -964,7 +1060,8 @@ class Family(_Described):
         values=lambda seq, ns, x: x,
         gap=lambda seq, N: 1.0,
         whole=_linear_whole,
-        in_w=(lambda seq, w: np.exp(w), lambda seq, w, s: s),
+        model=_linear_model,
+        root=_linear_root,
     )
     # sigma_n = n**theta, theta > 0; increments grow from theta = 1 on,
     # below which tails take an integral bound
@@ -1011,7 +1108,7 @@ class Family(_Described):
         last=lambda seq, p: int(2.0 ** min(511.5 / max(p, 1) - 0.5 * math.log2(seq.kappa or 1.0), 1023.0)),
         rounding=lambda seq: (0.0 if seq.kappa is None else 1.0, 0.0),
         whole=_quadratic_whole,
-        in_w=(lambda seq, w: (seq.kappa or 1.0) * np.exp(2.0 * w), lambda seq, w, s: 2.0 * s),
+        model=_quadratic_model,
     )
     # kappa*(k^2+l^2+m^2) over k, l, m >= 1, flattened by sorted level
     # (``_box_table``); repeated levels leave no increment gap.  Sums

@@ -7,7 +7,7 @@ The walk (``_sum_blocks``) sums doubling blocks of terms and bounds the
 rest after each with the family's tail certificate (``rules.tail``, which
 ``sequences`` defines), unless the family's closed form of the whole sum
 (``rules.whole``) already meets its target; the process keeps its last
-finished walks (``_walk``).  Box values come from the factorization
+walks, failed ones too (``_walk``).  Box values come from the factorization
 f_box(y) = g(y)^3, g(y) = sum_k exp(kappa k^2 y): certified brackets of
 g and its first two derivatives at y, each walked to 1/4 of its own
 lower end and, where the product misses its target, once more to a
@@ -395,16 +395,21 @@ def _sum_blocks(
             best = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
             if best.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
                 return best
-    return _walk(seq, seq.generator, y, p, tol, budget, rel)
+    best, failure = _walk(seq, seq.generator, y, p, tol, budget, rel)
+    if failure is not None:
+        raise BudgetExceededError(failure, best)
+    return best
 
 
 @lru_cache(maxsize=256)
 def _walk(
     seq: SigmaSequence, generator: Optional[Callable], y: float, p: int, tol: float, budget: int, rel: float
-) -> SeriesEval:
-    """``_sum_blocks``'s walk from the first term.  The process keeps its
-    last 256 finished walks, keyed on the generator too, which a custom
-    sequence does not compare; a walk that fails is walked again.
+) -> tuple[SeriesEval, Optional[str]]:
+    """``_sum_blocks``'s walk from the first term: its bracket and None, or
+    where it fails its best bracket and the message of the
+    BudgetExceededError that ``_sum_blocks`` raises from them.  The process
+    keeps its last 256 walks, failed ones too, keyed on the generator as
+    well, which a custom sequence does not compare.
 
     After each block the family's certificate (``rules.tail``) bounds the
     terms after index N (width inf while it returns None).  The computed
@@ -448,7 +453,7 @@ def _walk(
             if abs(total) == math.inf:  # from 2^1023: a factor 2 spares the rounding
                 passed = f"partial sum passed float64 after index {n1} for {seq.spec_string()} at y={y!r}"
                 low = 2.0 ** 1023 if total > 0.0 else -math.inf
-                raise BudgetExceededError(passed, SeriesEval(low, n1, math.inf))
+                return SeriesEval(low, n1, math.inf), passed
             if seq.signed:
                 weight += _abs_weight(seq, y, p, n_done + 1, n1 + 1)
             n_done = n1
@@ -459,24 +464,22 @@ def _walk(
         best = SeriesEval(total + lower - slack, n_done, width + 2.0 * slack)
         target = max(tol, rel * best.value)
         if best.tail_bound <= target or (rel and best.value <= 0.0 and width < math.inf):
-            return best
+            return best, None
         if 2.0 * slack > target and width <= slack:
-            raise BudgetExceededError(
+            return best, (
                 f"tolerance {target:g} is below the float64 accumulation floor "
-                f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}",
-                best,
+                f"{2.0 * slack:g} for {seq.spec_string()} at y={y!r}"
             )
         if n_done >= last:
             within = f"within {budget} terms"
             if last < start + budget - 1:
                 within = f"by index {last}, the last float exponent"
-            raise BudgetExceededError(
+            return best, (
                 f"boundary tolerance {target:g} unreachable {within} "
                 f"(best width {best.tail_bound:g})"
                 if edge
                 else f"tolerance {target:g} unreachable {within} "
-                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}",
-                best,
+                f"(best tail bound {best.tail_bound:g}) for {seq.spec_string()} at y={y!r}"
             )
         block = min(block * 2, 1_000_000)
 
@@ -507,19 +510,25 @@ def _eval_box(
     product [L, H] at most (1 + r)^3 - 1 <= 4 r of L wide.  A first pass at
     r = 1/4 that misses the target is followed by one at
     r = min(1/4, target/(4 H)), whose width 4 r L' <= target L'/H is within
-    the target, L' being below the true value and so below H, while r is
-    far above the 40 u by which both ends are rounded outward.  A factor
-    walk that fails ends the evaluation: the box's BudgetExceededError
-    carries the narrower of the passes' products of the factors' best
-    brackets.
+    the target, L' being below the true value and so below H.  Where that
+    r is below 10 u, a width 4 r L is under the 40 u by which both ends are
+    rounded outward, and there is no retry.  That, or a factor walk that
+    fails, ends the evaluation: the box's BudgetExceededError carries the
+    narrower of the passes' products of the factors' best brackets.
     """
     if p > 2:
         raise ValueError(
             "box series evaluation supports derivative orders 0..2 "
             "(higher orders of the cubed factor are not implemented)"
         )
-    r, narrowest = 0.25, None
-    for _ in range(2):
+    r, narrowest, why = 0.25, None, ""
+    for retry in (False, True):
+        if retry:
+            r = min(0.25, target / (4.0 * hi))
+            if r < 10.0 * _U:  # 4 r L is within the 40 u that rounding takes
+                factor = box_factor(seq.kappa).spec_string()
+                why = f" (a factor: relative width {r:g} is below {10.0 * _U:g} for {factor} at y={y!r})"
+                break
         low, high = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
         n_max, failed = 0, None
         for j in range(p + 1):
@@ -542,11 +551,10 @@ def _eval_box(
         if narrowest is None or best.tail_bound < narrowest.tail_bound:
             narrowest = best
         if failed is not None:
+            why = f" (a factor: {failed})"
             break
-        r = min(0.25, target / (4.0 * hi))
     raise BudgetExceededError(
-        f"box bracket did not reach tol={target:g} for {seq.spec_string()} at y={y!r}"
-        + ("" if failed is None else f" (a factor: {failed})"),
+        f"box bracket did not reach tol={target:g} for {seq.spec_string()} at y={y!r}{why}",
         narrowest,
     )
 

@@ -631,14 +631,52 @@ class TestFloatStart:
         seq = custom(lambda n: n ** 0.3, declared_alpha=0.0, declared_gap=1e-3)
         assert _float_start(seq, 1.0) is None
         assert _float_start(seq, 1.0, ratio=True) is None
+        # linear's exponents as a custom sequence: Halley's steps on the
+        # block land within 4 ulps of linear's exact root ln(1/2), their
+        # last slope read one step before it
         seq = custom(float, declared_alpha=0.0, declared_gap=1.0)
-        assert _float_start(seq, 2.0) == _float_start(linear(), 2.0) is not None
+        (y, slope), (root, root_slope) = _float_start(seq, 2.0), _float_start(linear(), 2.0)
+        assert root == -math.log(2.0) and abs(y - root) <= 4 * math.ulp(root)
+        assert slope == pytest.approx(root_slope, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa", [0.25, 1.0, 2.0])
+    def test_quadratic_moments_match_the_block(self, kappa):
+        # quadratic's and the box factors' closed-form moments, from
+        # Jacobi's form up to b = kappa |y| = 1 and summed beyond it, against
+        # the 256-exponent block of the same exponents as a custom sequence,
+        # whose terms past the block are negligible on this grid
+        seq = quadratic() if kappa == 1.0 else box_factor(kappa)
+        ref = custom(lambda n: n * n * kappa, declared_alpha=0.0, declared_gap=kappa)
+        bs = (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 5.0, 20.0)
+        _same_start(_start_block(seq, None), _start_block(ref, ref.generator), [-b / kappa for b in bs])
+
+    def test_linear_moments_match_the_block(self):
+        # 1/d and Li_{-k}(e^y) against the block of linear's exponents
+        ref = custom(float, declared_alpha=0.0, declared_gap=1.0)
+        ys = (-0.2, -0.5, -1.0, -2.0, -5.0, -20.0, -100.0)
+        _same_start(_start_block(linear(), None), _start_block(ref, ref.generator), ys)
 
     def test_start_is_a_python_float_near_the_root(self):
         y, slope = _float_start(linear(), 2.0)
         assert type(y) is float and y == pytest.approx(-math.log(2.0), abs=1e-15)
         assert type(slope) is float and slope > 0.0
         assert type(conjugate(linear(), 2.0).attaining_y) is float
+
+
+def _same_start(closed, block, ys):
+    """``closed``, a start without rows, agrees with the numpy ``block`` at
+    every y to 1e-12: each moment relatively, and ``at``'s log sum and
+    slope relatively, its curvature relative to the slope squared, the
+    scale it is a difference on."""
+    assert not hasattr(closed, "rows") and block.rows.shape == (4, 256)
+    for y in ys:
+        for a, b in zip(closed.moments(y), block.moments(y)):
+            assert abs(a - b) <= 1e-12 * b, y
+        for ratio in (False, True):
+            (log_sum, slope, curve), (ref_log, ref_slope, ref_curve) = closed.at(y, ratio), block.at(y, ratio)
+            assert abs(log_sum - ref_log) <= 1e-12 * max(1.0, abs(ref_log)), (y, ratio)
+            assert abs(slope - ref_slope) <= 1e-12 * ref_slope, (y, ratio)
+            assert abs(curve - ref_curve) <= 1e-12 * max(abs(ref_curve), ref_slope ** 2), (y, ratio)
 
 
 def _best(seq, y, p):
@@ -740,8 +778,8 @@ class TestTailModel:
 
     def test_one_block_layout_for_every_family(self):
         # the model adds to the row sums of the same 256-exponent table,
-        # d^k for k = 0..3, that every family reads
-        for seq in (logfam(2.9), linear()):
+        # d^k for k = 0..3, that every family without closed-form moments reads
+        for seq in (logfam(2.9), power(1.3)):
             rows = _start_block(seq, None).rows
             assert rows.shape == (4, 256)
             assert not rows.flags.writeable

@@ -165,7 +165,9 @@ class TestBracketing:
         # |z| < pi through Jacobi's transformation theta_3(0, e^z) =
         # sqrt(pi/-z) theta_3(0, e^(pi^2/z)), and f_box^(p)(y) =
         # kappa^p (g^3)^(p)(kappa y) by 50-digit differentiation.  Below
-        # kappa |y| = 1e-3 the first pass is too wide and the retry runs
+        # kappa |y| = 1e-3 the first pass is too wide and the retry runs, or
+        # is refused where it would ask its factors for a relative width
+        # under the 40 u that the product's rounding takes
         mp = pytest.importorskip("mpmath")
 
         def cube(t):
@@ -178,7 +180,7 @@ class TestBracketing:
         walks = []
         sum_blocks = series._sum_blocks
         monkeypatch.setattr(series, "_sum_blocks", lambda *args: walks.append(args) or sum_blocks(*args))
-        retries = 0
+        retries = refused = 0
         for kappa in (0.3, 1.0, 2.5):
             for z in (-1e-5, -3e-4, -1e-3, -0.05, -0.7, -4.0):
                 y = z / kappa
@@ -191,6 +193,7 @@ class TestBracketing:
                         # only a target at the float64 floor of the sum
                         ev = exc.best
                         assert max(tol, rel * ev.value) < 2e-14 * ev.value, (kappa, z)
+                        refused += "(a factor: relative width" in str(exc)
                     retries += len(walks) > p + 1
                     with mp.workdps(50):
                         k = mp.mpf(kappa)
@@ -198,7 +201,7 @@ class TestBracketing:
                         assert mp.mpf(ev.value) <= ref <= mp.mpf(ev.value) + mp.mpf(ev.tail_bound), (
                             kappa, z, tol, rel,
                         )
-        assert retries >= 10
+        assert retries >= 6 and refused >= 3
 
     def test_box_factor_walked_at_y_over_scaled_exponents(self, monkeypatch):
         # g(y) = sum_k exp(kappa k^2 y) is walked at the box's own y over
@@ -243,6 +246,19 @@ class TestBracketing:
             z = mp.mpf(0.25) * mp.mpf(-1e-12)
             g = (mp.sqrt(mp.pi / -z) * mp.jtheta(3, 0, mp.exp(mp.pi ** 2 / z)) - 1) / 2
             assert mp.mpf(best.value) <= g ** 3 <= mp.mpf(best.value) + mp.mpf(best.tail_bound)
+
+    def test_box_retry_below_the_float_floor_is_refused(self, monkeypatch):
+        # a retry would ask its factors for 1e-9/(4 H) ~ 4.5e-29 of their
+        # size, below any walk's float64 floor: the first pass's bracket is
+        # raised at once, and no factor block is walked
+        blocks = []
+        kernel = series._block_sum
+        monkeypatch.setattr(series, "_block_sum", lambda *args: blocks.append(args) or kernel(*args))
+        series._walk.cache_clear()
+        refused = r"\(a factor: relative width 4.4\d*e-29 is below 1.11022e-15 for quadratic \(kappa=0.25\) at y=-1e-12\)$"
+        with pytest.raises(BudgetExceededError, match=refused):
+            eval_series(box(0.25), -1e-12, 0, tol=1e-9)
+        assert not blocks
 
     def test_roundoff_floor_fails_fast(self):
         # absolute tolerance below the float64 accumulation floor
@@ -670,6 +686,20 @@ class TestEvaluationMemo:
         rules = seq.family.rules
         monkeypatch.setattr(seq.family, "rules", rules._replace(tail=lambda s, y, p, n, need: rules.tail(s, y, p, n)))
         assert walks() == deferred
+
+    def test_failed_walk_is_kept(self, monkeypatch):
+        # a walk that exhausts the term budget is kept with its message and
+        # best bracket: a repeat sums no block and raises a fresh error
+        clear_memo()
+        with pytest.raises(BudgetExceededError) as first:
+            eval_series(power(0.5), -1e-4)
+        blocks = []
+        kernel = series._block_sum
+        monkeypatch.setattr(series, "_block_sum", lambda *args: blocks.append(args) or kernel(*args))
+        with pytest.raises(BudgetExceededError) as again:
+            eval_series(power(0.5), -1e-4)
+        assert not blocks and again.value is not first.value
+        assert str(again.value) == str(first.value) and again.value.best == first.value.best
 
     def test_generator_is_part_of_the_key(self):
         unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)

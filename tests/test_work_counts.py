@@ -38,20 +38,22 @@ _conjugate = importlib.import_module("gibbs_series.conjugate")
 # sequences._log_upper_gamma calls, one per integral of the log family's
 # interior certificates, which a walk only computes after a block whose
 # cheap floor on the certificate's width could still meet the target).
-# An interior solve's float start reads the first 256 exponents and lands
-# its first probe within the stop band.  The sums of linear, quadratic and
-# the box factors have closed forms (``_Rules.whole``), so f' and f are
-# each bracketed once without a block, and the solve reads its residual
-# off that probe's bracket.
+# An interior solve's float start lands its first probe within the stop
+# band.  linear, quadratic and the box factors give it their moments in
+# closed form (``_Rules.model``), so it computes no exponent, and their
+# sums have closed forms (``_Rules.whole``), so f' and f are each
+# bracketed once without a block, and the solve reads its residual off
+# that probe's bracket; other families' starts read their first 256
+# exponents.
 REFERENCE_CALLS = {
-    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 0, 0, 256, 2, 0),
+    "conjugate(linear, 2)": (lambda: conjugate(linear(), 2.0), 0, 0, 0, 2, 0),
     # the fit reads the conjugate's root; its moments reuse the cached sums
     "min_entropy_moment(linear, 2)": (
-        lambda: min_entropy_moment(linear(), 2.0), 0, 0, 256, 4, 0
+        lambda: min_entropy_moment(linear(), 2.0), 0, 0, 0, 4, 0
     ),
     # each ratio probe brackets f and f' once, to a fraction of their own size
-    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 0, 0, 256, 4, 0),
-    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 0, 0, 256, 4, 0),
+    "fit_gibbs(linear, 1, 2)": (lambda: fit_gibbs(linear(), 1.0, 2.0), 0, 0, 0, 4, 0),
+    "fit_gibbs(box, 1, 4)": (lambda: fit_gibbs(box(1.0), 1.0, 4.0), 0, 0, 0, 4, 0),
     # power sums have no closed form: each walk starts from the first term,
     # and a walk to a tighter target than a finished one sums its blocks again
     "fit_gibbs(power:1.5, 1, 4)": (
@@ -61,9 +63,9 @@ REFERENCE_CALLS = {
         lambda: min_entropy_moment(power(0.7), 2.0), 3, 768, 256, 4, 9
     ),
     # one box fit, read for both the class and h*: no second ratio solve
-    "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 0, 0, 256, 4, 0),
+    "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 0, 0, 0, 4, 0),
     "log_f_conjugate(quadratic, 2)": (
-        lambda: log_f_conjugate(quadratic(), 2.0), 0, 0, 256, 3, 0
+        lambda: log_f_conjugate(quadratic(), 2.0), 0, 0, 0, 3, 0
     ),
     # interior sums in closed form sum no block and compute no exponent:
     # the Eulerian form of linear, Jacobi's form of the quadratic sum and of
@@ -196,9 +198,18 @@ def _count_probes(monkeypatch) -> list:
 
 # (solve, sequence, u): conjugate at u, log_f_conjugate at s_min + u;
 # roots whose terms past the first 256 exponents count, so that the float
-# start adds its tail model to them.  The parent commit's starts were
-# refused here, and its solves took 7 to 21 probes from edge - 1
+# start adds its tail model to them, or for linear, quadratic and the box
+# reads its closed-form moments.  Without either the starts were refused
+# here, and the solves took 7 to 21 probes from edge - 1
 _PAST_THE_BLOCK = (
+    # closed-form moments: with the tail model these took 21, 16 and 21
+    # probes (linear, whose start now inverts its equation exactly), 15
+    # (quadratic) and 16 (box)
+    (log_f_conjugate, "linear", 1e5),
+    (conjugate, "linear", 1e12),
+    (log_f_conjugate, "linear", 1e12 - 1.0),
+    (log_f_conjugate, "quadratic", 1e8),
+    (log_f_conjugate, "box:1", 1e8),
     (conjugate, "power:0.3", 1.0),
     (conjugate, "linear", 1e3),
     (conjugate, "linear", 1e6),
