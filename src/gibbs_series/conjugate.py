@@ -33,14 +33,13 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sequences import Family, SigmaSequence, _float_tail, box, box_factor, quadratic, sigma
+from .sequences import Family, SigmaSequence, _float_tail, box, box_factor, quadratic, sigma, sigma_values
 from .series import (
     BoundaryClass,
     _best_bracket,
     _compared,
     _edge,
     _relative,
-    _sigma_prefix,
     domain_info,
     eval_series,
 )
@@ -384,7 +383,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_Start]:
     them where its rules give its exponents in w = ln x.  None for an
     empty domain, a signed sequence, a single exponent or exponents not
     finite or too large to cube.  ``generator`` keys a custom sequence's
-    exponents, as in ``_sigma_prefix``."""
+    exponents, as in ``series._walk``."""
     alpha, edge = seq.family.rules.domain(seq)
     if edge is BoundaryClass.EMPTY_DOMAIN or seq.signed:
         return None
@@ -396,7 +395,7 @@ def _start_block(seq: SigmaSequence, generator) -> Optional[_Start]:
         return _ClosedStart(seq, -alpha, power)
     first = seq.start_index
     stop = min(first + _START_TERMS, rules.last(seq, 1) + 1)
-    s = _sigma_prefix(seq, stop)[: stop - first]
+    s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
     s_min, s_top = float(s[0]), float(s[-1])
     big = max(s_top, 1.0)
     # bounds every moment; inf (products overflow quietly) or NaN for

@@ -23,8 +23,6 @@ summation and each term's rounded exponent, whose error grows like
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -35,7 +33,6 @@ from .sequences import (
     Family,
     SequenceIndexError,
     SigmaSequence,
-    _HUGE,
     _TINY,
     _U,
     _up,
@@ -276,9 +273,8 @@ def tail_bound_after(seq: SigmaSequence, y: float, p: int, N: int) -> Optional[f
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 15  # indices per pass of a block: its arrays stay in L2
-# exponents cached per sequence (see _sigma_prefix): the first blocks of an
-# interior walk (256 + 512 + 1024 + 2048 terms) and of an edge walk end inside
-_SIGMA_PREFIX = 4096
+
+
 def _block_sum(
     seq: SigmaSequence, y: float, p: int, first: int, stop: int
 ) -> tuple[float, float]:
@@ -289,85 +285,21 @@ def _block_sum(
     array: the temporaries stay in cache, each term gets the same
     elementwise operations as ``s ** p * np.exp(s * y)``, and the whole
     contiguous block is still added in numpy's pairwise order, so the sum
-    is bit-identical to the one-pass expression.  A chunk that ends inside
-    the first ``_SIGMA_PREFIX`` indices reads its exponents from this
-    thread's cached prefix instead of computing them again.
+    is bit-identical to the one-pass expression.  Overflow is quiet: a
+    sigma_n y past float64 is an -inf that exp takes to 0, and a term or a
+    sum past it is the inf that ``_walk`` reports.
     """
     block = np.empty(stop - first)
-    start = seq.start_index
-    signed = seq.signed
-    widest = 0.0  # the largest |sigma_n|: the last one where all are positive
-    top = 0.0  # where one is negative, log2 of a bound on the largest term
-    for lo in range(first, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        if hi - start <= _SIGMA_PREFIX:
-            s = _sigma_prefix(seq, hi)[lo - start : hi - start]
-        else:
+    with np.errstate(over="ignore"):
+        for lo in range(first, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
             s = sigma_values(seq, np.arange(lo, hi, dtype=np.int64))
-        terms = block[lo - first : hi - first]
-        s_top = float(s[-1])
-        widest = max(widest, s_top, -float(s[0])) if signed else s_top
-        if signed:  # widest^p exp(widest |y|), 1.45 > 1/ln 2
-            top = p * math.frexp(widest)[1] - 1.45 * widest * y
-        if widest * -y < _HUGE and top < 1023.0:
+            terms = block[lo - first : hi - first]
             np.multiply(s, y, out=terms)
             np.exp(terms, out=terms)
             if p:
                 terms *= s ** p if p > 1 else s  # s ** 1 == s; skipping it saves a pass
-        else:  # some sigma_n y overflows, to an -inf that exp takes to 0, or a signed
-            # sequence's term may pass float64, to the inf _sum_blocks reports
-            with np.errstate(over="ignore"):
-                np.multiply(s, y, out=terms)
-                np.exp(terms, out=terms)
-                if p:
-                    terms *= s ** p if p > 1 else s
-    # log2 of the count times the largest term, widest^p where all are positive:
-    # from 1023 on the sum may pass float64, to the inf _sum_blocks reports
-    if (stop - first).bit_length() + (top if signed else p * math.frexp(widest)[1]) < 1023.0:
-        total = float(np.add.reduce(block))
-    else:
-        with np.errstate(over="ignore"):
-            total = float(np.add.reduce(block))
-    return total, s_top
-
-
-_MEMO_KEYS = 8  # sequences whose exponent prefixes each thread keeps
-
-
-class _Memo(threading.local):
-    """Each thread's exponent prefixes by sequence, least recently used first."""
-
-    def __init__(self) -> None:
-        self.sigma: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-
-_memo = _Memo()
-
-
-def _sigma_prefix(seq: SigmaSequence, stop: int) -> np.ndarray:
-    """Read-only sigma_n for start_index <= n < stop (at least), cached.
-
-    Walks at many y over one sequence need the same leading exponents, so
-    each thread keeps them for its last ``_MEMO_KEYS`` sequences, keyed
-    like the walks on the generator object too, and extends a prefix only
-    by the indices it lacks; the least recently used sequence goes first.
-    ``stop - start_index`` is at most ``_SIGMA_PREFIX``: 32 KB a sequence.
-    """
-    key = (seq, seq.generator)
-    cache = _memo.sigma
-    prefix = cache.pop(key, None)  # put back below as the most recent
-    if prefix is None:
-        prefix = np.empty(0)
-    have = seq.start_index + prefix.size
-    if have < stop:
-        prefix = np.concatenate(
-            (prefix, sigma_values(seq, np.arange(have, stop, dtype=np.int64)))
-        )
-        prefix.flags.writeable = False
-    cache[key] = prefix
-    if len(cache) > _MEMO_KEYS:
-        cache.popitem(last=False)
-    return prefix
+        return float(np.add.reduce(block)), float(s[-1])
 
 
 def _sum_blocks(
@@ -385,20 +317,27 @@ def _sum_blocks(
     (``rules.whole``) returns its bracket first, with truncation index
     start_index - 1, where that bracket meets the target and, for a
     relative walk, has a positive lower end.  Everywhere else the block
-    walk (``_walk``) runs, and fails, as it would without the closed form.
+    walk (``_walk``) runs; where it fails too, its BudgetExceededError
+    carries the narrower of the two brackets and names it.
     """
     rules = seq.family.rules
+    closed = None
     if rules.whole is not None and y != -rules.domain(seq)[0]:
         bounds = rules.whole(seq, y, p)
         if bounds is not None:
             lower, upper = bounds
-            best = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
-            if best.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
-                return best
+            closed = SeriesEval(lower, seq.start_index - 1, _up(upper - lower, 0.0))
+            if closed.tail_bound <= max(tol, rel * lower) and (lower > 0.0 or not rel):
+                return closed
     best, failure = _walk(seq, seq.generator, y, p, tol, budget, rel)
-    if failure is not None:
-        raise BudgetExceededError(failure, best)
-    return best
+    if failure is None:
+        return best
+    if closed is not None:
+        if closed.tail_bound < best.tail_bound:
+            best, failure = closed, f"{failure}; carried: the closed form's bracket, {closed.tail_bound:g} wide"
+        else:
+            failure += f"; carried: the walk's bracket (the closed form's is {closed.tail_bound:g} wide)"
+    raise BudgetExceededError(failure, best)
 
 
 @lru_cache(maxsize=256)

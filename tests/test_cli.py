@@ -156,6 +156,13 @@ class TestCommands:
         printed = reason.split(";")[0].rsplit(", ", 1)[1]
         assert float(printed) == 0.30000000000000004 * 0.3 != 0.09
 
+    def test_budget_bound_fit_exits_3(self, capsys):
+        # 1000 terms bracket no probe of this solve to its band: the
+        # start's probe raises its budget error
+        code, out = run_cli(capsys, "--max-terms", "1000", "fit", "power:1.5", "--u", "1", "--v", "1000")
+        assert code == EXIT_NUMERIC
+        assert parse(out)["error"] == "BudgetExceeded"
+
     def test_witness_alternating(self, capsys):
         code, out = run_cli(
             capsys, "witness", "linear", "--u", "2", "--v", "0", "--eps", "0.05"

@@ -93,16 +93,19 @@ def test_both_branches_across_the_switch(kappa, p):
 def test_walk_runs_where_the_closed_form_misses_the_target(monkeypatch):
     # at y = -1e-6 the sum is 1e6 and its bracket a few 1e-9 wide, so an
     # absolute 1e-9 is out of reach: the walk runs, and fails as it does
-    # without the closed form, with the same message and best bracket
+    # without the closed form, but its error carries the closed form's
+    # bracket, narrower than the walk's 9e5 after 10^5 terms, and says so
     def failure():
         series._walk.cache_clear()
         with pytest.raises(BudgetExceededError) as info:
             eval_series(linear(), -1e-6, 0, tol=1e-9, max_terms=100_000)
         return str(info.value), info.value.best
 
-    with_closed_form = failure()
+    (message, best), (lower, upper) = failure(), Family.LINEAR.rules.whole(linear(), -1e-6, 0)
     monkeypatch.setattr(Family.LINEAR, "rules", Family.LINEAR.rules._replace(whole=None))
-    assert failure() == with_closed_form
+    walked, walked_best = failure()
+    assert message == f"{walked}; carried: the closed form's bracket, {best.tail_bound:g} wide"
+    assert best.value == lower and best.upper >= upper and best.tail_bound < 1e-8 < walked_best.tail_bound
 
 
 @pytest.mark.parametrize(

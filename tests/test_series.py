@@ -58,6 +58,10 @@ def plain_sigma(seq, ns):
     if seq.family is Family.LOGFAM:
         lx = np.log(x)
         return lx + seq.theta * np.log(lx)
+    if seq.family is Family.LOGLOG:
+        return np.log(np.log(x))
+    if seq.family is Family.CUSTOM:
+        return np.array([float(seq.generator(n)) for n in ns.tolist()])
     if seq.family is Family.BOX:
         levels = sequences._box_table_holding(int(ns.max()))[1]
         return seq.kappa * levels[ns - 1].astype(np.float64)
@@ -247,6 +251,28 @@ class TestBracketing:
             g = (mp.sqrt(mp.pi / -z) * mp.jtheta(3, 0, mp.exp(mp.pi ** 2 / z)) - 1) / 2
             assert mp.mpf(best.value) <= g ** 3 <= mp.mpf(best.value) + mp.mpf(best.tail_bound)
 
+    @pytest.mark.parametrize(
+        "seq,y,which",
+        [(linear(), -1e-6, "closed form's"), (quadratic(), -1e-12, "walk's")],
+        ids=str,
+    )
+    def test_budget_failure_carries_the_narrower_bracket(self, seq, y, which):
+        # the closed form misses 1e-9 and the walk fails: linear's closed
+        # form is narrower than the walk's 45.4 after 10^7 terms, the
+        # quadratic walk's float64 floor 6.5e-9 than its closed form's 1.42e-8
+        mp = pytest.importorskip("mpmath")
+        with pytest.raises(BudgetExceededError, match=f"; carried: the {which} bracket") as info:
+            eval_series(seq, y)
+        best = info.value.best
+        assert (best.truncation_index < seq.start_index) == (which == "closed form's")
+        assert best.tail_bound < 1e-8
+        with mp.workdps(40):
+            if seq.family is Family.LINEAR:
+                f = 1 / mp.expm1(-mp.mpf(y))
+            else:
+                f = (mp.sqrt(mp.pi / -mp.mpf(y)) * mp.jtheta(3, 0, mp.exp(mp.pi ** 2 / mp.mpf(y))) - 1) / 2
+            assert mp.mpf(best.value) <= f <= mp.mpf(best.value) + mp.mpf(best.tail_bound)
+
     def test_box_retry_below_the_float_floor_is_refused(self, monkeypatch):
         # a retry would ask its factors for 1e-9/(4 H) ~ 4.5e-29 of their
         # size, below any walk's float64 floor: the first pass's bracket is
@@ -281,7 +307,9 @@ KERNEL_CASES = [
     (power(1.6), -1e-9),
     (quadratic(), -1e-11),
     (logfam(3.0), -1.0),
+    (loglog(), -1.0),
     (box(0.8), -1e-4),
+    (custom(lambda n: 1.5 * n + 0.25, declared_alpha=0.0, declared_gap=1.5), -1e-5),
 ]
 
 
@@ -296,9 +324,9 @@ class TestKernel:
             request.addfinalizer(sequences._box_table.cache_clear)
         first = seq.start_index + 5
         stop = first + count
-        for p in (0, 1, 2):
+        s = plain_sigma(seq, np.arange(first, stop, dtype=np.int64))
+        for p in (0, 1, 2, 3):
             got, s_last = series._block_sum(seq, y, p, first, stop)
-            s = plain_sigma(seq, np.arange(first, stop, dtype=np.int64))
             assert got == float(np.sum(s ** p * np.exp(s * y)))
             assert s_last == s[-1]
 
@@ -626,9 +654,8 @@ class TestLogF:
 
 
 def clear_memo():
-    """Drop the finished walks and this thread's exponent prefixes."""
+    """Drop the finished walks."""
     series._walk.cache_clear()
-    series._memo.sigma.clear()
 
 
 def outcome(seq, y, p, tol, max_terms):
@@ -732,9 +759,8 @@ class TestEvaluationMemo:
             for budget in order:
                 assert outcome(seq, y, p, tol, budget) == cold[budget]
 
-    def test_threads_keep_their_own_memo(self, walked):
-        # four threads share the finished walks and give the serial results;
-        # the exponent prefixes stay per thread
+    def test_threads_share_the_walks(self, walked):
+        # four threads share the finished walks and give the serial results
         jobs = [
             (seq, y, p, tol, 300_000)
             for seq, y in ((linear(), -1e-3), (power(0.7), -1.3), (logfam(3.0), -1.0), (box(0.8), -1.3))
@@ -754,7 +780,7 @@ class TestEvaluationMemo:
             order = jobs[shift:] + jobs[:shift]
             start.wait(timeout=60)
             got = [outcome(*job) for job in order]
-            return (got[-shift:] + got[:-shift] if shift else got), series._memo.sigma
+            return got[-shift:] + got[:-shift] if shift else got
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -764,97 +790,7 @@ class TestEvaluationMemo:
                 results = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for got, _ in results:
-            assert got == serial
-        prefixes = [held for _, held in results] + [series._memo.sigma]
-        assert len({id(held) for held in prefixes}) == len(prefixes)
-
-
-def families():
-    return [
-        linear(),
-        power(0.7),
-        power(1.6),
-        quadratic(),
-        logfam(3.0),
-        loglog(),
-        box(0.8),
-        custom(lambda n: 1.5 * n + 0.25, declared_alpha=0.0, declared_gap=1.5),
-    ]
-
-
-def plain_sum(seq, y, p, first, stop):
-    """The one-pass expression the kernel must match bit for bit."""
-    s = sigma_values(seq, np.arange(first, stop, dtype=np.int64))
-    return float(np.sum(s ** p * np.exp(s * y)))
-
-
-class TestSigmaPrefix:
-    """The cached leading exponents change no bit of any block sum."""
-
-    CAP = series._SIGMA_PREFIX
-
-    @pytest.mark.parametrize("seq", families(), ids=str)
-    def test_blocks_around_the_cap_match_the_plain_sum(self, seq):
-        start = seq.start_index
-        blocks = [(start, start + k) for k in (self.CAP - 1, self.CAP, self.CAP + 1)]
-        blocks += [(start + self.CAP - 300, start + self.CAP + 200), (start + 1000, start + self.CAP)]
-        y = -2.0 / sigma_values(seq, np.array([start + 100]))[0]
-        for warm in (False, True):
-            clear_memo()
-            if warm:  # a prefix already grown past some of the blocks
-                series._sigma_prefix(seq, start + 1500)
-            for first, stop in blocks:
-                for p in range(4):
-                    expected = plain_sum(seq, y, p, first, stop)
-                    assert series._block_sum(seq, y, p, first, stop)[0] == expected, (first, stop, p)
-        assert series._memo.sigma[(seq, seq.generator)].size == self.CAP
-
-    @pytest.mark.parametrize("seq", families(), ids=str)
-    def test_prefix_grown_in_steps_equals_a_cold_one(self, seq):
-        start = seq.start_index
-        clear_memo()
-        cold = series._sigma_prefix(seq, start + self.CAP).copy()
-        clear_memo()
-        for k in (1, 7, 8, 300, 2049, 2050, self.CAP - 1, self.CAP):
-            grown = series._sigma_prefix(seq, start + k)
-            assert grown.size == k
-            assert grown.tobytes() == cold[:k].tobytes()
-        whole = sigma_values(seq, np.arange(start, start + self.CAP, dtype=np.int64))
-        assert cold.tobytes() == whole.tobytes()
-
-    def test_cached_prefixes_are_read_only_and_stay_unchanged(self):
-        clear_memo()
-        for seq in families():
-            start = seq.start_index
-            before = series._sigma_prefix(seq, start + 3000).copy()
-            for p in (2, 3):
-                series._block_sum(seq, -0.5, p, start, start + 3000)
-                series._block_sum(seq, -0.5, p, start + 10, start + 2000)
-            cached = series._memo.sigma[(seq, seq.generator)]
-            assert not cached.flags.writeable
-            assert cached.tobytes() == before.tobytes()
-            with pytest.raises(ValueError):
-                cached[0] = 0.0
-
-    def test_custom_generators_get_their_own_exponents(self):
-        unit = custom(lambda n: 1.0 * n, declared_alpha=0.0, declared_gap=1.0)
-        double = custom(lambda n: 2.0 * n, declared_alpha=0.0, declared_gap=1.0)
-        clear_memo()
-        a = series._sigma_prefix(unit, 11)
-        b = series._sigma_prefix(double, 11)
-        assert a.tolist() == [float(n) for n in range(1, 11)]
-        assert b.tolist() == [2.0 * n for n in range(1, 11)]
-        assert len(series._memo.sigma) == 2
-
-    def test_cache_holds_a_fixed_number_of_sequences(self):
-        clear_memo()
-        seqs = [power(0.5 + 0.1 * k) for k in range(3 * series._MEMO_KEYS)]
-        for seq in seqs:
-            eval_series(seq, -1.0, 0, tol=1e-9)
-            assert len(series._memo.sigma) <= series._MEMO_KEYS
-        kept = [seq for seq, _ in series._memo.sigma]
-        assert kept == seqs[-series._MEMO_KEYS:]  # least recently used leave first
+        assert results == [serial] * 4
 
 
 class TestNonFiniteInputs:

@@ -2,8 +2,11 @@
 gamma certificates the reference calls compute from cold caches.
 
 The counts are deterministic, so a change that silently drops the reuse of
-finished walks or of cached exponents (or computes more for any other
-reason) fails here on any machine.
+finished walks (or computes more for any other reason) fails here on any
+machine.  Exponents are counted where the walk's blocks and the float
+start's block compute them, and nothing keeps them between the two: a
+call computes the exponents of the terms it sums and 256 for each start
+block it builds.
 """
 
 import importlib
@@ -32,7 +35,8 @@ from gibbs_series import (
 
 _conjugate = importlib.import_module("gibbs_series.conjugate")
 
-# (call, most _block_sum calls, most terms summed, most exponents computed,
+# (call, most _block_sum calls, most terms summed, most exponents computed
+# (the terms summed plus 256 for each float start's block),
 # most evaluations: eval_series calls and the relative walks of phi, log_f
 # and the ratio probes, all of which pass through series._evaluate; most
 # sequences._log_upper_gamma calls, one per integral of the log family's
@@ -57,10 +61,10 @@ REFERENCE_CALLS = {
     # power sums have no closed form: each walk starts from the first term,
     # and a walk to a tighter target than a finished one sums its blocks again
     "fit_gibbs(power:1.5, 1, 4)": (
-        lambda: fit_gibbs(power(1.5), 1.0, 4.0), 3, 768, 256, 4, 0
+        lambda: fit_gibbs(power(1.5), 1.0, 4.0), 3, 768, 1_024, 4, 0
     ),
     "min_entropy_moment(power:0.7, 2)": (
-        lambda: min_entropy_moment(power(0.7), 2.0), 3, 768, 256, 4, 9
+        lambda: min_entropy_moment(power(0.7), 2.0), 3, 768, 1_024, 4, 9
     ),
     # one box fit, read for both the class and h*: no second ratio solve
     "box_report(1, 4)": (lambda: box_report(1.0, 4.0), 0, 0, 0, 4, 0),
@@ -88,14 +92,14 @@ REFERENCE_CALLS = {
     # evaluations a certificate (one per stencil node), computed only after
     # the blocks whose floor does not rule out the stop
     "conjugate(logfam:2.9, 0.6625)": (
-        lambda: conjugate(logfam(2.9), 0.6625), 7, 10_752, 4_096, 2, 6
+        lambda: conjugate(logfam(2.9), 0.6625), 7, 10_752, 11_008, 2, 6
     ),
-    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 8, 9_728, 7_936, 2, 11),
+    "conjugate(logfam:1.5, 1)": (lambda: conjugate(logfam(1.5), 1.0), 8, 9_728, 9_984, 2, 11),
     # a root 2.5e-5 from the edge 0, where the terms past the first 256
     # exponents hold 92 % of f: the start's tail model adds them, so one
     # probe walks f' and the value walks f
     "conjugate(power:1.3, 1e8)": (
-        lambda: conjugate(power(1.3), 1e8), 16, 130_560, 126_720, 2, 0
+        lambda: conjugate(power(1.3), 1e8), 16, 130_560, 130_816, 2, 0
     ),
     # sigma is concave from x = 5.04 on for theta < 0 too, so Hermite-Hadamard applies
     "eval_series(logfam:-1, -1.3)": (
@@ -114,7 +118,6 @@ REFERENCE_CALLS = {
 
 def _clear_memos():
     series._walk.cache_clear()
-    series._memo.sigma.clear()
     domain_info.cache_clear()
     series._record.cache_clear()
     _conjugate._start_block.cache_clear()
@@ -148,6 +151,7 @@ def test_reference_call_work(name, monkeypatch):
 
     monkeypatch.setattr(series, "_block_sum", counted)
     monkeypatch.setattr(series, "sigma_values", counted_sigmas)
+    monkeypatch.setattr(_conjugate, "sigma_values", counted_sigmas)
     monkeypatch.setattr(series, "_evaluate", counted_evaluate)
     monkeypatch.setattr(sequences, "_log_upper_gamma", counted_gamma)
     _clear_memos()
